@@ -25,12 +25,6 @@ class AUGraph:
     """Unit co-occurrence graph over M action units."""
     conditional: np.ndarray    # (M, M); [p, q] = P(unit p | unit q)
     normalized: np.ndarray     # conditional with rows rescaled to sum to 1
-    occurrence: np.ndarray     # (M,) per-unit activation counts
-    pair_counts: np.ndarray    # (M, M) co-activation counts
-
-    @property
-    def n_units(self) -> int:
-        return self.conditional.shape[0]
 
 
 def _row_normalize(a: np.ndarray) -> np.ndarray:
@@ -57,16 +51,14 @@ def build_au_graph(au_labels: np.ndarray) -> AUGraph:
     pair = z.T @ z
     denom = np.where(occurrence > 0, occurrence, 1.0)[None, :]
     conditional = np.where(occurrence[None, :] > 0, pair / denom, 0.0)
-    return AUGraph(conditional, _row_normalize(conditional),
-                   occurrence, pair)
+    return AUGraph(conditional, _row_normalize(conditional))
 
 
 def random_au_graph(n_units: int, rng: np.random.Generator) -> AUGraph:
     """Uniformly sampled edge weights, row-normalized; baseline for comparing
     against the counted co-occurrence edges."""
     raw = rng.random((n_units, n_units))
-    return AUGraph(raw, _row_normalize(raw),
-                   np.zeros(n_units), np.zeros((n_units, n_units)))
+    return AUGraph(raw, _row_normalize(raw))
 
 
 class AuxiliaryBranch:

@@ -15,11 +15,12 @@ from pathlib import Path
 import numpy as np
 
 from . import data, experiments
-from .errors import (ConfigError, DatasetFormatError, DatasetValidationError,
-                     IntegrityError, TrainingDivergedError)
+from .errors import (CheckpointError, ConfigError, DatasetFormatError,
+                     DatasetValidationError, IntegrityError,
+                     TrainingDivergedError)
 from .relabel import audit_rows
-from .trainer import (TrainConfig, evaluate, load_checkpoint, save_checkpoint,
-                      train, write_metrics_csv)
+from .trainer import (TrainConfig, evaluate, load_checkpoint, restore_model,
+                      save_checkpoint, train, write_metrics_csv)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -97,15 +98,11 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _write_matrix_csv(matrix: np.ndarray, path: Path) -> None:
-    lines = [",".join(repr(float(v)) for v in row) for row in matrix]
-    path.write_text("\n".join(lines) + "\n")
-
-
 def _write_graph_files(graph, out_dir: Path) -> None:
-    _write_matrix_csv(graph.conditional, out_dir / "au_adjacency.csv")
-    _write_matrix_csv(graph.normalized,
-                      out_dir / "au_adjacency_normalized.csv")
+    for name, matrix in (("au_adjacency.csv", graph.conditional),
+                         ("au_adjacency_normalized.csv", graph.normalized)):
+        lines = [",".join(repr(float(v)) for v in row) for row in matrix]
+        data.write_text_atomic(out_dir / name, "\n".join(lines) + "\n")
 
 
 def cmd_train(args) -> int:
@@ -119,9 +116,9 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_metrics_csv(result.metrics, ds.n_classes, out_dir / "metrics.csv")
     save_checkpoint(result.checkpoint, out_dir / "checkpoint.json")
-    header = "epoch,sample_id,original,corrected,dist_original,dist_corrected"
-    with open(out_dir / "relabel_audit.csv", "w") as fh:
-        fh.write("\n".join([header] + audit_rows(result.records)) + "\n")
+    audit = ["epoch,sample_id,original,corrected,dist_original,dist_corrected"]
+    audit += audit_rows(result.records)
+    data.write_text_atomic(out_dir / "relabel_audit.csv", "\n".join(audit) + "\n")
     _write_graph_files(result.model.graph, out_dir)
 
     if result.metrics:
@@ -139,10 +136,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     ds = data.load(args.data)
-    ckpt = load_checkpoint(args.checkpoint)
-    cfg = TrainConfig(**{k: tuple(tuple(p) for p in v) if k == "lr_drops" else v
-                         for k, v in ckpt.config.items()})
-    model = _rebuild_model(ckpt, cfg, ds)
+    model, _ = restore_model(load_checkpoint(args.checkpoint), ds)
     report = evaluate(model, ds)
     print(f"accuracy {report.accuracy:.4f} on {report.n} samples")
     for c, acc in enumerate(report.per_class_accuracy):
@@ -154,27 +148,8 @@ def cmd_eval(args) -> int:
         lines.append("confusion")
         lines += [",".join(str(int(v)) for v in row)
                   for row in report.confusion]
-        Path(args.out).write_text("\n".join(lines) + "\n")
+        data.write_text_atomic(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
-
-
-def _rebuild_model(ckpt, cfg: TrainConfig, ds) -> "object":
-    from .aux_branch import AUGraph
-    from .relabel import SemanticTemplates
-    from .trainer import init_model
-
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
-    model = init_model(ds, cfg, rng)
-    for name, tensor in model.parameters().items():
-        tensor.data[...] = ckpt.params[name]
-    model.templates = SemanticTemplates(ckpt.template_vectors.copy(),
-                                        ckpt.template_valid.copy(),
-                                        ckpt.template_last_update.copy())
-    model.graph = AUGraph(ckpt.graph_conditional.copy(),
-                          ckpt.graph_normalized.copy(),
-                          ckpt.graph_occurrence.copy(),
-                          ckpt.graph_pair_counts.copy())
-    return model
 
 
 def _spec_from_args(args) -> experiments.ExperimentSpec:
@@ -286,10 +261,10 @@ def cmd_inspect(args) -> int:
     elif kind == "checkpoint":
         ckpt = load_checkpoint(path)
         print(f"epoch {ckpt.epoch}")
-        print(f"resume hash {ckpt.resume_hash}")
+        print(f"dataset fingerprint {ckpt.dataset_hash}")
         for name, arr in ckpt.params.items():
-            print(f"{name}: {arr.shape[0]}x{arr.shape[1]}")
-        print(f"templates valid: {ckpt.template_valid.astype(int).tolist()}")
+            print(f"{name}: {'x'.join(map(str, arr.shape))}")
+        print(f"templates valid: {ckpt.templates.valid.astype(int).tolist()}")
     elif kind == "metrics":
         lines = path.read_text().splitlines()
         header = lines[0].split(",")
@@ -377,8 +352,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FileNotFoundError, DatasetFormatError, DatasetValidationError,
-            IntegrityError) as exc:
+    except (FileNotFoundError, CheckpointError, DatasetFormatError,
+            DatasetValidationError, IntegrityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FILE
     except TrainingDivergedError as exc:

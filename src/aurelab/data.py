@@ -8,7 +8,9 @@ active action units drawn from its true class's prototype pattern.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,6 +127,15 @@ class Dataset:
     def observed_noise_rate(self) -> float:
         return float(np.mean(self.observed_labels != self.true_labels))
 
+    def fingerprint(self) -> str:
+        """sha256 over the shape header, features, unit bits and true labels
+        (not observed labels: label correction rewrites them)."""
+        h = hashlib.sha256(
+            f"{self.n},{self.n_classes},{self.n_units},{self.dim}".encode())
+        for arr in (self.features, self.au_labels, self.true_labels):
+            h.update(np.ascontiguousarray(arr))
+        return h.hexdigest()
+
     def validate(self) -> None:
         n = self.n
         if self.features.shape != (n, self.dim):
@@ -222,6 +233,19 @@ def corrupt_labels(ds: Dataset, rate: float, seed: int) -> Dataset:
 _HEADER_KEYS = ("C", "M", "D", "n", "corruption_rate", "seed")
 
 
+def write_text_atomic(path, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then move it into
+    place with ``os.replace``: a failed write leaves the old file whole."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def save(ds: Dataset, path) -> None:
     lines = [
         f"C={ds.n_classes}",
@@ -237,8 +261,7 @@ def save(ds: Dataset, path) -> None:
         fields.extend(str(int(b)) for b in ds.au_labels[i])
         fields.extend(repr(float(v)) for v in ds.features[i])
         lines.append(",".join(fields))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def load(path) -> Dataset:
@@ -260,6 +283,9 @@ def load(path) -> Dataset:
         except ValueError:
             raise DatasetFormatError(
                 f"line {lineno}: cannot parse value for '{key}': {value!r}") from None
+        if key in ("C", "M", "D", "n") and header[key] < 0:
+            raise DatasetFormatError(
+                f"line {lineno}: '{key}' must be >= 0, got {header[key]}")
 
     n_classes, n_units = header["C"], header["M"]
     dim, n = header["D"], header["n"]

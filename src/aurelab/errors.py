@@ -21,6 +21,10 @@ class DatasetValidationError(ValueError):
     """A dataset file parsed but its body contradicts its header."""
 
 
+class CheckpointError(ValueError):
+    """A checkpoint file is malformed, outdated, or does not fit the dataset."""
+
+
 class IntegrityError(ValueError):
     """A record refers to a sample id that does not exist."""
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .data import Dataset, corrupt_labels, generate, train_test_split
+from .data import (Dataset, corrupt_labels, generate, train_test_split,
+                   write_text_atomic)
 from .errors import ConfigError
 from .trainer import TrainConfig, TrainResult, evaluate, train
 
@@ -218,8 +219,7 @@ def write_table(rows: list[TableRow], path) -> None:
         vals.extend(repr(row.extra[c]) for c in extra_cols)
         vals.extend(repr(row.per_seed_accuracy[s]) for s in seed_cols)
         lines.append(",".join(vals))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -343,5 +343,4 @@ def save_spec(spec: ExperimentSpec, path) -> None:
             lines.append(f"lr_drops = {_format_lr_drops(value)}")
         else:
             lines.append(f"{f.name} = {value!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")

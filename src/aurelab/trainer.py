@@ -12,19 +12,20 @@ predictions are the plain argmax of the classifier logits.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
 from . import autodiff as ad
 from .aux_branch import (AUGraph, AuxiliaryBranch, au_detection_loss,
                          build_au_graph, random_au_graph)
-from .data import Dataset, batches
-from .errors import ConfigError, DegenerateVectorError, TrainingDivergedError
+from .data import Dataset, batches, write_text_atomic
+from .errors import (CheckpointError, ConfigError, DegenerateVectorError,
+                     TrainingDivergedError)
 from .relabel import (RelabelRecord, SemanticTemplates, apply_corrections,
                       decide_relabel, semantic_distances)
 from .target_branch import (TargetBranch, class_weights, rank_regularization,
@@ -100,14 +101,6 @@ class TrainConfig:
 
     def lr_aux_at(self, epoch: int) -> float:
         return self.lr_aux * self.lr_aux_decay ** (epoch - 1)
-
-    def resume_hash(self) -> str:
-        """Hash of everything that must match for a checkpoint to resume;
-        the total epoch count may differ (training can be extended)."""
-        d = asdict(self)
-        d.pop("epochs")
-        blob = json.dumps(d, sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def ramp_weights(epoch: int, pivot: int) -> tuple[float, float]:
@@ -239,105 +232,112 @@ def metrics_row(m: EpochMetrics) -> str:
 def write_metrics_csv(metrics: list[EpochMetrics], n_classes: int, path) -> None:
     lines = [metrics_header(n_classes)]
     lines.extend(metrics_row(m) for m in metrics)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
+
+
+# Decoders of a checkpoint's JSON values; each raises AttributeError,
+# KeyError, TypeError or ValueError on a malformed value.
+
+def _named_arrays(value) -> dict[str, np.ndarray]:
+    return {name: np.asarray(v, dtype=np.float64) for name, v in value.items()}
+
+
+def _config(value) -> TrainConfig:
+    cfg = TrainConfig(**{**value, "lr_drops":
+                         tuple(tuple(p) for p in value["lr_drops"])})
+    cfg.validate()
+    return cfg
+
+
+def _templates(value) -> SemanticTemplates:
+    return SemanticTemplates(np.asarray(value["vectors"], dtype=np.float64),
+                             np.asarray(value["valid"], dtype=bool),
+                             np.asarray(value["last_update_epoch"], dtype=np.int64))
+
+
+def _rng_state(value) -> dict:
+    np.random.PCG64(0).state = value   # raises unless a PCG64 state
+    return value
+
+
+def _stored(decode):
+    return field(metadata={"decode": decode})
 
 
 @dataclass
 class Checkpoint:
-    """Everything needed to continue a run bit-exactly.
-
-    Besides the parameters this stores the template state, the current
-    (possibly corrected) labels, the unit graph, and the generator state, so
-    a resumed run follows the identical trajectory.
+    """Everything needed to continue a run bit-exactly, each field with the
+    decoder that reads it back.  The unit graph is not stored: ``init_model``
+    rebuilds it identically from the dataset or the seed.
     """
-    epoch: int
-    config: dict
-    resume_hash: str
-    params: dict[str, np.ndarray]
-    velocities: dict[str, np.ndarray]
-    template_vectors: np.ndarray
-    template_valid: np.ndarray
-    template_last_update: np.ndarray
-    observed_labels: np.ndarray
-    graph_conditional: np.ndarray
-    graph_normalized: np.ndarray
-    graph_occurrence: np.ndarray
-    graph_pair_counts: np.ndarray
-    rng_state: dict
+    epoch: int = _stored(int)
+    config: TrainConfig = _stored(_config)
+    dataset_hash: str = _stored(str)
+    params: dict[str, np.ndarray] = _stored(_named_arrays)
+    velocities: dict[str, np.ndarray] = _stored(_named_arrays)
+    templates: SemanticTemplates = _stored(_templates)
+    observed_labels: np.ndarray = _stored(partial(np.asarray, dtype=np.int64))
+    rng_state: dict = _stored(_rng_state)
 
 
-CHECKPOINT_FORMAT = "aurelab-checkpoint-v1"
+CHECKPOINT_FORMAT = "aurelab-checkpoint-v2"
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    doc = {
-        "format": CHECKPOINT_FORMAT,
-        "epoch": ckpt.epoch,
-        "config": ckpt.config,
-        "resume_hash": ckpt.resume_hash,
-        "params": {k: v.tolist() for k, v in ckpt.params.items()},
-        "velocities": {k: v.tolist() for k, v in ckpt.velocities.items()},
-        "template_vectors": ckpt.template_vectors.tolist(),
-        "template_valid": ckpt.template_valid.astype(int).tolist(),
-        "template_last_update": ckpt.template_last_update.tolist(),
-        "observed_labels": ckpt.observed_labels.tolist(),
-        "graph_conditional": ckpt.graph_conditional.tolist(),
-        "graph_normalized": ckpt.graph_normalized.tolist(),
-        "graph_occurrence": ckpt.graph_occurrence.tolist(),
-        "graph_pair_counts": ckpt.graph_pair_counts.tolist(),
-        "rng_state": ckpt.rng_state,
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+    doc = {"format": CHECKPOINT_FORMAT, **vars(ckpt)}
+    write_text_atomic(path, json.dumps(doc, default=lambda obj: (
+        obj.tolist() if isinstance(obj, np.ndarray) else vars(obj))))
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format") != CHECKPOINT_FORMAT:
-        raise ConfigError(f"not a recognized checkpoint file: {path}")
-    return Checkpoint(
-        epoch=int(doc["epoch"]),
-        config=doc["config"],
-        resume_hash=doc["resume_hash"],
-        params={k: np.asarray(v, dtype=np.float64)
-                for k, v in doc["params"].items()},
-        velocities={k: np.asarray(v, dtype=np.float64)
-                    for k, v in doc["velocities"].items()},
-        template_vectors=np.asarray(doc["template_vectors"], dtype=np.float64),
-        template_valid=np.asarray(doc["template_valid"], dtype=bool),
-        template_last_update=np.asarray(doc["template_last_update"],
-                                        dtype=np.int64),
-        observed_labels=np.asarray(doc["observed_labels"], dtype=np.int64),
-        graph_conditional=np.asarray(doc["graph_conditional"], dtype=np.float64),
-        graph_normalized=np.asarray(doc["graph_normalized"], dtype=np.float64),
-        graph_occurrence=np.asarray(doc["graph_occurrence"], dtype=np.float64),
-        graph_pair_counts=np.asarray(doc["graph_pair_counts"], dtype=np.float64),
-        rng_state=doc["rng_state"],
-    )
+    """Read a checkpoint file; anything but a well-formed v2 checkpoint
+    raises CheckpointError."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: not a JSON file ({exc})") from None
+    fmt = doc.get("format") if isinstance(doc, dict) else None
+    if fmt == "aurelab-checkpoint-v1":
+        raise CheckpointError(f"{path}: v1 checkpoints are no longer read; "
+                              f"retrain to write {CHECKPOINT_FORMAT}")
+    if fmt != CHECKPOINT_FORMAT:
+        raise CheckpointError(f"{path}: not an {CHECKPOINT_FORMAT} file")
+    values = {}
+    for f in fields(Checkpoint):
+        try:
+            values[f.name] = f.metadata["decode"](doc[f.name])
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"{path}: field '{f.name}' is missing or "
+                                  f"malformed ({exc})") from None
+    return Checkpoint(**values)
 
 
-def make_checkpoint(model: Model, epoch: int, observed_labels: np.ndarray,
-                    velocities: dict[str, np.ndarray],
-                    rng: np.random.Generator) -> Checkpoint:
-    cfg = model.config
-    return Checkpoint(
-        epoch=epoch,
-        config=asdict(cfg),
-        resume_hash=cfg.resume_hash(),
-        params={k: v.data.copy() for k, v in model.parameters().items()},
-        velocities={k: v.copy() for k, v in velocities.items()},
-        template_vectors=model.templates.vectors.copy(),
-        template_valid=model.templates.valid.copy(),
-        template_last_update=model.templates.last_update_epoch.copy(),
-        observed_labels=observed_labels.copy(),
-        graph_conditional=model.graph.conditional.copy(),
-        graph_normalized=model.graph.normalized.copy(),
-        graph_occurrence=model.graph.occurrence.copy(),
-        graph_pair_counts=model.graph.pair_counts.copy(),
-        rng_state=rng.bit_generator.state,
-    )
+def restore_model(ckpt: Checkpoint, dataset: Dataset,
+                  config: TrainConfig | None = None
+                  ) -> tuple[Model, np.random.Generator]:
+    """Rebuild a checkpointed model on ``dataset`` under ``config`` (by
+    default the checkpoint's own), with the unit graph exactly as in
+    training; raises CheckpointError when a stored shape does not fit."""
+    config = config or ckpt.config
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
+    model = init_model(dataset, config, rng)
+    stored = [(f"{kind} {name}", store.get(name), t.data.shape)
+              for kind, store in (("parameter", ckpt.params),
+                                  ("velocity", ckpt.velocities))
+              for name, t in model.parameters().items()]
+    stored += [(f"template {name}", getattr(ckpt.templates, name), arr.shape)
+               for name, arr in vars(model.templates).items()]
+    for what, arr, shape in stored:
+        if getattr(arr, "shape", None) != shape:
+            raise CheckpointError(
+                f"checkpoint does not fit this dataset: {what} has shape "
+                f"{getattr(arr, 'shape', None)}, expected {shape}")
+    for name, tensor in model.parameters().items():
+        tensor.data[...] = ckpt.params[name]
+    model.templates = ckpt.templates.copy()
+    rng.bit_generator.state = ckpt.rng_state
+    return model, rng
 
 
 @dataclass
@@ -368,32 +368,29 @@ def train(dataset: Dataset, config: TrainConfig,
     ds = dataset.copy()
     batch_size = min(config.batch_size, ds.n)
 
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
-    model = init_model(ds, config, rng)
-    start_epoch = 1
-    if resume is not None:
-        if resume.resume_hash != config.resume_hash():
+    if resume is None:
+        rng = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(config.seed)))
+        model = init_model(ds, config, rng)
+        start_epoch = 1
+    else:
+        if replace(resume.config, epochs=config.epochs) != config:
             raise ConfigError("checkpoint configuration does not match; "
                               "only the total epoch count may change on resume")
-        for name, tensor in model.parameters().items():
-            tensor.data[...] = resume.params[name]
-        model.templates = SemanticTemplates(resume.template_vectors.copy(),
-                                            resume.template_valid.copy(),
-                                            resume.template_last_update.copy())
-        model.graph = AUGraph(resume.graph_conditional.copy(),
-                              resume.graph_normalized.copy(),
-                              resume.graph_occurrence.copy(),
-                              resume.graph_pair_counts.copy())
-        ds.observed_labels[...] = resume.observed_labels
-        rng.bit_generator.state = resume.rng_state
+        model, rng = restore_model(resume, ds, config)
+        if resume.dataset_hash != ds.fingerprint():
+            raise CheckpointError("checkpoint was trained on a different "
+                                  "dataset; resume needs the same training set")
+        labels = resume.observed_labels
+        if labels.shape != (ds.n,) or np.any((labels < 0) | (labels >= ds.n_classes)):
+            raise CheckpointError("checkpoint labels do not fit the dataset")
+        ds.observed_labels[...] = labels
         start_epoch = resume.epoch + 1
 
     params = model.parameters()
+    velocities = {name: resume.velocities[name].copy() if resume
+                  else np.zeros_like(t.data) for name, t in params.items()}
     target_names = set(model.target.parameters())
-    velocities = {name: np.zeros_like(t.data) for name, t in params.items()}
-    if resume is not None:
-        for name in velocities:
-            velocities[name][...] = resume.velocities[name]
     metrics: list[EpochMetrics] = []
     all_records: list[RelabelRecord] = []
 
@@ -525,8 +522,12 @@ def train(dataset: Dataset, config: TrainConfig,
             relabel_recall=recall,
             noise_rate=ds.observed_noise_rate()))
 
-    last_epoch = config.epochs
-    if resume is not None:
-        last_epoch = max(resume.epoch, config.epochs)
-    ckpt = make_checkpoint(model, last_epoch, ds.observed_labels, velocities, rng)
+    ckpt = Checkpoint(
+        epoch=max(config.epochs, resume.epoch if resume else 0),
+        config=config, dataset_hash=ds.fingerprint(),
+        params={k: t.data.copy() for k, t in params.items()},
+        velocities={k: v.copy() for k, v in velocities.items()},
+        templates=model.templates.copy(),
+        observed_labels=ds.observed_labels.copy(),
+        rng_state=rng.bit_generator.state)
     return TrainResult(model, metrics, all_records, ds, ckpt)

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import time
 
 import numpy as np
@@ -90,7 +91,7 @@ class TestTrain:
         audit = (out / "relabel_audit.csv").read_text().splitlines()
         assert len(audit) == 1   # header only, no corrections
         ckpt = load_checkpoint(out / "checkpoint.json")
-        assert ckpt.config["use_aux_branch"] is False
+        assert ckpt.config.use_aux_branch is False
 
     def test_rerun_is_checksum_identical(self, dataset_files, tmp_path):
         train_path, test_path = dataset_files
@@ -175,6 +176,99 @@ class TestEvalAndInspect:
 
     def test_inspect_missing_file_is_file_error(self, tmp_path):
         assert main(["inspect", "graph", str(tmp_path / "nope.csv")]) == 3
+
+
+def _assert_file_error(rc, capsys, message):
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert message in err and "Traceback" not in err
+
+
+def _damaged(text, damage):
+    if damage == "truncated":
+        return text[:len(text) // 2]
+    doc = json.loads(text)
+    if damage == "missing_key":
+        del doc["params"]
+    elif damage == "v1":
+        doc["format"] = "aurelab-checkpoint-v1"
+    elif damage == "wrong_type":
+        doc["observed_labels"] = "not a list"
+    return json.dumps(doc)
+
+
+class TestBrokenInputs:
+    """Malformed or mismatched files end in one error line and exit 3."""
+
+    @pytest.fixture(scope="class")
+    def runs(self, dataset_files, tmp_path_factory):
+        train_path, _ = dataset_files
+        root = tmp_path_factory.mktemp("broken")
+        five = root / "five.txt"
+        assert main(GEN_ARGS + ["--classes", "5", "--out", str(five)]) == 0
+        for data_path, out in ((train_path, root / "three_run"),
+                               (five, root / "five_run")):
+            assert main(["train", "--data", str(data_path), "--out", str(out)]
+                        + TRAIN_SPEED_ARGS + ["--epochs", "1"]) == 0
+        return root
+
+    @pytest.mark.parametrize("damage,message", [
+        ("truncated", "not a JSON file"), ("missing_key", "'params'"),
+        ("v1", "v1 checkpoints are no longer read"),
+        ("wrong_type", "'observed_labels'")])
+    @pytest.mark.parametrize("command", ["eval", "inspect"])
+    def test_damaged_checkpoint(self, dataset_files, runs, tmp_path, capsys,
+                                damage, message, command):
+        text = (runs / "three_run" / "checkpoint.json").read_text()
+        path = tmp_path / "checkpoint.json"
+        path.write_text(_damaged(text, damage))
+        if command == "eval":
+            argv = ["eval", "--checkpoint", str(path),
+                    "--data", str(dataset_files[1])]
+        else:
+            argv = ["inspect", "checkpoint", str(path)]
+        _assert_file_error(main(argv), capsys, message)
+
+    @pytest.mark.parametrize("command", ["eval", "resume"])
+    def test_checkpoint_with_other_class_count(self, dataset_files, runs,
+                                               tmp_path, capsys, command):
+        train_path, test_path = dataset_files
+        ckpt = str(runs / "five_run" / "checkpoint.json")
+        if command == "eval":
+            argv = ["eval", "--checkpoint", ckpt, "--data", str(test_path)]
+        else:
+            argv = (["train", "--data", str(train_path), "--out",
+                     str(tmp_path / "run"), "--resume", ckpt]
+                    + TRAIN_SPEED_ARGS)
+        _assert_file_error(main(argv), capsys, "does not fit this dataset")
+
+    def test_resume_on_other_dataset_of_same_size(self, dataset_files, runs,
+                                                  tmp_path, capsys):
+        train_path, _ = dataset_files
+        other = tmp_path / "other.txt"
+        assert main(GEN_ARGS[:-1] + ["6", "--corruption", "0.2",
+                                     "--test-fraction", "0.25",
+                                     "--out", str(other)]) == 0
+        assert data.load(other).n == data.load(train_path).n
+        capsys.readouterr()
+        rc = main(["train", "--data", str(other), "--out",
+                   str(tmp_path / "run"), "--resume",
+                   str(runs / "three_run" / "checkpoint.json")]
+                  + TRAIN_SPEED_ARGS)
+        _assert_file_error(rc, capsys, "different dataset")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("line,key", [(1, "C"), (2, "M"), (3, "D"),
+                                          (4, "n")])
+    def test_negative_header_value(self, dataset_files, tmp_path, capsys,
+                                   line, key):
+        lines = dataset_files[0].read_text().splitlines()
+        lines[line - 1] = f"{key}=-1"
+        path = tmp_path / "ds.txt"
+        path.write_text("\n".join(lines) + "\n")
+        _assert_file_error(main(["inspect", "dataset", str(path)]), capsys,
+                           f"line {line}: '{key}' must be >= 0")
 
 
 class TestExperimentSpecs:

@@ -1,4 +1,5 @@
 import math
+import os
 from dataclasses import replace
 
 import hypothesis
@@ -216,12 +217,19 @@ class TestCheckpointing:
         result = train(ds, FAST)
         path = tmp_path / "ck.json"
         save_checkpoint(result.checkpoint, path)
-        back = load_checkpoint(path)
-        assert back.epoch == result.checkpoint.epoch
-        assert back.resume_hash == result.checkpoint.resume_hash
-        for name, arr in result.checkpoint.params.items():
-            assert back.params[name].tobytes() == arr.tobytes()
-        assert back.rng_state == result.checkpoint.rng_state
+        back, ckpt = load_checkpoint(path), result.checkpoint
+        assert back.epoch == ckpt.epoch
+        assert back.config == ckpt.config
+        assert back.dataset_hash == ckpt.dataset_hash == ds.fingerprint()
+        for stored, loaded in ((ckpt.params, back.params),
+                               (ckpt.velocities, back.velocities),
+                               (vars(ckpt.templates), vars(back.templates))):
+            assert stored.keys() == loaded.keys()
+            for name, arr in stored.items():
+                assert loaded[name].dtype == arr.dtype
+                assert loaded[name].tobytes() == arr.tobytes()
+        assert np.array_equal(back.observed_labels, ckpt.observed_labels)
+        assert back.rng_state == ckpt.rng_state
 
     def test_resume_reproduces_uninterrupted_run(self, tmp_path):
         ds = tiny_ds(n=120)
@@ -256,6 +264,22 @@ class TestCheckpointing:
         half = train(ds, replace(FAST, epochs=2))
         extended = train(ds, replace(FAST, epochs=3), resume=half.checkpoint)
         assert [m.epoch for m in extended.metrics] == [3]
+
+    def test_interrupted_write_keeps_previous_file(self, tmp_path,
+                                                   monkeypatch):
+        ckpt = train(tiny_ds(), replace(FAST, epochs=1)).checkpoint
+        path = tmp_path / "ck.json"
+        save_checkpoint(ckpt, path)
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(replace(ckpt, epoch=7), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]
 
 
 class TestConfigValidation:
