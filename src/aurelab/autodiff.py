@@ -8,7 +8,8 @@ one shape-matched gradient per requested parameter.
 
 Shapes are strict.  Elementwise primitives require identical shapes; the only
 sanctioned mismatches are the named primitives ``add_row`` (row-vector bias),
-``scale_rows`` (per-row scalar), ``tile_rows`` and ``block_matmul``.
+``scale_rows`` (per-row scalar), ``tile_rows``, ``block_matmul`` and
+``block_row_dot``.
 
 :func:`check_gradients` is the central-difference oracle used by the test
 suite; it compares analytic gradients against ``(f(p+eps)-f(p-eps))/(2 eps)``
@@ -22,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateVectorError, ShapeError
+from .errors import ShapeError
 
 Array = np.ndarray
 
@@ -176,8 +177,8 @@ def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
     if not 0.0 < s < 1.0:
         raise ValueError(f"leaky_relu slope must lie in (0, 1), got {s}")
     xd = x.data
-    factor = np.where(xd > 0, 1.0, s)
-    return _op(np.where(xd > 0, xd, s * xd), (x,), lambda g: (g * factor,))
+    factor = np.maximum(xd > 0, s)   # 1.0 where x > 0, else slope (NaN too)
+    return _op(xd * factor, (x,), lambda g: (g * factor,))
 
 
 def relu(x: Tensor) -> Tensor:
@@ -289,6 +290,25 @@ def block_matmul(left: Array, x: Tensor, block_rows: int) -> Tensor:
     return _op(out, (x,), vjp)
 
 
+def block_row_dot(x: Tensor, w: Tensor) -> Tensor:
+    """Dot each row of each vertical block of ``x`` with the same row of ``w``.
+
+    ``x`` is a stack of (w.rows x w.cols) blocks; output row i holds block
+    i's row-wise dot products, so the result is (x.rows / w.rows) x w.rows.
+    """
+    block_rows, cols = w.shape
+    if x.cols != cols or x.rows % block_rows != 0:
+        raise ShapeError(f"{x.shape} does not stack into blocks of {w.shape}")
+    x3 = x.data.reshape(-1, block_rows, cols)
+    wd = w.data
+
+    def vjp(g: Array):
+        g3 = g[:, :, None]
+        return (g3 * wd).reshape(x.shape), (g3 * x3).sum(axis=0)
+
+    return _op((x3 * wd).sum(axis=2), (x, w), vjp)
+
+
 # ---------------------------------------------------------------------------
 # backward pass
 
@@ -336,20 +356,7 @@ def gradients(loss: Tensor, params: Sequence[Tensor]) -> list[Array]:
 
 
 # ---------------------------------------------------------------------------
-# vector helper and the finite-difference oracle
-
-
-def cosine_similarity(u, v) -> float:
-    """Cosine of the angle between two nonzero vectors, clipped to [-1, 1]."""
-    ua = np.asarray(u, dtype=np.float64).ravel()
-    va = np.asarray(v, dtype=np.float64).ravel()
-    if ua.shape != va.shape:
-        raise ShapeError(f"vector length mismatch: {ua.shape} vs {va.shape}")
-    nu = float(np.linalg.norm(ua))
-    nv = float(np.linalg.norm(va))
-    if nu == 0.0 or nv == 0.0:
-        raise DegenerateVectorError("cosine similarity of a zero-norm vector")
-    return float(np.clip(float(ua @ va) / (nu * nv), -1.0, 1.0))
+# the finite-difference oracle
 
 
 @dataclass

@@ -125,9 +125,7 @@ class AuxiliaryBranch:
         logits are the sample's semantic feature.  Node m of every sample
         uses the same (distinct-per-node) weight row and bias.
         """
-        n = embeddings.rows // self.n_units
-        weighted = ad.mul(embeddings, ad.tile_rows(self.unit_cls_w, n))
-        logits = ad.add_row(ad.reshape(ad.row_sum(weighted), n, self.n_units),
+        logits = ad.add_row(ad.block_row_dot(embeddings, self.unit_cls_w),
                             self.unit_cls_b)
         return ad.sigmoid(logits), logits
 

@@ -1,24 +1,25 @@
 """Command-line experiment harness.
 
 Subcommands: gen (write a dataset file), train, eval, ablate, sweep,
-inspect.  Exit codes: 0 success, 2 usage or configuration error, 3 missing
-or malformed file, 4 numeric failure during training.
+inspect.  Exit codes: 0 success, 2 usage or configuration error, 3 missing,
+unreadable or malformed file, 4 numeric failure during training.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import data, experiments
-from .errors import (CheckpointError, ConfigError, DatasetFormatError,
-                     DatasetValidationError, IntegrityError,
-                     TrainingDivergedError)
-from .relabel import audit_rows
+from .errors import (ArtifactFormatError, CheckpointError, ConfigError,
+                     DatasetFormatError, DatasetValidationError,
+                     IntegrityError, TrainingDivergedError)
+from .relabel import AUDIT_HEADER, audit_rows
 from .trainer import (TrainConfig, evaluate, load_checkpoint, restore_model,
                       save_checkpoint, train, write_metrics_csv)
 
@@ -116,8 +117,7 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_metrics_csv(result.metrics, ds.n_classes, out_dir / "metrics.csv")
     save_checkpoint(result.checkpoint, out_dir / "checkpoint.json")
-    audit = ["epoch,sample_id,original,corrected,dist_original,dist_corrected"]
-    audit += audit_rows(result.records)
+    audit = [AUDIT_HEADER] + audit_rows(result.records)
     data.write_text_atomic(out_dir / "relabel_audit.csv", "\n".join(audit) + "\n")
     _write_graph_files(result.model.graph, out_dir)
 
@@ -238,24 +238,58 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _graph_rows(path: Path) -> list[np.ndarray]:
+    """The rows of a unit-graph CSV: equally long lists of numbers."""
+    rows = []
+    for lineno, line in enumerate(path.read_text().splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            rows.append(np.array([float(v) for v in line.split(",")]))
+        except ValueError:
+            raise ArtifactFormatError(f"{path}, line {lineno}: expected "
+                                      f"comma-separated numbers") from None
+        if len(rows[-1]) != len(rows[0]):
+            raise ArtifactFormatError(f"{path}, line {lineno}: "
+                                      f"{len(rows[-1])} values, expected "
+                                      f"{len(rows[0])}")
+    return rows
+
+
+def _audit_epochs(path: Path) -> list[int]:
+    """The epoch of every record in a relabel audit CSV."""
+    lines = path.read_text().splitlines()
+    if not lines or lines[0] != AUDIT_HEADER:
+        raise ArtifactFormatError(f"{path}, line 1: expected the audit "
+                                  f"header '{AUDIT_HEADER}'")
+    n_cols = len(AUDIT_HEADER.split(","))
+    epochs = []
+    for lineno, line in enumerate(lines[1:], 2):
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != n_cols:
+            raise ArtifactFormatError(f"{path}, line {lineno}: {len(fields)} "
+                                      f"fields, expected {n_cols}")
+        try:
+            epochs.append(int(fields[0]))
+        except ValueError:
+            raise ArtifactFormatError(f"{path}, line {lineno}: epoch "
+                                      f"'{fields[0]}' is not an integer") from None
+    return epochs
+
+
 def cmd_inspect(args) -> int:
     kind, path = args.kind, Path(args.path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
     if kind == "graph":
-        matrix = np.loadtxt(path, delimiter=",", ndmin=2)
-        for row in matrix:
+        for row in _graph_rows(path):
             print(",".join(f"{v:.4f}" for v in row) + f"  | sum {row.sum():.6f}")
     elif kind == "audit":
-        lines = path.read_text().splitlines()[1:]
-        counts: dict[str, int] = {}
-        for line in lines:
-            if not line:
-                continue
-            epoch = line.split(",", 1)[0]
-            counts[epoch] = counts.get(epoch, 0) + 1
+        counts = Counter(_audit_epochs(path))
         print("epoch,corrections")
-        for epoch in sorted(counts, key=int):
+        for epoch in sorted(counts):
             print(f"{epoch},{counts[epoch]}")
         print(f"total,{sum(counts.values())}")
     elif kind == "checkpoint":
@@ -352,7 +386,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FileNotFoundError, CheckpointError, DatasetFormatError,
+    except (OSError, ArtifactFormatError, CheckpointError, DatasetFormatError,
             DatasetValidationError, IntegrityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FILE

@@ -9,16 +9,16 @@ class ConfigError(ValueError):
     """A configuration or generator argument is out of its valid range."""
 
 
-class DegenerateVectorError(ValueError):
-    """A vector with zero norm was passed where a direction is required."""
-
-
 class DatasetFormatError(ValueError):
     """A dataset file is structurally malformed (carries a line number)."""
 
 
 class DatasetValidationError(ValueError):
     """A dataset file parsed but its body contradicts its header."""
+
+
+class ArtifactFormatError(ValueError):
+    """A unit-graph or relabel-audit CSV is malformed (names file and line)."""
 
 
 class CheckpointError(ValueError):

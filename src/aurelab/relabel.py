@@ -2,9 +2,9 @@
 
 Each class keeps a template: the confidence-weighted mean of the semantic
 features of that class's members in the most recent batch's high-confidence
-group.  A low-confidence sample is compared against all valid templates by
-cosine distance and moved to the closest other class only when that class is
-strictly closer than its current one.
+group.  A batch's low-confidence samples are compared against all valid
+templates by cosine distance in one matrix, and each is moved to the closest
+other class only when that class is strictly closer than its current one.
 """
 
 from __future__ import annotations
@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import cosine_similarity
 from .data import Dataset
-from .errors import IntegrityError
+from .errors import IntegrityError, ShapeError
 
 
 @dataclass
@@ -52,6 +51,10 @@ class SemanticTemplates:
             self.valid[c] = True
             self.last_update_epoch[c] = epoch
 
+    def usable(self) -> np.ndarray:
+        """Valid templates with a nonzero norm: those that have a direction."""
+        return self.valid & (np.linalg.norm(self.vectors, axis=1) != 0.0)
+
     def copy(self) -> "SemanticTemplates":
         return SemanticTemplates(self.vectors.copy(), self.valid.copy(),
                                  self.last_update_epoch.copy())
@@ -67,43 +70,57 @@ class RelabelRecord:
     epoch: int
 
 
-def semantic_distances(semantic: np.ndarray, templates: SemanticTemplates
+def semantic_distances(semantics: np.ndarray, templates: SemanticTemplates
                        ) -> np.ndarray:
     """Cosine distance (1 - cosine similarity, in [0, 2]) to every template.
 
-    Invalid or zero-norm templates get NaN.  Raises DegenerateVectorError
-    when the sample's own semantic vector has zero norm; callers skip the
-    sample in that case.
+    Takes one semantic vector (M,) and returns (C,), or a batch (k, M) and
+    returns (k, C).  Templates that are not usable give NaN columns; a
+    zero-norm sample gives an all-NaN row.
     """
-    s = np.asarray(semantic, dtype=np.float64).ravel()
-    out = np.full(templates.n_classes, np.nan)
-    for c in range(templates.n_classes):
-        if not templates.valid[c]:
-            continue
-        t = templates.vectors[c]
-        if np.linalg.norm(t) == 0.0:
-            continue
-        out[c] = 1.0 - cosine_similarity(t, s)
-    return out
+    s = np.asarray(semantics, dtype=np.float64)
+    rows = np.atleast_2d(s)
+    k, width = rows.shape
+    if width != templates.vectors.shape[1]:
+        raise ShapeError(f"semantics have {width} units, templates "
+                         f"{templates.vectors.shape[1]}")
+    # One product gives every dot product and squared norm.  Its right
+    # operand is a copy so numpy calls gemm, not syrk: for vectors shorter
+    # than 16, OpenBLAS's gemm sums agree bit for bit with np.dot on each
+    # pair (and so with np.linalg.norm), syrk's do not for some batch sizes,
+    # and a one-ulp difference can flip a tie in decide_relabel.
+    both = np.concatenate([rows, templates.vectors])
+    gram = both @ np.ascontiguousarray(both.T)
+    norms = np.sqrt(np.diag(gram))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cosine = gram[:k, k:] / (norms[k:] * norms[:k, None])
+    out = 1.0 - np.clip(cosine, -1.0, 1.0)
+    out[:, ~templates.usable()] = np.nan
+    out[norms[:k] == 0.0] = np.nan
+    return out[0] if s.ndim == 1 else out
 
 
-def decide_relabel(distances: np.ndarray, original: int) -> int:
+def decide_relabel(distances: np.ndarray, originals) -> np.ndarray | int:
     """Correction rule over per-class template distances.
 
-    Returns the closest other class when it is strictly closer than the
-    original class; the original label otherwise.  Needs the original class
-    distance and at least one other valid distance; ties among other-class
-    minima break toward the smallest class index.
+    Takes one distance row (C,) with its original label and returns an int,
+    or rows (k, C) with k labels and returns k labels.  A row moves to its
+    closest other class when that class is strictly closer than the original
+    one, and keeps its label otherwise.  It needs the original class distance
+    and at least one other non-NaN distance; ties among other-class minima
+    break toward the smallest class index.
     """
     d = np.asarray(distances, dtype=np.float64)
-    if np.isnan(d[original]) or np.sum(~np.isnan(d)) < 2:
-        return original
-    others = d.copy()
-    others[original] = np.nan
-    best = int(np.nanargmin(others))
-    if d[original] - others[best] > 0.0:
-        return best
-    return original
+    rows = np.atleast_2d(d)
+    org = np.atleast_1d(np.asarray(originals, dtype=np.int64))
+    at = np.arange(len(rows))
+    d_org = rows[at, org]
+    enough = ~np.isnan(d_org) & (np.sum(~np.isnan(rows), axis=1) >= 2)
+    others = np.where(np.isnan(rows), np.inf, rows)
+    others[at, org] = np.inf
+    best = np.argmin(others, axis=1)
+    out = np.where(enough & (d_org - others[at, best] > 0.0), best, org)
+    return int(out[0]) if d.ndim == 1 else out
 
 
 def apply_corrections(ds: Dataset, records: list[RelabelRecord]) -> int:
@@ -120,8 +137,11 @@ def apply_corrections(ds: Dataset, records: list[RelabelRecord]) -> int:
     return changed
 
 
+AUDIT_HEADER = "epoch,sample_id,original,corrected,dist_original,dist_corrected"
+
+
 def audit_rows(records: list[RelabelRecord]) -> list[str]:
-    """CSV rows (epoch, id, original, corrected, dist_original, dist_new)."""
+    """CSV rows under AUDIT_HEADER, one per record."""
     rows = []
     for r in records:
         rows.append(",".join([

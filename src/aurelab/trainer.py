@@ -24,8 +24,7 @@ from . import autodiff as ad
 from .aux_branch import (AUGraph, AuxiliaryBranch, au_detection_loss,
                          build_au_graph, random_au_graph)
 from .data import Dataset, batches, write_text_atomic
-from .errors import (CheckpointError, ConfigError, DegenerateVectorError,
-                     TrainingDivergedError)
+from .errors import CheckpointError, ConfigError, TrainingDivergedError
 from .relabel import (RelabelRecord, SemanticTemplates, apply_corrections,
                       decide_relabel, semantic_distances)
 from .target_branch import (TargetBranch, class_weights, rank_regularization,
@@ -413,14 +412,16 @@ def train(dataset: Dataset, config: TrainConfig,
                 batches(ds, batch_size, _epoch_seed(config.seed, epoch))):
             n = len(idx)
             batch_labels = ds.observed_labels[idx]
+            batch_ids = ds.ids[idx]
             x = ad.constant(ds.features[idx])
             feats = model.target.features(x)
             conf = model.target.confidence(feats)
             conf_vals = conf.data[:, 0].copy()
 
-            split = rank_regularization(conf, ds.ids[idx],
-                                        config.high_fraction,
-                                        config.rank_margin)
+            if not plain_baseline:
+                split = rank_regularization(conf, batch_ids,
+                                            config.high_fraction,
+                                            config.rank_margin)
             if config.use_target_branch:
                 gamma = class_weights(batch_labels, ds.n_classes)
                 loss_wce = weighted_cross_entropy(
@@ -468,22 +469,21 @@ def train(dataset: Dataset, config: TrainConfig,
                 model.templates.update(sem_vals[high], conf_vals[high],
                                        batch_labels[high], epoch)
                 if relabel_on:
-                    low_order = split.low_indices[
-                        np.argsort(ds.ids[idx][split.low_indices])]
-                    for pos in low_order:
-                        org = int(batch_labels[pos])
-                        try:
-                            dists = semantic_distances(sem_vals[pos],
-                                                       model.templates)
-                        except DegenerateVectorError:
-                            warnings.warn(
-                                f"skipping relabel of sample "
-                                f"{int(ds.ids[idx][pos])}: zero-norm semantics")
-                            continue
-                        new = decide_relabel(dists, org)
-                        if new != org:
-                            epoch_records.append(RelabelRecord(
-                                int(ds.ids[idx][pos]), org, new, dists, epoch))
+                    low = split.low_indices[
+                        np.argsort(batch_ids[split.low_indices])]
+                    low_sem = sem_vals[low]
+                    dists = semantic_distances(low_sem, model.templates)
+                    zero = np.linalg.norm(low_sem, axis=1) == 0.0
+                    if zero.any() and model.templates.usable().any():
+                        for sid in batch_ids[low[zero]]:
+                            warnings.warn(f"skipping relabel of sample "
+                                          f"{int(sid)}: zero-norm semantics")
+                    org = batch_labels[low]
+                    new = decide_relabel(dists, org)
+                    for j in np.flatnonzero(new != org):
+                        epoch_records.append(RelabelRecord(
+                            int(batch_ids[low[j]]), int(org[j]), int(new[j]),
+                            dists[j].copy(), epoch))
 
         wrong_before = ds.observed_labels != ds.true_labels
         apply_corrections(ds, epoch_records)

@@ -69,6 +69,12 @@ def scalar_relabel(distances, original) -> int:
     return original
 
 
+def two_where_leaky_relu(x, slope):
+    """Leaky ReLU output and local gradient, each by its own np.where."""
+    factor = np.where(x > 0, 1.0, slope)
+    return np.where(x > 0, x, slope * x), factor
+
+
 def scalar_softmax_ce(logits_row, label) -> float:
     mx = max(logits_row)
     exps = [math.exp(v - mx) for v in logits_row]

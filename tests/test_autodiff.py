@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from aurelab import autodiff as ad
-from aurelab.errors import DegenerateVectorError, ShapeError
+from aurelab.errors import ShapeError
+from oracles import two_where_leaky_relu
 
 
 def rand(rng, r, c):
@@ -44,6 +45,22 @@ class TestForwardValues:
     def test_leaky_relu_values(self):
         out = ad.leaky_relu(ad.constant([[2.0, -1.0]]), 0.01)
         np.testing.assert_allclose(out.data, [[2.0, -0.01]])
+
+    @pytest.mark.parametrize("slope", [0.01, 0.25, 0.999])
+    def test_leaky_relu_edge_bits_match_two_where_oracle(self, slope):
+        tiny = np.nextafter(0.0, 1.0)
+        edges = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, tiny, -tiny,
+                 5e-324 * 7, -2.2250738585072014e-308, 1e-310, -1e-310]
+        rng = np.random.default_rng(11)
+        x = np.concatenate([edges, rng.standard_normal(84)]).reshape(8, 12)
+        node = ad.parameter(x)
+        out = ad.leaky_relu(node, slope)
+        with np.errstate(invalid="ignore"):   # the sum meets inf - inf
+            (grad,) = ad.gradients(ad.total_sum(out), [node])
+        want_out, want_grad = two_where_leaky_relu(x, slope)
+        assert out.data.tobytes() == want_out.tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
+        assert grad[0, 0] == grad[0, 1] == slope   # subgradient at +-0
 
     def test_leaky_relu_slope_domain(self):
         with pytest.raises(ValueError):
@@ -84,21 +101,6 @@ class TestForwardValues:
 def test_softmax_rows_sum_to_one(values):
     out = ad.softmax_row(ad.constant([values]))
     assert abs(out.data.sum() - 1.0) < 1e-12
-
-
-class TestCosineSimilarity:
-    def test_parallel(self):
-        assert ad.cosine_similarity([1, 2, 3], [1, 2, 3]) == pytest.approx(1.0)
-
-    def test_orthogonal(self):
-        assert ad.cosine_similarity([1, 0], [0, 1]) == 0.0
-
-    def test_antiparallel(self):
-        assert ad.cosine_similarity([1, 1], [-1, -1]) == pytest.approx(-1.0)
-
-    def test_zero_norm_raises(self):
-        with pytest.raises(DegenerateVectorError):
-            ad.cosine_similarity([0.0, 0.0], [1.0, 0.0])
 
 
 class TestGradients:
@@ -166,7 +168,8 @@ class TestGradients:
         assert report.max_rel_error < 1e-6
 
     @pytest.mark.parametrize("op", ["log_softmax", "scale_rows", "add_row",
-                                    "tile_rows", "row_sum", "clip", "block"])
+                                    "tile_rows", "row_sum", "clip", "block",
+                                    "block_row_dot"])
     def test_remaining_primitive_gradients(self, op):
         rng = np.random.default_rng(hash(op) % 2**32)
         if op == "log_softmax":
@@ -195,6 +198,12 @@ class TestGradients:
             probe = ad.constant(rand(rng, 4, 1))
             fn = lambda: ad.total_sum(ad.mul(ad.row_sum(x), probe))
             params = [x]
+        elif op == "block_row_dot":
+            x = ad.parameter(rand(rng, 8, 3), "x")
+            w = ad.parameter(rand(rng, 4, 3), "w")
+            probe = ad.constant(rand(rng, 2, 4))
+            fn = lambda: ad.total_sum(ad.mul(ad.block_row_dot(x, w), probe))
+            params = [x, w]
         elif op == "clip":
             vals = rand(rng, 3, 3)
             vals[np.abs(vals - 0.5) < 1e-2] = 0.0   # keep away from clip edges

@@ -270,6 +270,24 @@ class TestBrokenInputs:
         _assert_file_error(main(["inspect", "dataset", str(path)]), capsys,
                            f"line {line}: '{key}' must be >= 0")
 
+    def test_checkpoint_path_is_a_directory(self, dataset_files, runs,
+                                            capsys):
+        rc = main(["eval", "--checkpoint", str(runs / "three_run"),
+                   "--data", str(dataset_files[1])])
+        _assert_file_error(rc, capsys, "Is a directory")
+
+    def test_graph_with_non_numeric_cell(self, runs, tmp_path, capsys):
+        lines = (runs / "three_run" / "au_adjacency.csv").read_text().splitlines()
+        lines[2] = "a," + lines[2].split(",", 1)[1]
+        path = tmp_path / "graph.csv"
+        path.write_text("\n".join(lines) + "\n")
+        _assert_file_error(main(["inspect", "graph", str(path)]), capsys,
+                           f"{path}, line 3: expected comma-separated numbers")
+
+    def test_audit_read_from_a_dataset_file(self, dataset_files, capsys):
+        rc = main(["inspect", "audit", str(dataset_files[0])])
+        _assert_file_error(rc, capsys, "line 1: expected the audit header")
+
 
 class TestExperimentSpecs:
     def test_spec_round_trip(self, tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from aurelab.data import generate
-from aurelab.errors import DegenerateVectorError, IntegrityError
+from aurelab.errors import IntegrityError
 from aurelab.relabel import (RelabelRecord, SemanticTemplates,
                              apply_corrections, audit_rows, decide_relabel,
                              semantic_distances)
@@ -83,10 +83,21 @@ class TestSemanticDistances:
         d = semantic_distances(np.array([1.0, 0.0]), t)
         assert math.isnan(d[0])
 
-    def test_zero_norm_sample_raises(self):
-        t = templates_from([[1, 0]])
-        with pytest.raises(DegenerateVectorError):
-            semantic_distances(np.zeros(2), t)
+    @pytest.mark.parametrize("template,sample,expected", [
+        ([1, 2, 3], [1, 2, 3], 0.0), ([1, 0], [0, 1], 1.0),
+        ([1, 1], [-1, -1], 2.0), ([0, 0], [1, 0], np.nan)],
+        ids=["parallel", "orthogonal", "antiparallel", "zero_norm"])
+    def test_cosine_unit_cases(self, template, sample, expected):
+        d = semantic_distances(np.array(sample, dtype=float),
+                               templates_from([template]))
+        assert d.shape == (1,)
+        assert d[0] == pytest.approx(expected, abs=1e-15, nan_ok=True)
+
+    def test_zero_norm_sample_gives_nan_row(self):
+        t = templates_from([[1, 0], [0, 1]])
+        assert np.isnan(semantic_distances(np.zeros(2), t)).all()
+        d = semantic_distances(np.array([[1.0, 1.0], [0.0, 0.0]]), t)
+        assert not np.isnan(d[0]).any() and np.isnan(d[1]).all()
 
     @hypothesis.settings(max_examples=60, deadline=None)
     @hypothesis.given(st.integers(min_value=0, max_value=2**31))
@@ -99,6 +110,27 @@ class TestSemanticDistances:
             assert d[c] == pytest.approx(
                 scalar_cosine_distance(t.vectors[c], s), abs=1e-12)
             assert 0.0 <= d[c] <= 2.0
+
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(st.integers(min_value=0, max_value=2**31))
+    def test_batch_matches_scalar_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        k, c, m = (int(v) for v in rng.integers(1, 12, 3))
+        t = templates_from(rng.standard_normal((c, m)),
+                           valid=rng.random(c) < 0.8)
+        t.vectors[rng.random(c) < 0.2] = 0.0
+        s = rng.standard_normal((k, m))
+        s[rng.random(k) < 0.2] = 0.0
+        d = semantic_distances(s, t)
+        assert d.shape == (k, c)
+        for i in range(k):
+            for j in range(c):
+                if (t.valid[j] and np.any(t.vectors[j])) and np.any(s[i]):
+                    assert d[i, j] == pytest.approx(scalar_cosine_distance(
+                        t.vectors[j], s[i]), abs=1e-12)
+                else:
+                    assert math.isnan(d[i, j])
 
 
 class TestDecideRelabel:
@@ -137,6 +169,24 @@ class TestDecideRelabel:
         d[rng.random(c) < 0.2] = np.nan
         org = int(rng.integers(0, c))
         assert decide_relabel(d, org) == scalar_relabel(d.tolist(), org)
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(st.integers(min_value=0, max_value=2**31))
+    def test_batch_matches_scalar_oracle(self, seed):
+        # Distances on a grid of quarters, so rows tie often.
+        rng = np.random.default_rng(seed)
+        k, c = int(rng.integers(1, 12)), int(rng.integers(2, 7))
+        d = rng.integers(0, 9, (k, c)) / 4.0
+        d[rng.random((k, c)) < 0.2] = np.nan
+        org = rng.integers(0, c, k)
+        got = decide_relabel(d, org)
+        assert got.shape == (k,)
+        assert got.tolist() == [scalar_relabel(row.tolist(), int(o))
+                                for row, o in zip(d, org)]
+
+    def test_batch_tied_others_take_smallest_index(self):
+        d = np.array([[0.5, 0.2, 0.2], [0.2, 0.5, 0.2], [np.nan, 0.1, 0.1]])
+        assert decide_relabel(d, [0, 1, 0]).tolist() == [1, 0, 0]
 
 
 class TestApplyCorrections:

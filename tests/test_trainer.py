@@ -1,5 +1,6 @@
 import math
 import os
+import re
 from dataclasses import replace
 
 import hypothesis
@@ -8,6 +9,8 @@ import numpy as np
 import pytest
 
 from aurelab import autodiff as ad
+from aurelab import trainer
+from aurelab.aux_branch import AuxiliaryBranch
 from aurelab.data import corrupt_labels, generate, train_test_split
 from aurelab.errors import ConfigError, TrainingDivergedError
 from aurelab.trainer import (Checkpoint, TrainConfig, evaluate,
@@ -143,6 +146,34 @@ class TestTrainLoop:
         assert all(r.epoch > 2 for r in result.records)
         early = train(ds, replace(FAST, epochs=2, warmup_epochs=2))
         assert early.records == []
+
+    def test_zero_norm_semantics_warn_and_are_skipped(self, monkeypatch):
+        ds = tiny_ds(n=150)
+        zeroed = set(range(0, ds.n, 3))
+        batch_ids = []
+        real_batches = trainer.batches
+        real_logits = AuxiliaryBranch.semantic_logits
+
+        def recording_batches(dataset, *args):
+            for idx in real_batches(dataset, *args):
+                batch_ids[:] = dataset.ids[idx]
+                yield idx
+
+        def zeroing_logits(self, features, adjacency):
+            probs, logits = real_logits(self, features, adjacency)
+            sem = logits.data.copy()
+            sem[np.isin(batch_ids, list(zeroed))] = 0.0
+            return probs, ad.constant(sem)
+
+        monkeypatch.setattr(trainer, "batches", recording_batches)
+        monkeypatch.setattr(AuxiliaryBranch, "semantic_logits", zeroing_logits)
+        with pytest.warns(UserWarning, match="zero-norm semantics") as caught:
+            result = train(ds, replace(FAST, epochs=4))
+        warned = {int(re.search(r"sample (\d+):", str(w.message)).group(1))
+                  for w in caught if "zero-norm" in str(w.message)}
+        assert warned and warned <= zeroed
+        assert result.records
+        assert not zeroed & {r.sample_id for r in result.records}
 
     def test_disabled_aux_branch_never_relabels(self):
         ds = tiny_ds()
