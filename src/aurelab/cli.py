@@ -20,8 +20,9 @@ from .errors import (ArtifactFormatError, CheckpointError, ConfigError,
                      DatasetFormatError, DatasetValidationError,
                      IntegrityError, TrainingDivergedError)
 from .relabel import AUDIT_HEADER, audit_rows
-from .trainer import (TrainConfig, evaluate, load_checkpoint, restore_model,
-                      save_checkpoint, train, write_metrics_csv)
+from .trainer import (METRICS_FIXED_COLUMNS, TrainConfig, evaluate,
+                      load_checkpoint, restore_model, save_checkpoint, train,
+                      write_metrics_csv)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -256,27 +257,47 @@ def _graph_rows(path: Path) -> list[np.ndarray]:
     return rows
 
 
-def _audit_epochs(path: Path) -> list[int]:
-    """The epoch of every record in a relabel audit CSV."""
+def _csv_rows(path: Path, header_ok, expected: str
+              ) -> list[tuple[int, dict[str, str]]]:
+    """The line number and the fields, keyed by column, of every row of a
+    CSV artifact whose header passes ``header_ok``; every row must have as
+    many fields as the header."""
     lines = path.read_text().splitlines()
-    if not lines or lines[0] != AUDIT_HEADER:
-        raise ArtifactFormatError(f"{path}, line 1: expected the audit "
-                                  f"header '{AUDIT_HEADER}'")
-    n_cols = len(AUDIT_HEADER.split(","))
-    epochs = []
+    header = lines[0].split(",") if lines else []
+    if not header_ok(header):
+        raise ArtifactFormatError(f"{path}, line 1: expected {expected}")
+    rows = []
     for lineno, line in enumerate(lines[1:], 2):
         if not line:
             continue
         fields = line.split(",")
-        if len(fields) != n_cols:
+        if len(fields) != len(header):
             raise ArtifactFormatError(f"{path}, line {lineno}: {len(fields)} "
-                                      f"fields, expected {n_cols}")
+                                      f"fields, expected {len(header)}")
+        rows.append((lineno, dict(zip(header, fields))))
+    return rows
+
+
+def _audit_epochs(path: Path) -> list[int]:
+    """The epoch of every record in a relabel audit CSV."""
+    epochs = []
+    for lineno, row in _csv_rows(path, lambda h: h == AUDIT_HEADER.split(","),
+                                 f"the audit header '{AUDIT_HEADER}'"):
         try:
-            epochs.append(int(fields[0]))
+            epochs.append(int(row["epoch"]))
         except ValueError:
             raise ArtifactFormatError(f"{path}, line {lineno}: epoch "
-                                      f"'{fields[0]}' is not an integer") from None
+                                      f"'{row['epoch']}' is not an "
+                                      f"integer") from None
     return epochs
+
+
+def _metrics_rows(path: Path) -> list[dict[str, str]]:
+    """The rows of a metrics CSV, keyed by column name."""
+    fixed = list(METRICS_FIXED_COLUMNS)
+    return [row for _, row in _csv_rows(
+        path, lambda h: h[:len(fixed)] == fixed,
+        f"a metrics header starting '{','.join(fixed)}'")]
 
 
 def cmd_inspect(args) -> int:
@@ -300,15 +321,10 @@ def cmd_inspect(args) -> int:
             print(f"{name}: {'x'.join(map(str, arr.shape))}")
         print(f"templates valid: {ckpt.templates.valid.astype(int).tolist()}")
     elif kind == "metrics":
-        lines = path.read_text().splitlines()
-        header = lines[0].split(",")
-        col = {name: i for i, name in enumerate(header)}
-        for line in lines[1:]:
-            fields = line.split(",")
-            print(f"epoch {fields[col['epoch']]}: "
-                  f"accuracy {fields[col['accuracy']]}, "
-                  f"noise_rate {fields[col['noise_rate']]}, "
-                  f"corrections {fields[col['relabel_count']]}")
+        for row in _metrics_rows(path):
+            print(f"epoch {row['epoch']}: accuracy {row['accuracy']}, "
+                  f"noise_rate {row['noise_rate']}, "
+                  f"corrections {row['relabel_count']}")
     elif kind == "dataset":
         ds = data.load(path)
         hist = np.bincount(ds.observed_labels, minlength=ds.n_classes)

@@ -44,12 +44,16 @@ class SemanticTemplates:
         semantics = np.asarray(semantics, dtype=np.float64)
         confidence = np.asarray(confidence, dtype=np.float64).ravel()
         labels = np.asarray(labels)
-        for c in np.unique(labels):
-            members = labels == c
-            weighted = confidence[members, None] * semantics[members]
-            self.vectors[c] = weighted.sum(axis=0) / members.sum()
-            self.valid[c] = True
-            self.last_update_epoch[c] = epoch
+        # np.add.at adds the rows to a zero sum one by one in sample order,
+        # as a per-class ``sum(axis=0)`` does for two or more units, so the
+        # templates match it bit for bit (np.add.reduceat does not).
+        sums = np.zeros_like(self.vectors)
+        np.add.at(sums, labels, confidence[:, None] * semantics)
+        counts = np.bincount(labels, minlength=self.n_classes)
+        present = counts > 0
+        self.vectors[present] = sums[present] / counts[present, None]
+        self.valid[present] = True
+        self.last_update_epoch[present] = epoch
 
     def usable(self) -> np.ndarray:
         """Valid templates with a nonzero norm: those that have a direction."""

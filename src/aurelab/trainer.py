@@ -12,11 +12,12 @@ predictions are the plain argmax of the classifier logits.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import warnings
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -147,6 +148,22 @@ class Model:
         x = ad.constant(np.asarray(features, dtype=np.float64))
         feats = self.target.features(x)
         return np.argmax(self.target.logits(feats).data, axis=1)
+
+
+def trained_parameters(model: Model, config: TrainConfig
+                       ) -> dict[str, ad.Tensor]:
+    """The parameters a step under ``config`` can move.
+
+    No loss reads the detection branch when it is off, nor the confidence
+    head when the target branch is off; their gradients and velocities stay
+    zero all run long, so leaving them out of the update changes no number.
+    """
+    params = model.target.parameters()
+    if not config.use_target_branch:
+        del params[model.target.confidence_w.name]
+    if config.use_aux_branch:
+        params.update(model.aux.parameters())
+    return params
 
 
 def init_model(dataset: Dataset, config: TrainConfig,
@@ -352,6 +369,27 @@ def _epoch_seed(seed: int, epoch: int) -> int:
     return seed * 1_000_003 + epoch
 
 
+# glibc gives freed memory at the top of the heap back to the system once it
+# passes the trim threshold (128 KiB by default).  A protocol step frees
+# about 245 KB of GCN buffers, so the heap shrank after every step and grew
+# again on the next: up to ~90 minor page faults per step, 75k-121k per
+# protocol cell.  16 MiB of top pad keeps that memory mapped: 0 faults per
+# step, 13-120 per repeated cell (a 2 MiB pad still takes 5-9 per step).
+# Allocation does not change arithmetic.  C libraries without mallopt
+# (macOS) are left alone.
+_M_TOP_PAD = -2
+_HEAP_TOP_PAD = 16 << 20
+
+
+@cache
+def _keep_heap_between_steps() -> None:
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt.restype = ctypes.c_int
+        mallopt(_M_TOP_PAD, _HEAP_TOP_PAD)
+
+
 def train(dataset: Dataset, config: TrainConfig,
           eval_dataset: Dataset | None = None,
           resume: Checkpoint | None = None) -> TrainResult:
@@ -364,6 +402,7 @@ def train(dataset: Dataset, config: TrainConfig,
     """
     config.validate()
     dataset.validate()
+    _keep_heap_between_steps()
     ds = dataset.copy()
     batch_size = min(config.batch_size, ds.n)
 
@@ -386,9 +425,10 @@ def train(dataset: Dataset, config: TrainConfig,
         ds.observed_labels[...] = labels
         start_epoch = resume.epoch + 1
 
-    params = model.parameters()
     velocities = {name: resume.velocities[name].copy() if resume
-                  else np.zeros_like(t.data) for name, t in params.items()}
+                  else np.zeros_like(t.data)
+                  for name, t in model.parameters().items()}
+    params = trained_parameters(model, config)
     target_names = set(model.target.parameters())
     metrics: list[EpochMetrics] = []
     all_records: list[RelabelRecord] = []
@@ -415,10 +455,10 @@ def train(dataset: Dataset, config: TrainConfig,
             batch_ids = ds.ids[idx]
             x = ad.constant(ds.features[idx])
             feats = model.target.features(x)
-            conf = model.target.confidence(feats)
-            conf_vals = conf.data[:, 0].copy()
 
             if not plain_baseline:
+                conf = model.target.confidence(feats)
+                conf_vals = conf.data[:, 0].copy()
                 split = rank_regularization(conf, batch_ids,
                                             config.high_fraction,
                                             config.rank_margin)
@@ -525,7 +565,7 @@ def train(dataset: Dataset, config: TrainConfig,
     ckpt = Checkpoint(
         epoch=max(config.epochs, resume.epoch if resume else 0),
         config=config, dataset_hash=ds.fingerprint(),
-        params={k: t.data.copy() for k, t in params.items()},
+        params={k: t.data.copy() for k, t in model.parameters().items()},
         velocities={k: v.copy() for k, v in velocities.items()},
         templates=model.templates.copy(),
         observed_labels=ds.observed_labels.copy(),

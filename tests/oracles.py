@@ -79,3 +79,15 @@ def scalar_softmax_ce(logits_row, label) -> float:
     mx = max(logits_row)
     exps = [math.exp(v - mx) for v in logits_row]
     return -math.log(exps[label] / sum(exps))
+
+
+def per_class_template_update(vectors, valid, last_update_epoch, semantics,
+                              confidence, labels, epoch) -> None:
+    """Template update by one masked weighted sum per present class, in
+    place.  ``sum(axis=0)`` adds the rows in order for two or more units."""
+    for c in np.unique(labels):
+        members = labels == c
+        weighted = confidence[members, None] * semantics[members]
+        vectors[c] = weighted.sum(axis=0) / members.sum()
+        valid[c] = True
+        last_update_epoch[c] = epoch

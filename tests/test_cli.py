@@ -288,6 +288,26 @@ class TestBrokenInputs:
         rc = main(["inspect", "audit", str(dataset_files[0])])
         _assert_file_error(rc, capsys, "line 1: expected the audit header")
 
+    def test_metrics_read_from_a_dataset_file(self, dataset_files, capsys):
+        rc = main(["inspect", "metrics", str(dataset_files[0])])
+        _assert_file_error(rc, capsys, "line 1: expected a metrics header")
+
+    def test_metrics_with_a_short_row(self, runs, tmp_path, capsys):
+        lines = (runs / "three_run" / "metrics.csv").read_text().splitlines()
+        width = len(lines[0].split(","))
+        lines[1] = lines[1].rsplit(",", 1)[0]
+        path = tmp_path / "metrics.csv"
+        path.write_text("\n".join(lines) + "\n")
+        _assert_file_error(main(["inspect", "metrics", str(path)]), capsys,
+                           f"{path}, line 2: {width - 1} fields, "
+                           f"expected {width}")
+
+    def test_metrics_from_an_empty_file(self, tmp_path, capsys):
+        path = tmp_path / "metrics.csv"
+        path.write_text("")
+        _assert_file_error(main(["inspect", "metrics", str(path)]), capsys,
+                           f"{path}, line 1: expected a metrics header")
+
 
 class TestExperimentSpecs:
     def test_spec_round_trip(self, tmp_path):

@@ -10,7 +10,8 @@ from aurelab.errors import IntegrityError
 from aurelab.relabel import (RelabelRecord, SemanticTemplates,
                              apply_corrections, audit_rows, decide_relabel,
                              semantic_distances)
-from oracles import scalar_cosine_distance, scalar_relabel
+from oracles import (per_class_template_update, scalar_cosine_distance,
+                     scalar_relabel)
 
 
 def templates_from(vectors, valid=None):
@@ -62,6 +63,53 @@ class TestTemplateUpdate:
         t.update(sem, conf, np.zeros(3, dtype=int), 1)
         expected = (0.5 * sem[0] + 1.0 * sem[1] + 0.2 * sem[2]) / 3
         np.testing.assert_allclose(t.vectors[0], expected)
+
+    @staticmethod
+    def _assert_update_matches_oracle(t, sem, conf, labels, epoch):
+        want = t.copy()
+        per_class_template_update(want.vectors, want.valid,
+                                  want.last_update_epoch, sem, conf, labels,
+                                  epoch)
+        t.update(sem, conf, labels, epoch)
+        for name, arr in vars(want).items():
+            assert getattr(t, name).tobytes() == arr.tobytes(), name
+
+    @pytest.mark.parametrize("case", ["absent_classes", "single_members",
+                                      "unsorted_labels", "negative_zero"])
+    def test_update_matches_per_class_loop_bit_for_bit(self, case):
+        rng = np.random.default_rng(7)
+        t = SemanticTemplates.empty(5, 4)
+        t.vectors[...] = rng.standard_normal((5, 4))
+        t.valid[[1, 4]] = True
+        t.last_update_epoch[[1, 4]] = 3
+        sem = rng.standard_normal((10, 4))
+        conf = rng.random(10)
+        labels = {"absent_classes": np.array([0, 3, 0, 3, 3, 0, 0, 3, 3, 3]),
+                  "single_members": np.array([4, 2, 0]),
+                  "unsorted_labels": rng.permutation(np.arange(10) % 5),
+                  "negative_zero": np.array([0, 0, 0, 1, 1, 2, 2, 2, 2, 2]),
+                  }[case]
+        if case == "negative_zero":
+            sem[:3] = -0.0                  # class 0 sums -0.0 only
+            sem[3:5, :2] = -1.0
+            conf[3:5] = 0.0                 # class 1: 0.0 * -1.0 = -0.0
+            sem[5, 3] = -0.0
+        self._assert_update_matches_oracle(t, sem[:len(labels)],
+                                           conf[:len(labels)], labels, 9)
+        if case == "negative_zero":
+            assert not np.signbit(t.vectors[0]).any()
+
+    def test_update_matches_per_class_loop_on_random_batches(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            c, m = int(rng.integers(2, 8)), int(rng.integers(2, 18))
+            k = int(rng.integers(1, 97))
+            t = SemanticTemplates.empty(c, m)
+            sem = rng.standard_normal((k, m)) * 10.0 ** rng.integers(
+                -3, 4, size=(k, m))
+            self._assert_update_matches_oracle(
+                t, sem, rng.random(k), rng.integers(0, c, size=k),
+                int(rng.integers(1, 40)))
 
 
 class TestSemanticDistances:

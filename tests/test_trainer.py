@@ -1,6 +1,8 @@
 import math
 import os
+import platform
 import re
+import resource
 from dataclasses import replace
 
 import hypothesis
@@ -13,9 +15,11 @@ from aurelab import trainer
 from aurelab.aux_branch import AuxiliaryBranch
 from aurelab.data import corrupt_labels, generate, train_test_split
 from aurelab.errors import ConfigError, TrainingDivergedError
+from aurelab.experiments import (EXPERIMENT_TRAIN_DEFAULTS, DatasetSpec,
+                                 make_cell_datasets)
 from aurelab.trainer import (Checkpoint, TrainConfig, evaluate,
                              load_checkpoint, ramp_weights, save_checkpoint,
-                             total_loss, train)
+                             total_loss, train, trained_parameters)
 from oracles import nearest_prototype_accuracy, scalar_ramp_weights
 
 FAST = TrainConfig(epochs=4, batch_size=32, warmup_epochs=2, ramp_pivot=2,
@@ -191,6 +195,64 @@ class TestTrainLoop:
         init = fresh.model.target.confidence_w.data
         assert got.tobytes() == init.tobytes()
         assert all(m.loss_rank == 0.0 for m in result.metrics)
+
+    @pytest.mark.parametrize("use_target,use_aux", [
+        (True, True), (True, False), (False, True), (False, False)])
+    def test_untrained_parameters_have_zero_gradient_and_stay_put(
+            self, monkeypatch, use_target, use_aux):
+        ds = tiny_ds()
+        cfg = replace(FAST, momentum=0.8, use_target_branch=use_target,
+                      use_aux_branch=use_aux)
+        models, moved = [], set()
+        real_init, real_gradients = trainer.init_model, ad.gradients
+
+        def recording_init(*args):
+            models.append(real_init(*args))
+            return models[-1]
+
+        def recording_gradients(loss, params):
+            every = models[-1].parameters()
+            for name, g in zip(every, real_gradients(loss,
+                                                     list(every.values()))):
+                if np.any(g != 0.0):
+                    moved.add(name)
+            return real_gradients(loss, params)
+
+        monkeypatch.setattr(trainer, "init_model", recording_init)
+        monkeypatch.setattr(trainer.ad, "gradients", recording_gradients)
+        result = train(ds, cfg)
+        monkeypatch.undo()
+        trained = set(trained_parameters(result.model, cfg))
+        assert moved and moved <= trained
+        init = train(ds, replace(cfg, epochs=0)).model.parameters()
+        assert init.keys() - trained == (
+            (set() if use_aux else set(result.model.aux.parameters())) |
+            (set() if use_target else {"target.confidence_w"}))
+        ckpt = result.checkpoint
+        assert ckpt.params.keys() == ckpt.velocities.keys() == init.keys()
+        for name in init.keys() - trained:
+            assert ckpt.params[name].tobytes() == init[name].data.tobytes()
+            assert not ckpt.velocities[name].any()
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the heap setting is glibc's")
+    def test_repeated_training_keeps_the_heap(self):
+        # Without the top pad every protocol-width step gives its buffers
+        # back and faults them in again: over 100 minor page faults a step.
+        # With it a repeated cell takes next to none; the least of three
+        # repeats is taken because a run that raises the heap's high-water
+        # mark faults in its new pages once.
+        train_ds, test_ds = make_cell_datasets(DatasetSpec(n=500), 0.2, 0)
+        cfg = replace(EXPERIMENT_TRAIN_DEFAULTS, epochs=4)
+        steps = cfg.epochs * math.ceil(train_ds.n / cfg.batch_size)
+        train(train_ds, cfg, eval_dataset=test_ds)
+        faults = []
+        for _ in range(3):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            train(train_ds, cfg, eval_dataset=test_ds)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                          - before)
+        assert min(faults) < steps, (faults, steps)
 
     def test_lr_schedule(self):
         cfg = TrainConfig()
