@@ -352,7 +352,8 @@ def gradients(loss: Tensor, params: Sequence[Tensor]) -> list[Array]:
                 continue
             acc = grads.get(id(p))
             grads[id(p)] = pg if acc is None else acc + pg
-    return [grads.get(id(p), np.zeros_like(p.data)) for p in params]
+    return [g if (g := grads.get(id(p))) is not None
+            else np.zeros_like(p.data) for p in params]
 
 
 # ---------------------------------------------------------------------------

@@ -162,9 +162,11 @@ def _spec_from_args(args) -> experiments.ExperimentSpec:
     if args.name:
         overrides["name"] = args.name
     if args.seeds:
-        overrides["seeds"] = tuple(int(s) for s in args.seeds.split(","))
+        overrides["seeds"] = experiments.parse_value("experiment", "seeds",
+                                                     args.seeds)
     if getattr(args, "rates", None):
-        overrides["rates"] = tuple(float(r) for r in args.rates.split(","))
+        overrides["rates"] = experiments.parse_value("experiment", "rates",
+                                                     args.rates)
     if getattr(args, "rate", None) is not None:
         overrides["rate"] = args.rate
     if args.out:
@@ -199,44 +201,37 @@ def _add_spec_flags(p: argparse.ArgumentParser, with_rates: bool) -> None:
                    help="dataset size before the train/test split")
 
 
+def _write_table(spec: experiments.ExperimentSpec, describe) -> int:
+    """Run ``spec``'s table, write it with the resolved spec beside it, and
+    print one ``describe(row)`` line per row."""
+    out_dir = Path(spec.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    rows = experiments.run_grid(spec)
+    table = out_dir / experiments.TABLE_FILES[spec.name]
+    experiments.write_table(rows, table)
+    experiments.save_spec(spec, out_dir / "spec.resolved")
+    print(f"wrote {table}")
+    for row in rows:
+        print(f"{describe(row.label)}: median accuracy "
+              f"{row.median_accuracy:.4f}")
+    return EXIT_OK
+
+
 def cmd_ablate(args) -> int:
     spec = _spec_from_args(args)
     if spec.name == "single_run":
         spec = replace(spec, name="ablation")
-    out_dir = Path(spec.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if spec.name == "edges":
-        rows = experiments.run_edges(spec)
-        table = out_dir / "edges.csv"
-    elif spec.name == "ablation":
-        rows = experiments.run_ablation(spec)
-        table = out_dir / "ablation.csv"
-    else:
+    if spec.name not in ("ablation", "edges"):
         raise ConfigError(f"ablate expects an 'ablation' or 'edges' spec, "
                           f"got '{spec.name}'")
-    experiments.write_table(rows, table)
-    experiments.save_spec(spec, out_dir / "spec.resolved")
-    print(f"wrote {table}")
-    for row in rows:
-        label = " ".join(f"{k}={v}" for k, v in row.label.items())
-        print(f"{label}: median accuracy {row.median_accuracy:.4f}")
-    return EXIT_OK
+    return _write_table(spec, lambda label: " ".join(
+        f"{k}={v}" for k, v in label.items()))
 
 
 def cmd_sweep(args) -> int:
-    spec = _spec_from_args(args)
-    spec = replace(spec, name="noise_sweep")
-    out_dir = Path(spec.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows = experiments.run_sweep(spec)
-    table = out_dir / "sweep.csv"
-    experiments.write_table(rows, table)
-    experiments.save_spec(spec, out_dir / "spec.resolved")
-    print(f"wrote {table}")
-    for row in rows:
-        print(f"{row.label['method']} @ {row.label['corruption_rate']:.0%}: "
-              f"median accuracy {row.median_accuracy:.4f}")
-    return EXIT_OK
+    spec = replace(_spec_from_args(args), name="noise_sweep")
+    return _write_table(spec, lambda label: (
+        f"{label['method']} @ {label['corruption_rate']:.0%}"))
 
 
 def _graph_rows(path: Path) -> list[np.ndarray]:

@@ -179,6 +179,8 @@ def generate(n_classes: int, n_units: int, dim: int, n: int,
             f"spread={class_spread}, noise={within_noise}")
     if not 0.0 <= au_noise < 1.0:
         raise ConfigError(f"au_noise must lie in [0, 1), got {au_noise}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     table = emotion_au_table(n_classes, n_units)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 

@@ -8,7 +8,8 @@ list reproduces every number exactly.
 
 Experiments: ``ablation`` (branch on/off grid), ``edges`` (counted versus
 random adjacency), ``noise_sweep`` (baseline versus full method across
-corruption rates), and ``single_run``.
+corruption rates), and ``single_run``.  The three tables are lists of rows
+run by one grid runner; a cell that two tables share trains once per process.
 """
 
 from __future__ import annotations
@@ -77,7 +78,18 @@ class ExperimentSpec:
                               f"expected one of {EXPERIMENT_KINDS}")
         if not self.seeds:
             raise ConfigError("experiment needs at least one seed")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be >= 0, got {min(self.seeds)}")
         self.train.validate()
+
+
+@dataclass(frozen=True)
+class CellFigures:
+    """What a table reads of one (configuration, seed) training run."""
+    accuracy: float
+    final_noise_rate: float
+    relabel_precision: float
+    relabel_recall: float
 
 
 @dataclass
@@ -108,12 +120,19 @@ def make_cell_datasets(spec: DatasetSpec, rate: float, seed: int
     return train_ds, test_ds
 
 
+def cell_config(train_cfg: TrainConfig, seed: int, use_target: bool = True,
+                use_aux: bool = True, random_edges: bool = False
+                ) -> TrainConfig:
+    """The configuration one cell trains with."""
+    return replace(train_cfg, seed=seed, use_target_branch=use_target,
+                   use_aux_branch=use_aux, random_edges=random_edges)
+
+
 def run_cell(dataset_spec: DatasetSpec, train_cfg: TrainConfig, rate: float,
              seed: int, use_target: bool = True, use_aux: bool = True,
              random_edges: bool = False) -> CellResult:
     train_ds, test_ds = make_cell_datasets(dataset_spec, rate, seed)
-    cfg = replace(train_cfg, seed=seed, use_target_branch=use_target,
-                  use_aux_branch=use_aux, random_edges=random_edges)
+    cfg = cell_config(train_cfg, seed, use_target, use_aux, random_edges)
     result = train(train_ds, cfg, eval_dataset=test_ds)
     accuracy = evaluate(result.model, test_ds).accuracy
     final = result.final_dataset
@@ -137,11 +156,50 @@ def run_cell(dataset_spec: DatasetSpec, train_cfg: TrainConfig, rate: float,
                       precision, recall, result)
 
 
+# Figures of every cell trained in this process, keyed by value: the dataset
+# spec, the cell's configuration and the corruption rate.  Cells are fixed by
+# their seed, so a repeated cell gives the same figures without training.
+_CELL_MEMO: dict[tuple[DatasetSpec, TrainConfig, float], CellFigures] = {}
+
+
+def cell_figures(dataset_spec: DatasetSpec, train_cfg: TrainConfig,
+                 rate: float, seed: int, use_target: bool = True,
+                 use_aux: bool = True, random_edges: bool = False
+                 ) -> CellFigures:
+    """``run_cell``'s table figures, trained at most once per process."""
+    key = (dataset_spec,
+           cell_config(train_cfg, seed, use_target, use_aux, random_edges),
+           rate)
+    if key not in _CELL_MEMO:
+        cell = run_cell(dataset_spec, train_cfg, rate, seed, use_target,
+                        use_aux, random_edges)
+        _CELL_MEMO[key] = CellFigures(cell.accuracy, cell.final_noise_rate,
+                                      cell.relabel_precision,
+                                      cell.relabel_recall)
+    return _CELL_MEMO[key]
+
+
+def clear_cell_memo() -> None:
+    """Forget every memoized cell, so the next table trains afresh."""
+    _CELL_MEMO.clear()
+
+
 def _median(values: list[float]) -> float:
     arr = np.asarray(values, dtype=np.float64)
     if np.isnan(arr).all():
         return float("nan")
     return float(np.nanmedian(arr))
+
+
+@dataclass(frozen=True)
+class GridRow:
+    """One table row: its label columns and the cell it trains at every seed
+    of the spec."""
+    label: dict
+    rate: float
+    use_target: bool = True
+    use_aux: bool = True
+    random_edges: bool = False
 
 
 @dataclass
@@ -153,55 +211,50 @@ class TableRow:
 
 
 ABLATION_GRID = ((False, False), (True, False), (False, True), (True, True))
+TABLE_FILES = {"ablation": "ablation.csv", "edges": "edges.csv",
+               "noise_sweep": "sweep.csv"}
+# The sweep also reports how well the stored labels were corrected.
+_CORRECTION_FIGURES = ("final_noise_rate", "relabel_precision",
+                       "relabel_recall")
 
 
-def run_ablation(spec: ExperimentSpec) -> list[TableRow]:
-    """Branch on/off grid at one corruption rate: neither, target only,
-    detection only, both."""
-    rows = []
-    for use_target, use_aux in ABLATION_GRID:
-        cells = [run_cell(spec.dataset, spec.train, spec.rate, s,
-                          use_target, use_aux) for s in spec.seeds]
-        rows.append(TableRow(
-            {"target_branch": int(use_target), "aux_branch": int(use_aux)},
-            _median([c.accuracy for c in cells]),
-            {c.seed: c.accuracy for c in cells}))
-    return rows
+def grid_rows(spec: ExperimentSpec) -> list[GridRow]:
+    """The rows of the table ``spec.name`` names."""
+    if spec.name == "ablation":
+        # branch on/off grid: neither, target only, detection only, both
+        return [GridRow({"target_branch": int(t), "aux_branch": int(a)},
+                        spec.rate, t, a) for t, a in ABLATION_GRID]
+    if spec.name == "edges":
+        # random versus counted co-occurrence adjacency, both branches on
+        return [GridRow({"edges": "random"}, spec.rate, random_edges=True),
+                GridRow({"edges": "data_driven"}, spec.rate)]
+    if spec.name == "noise_sweep":
+        # baseline (both branches off) versus the full method at each rate
+        return [GridRow({"method": method, "corruption_rate": rate},
+                        rate, full, full)
+                for rate in spec.rates
+                for method, full in (("baseline", False), ("full", True))]
+    raise ConfigError(f"experiment '{spec.name}' has no table")
 
 
-def run_edges(spec: ExperimentSpec) -> list[TableRow]:
-    """Random versus counted co-occurrence adjacency, both branches on."""
-    rows = []
-    for label, random_edges in (("random", True), ("data_driven", False)):
-        cells = [run_cell(spec.dataset, spec.train, spec.rate, s,
-                          random_edges=random_edges) for s in spec.seeds]
-        rows.append(TableRow({"edges": label},
-                             _median([c.accuracy for c in cells]),
-                             {c.seed: c.accuracy for c in cells}))
-    return rows
-
-
-def run_sweep(spec: ExperimentSpec) -> list[TableRow]:
-    """Baseline (both branches off) versus the full method at each rate."""
-    rows = []
-    for rate in spec.rates:
-        for method, (use_target, use_aux) in (("baseline", (False, False)),
-                                              ("full", (True, True))):
-            cells = [run_cell(spec.dataset, spec.train, rate, s,
-                              use_target, use_aux) for s in spec.seeds]
-            rows.append(TableRow(
-                {"method": method, "corruption_rate": rate},
-                _median([c.accuracy for c in cells]),
-                {c.seed: c.accuracy for c in cells},
-                extra={
-                    "median_final_noise_rate":
-                        _median([c.final_noise_rate for c in cells]),
-                    "median_relabel_precision":
-                        _median([c.relabel_precision for c in cells]),
-                    "median_relabel_recall":
-                        _median([c.relabel_recall for c in cells]),
-                }))
-    return rows
+def run_grid(spec: ExperimentSpec) -> list[TableRow]:
+    """Every row of ``spec``'s table crossed with its seeds, each cell taken
+    from the process-wide memo."""
+    table = []
+    for row in grid_rows(spec):
+        cells = [cell_figures(spec.dataset, spec.train, row.rate, seed,
+                              row.use_target, row.use_aux, row.random_edges)
+                 for seed in spec.seeds]
+        extra = {}
+        if spec.name == "noise_sweep":
+            extra = {f"median_{name}": _median([getattr(c, name)
+                                                for c in cells])
+                     for name in _CORRECTION_FIGURES}
+        table.append(TableRow(row.label, _median([c.accuracy for c in cells]),
+                              {seed: c.accuracy
+                               for seed, c in zip(spec.seeds, cells)},
+                              extra))
+    return table
 
 
 def write_table(rows: list[TableRow], path) -> None:
@@ -225,19 +278,6 @@ def write_table(rows: list[TableRow], path) -> None:
 # ---------------------------------------------------------------------------
 # spec files: INI-style sections [experiment], [dataset], [train]
 
-_EXPERIMENT_KEYS = {"name", "seeds", "rates", "rate", "out"}
-_INT_TRAIN_KEYS = {"ramp_pivot", "epochs", "batch_size", "warmup_epochs",
-                   "seed", "hidden_dim", "feat_dim", "node_dim",
-                   "gcn_channels"}
-_FLOAT_TRAIN_KEYS = {"high_fraction", "rank_margin", "lr_initial", "lr_aux",
-                     "lr_aux_decay", "momentum", "leaky_slope"}
-_BOOL_TRAIN_KEYS = {"use_target_branch", "use_aux_branch", "random_edges"}
-# lr_drops uses its own "epoch:rate,epoch:rate" syntax
-_SCHEDULE_TRAIN_KEYS = {"lr_drops"}
-_INT_DATASET_KEYS = {"n_classes", "n_units", "dim", "n"}
-_FLOAT_DATASET_KEYS = {"class_spread", "within_noise", "au_noise",
-                       "test_fraction"}
-
 
 def _parse_bool(value: str) -> bool:
     v = value.strip().lower()
@@ -245,84 +285,88 @@ def _parse_bool(value: str) -> bool:
         return True
     if v in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"cannot parse boolean value {value!r}")
+    raise ValueError(value)
 
 
 def _parse_lr_drops(value: str) -> tuple[tuple[int, float], ...]:
     value = value.strip()
     if not value:
         return ()
-    drops = []
-    for part in value.split(","):
-        epoch, _, rate = part.partition(":")
-        try:
-            drops.append((int(epoch), float(rate)))
-        except ValueError:
-            raise ConfigError(
-                f"cannot parse lr_drops entry {part!r}; expected "
-                f"'epoch:rate,epoch:rate'") from None
-    return tuple(drops)
+    return tuple((int(epoch), float(rate)) for epoch, _, rate in
+                 (part.partition(":") for part in value.split(",")))
 
 
 def _format_lr_drops(drops: tuple[tuple[int, float], ...]) -> str:
     return ",".join(f"{epoch}:{rate!r}" for epoch, rate in drops)
 
 
+# How a spec value is read, by the type of the field's default: the parser,
+# which raises ValueError on bad text, and what the value should look like.
+_KINDS = {int: (int, "an integer"), float: (float, "a number"),
+          bool: (_parse_bool, "true or false"),
+          tuple: (_parse_lr_drops, "'epoch:rate,epoch:rate'")}
+
+
+def _field_keys(defaults) -> dict:
+    return {f.name: _KINDS[type(getattr(defaults, f.name))]
+            for f in fields(defaults)}
+
+
+_SPEC_KEYS = {
+    "experiment": {
+        "name": (str.strip, "text"), "out": (str.strip, "text"),
+        "rate": _KINDS[float],
+        "seeds": (lambda v: tuple(int(s) for s in v.split(",")),
+                  "comma-separated integers"),
+        "rates": (lambda v: tuple(float(s) for s in v.split(",")),
+                  "comma-separated numbers"),
+    },
+    "dataset": _field_keys(DatasetSpec()),
+    "train": _field_keys(EXPERIMENT_TRAIN_DEFAULTS),
+}
+
+
+def parse_value(section: str, key: str, text: str):
+    """``text`` read as the value of spec key ``key`` in ``[section]``; an
+    unknown key or a value that does not parse is a ConfigError naming
+    both."""
+    kinds = _SPEC_KEYS[section]
+    if key not in kinds:
+        raise ConfigError(f"unknown [{section}] key: {key}")
+    parse, expected = kinds[key]
+    try:
+        return parse(text)
+    except ValueError:
+        raise ConfigError(f"[{section}] {key} = {text!r}: expected "
+                          f"{expected}") from None
+
+
+def _section(parser: configparser.ConfigParser, name: str) -> dict:
+    if not parser.has_section(name):
+        return {}
+    return {key: parse_value(name, key, text)
+            for key, text in parser[name].items()}
+
+
 def load_spec(path) -> ExperimentSpec:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        # duplicate keys, a missing section header, a line without '='
+        raise ConfigError(" ".join(str(exc).split())) from None
     if not read:
         raise FileNotFoundError(f"spec file not found: {path}")
-    unknown_sections = set(parser.sections()) - {"experiment", "dataset", "train"}
+    unknown_sections = set(parser.sections()) - set(_SPEC_KEYS)
     if unknown_sections:
         raise ConfigError(f"unknown spec sections: {sorted(unknown_sections)}")
 
-    kwargs = {}
-    if parser.has_section("experiment"):
-        sec = parser["experiment"]
-        bad = set(sec) - _EXPERIMENT_KEYS
-        if bad:
-            raise ConfigError(f"unknown [experiment] keys: {sorted(bad)}")
-        if "name" in sec:
-            kwargs["name"] = sec["name"].strip()
-        if "seeds" in sec:
-            kwargs["seeds"] = tuple(int(s) for s in sec["seeds"].split(","))
-        if "rates" in sec:
-            kwargs["rates"] = tuple(float(s) for s in sec["rates"].split(","))
-        if "rate" in sec:
-            kwargs["rate"] = float(sec["rate"])
-        if "out" in sec:
-            kwargs["out_dir"] = sec["out"].strip()
-
-    ds_kwargs = {}
-    if parser.has_section("dataset"):
-        sec = parser["dataset"]
-        for key in sec:
-            if key in _INT_DATASET_KEYS:
-                ds_kwargs[key] = int(sec[key])
-            elif key in _FLOAT_DATASET_KEYS:
-                ds_kwargs[key] = float(sec[key])
-            else:
-                raise ConfigError(f"unknown [dataset] key: {key}")
-    kwargs["dataset"] = DatasetSpec(**ds_kwargs)
-
-    tr_kwargs = {}
-    if parser.has_section("train"):
-        sec = parser["train"]
-        for key in sec:
-            if key in _INT_TRAIN_KEYS:
-                tr_kwargs[key] = int(sec[key])
-            elif key in _FLOAT_TRAIN_KEYS:
-                tr_kwargs[key] = float(sec[key])
-            elif key in _BOOL_TRAIN_KEYS:
-                tr_kwargs[key] = _parse_bool(sec[key])
-            elif key in _SCHEDULE_TRAIN_KEYS:
-                tr_kwargs[key] = _parse_lr_drops(sec[key])
-            else:
-                raise ConfigError(f"unknown [train] key: {key}")
-    kwargs["train"] = replace(EXPERIMENT_TRAIN_DEFAULTS, **tr_kwargs)
-
-    spec = ExperimentSpec(**kwargs)
+    kwargs = _section(parser, "experiment")
+    if "out" in kwargs:
+        kwargs["out_dir"] = kwargs.pop("out")
+    spec = ExperimentSpec(
+        **kwargs, dataset=DatasetSpec(**_section(parser, "dataset")),
+        train=replace(EXPERIMENT_TRAIN_DEFAULTS, **_section(parser, "train")))
     spec.validate()
     return spec
 

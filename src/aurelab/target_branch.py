@@ -111,31 +111,41 @@ class RankSplit:
     avg_low: float
 
 
-def rank_regularization(confidence: Tensor, sample_ids: np.ndarray,
-                        high_fraction: float, margin: float) -> RankSplit:
-    """Split the batch into high/low confidence groups and penalize a mean
-    gap smaller than ``margin``.
+def confidence_split(confidence: Tensor, sample_ids: np.ndarray,
+                     high_fraction: float) -> tuple[np.ndarray, np.ndarray]:
+    """(high, low): batch positions of the high and low confidence groups.
 
     Samples are ranked by confidence descending (ties broken by ascending
     sample id); the top round(high_fraction * N) form the high group, clamped
-    so both groups stay non-empty.  Loss is max(0, margin - (avg_high -
-    avg_low)), differentiable through both means.
+    so both groups stay non-empty.  A batch of fewer than 2 samples is all
+    high.
     """
     if not 0.0 < high_fraction < 1.0:
         raise ConfigError(f"high_fraction must lie in (0, 1), got {high_fraction}")
+    n = confidence.rows
+    if n < 2:
+        return np.arange(n), np.arange(0)
+    values = confidence.data[:, 0]
+    order = np.lexsort((np.asarray(sample_ids), -values))
+    k = min(max(int(round(high_fraction * n)), 1), n - 1)
+    return order[:k], order[k:]
+
+
+def rank_regularization(confidence: Tensor, sample_ids: np.ndarray,
+                        high_fraction: float, margin: float) -> RankSplit:
+    """Split the batch as ``confidence_split`` does and penalize a mean gap
+    smaller than ``margin``: max(0, margin - (avg_high - avg_low)),
+    differentiable through both means.
+    """
+    high, low = confidence_split(confidence, sample_ids, high_fraction)
     if margin < 0.0:
         raise ConfigError(f"margin must be >= 0, got {margin}")
     n = confidence.rows
     if n < 2:
         warnings.warn("rank regularization skipped: batch has fewer than 2 samples")
-        return RankSplit(ad.scalar(0.0), np.arange(n), np.arange(0),
+        return RankSplit(ad.scalar(0.0), high, low,
                          float(confidence.data.mean()) if n else 0.0, 0.0)
-    values = confidence.data[:, 0]
-    order = np.lexsort((np.asarray(sample_ids), -values))
-    k = int(round(high_fraction * n))
-    k = min(max(k, 1), n - 1)
-    high, low = order[:k], order[k:]
-
+    k = len(high)
     mask_h = np.zeros((1, n))
     mask_h[0, high] = 1.0 / k
     mask_l = np.zeros((1, n))

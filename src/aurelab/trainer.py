@@ -28,8 +28,8 @@ from .data import Dataset, batches, write_text_atomic
 from .errors import CheckpointError, ConfigError, TrainingDivergedError
 from .relabel import (RelabelRecord, SemanticTemplates, apply_corrections,
                       decide_relabel, semantic_distances)
-from .target_branch import (TargetBranch, class_weights, rank_regularization,
-                            weighted_cross_entropy)
+from .target_branch import (TargetBranch, class_weights, confidence_split,
+                            rank_regularization, weighted_cross_entropy)
 
 
 @dataclass(frozen=True)
@@ -86,6 +86,8 @@ class TrainConfig:
             raise ConfigError("momentum must lie in [0, 1)")
         if self.warmup_epochs < 0:
             raise ConfigError("warmup_epochs must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for name in ("hidden_dim", "feat_dim", "node_dim", "gcn_channels"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
@@ -459,10 +461,11 @@ def train(dataset: Dataset, config: TrainConfig,
             if not plain_baseline:
                 conf = model.target.confidence(feats)
                 conf_vals = conf.data[:, 0].copy()
+            if config.use_target_branch:
                 split = rank_regularization(conf, batch_ids,
                                             config.high_fraction,
                                             config.rank_margin)
-            if config.use_target_branch:
+                high, low = split.high_indices, split.low_indices
                 gamma = class_weights(batch_labels, ds.n_classes)
                 loss_wce = weighted_cross_entropy(
                     feats, model.target.classifier_w, conf, gamma, batch_labels)
@@ -473,6 +476,11 @@ def train(dataset: Dataset, config: TrainConfig,
                     feats, model.target.classifier_w, ones,
                     np.ones(ds.n_classes), batch_labels)
                 loss_rank = ad.scalar(0.0)
+                if config.use_aux_branch:
+                    # detection only: the templates and relabeling need the
+                    # split, but no loss reads the hinge
+                    high, low = confidence_split(conf, batch_ids,
+                                                 config.high_fraction)
 
             if config.use_aux_branch:
                 probs, semantics = model.aux.semantic_logits(
@@ -505,12 +513,10 @@ def train(dataset: Dataset, config: TrainConfig,
 
             if config.use_aux_branch:
                 sem_vals = semantics.data
-                high = split.high_indices
                 model.templates.update(sem_vals[high], conf_vals[high],
                                        batch_labels[high], epoch)
                 if relabel_on:
-                    low = split.low_indices[
-                        np.argsort(batch_ids[split.low_indices])]
+                    low = low[np.argsort(batch_ids[low])]
                     low_sem = sem_vals[low]
                     dists = semantic_distances(low_sem, model.templates)
                     zero = np.linalg.norm(low_sem, axis=1) == 0.0

@@ -1,6 +1,7 @@
 """Acceptance suite: one test per release criterion, each printing a
-PASS/FAIL line.  The experiment criteria share their training runs through
-module fixtures; the full module stays inside the stated runtime budgets.
+PASS/FAIL line.  The experiment criteria read the grid runner's tables,
+which share their training runs through its cell memo; the full module
+stays inside the stated runtime budgets.
 """
 
 import hashlib
@@ -17,7 +18,7 @@ from aurelab.aux_branch import (AuxiliaryBranch, au_detection_loss,
                                 build_au_graph)
 from aurelab.cli import main as cli_main
 from aurelab.experiments import (EXPERIMENT_TRAIN_DEFAULTS, DatasetSpec,
-                                 run_cell)
+                                 ExperimentSpec, clear_cell_memo, run_grid)
 from aurelab.relabel import decide_relabel, semantic_distances
 from aurelab.relabel import SemanticTemplates
 from aurelab.target_branch import (TargetBranch, class_weights,
@@ -35,10 +36,6 @@ SEEDS = (0, 1, 2, 3, 4)
 def report(criterion, ok, detail):
     print(f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, detail
-
-
-def median(values):
-    return float(np.median(np.asarray(values, dtype=float)))
 
 
 # ---------------------------------------------------------------------------
@@ -222,36 +219,35 @@ def test_criterion_3_unit_values():
 
 @pytest.fixture(scope="module")
 def protocol():
-    return DatasetSpec(), replace(EXPERIMENT_TRAIN_DEFAULTS, epochs=40)
+    return ExperimentSpec(dataset=DatasetSpec(),
+                          train=replace(EXPERIMENT_TRAIN_DEFAULTS, epochs=40),
+                          seeds=SEEDS, rates=(0.1, 0.2, 0.3), rate=0.2)
 
 
 @pytest.fixture(scope="module")
 def sweep_cells(protocol):
-    spec, cfg = protocol
+    """The sweep's rows by (method, rate), and the time it took.  It runs
+    first and from an empty memo, so its time counts every cell it needs."""
+    clear_cell_memo()
     started = time.monotonic()
-    cells = {}
-    for rate in (0.1, 0.2, 0.3):
-        cells[rate] = {
-            "baseline": [run_cell(spec, cfg, rate, s, use_target=False,
-                                  use_aux=False) for s in SEEDS],
-            "full": [run_cell(spec, cfg, rate, s) for s in SEEDS],
-        }
-    cells["elapsed"] = time.monotonic() - started
-    return cells
+    rows = run_grid(replace(protocol, name="noise_sweep"))
+    elapsed = time.monotonic() - started
+    return ({(r.label["method"], r.label["corruption_rate"]): r
+             for r in rows}, elapsed)
 
 
 def test_criterion_4_noise_robustness_trend(sweep_cells):
+    table, elapsed = sweep_cells
     gaps = {}
     ok_every_rate = True
     details = []
     for rate in (0.1, 0.2, 0.3):
-        base = median([c.accuracy for c in sweep_cells[rate]["baseline"]])
-        full = median([c.accuracy for c in sweep_cells[rate]["full"]])
+        base = table["baseline", rate].median_accuracy
+        full = table["full", rate].median_accuracy
         gaps[rate] = full - base
         ok_every_rate &= full >= base
         details.append(f"{rate:.0%}: full {full:.4f} vs base {base:.4f}")
     trend_ok = gaps[0.3] >= gaps[0.1] - 0.02
-    elapsed = sweep_cells["elapsed"]
     report(4, ok_every_rate and trend_ok and elapsed < 1800,
            "; ".join(details) + f"; gap30 {gaps[0.3]:+.4f} >= gap10 - 2pts "
            f"{gaps[0.1] - 0.02:+.4f}; sweep took {elapsed / 60:.1f} min "
@@ -260,20 +256,17 @@ def test_criterion_4_noise_robustness_trend(sweep_cells):
 
 @pytest.fixture(scope="module")
 def ablation_cells(protocol, sweep_cells):
-    spec, cfg = protocol
-    return {
-        "neither": sweep_cells[0.2]["baseline"],
-        "target": [run_cell(spec, cfg, 0.2, s, use_target=True,
-                            use_aux=False) for s in SEEDS],
-        "aux": [run_cell(spec, cfg, 0.2, s, use_target=False, use_aux=True)
-                for s in SEEDS],
-        "full": sweep_cells[0.2]["full"],
-    }
+    """Median accuracy per branch setting at 20%; "neither" and "full" are
+    the sweep's cells, read from the memo."""
+    names = {(0, 0): "neither", (1, 0): "target", (0, 1): "aux",
+             (1, 1): "full"}
+    return {names[r.label["target_branch"], r.label["aux_branch"]]:
+            r.median_accuracy
+            for r in run_grid(replace(protocol, name="ablation"))}
 
 
 def test_criterion_5_ablation_ordering(ablation_cells):
-    med = {name: median([c.accuracy for c in cells])
-           for name, cells in ablation_cells.items()}
+    med = ablation_cells
     ordered = med["full"] >= med["aux"] >= med["target"] >= med["neither"]
     margin = med["full"] - med["neither"]
     report(5, ordered and margin >= 0.02,
@@ -283,19 +276,17 @@ def test_criterion_5_ablation_ordering(ablation_cells):
 
 
 def test_criterion_6_edge_ablation(protocol, sweep_cells):
-    spec, cfg = protocol
-    random_cells = [run_cell(spec, cfg, 0.2, s, random_edges=True)
-                    for s in SEEDS]
-    random_med = median([c.accuracy for c in random_cells])
-    data_med = median([c.accuracy for c in sweep_cells[0.2]["full"]])
-    report(6, data_med >= random_med,
-           f"data-driven edges {data_med:.4f} >= random edges {random_med:.4f}")
+    med = {r.label["edges"]: r.median_accuracy
+           for r in run_grid(replace(protocol, name="edges"))}
+    report(6, med["data_driven"] >= med["random"],
+           f"data-driven edges {med['data_driven']:.4f} >= random edges "
+           f"{med['random']:.4f}")
 
 
 def test_criterion_7_label_correction_efficacy(sweep_cells):
-    cells = sweep_cells[0.2]["full"]
-    noise = median([c.final_noise_rate for c in cells])
-    precision = median([c.relabel_precision for c in cells])
+    full = sweep_cells[0]["full", 0.2].extra
+    noise = full["median_final_noise_rate"]
+    precision = full["median_relabel_precision"]
     report(7, noise < 0.2 and precision > 0.5,
            f"median stored-label noise after training {noise:.4f} (< 0.2); "
            f"median correction precision {precision:.4f} (> 0.5)")

@@ -1,13 +1,14 @@
 import hashlib
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from aurelab import data
+from aurelab import data, experiments
 from aurelab.cli import main
-from aurelab.trainer import load_checkpoint
+from aurelab.trainer import TrainConfig, load_checkpoint
 
 
 def sha(path):
@@ -42,6 +43,10 @@ class TestGen:
         rc = main(["gen", "--classes", "50", "--size", "10",
                    "--out", str(tmp_path / "x.txt")])
         assert rc == 2
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        rc = main(["gen", "--seed", "-1", "--out", str(tmp_path / "x.txt")])
+        _assert_error(rc, capsys, "seed must be >= 0, got -1", code=2)
 
     def test_test_fraction_writes_clean_holdout(self, tmp_path):
         out = tmp_path / "ds.txt"
@@ -178,9 +183,9 @@ class TestEvalAndInspect:
         assert main(["inspect", "graph", str(tmp_path / "nope.csv")]) == 3
 
 
-def _assert_file_error(rc, capsys, message):
+def _assert_error(rc, capsys, message, code=3):
     err = capsys.readouterr().err
-    assert rc == 3
+    assert rc == code
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert message in err and "Traceback" not in err
 
@@ -228,7 +233,7 @@ class TestBrokenInputs:
                     "--data", str(dataset_files[1])]
         else:
             argv = ["inspect", "checkpoint", str(path)]
-        _assert_file_error(main(argv), capsys, message)
+        _assert_error(main(argv), capsys, message)
 
     @pytest.mark.parametrize("command", ["eval", "resume"])
     def test_checkpoint_with_other_class_count(self, dataset_files, runs,
@@ -241,7 +246,7 @@ class TestBrokenInputs:
             argv = (["train", "--data", str(train_path), "--out",
                      str(tmp_path / "run"), "--resume", ckpt]
                     + TRAIN_SPEED_ARGS)
-        _assert_file_error(main(argv), capsys, "does not fit this dataset")
+        _assert_error(main(argv), capsys, "does not fit this dataset")
 
     def test_resume_on_other_dataset_of_same_size(self, dataset_files, runs,
                                                   tmp_path, capsys):
@@ -256,7 +261,7 @@ class TestBrokenInputs:
                    str(tmp_path / "run"), "--resume",
                    str(runs / "three_run" / "checkpoint.json")]
                   + TRAIN_SPEED_ARGS)
-        _assert_file_error(rc, capsys, "different dataset")
+        _assert_error(rc, capsys, "different dataset")
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("line,key", [(1, "C"), (2, "M"), (3, "D"),
@@ -267,30 +272,30 @@ class TestBrokenInputs:
         lines[line - 1] = f"{key}=-1"
         path = tmp_path / "ds.txt"
         path.write_text("\n".join(lines) + "\n")
-        _assert_file_error(main(["inspect", "dataset", str(path)]), capsys,
+        _assert_error(main(["inspect", "dataset", str(path)]), capsys,
                            f"line {line}: '{key}' must be >= 0")
 
     def test_checkpoint_path_is_a_directory(self, dataset_files, runs,
                                             capsys):
         rc = main(["eval", "--checkpoint", str(runs / "three_run"),
                    "--data", str(dataset_files[1])])
-        _assert_file_error(rc, capsys, "Is a directory")
+        _assert_error(rc, capsys, "Is a directory")
 
     def test_graph_with_non_numeric_cell(self, runs, tmp_path, capsys):
         lines = (runs / "three_run" / "au_adjacency.csv").read_text().splitlines()
         lines[2] = "a," + lines[2].split(",", 1)[1]
         path = tmp_path / "graph.csv"
         path.write_text("\n".join(lines) + "\n")
-        _assert_file_error(main(["inspect", "graph", str(path)]), capsys,
+        _assert_error(main(["inspect", "graph", str(path)]), capsys,
                            f"{path}, line 3: expected comma-separated numbers")
 
     def test_audit_read_from_a_dataset_file(self, dataset_files, capsys):
         rc = main(["inspect", "audit", str(dataset_files[0])])
-        _assert_file_error(rc, capsys, "line 1: expected the audit header")
+        _assert_error(rc, capsys, "line 1: expected the audit header")
 
     def test_metrics_read_from_a_dataset_file(self, dataset_files, capsys):
         rc = main(["inspect", "metrics", str(dataset_files[0])])
-        _assert_file_error(rc, capsys, "line 1: expected a metrics header")
+        _assert_error(rc, capsys, "line 1: expected a metrics header")
 
     def test_metrics_with_a_short_row(self, runs, tmp_path, capsys):
         lines = (runs / "three_run" / "metrics.csv").read_text().splitlines()
@@ -298,15 +303,57 @@ class TestBrokenInputs:
         lines[1] = lines[1].rsplit(",", 1)[0]
         path = tmp_path / "metrics.csv"
         path.write_text("\n".join(lines) + "\n")
-        _assert_file_error(main(["inspect", "metrics", str(path)]), capsys,
+        _assert_error(main(["inspect", "metrics", str(path)]), capsys,
                            f"{path}, line 2: {width - 1} fields, "
                            f"expected {width}")
 
     def test_metrics_from_an_empty_file(self, tmp_path, capsys):
         path = tmp_path / "metrics.csv"
         path.write_text("")
-        _assert_file_error(main(["inspect", "metrics", str(path)]), capsys,
+        _assert_error(main(["inspect", "metrics", str(path)]), capsys,
                            f"{path}, line 1: expected a metrics header")
+
+
+class TestBrokenSpecs:
+    """A spec or list flag that does not parse, or a negative seed, ends
+    in one error line that names the value, and exit 2."""
+
+    @pytest.mark.parametrize("section,key,value,expected", [
+        ("experiment", "seeds", "a", "comma-separated integers"),
+        ("experiment", "rates", "0.2,x", "comma-separated numbers"),
+        ("train", "epochs", "1.5", "an integer"),
+        ("dataset", "class_spread", "wide", "a number"),
+        ("train", "use_aux_branch", "maybe", "true or false"),
+        ("train", "lr_drops", "10", "'epoch:rate,epoch:rate'")])
+    @pytest.mark.parametrize("command", ["ablate", "sweep"])
+    def test_value_that_does_not_parse(self, tmp_path, capsys, command,
+                                       section, key, value, expected):
+        path = tmp_path / "bad.spec"
+        path.write_text(f"[{section}]\n{key} = {value}\n")
+        rc = main([command, "--spec", str(path), "--out", str(tmp_path)])
+        _assert_error(rc, capsys, f"[{section}] {key} = '{value}': "
+                      f"expected {expected}", code=2)
+
+    @pytest.mark.parametrize("flag,value", [("--seeds", "0,a"),
+                                            ("--rates", "x")])
+    def test_list_flag_that_does_not_parse(self, tmp_path, capsys, flag,
+                                           value):
+        rc = main(["sweep", flag, value, "--out", str(tmp_path)])
+        _assert_error(rc, capsys, f"= '{value}': expected", code=2)
+
+    def test_negative_seed(self, tmp_path, capsys):
+        rc = main(["ablate", "--seeds=2,-1", "--out", str(tmp_path)])
+        _assert_error(rc, capsys, "seeds must be >= 0, got -1", code=2)
+
+    @pytest.mark.parametrize("text,message", [
+        ("[experiment]\nseeds = 0\nseeds = 1\n", "already exists"),
+        ("seeds = 0\n", "no section headers"),
+        ("[experiment]\nseeds 0\n", "parsing errors")])
+    def test_spec_that_is_not_ini(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.spec"
+        path.write_text(text)
+        rc = main(["ablate", "--spec", str(path), "--out", str(tmp_path)])
+        _assert_error(rc, capsys, message, code=2)
 
 
 class TestExperimentSpecs:
@@ -337,13 +384,13 @@ class TestExperimentSpecs:
             load_spec("/does/not/exist.ini")
 
 
-def _tiny_spec_text(name, out):
+def _tiny_spec_text(name, out, seeds="0,1", rates="0.2"):
     return f"""
 [experiment]
 name = {name}
-seeds = 0,1
+seeds = {seeds}
 rate = 0.2
-rates = 0.2
+rates = {rates}
 out = {out}
 
 [dataset]
@@ -395,7 +442,69 @@ class TestAblateAndSweep:
         spec_path = tmp_path / "sw.ini"
         spec_path.write_text(_tiny_spec_text("noise_sweep", tmp_path / "out"))
         args = ["sweep", "--spec", str(spec_path), "--rates", "0.2"]
+        # each run trains its cells afresh instead of reading the memo
+        experiments.clear_cell_memo()
         assert main(args) == 0
         first = sha(tmp_path / "out" / "sweep.csv")
+        experiments.clear_cell_memo()
         assert main(args) == 0
         assert sha(tmp_path / "out" / "sweep.csv") == first
+
+
+class TestCellMemo:
+    """ablate, ablate --spec edges and sweep in one process share cells:
+    the sweep's 20% baseline is the ablation's "neither", and both the
+    edges' "data_driven" and the sweep's 20% "full" are its "both"."""
+
+    TABLES = (("ablate", "ablation", "ablation.csv"),
+              ("ablate", "edges", "edges.csv"),
+              ("sweep", "noise_sweep", "sweep.csv"))
+
+    def _run_tables(self, root, clear_between):
+        tables = {}
+        root.mkdir()
+        for command, name, table in self.TABLES:
+            spec_path = root / f"{name}.ini"
+            spec_path.write_text(_tiny_spec_text(
+                name, root / name, seeds="0,1,2", rates="0.2,0.3"))
+            if clear_between:
+                experiments.clear_cell_memo()
+            assert main([command, "--spec", str(spec_path)]) == 0
+            tables[table] = (root / name / table).read_bytes()
+        return tables
+
+    def test_each_distinct_cell_trains_once(self, tmp_path, monkeypatch):
+        calls = []
+        real_run_cell = experiments.run_cell
+
+        def counting_run_cell(*args):
+            calls.append(args)
+            return real_run_cell(*args)
+
+        monkeypatch.setattr(experiments, "run_cell", counting_run_cell)
+        experiments.clear_cell_memo()
+        self._run_tables(tmp_path / "run", clear_between=False)
+        # 12 ablation + 6 edges + 12 sweep cells; 9 of them repeat
+        assert len(calls) == 21
+        assert len(set(calls)) == 21
+
+    def test_tables_match_runs_that_train_every_cell(self, tmp_path):
+        experiments.clear_cell_memo()
+        shared = self._run_tables(tmp_path / "shared", clear_between=False)
+        fresh = self._run_tables(tmp_path / "fresh", clear_between=True)
+        assert shared == fresh
+
+    def test_keyword_and_positional_calls_share_a_cell(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiments, "run_cell",
+                            lambda *args: calls.append(args) or
+                            experiments.CellResult(0, 0.2, 0.5, 0.1, 0.9,
+                                                   0.4, None))
+        experiments.clear_cell_memo()
+        ds, cfg = experiments.DatasetSpec(n=100), TrainConfig(epochs=1)
+        first = experiments.cell_figures(ds, cfg, 0.2, 3, True, True, False)
+        again = experiments.cell_figures(ds, replace(cfg, seed=3), rate=0.2,
+                                         seed=3, random_edges=False)
+        experiments.clear_cell_memo()
+        assert again == first == experiments.CellFigures(0.5, 0.1, 0.9, 0.4)
+        assert len(calls) == 1

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import hypothesis
 import hypothesis.strategies as st
@@ -8,7 +9,7 @@ import pytest
 from aurelab import autodiff as ad
 from aurelab.errors import ConfigError
 from aurelab.target_branch import (TargetBranch, class_weights,
-                                   rank_regularization,
+                                   confidence_split, rank_regularization,
                                    weighted_cross_entropy)
 from oracles import scalar_class_weights, scalar_softmax_ce
 
@@ -240,3 +241,22 @@ class TestRankRegularization:
         if len(split.low_indices):
             assert arr[split.high_indices].min() >= arr[split.low_indices].max()
         assert split.avg_high >= split.avg_low
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(
+        st.lists(st.sampled_from([0.2, 0.5, 0.7, 0.9]), min_size=1,
+                 max_size=30),
+        st.sampled_from([0.5, 0.8, 0.9]))
+    def test_split_alone_matches_the_hinge_split(self, values, phi):
+        conf = self._conf(values)
+        ids = np.arange(len(values))[::-1]
+        high, low = confidence_split(conf, ids, phi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            split = rank_regularization(conf, ids, phi, 0.15)
+        assert high.tolist() == split.high_indices.tolist()
+        assert low.tolist() == split.low_indices.tolist()
+
+    def test_split_alone_rejects_bad_fraction(self):
+        with pytest.raises(ConfigError):
+            confidence_split(self._conf([0.4, 0.6]), np.arange(2), 1.0)

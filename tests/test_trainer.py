@@ -196,6 +196,18 @@ class TestTrainLoop:
         assert got.tobytes() == init.tobytes()
         assert all(m.loss_rank == 0.0 for m in result.metrics)
 
+    def test_detection_only_builds_no_hinge(self, monkeypatch):
+        ds = tiny_ds()
+        cfg = replace(FAST, use_target_branch=False, warmup_epochs=1)
+
+        def no_hinge(*args):
+            raise AssertionError("the hinge was built")
+
+        monkeypatch.setattr(trainer, "rank_regularization", no_hinge)
+        result = train(ds, cfg)
+        assert result.model.templates.valid.any()
+        assert sum(m.relabel_count for m in result.metrics) > 0
+
     @pytest.mark.parametrize("use_target,use_aux", [
         (True, True), (True, False), (False, True), (False, False)])
     def test_untrained_parameters_have_zero_gradient_and_stay_put(
@@ -380,7 +392,7 @@ class TestConfigValidation:
         ("high_fraction", 0.0), ("high_fraction", 1.0),
         ("rank_margin", -0.1), ("ramp_pivot", 0), ("batch_size", 0),
         ("lr_initial", 0.0), ("lr_aux_decay", 0.0), ("momentum", 1.0),
-        ("leaky_slope", 0.0), ("epochs", -1),
+        ("leaky_slope", 0.0), ("epochs", -1), ("seed", -1),
     ])
     def test_rejects_out_of_range(self, field, value):
         with pytest.raises(ConfigError):
