@@ -86,6 +86,7 @@ class ExperimentSpec:
 @dataclass(frozen=True)
 class CellFigures:
     """What a table reads of one (configuration, seed) training run."""
+    seed: int
     accuracy: float
     final_noise_rate: float
     relabel_precision: float
@@ -162,23 +163,6 @@ def run_cell(dataset_spec: DatasetSpec, train_cfg: TrainConfig, rate: float,
 _CELL_MEMO: dict[tuple[DatasetSpec, TrainConfig, float], CellFigures] = {}
 
 
-def cell_figures(dataset_spec: DatasetSpec, train_cfg: TrainConfig,
-                 rate: float, seed: int, use_target: bool = True,
-                 use_aux: bool = True, random_edges: bool = False
-                 ) -> CellFigures:
-    """``run_cell``'s table figures, trained at most once per process."""
-    key = (dataset_spec,
-           cell_config(train_cfg, seed, use_target, use_aux, random_edges),
-           rate)
-    if key not in _CELL_MEMO:
-        cell = run_cell(dataset_spec, train_cfg, rate, seed, use_target,
-                        use_aux, random_edges)
-        _CELL_MEMO[key] = CellFigures(cell.accuracy, cell.final_noise_rate,
-                                      cell.relabel_precision,
-                                      cell.relabel_recall)
-    return _CELL_MEMO[key]
-
-
 def clear_cell_memo() -> None:
     """Forget every memoized cell, so the next table trains afresh."""
     _CELL_MEMO.clear()
@@ -194,26 +178,36 @@ def _median(values: list[float]) -> float:
 @dataclass(frozen=True)
 class GridRow:
     """One table row: its label columns and the cell it trains at every seed
-    of the spec."""
+    of the spec.  ``correction`` rows also report how well the stored labels
+    were corrected."""
     label: dict
     rate: float
     use_target: bool = True
     use_aux: bool = True
     random_edges: bool = False
+    correction: bool = False
 
 
 @dataclass
 class TableRow:
+    """One table row: its label columns and its cell's figures at every seed
+    of the spec, in the spec's order."""
     label: dict
-    median_accuracy: float
-    per_seed_accuracy: dict[int, float]
+    cells: list[CellFigures]
     extra: dict = field(default_factory=dict)
+
+    @property
+    def median_accuracy(self) -> float:
+        return _median([c.accuracy for c in self.cells])
+
+    @property
+    def per_seed_accuracy(self) -> dict[int, float]:
+        return {c.seed: c.accuracy for c in self.cells}
 
 
 ABLATION_GRID = ((False, False), (True, False), (False, True), (True, True))
 TABLE_FILES = {"ablation": "ablation.csv", "edges": "edges.csv",
                "noise_sweep": "sweep.csv"}
-# The sweep also reports how well the stored labels were corrected.
 _CORRECTION_FIGURES = ("final_noise_rate", "relabel_precision",
                        "relabel_recall")
 
@@ -231,10 +225,25 @@ def grid_rows(spec: ExperimentSpec) -> list[GridRow]:
     if spec.name == "noise_sweep":
         # baseline (both branches off) versus the full method at each rate
         return [GridRow({"method": method, "corruption_rate": rate},
-                        rate, full, full)
+                        rate, full, full, correction=True)
                 for rate in spec.rates
                 for method, full in (("baseline", False), ("full", True))]
     raise ConfigError(f"experiment '{spec.name}' has no table")
+
+
+def _row_cell(spec: ExperimentSpec, row: GridRow, seed: int) -> CellFigures:
+    """The figures of ``row``'s cell at ``seed``, trained at most once per
+    process."""
+    key = (spec.dataset, cell_config(spec.train, seed, row.use_target,
+                                     row.use_aux, row.random_edges), row.rate)
+    if key not in _CELL_MEMO:
+        cell = run_cell(spec.dataset, spec.train, row.rate, seed,
+                        row.use_target, row.use_aux, row.random_edges)
+        _CELL_MEMO[key] = CellFigures(seed, cell.accuracy,
+                                      cell.final_noise_rate,
+                                      cell.relabel_precision,
+                                      cell.relabel_recall)
+    return _CELL_MEMO[key]
 
 
 def run_grid(spec: ExperimentSpec) -> list[TableRow]:
@@ -242,18 +251,13 @@ def run_grid(spec: ExperimentSpec) -> list[TableRow]:
     from the process-wide memo."""
     table = []
     for row in grid_rows(spec):
-        cells = [cell_figures(spec.dataset, spec.train, row.rate, seed,
-                              row.use_target, row.use_aux, row.random_edges)
-                 for seed in spec.seeds]
+        cells = [_row_cell(spec, row, seed) for seed in spec.seeds]
         extra = {}
-        if spec.name == "noise_sweep":
+        if row.correction:
             extra = {f"median_{name}": _median([getattr(c, name)
                                                 for c in cells])
                      for name in _CORRECTION_FIGURES}
-        table.append(TableRow(row.label, _median([c.accuracy for c in cells]),
-                              {seed: c.accuracy
-                               for seed, c in zip(spec.seeds, cells)},
-                              extra))
+        table.append(TableRow(row.label, cells, extra))
     return table
 
 
@@ -349,7 +353,8 @@ def _section(parser: configparser.ConfigParser, name: str) -> dict:
 
 
 def load_spec(path) -> ExperimentSpec:
-    parser = configparser.ConfigParser()
+    # no spec uses %(name)s references; a '%' in a value is plain text
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(path)
     except configparser.Error as exc:

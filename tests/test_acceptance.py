@@ -33,6 +33,10 @@ from oracles import (cooccurrence_by_double_loop, scalar_class_weights,
 SEEDS = (0, 1, 2, 3, 4)
 
 
+def median(values):
+    return float(np.median(np.asarray(values, dtype=float)))
+
+
 def report(criterion, ok, detail):
     print(f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, detail
@@ -242,8 +246,8 @@ def test_criterion_4_noise_robustness_trend(sweep_cells):
     ok_every_rate = True
     details = []
     for rate in (0.1, 0.2, 0.3):
-        base = table["baseline", rate].median_accuracy
-        full = table["full", rate].median_accuracy
+        base = median([c.accuracy for c in table["baseline", rate].cells])
+        full = median([c.accuracy for c in table["full", rate].cells])
         gaps[rate] = full - base
         ok_every_rate &= full >= base
         details.append(f"{rate:.0%}: full {full:.4f} vs base {base:.4f}")
@@ -261,7 +265,7 @@ def ablation_cells(protocol, sweep_cells):
     names = {(0, 0): "neither", (1, 0): "target", (0, 1): "aux",
              (1, 1): "full"}
     return {names[r.label["target_branch"], r.label["aux_branch"]]:
-            r.median_accuracy
+            median([c.accuracy for c in r.cells])
             for r in run_grid(replace(protocol, name="ablation"))}
 
 
@@ -276,7 +280,7 @@ def test_criterion_5_ablation_ordering(ablation_cells):
 
 
 def test_criterion_6_edge_ablation(protocol, sweep_cells):
-    med = {r.label["edges"]: r.median_accuracy
+    med = {r.label["edges"]: median([c.accuracy for c in r.cells])
            for r in run_grid(replace(protocol, name="edges"))}
     report(6, med["data_driven"] >= med["random"],
            f"data-driven edges {med['data_driven']:.4f} >= random edges "
@@ -284,9 +288,11 @@ def test_criterion_6_edge_ablation(protocol, sweep_cells):
 
 
 def test_criterion_7_label_correction_efficacy(sweep_cells):
-    full = sweep_cells[0]["full", 0.2].extra
-    noise = full["median_final_noise_rate"]
-    precision = full["median_relabel_precision"]
+    # np.median of the per-seed figures: a seed that moved no label has NaN
+    # precision and fails the criterion instead of being skipped
+    cells = sweep_cells[0]["full", 0.2].cells
+    noise = median([c.final_noise_rate for c in cells])
+    precision = median([c.relabel_precision for c in cells])
     report(7, noise < 0.2 and precision > 0.5,
            f"median stored-label noise after training {noise:.4f} (< 0.2); "
            f"median correction precision {precision:.4f} (> 0.5)")

@@ -1,14 +1,13 @@
 import hashlib
 import json
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from aurelab import data, experiments
 from aurelab.cli import main
-from aurelab.trainer import TrainConfig, load_checkpoint
+from aurelab.trainer import load_checkpoint
 
 
 def sha(path):
@@ -320,6 +319,7 @@ class TestBrokenSpecs:
 
     @pytest.mark.parametrize("section,key,value,expected", [
         ("experiment", "seeds", "a", "comma-separated integers"),
+        ("experiment", "seeds", "1%", "comma-separated integers"),
         ("experiment", "rates", "0.2,x", "comma-separated numbers"),
         ("train", "epochs", "1.5", "an integer"),
         ("dataset", "class_spread", "wide", "a number"),
@@ -493,18 +493,3 @@ class TestCellMemo:
         shared = self._run_tables(tmp_path / "shared", clear_between=False)
         fresh = self._run_tables(tmp_path / "fresh", clear_between=True)
         assert shared == fresh
-
-    def test_keyword_and_positional_calls_share_a_cell(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(experiments, "run_cell",
-                            lambda *args: calls.append(args) or
-                            experiments.CellResult(0, 0.2, 0.5, 0.1, 0.9,
-                                                   0.4, None))
-        experiments.clear_cell_memo()
-        ds, cfg = experiments.DatasetSpec(n=100), TrainConfig(epochs=1)
-        first = experiments.cell_figures(ds, cfg, 0.2, 3, True, True, False)
-        again = experiments.cell_figures(ds, replace(cfg, seed=3), rate=0.2,
-                                         seed=3, random_edges=False)
-        experiments.clear_cell_memo()
-        assert again == first == experiments.CellFigures(0.5, 0.1, 0.9, 0.4)
-        assert len(calls) == 1
