@@ -4,7 +4,10 @@ Every value is a two dimensional float64 matrix wrapped in a :class:`Tensor`.
 Applying a primitive records the operation on the result node (operands plus
 a vector-Jacobian callback), so the graph doubles as the gradient tape:
 :func:`gradients` replays it backward from a scalar loss and returns exactly
-one shape-matched gradient per requested parameter.
+one shape-matched gradient per requested parameter.  :func:`node` builds an
+interior node from a result and a hand-written vector-Jacobian product; the
+primitives below use it, and so do the training losses, each of which is a
+single node.
 
 Shapes are strict.  Elementwise primitives require identical shapes; the only
 sanctioned mismatches are the named primitives ``add_row`` (row-vector bias),
@@ -89,12 +92,27 @@ def scalar(value: float) -> Tensor:
     return Tensor(np.array([[float(value)]]), requires_grad=False)
 
 
-def _op(data: Array, parents: tuple[Tensor, ...], vjp) -> Tensor:
-    out = Tensor(data)
+def node(data: Array, parents: tuple[Tensor, ...], vjp) -> Tensor:
+    """An interior node holding ``data``, a primitive's 2-D float64 result.
+
+    ``vjp(g)`` receives the upstream gradient (an array shaped like
+    ``data``) and returns one entry per parent, in parent order: that
+    parent's gradient contribution, or ``None`` when the parent needs no
+    gradient.  A node none of whose parents needs a gradient is a constant
+    and keeps neither parents nor ``vjp``.  ``data`` is taken as it is; only
+    the leaves convert and check their input.
+    """
+    out = Tensor.__new__(Tensor)
+    out.data = data
+    out.name = ""
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._vjp = vjp
+    else:
+        out.requires_grad = False
+        out._parents = ()
+        out._vjp = None
     return out
 
 
@@ -106,47 +124,49 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.cols != b.rows:
         raise ShapeError(f"matmul dimension mismatch: {a.shape} @ {b.shape}")
     ad, bd = a.data, b.data
+    a_grad, b_grad = a.requires_grad, b.requires_grad
 
     def vjp(g: Array):
-        return g @ bd.T, ad.T @ g
+        return (g @ bd.T if a_grad else None,
+                ad.T @ g if b_grad else None)
 
-    return _op(ad @ bd, (a, b), vjp)
+    return node(ad @ bd, (a, b), vjp)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    return _op(a.data + b.data, (a, b), lambda g: (g, g))
+    return node(a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def add_row(x: Tensor, bias: Tensor) -> Tensor:
     """Add a 1 x cols bias row to every row of ``x``."""
     if bias.shape != (1, x.cols):
         raise ShapeError(f"bias must be 1x{x.cols}, got {bias.shape}")
-    return _op(x.data + bias.data, (x, bias),
-               lambda g: (g, g.sum(axis=0, keepdims=True)))
+    return node(x.data + bias.data, (x, bias),
+                lambda g: (g, g.sum(axis=0, keepdims=True)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"sub shape mismatch: {a.shape} vs {b.shape}")
-    return _op(a.data - b.data, (a, b), lambda g: (g, -g))
+    return node(a.data - b.data, (a, b), lambda g: (g, -g))
 
 
 def neg(x: Tensor) -> Tensor:
-    return _op(-x.data, (x,), lambda g: (-g,))
+    return node(-x.data, (x,), lambda g: (-g,))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"mul shape mismatch: {a.shape} vs {b.shape}")
     ad, bd = a.data, b.data
-    return _op(ad * bd, (a, b), lambda g: (g * bd, g * ad))
+    return node(ad * bd, (a, b), lambda g: (g * bd, g * ad))
 
 
 def scale(x: Tensor, factor: float) -> Tensor:
     f = float(factor)
-    return _op(x.data * f, (x,), lambda g: (g * f,))
+    return node(x.data * f, (x,), lambda g: (g * f,))
 
 
 def scale_rows(x: Tensor, factors: Tensor) -> Tensor:
@@ -158,17 +178,17 @@ def scale_rows(x: Tensor, factors: Tensor) -> Tensor:
     def vjp(g: Array):
         return g * fd, (g * xd).sum(axis=1, keepdims=True)
 
-    return _op(xd * fd, (x, factors), vjp)
+    return node(xd * fd, (x, factors), vjp)
 
 
 def sigmoid(x: Tensor) -> Tensor:
+    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, so no
+    exponential overflows: both branches need exp(-|x|) alone."""
     xd = x.data
-    out = np.empty_like(xd)
-    pos = xd >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-xd[pos]))
-    ex = np.exp(xd[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return _op(out, (x,), lambda g: (g * out * (1.0 - out),))
+    e = np.exp(-np.abs(xd))
+    d = 1.0 + e
+    out = np.where(xd >= 0, 1.0 / d, e / d)
+    return node(out, (x,), lambda g: (g * out * (1.0 - out),))
 
 
 def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
@@ -178,28 +198,28 @@ def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
         raise ValueError(f"leaky_relu slope must lie in (0, 1), got {s}")
     xd = x.data
     factor = np.maximum(xd > 0, s)   # 1.0 where x > 0, else slope (NaN too)
-    return _op(xd * factor, (x,), lambda g: (g * factor,))
+    return node(xd * factor, (x,), lambda g: (g * factor,))
 
 
 def relu(x: Tensor) -> Tensor:
     """Hinge: max(0, x) elementwise, subgradient 0 at the kink."""
     xd = x.data
     mask = (xd > 0).astype(np.float64)
-    return _op(xd * mask, (x,), lambda g: (g * mask,))
+    return node(xd * mask, (x,), lambda g: (g * mask,))
 
 
 def log(x: Tensor) -> Tensor:
     xd = x.data
     if np.any(xd <= 0):
         raise ValueError("log requires strictly positive entries")
-    return _op(np.log(xd), (x,), lambda g: (g / xd,))
+    return node(np.log(xd), (x,), lambda g: (g / xd,))
 
 
 def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     """Clamp into [lo, hi]; gradient passes only through unclamped entries."""
     xd = x.data
     mask = ((xd > lo) & (xd < hi)).astype(np.float64)
-    return _op(np.clip(xd, lo, hi), (x,), lambda g: (g * mask,))
+    return node(np.clip(xd, lo, hi), (x,), lambda g: (g * mask,))
 
 
 def softmax_row(x: Tensor) -> Tensor:
@@ -212,7 +232,7 @@ def softmax_row(x: Tensor) -> Tensor:
     def vjp(g: Array):
         return (out * (g - (g * out).sum(axis=1, keepdims=True)),)
 
-    return _op(out, (x,), vjp)
+    return node(out, (x,), vjp)
 
 
 def log_softmax_row(x: Tensor) -> Tensor:
@@ -225,35 +245,35 @@ def log_softmax_row(x: Tensor) -> Tensor:
     def vjp(g: Array):
         return (g - soft * g.sum(axis=1, keepdims=True),)
 
-    return _op(out, (x,), vjp)
+    return node(out, (x,), vjp)
 
 
 def total_sum(x: Tensor) -> Tensor:
     shape = x.shape
-    return _op(np.array([[x.data.sum()]]), (x,),
-               lambda g: (np.full(shape, g[0, 0]),))
+    return node(np.array([[x.data.sum()]]), (x,),
+                lambda g: (np.full(shape, g[0, 0]),))
 
 
 def mean_all(x: Tensor) -> Tensor:
     shape = x.shape
     size = x.data.size
-    return _op(np.array([[x.data.mean()]]), (x,),
-               lambda g: (np.full(shape, g[0, 0] / size),))
+    return node(np.array([[x.data.mean()]]), (x,),
+                lambda g: (np.full(shape, g[0, 0] / size),))
 
 
 def row_sum(x: Tensor) -> Tensor:
     """Sum each row, producing a rows x 1 column."""
     cols = x.cols
-    return _op(x.data.sum(axis=1, keepdims=True), (x,),
-               lambda g: (np.repeat(g, cols, axis=1),))
+    return node(x.data.sum(axis=1, keepdims=True), (x,),
+                lambda g: (np.repeat(g, cols, axis=1),))
 
 
 def reshape(x: Tensor, rows: int, cols: int) -> Tensor:
     if rows * cols != x.data.size:
         raise ShapeError(f"cannot reshape {x.shape} to ({rows}, {cols})")
     orig = x.shape
-    return _op(x.data.reshape(rows, cols), (x,),
-               lambda g: (g.reshape(orig),))
+    return node(x.data.reshape(rows, cols), (x,),
+                lambda g: (g.reshape(orig),))
 
 
 def tile_rows(x: Tensor, reps: int) -> Tensor:
@@ -261,8 +281,8 @@ def tile_rows(x: Tensor, reps: int) -> Tensor:
     if reps < 1:
         raise ValueError("reps must be >= 1")
     r, c = x.shape
-    return _op(np.tile(x.data, (reps, 1)), (x,),
-               lambda g: (g.reshape(reps, r, c).sum(axis=0),))
+    return node(np.tile(x.data, (reps, 1)), (x,),
+                lambda g: (g.reshape(reps, r, c).sum(axis=0),))
 
 
 def block_matmul(left: Array, x: Tensor, block_rows: int) -> Tensor:
@@ -287,7 +307,7 @@ def block_matmul(left: Array, x: Tensor, block_rows: int) -> Tensor:
         gb = g.reshape(n_blocks, block_rows, cols)
         return (np.matmul(left_t, gb).reshape(x.rows, cols),)
 
-    return _op(out, (x,), vjp)
+    return node(out, (x,), vjp)
 
 
 def block_row_dot(x: Tensor, w: Tensor) -> Tensor:
@@ -303,10 +323,10 @@ def block_row_dot(x: Tensor, w: Tensor) -> Tensor:
     wd = w.data
 
     def vjp(g: Array):
-        g3 = g[:, :, None]
-        return (g3 * wd).reshape(x.shape), (g3 * x3).sum(axis=0)
+        return (np.einsum("bm,mc->bmc", g, wd).reshape(x.shape),
+                np.einsum("bm,bmc->mc", g, x3))
 
-    return _op((x3 * wd).sum(axis=2), (x, w), vjp)
+    return node((x3 * wd).sum(axis=2), (x, w), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -314,21 +334,28 @@ def block_row_dot(x: Tensor, w: Tensor) -> Tensor:
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
+    """Depth-first post-order of the nodes that need a gradient.
+
+    The order fixes the order in which a node's gradient contributions are
+    summed, so it decides the gradient's last bits.  Nodes are keyed by
+    identity (``Tensor`` keeps the default hash).
+    """
     order: list[Tensor] = []
-    seen: set[int] = set()
+    seen: set[Tensor] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
+    pop, push, visit = stack.pop, stack.append, seen.add
     while stack:
-        node, expanded = stack.pop()
+        t, expanded = pop()
         if expanded:
-            order.append(node)
+            order.append(t)
             continue
-        if id(node) in seen:
+        if t in seen:
             continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and id(p) not in seen:
-                stack.append((p, False))
+        visit(t)
+        push((t, True))
+        for p in t._parents:
+            if p.requires_grad and p not in seen:
+                push((p, False))
     return order
 
 
@@ -340,19 +367,19 @@ def gradients(loss: Tensor, params: Sequence[Tensor]) -> list[Array]:
     """
     if loss.shape != (1, 1):
         raise ShapeError(f"loss must be 1x1, got {loss.shape}")
-    grads: dict[int, Array] = {id(loss): np.ones((1, 1))}
-    for node in reversed(_topo_order(loss)):
-        if node._vjp is None:
+    grads: dict[Tensor, Array] = {loss: np.ones((1, 1))}
+    for t in reversed(_topo_order(loss)):
+        if t._vjp is None:
             continue
-        g = grads.pop(id(node), None)
+        g = grads.pop(t, None)
         if g is None:
             continue
-        for p, pg in zip(node._parents, node._vjp(g)):
+        for p, pg in zip(t._parents, t._vjp(g)):
             if pg is None or not p.requires_grad:
                 continue
-            acc = grads.get(id(p))
-            grads[id(p)] = pg if acc is None else acc + pg
-    return [g if (g := grads.get(id(p))) is not None
+            acc = grads.get(p)
+            grads[p] = pg if acc is None else acc + pg
+    return [g if (g := grads.get(p)) is not None
             else np.zeros_like(p.data) for p in params]
 
 

@@ -154,10 +154,20 @@ def au_detection_loss(probs: Tensor, au_bits: np.ndarray,
     if z.shape != (n, m):
         raise ShapeError(f"au_bits must be {n}x{m}, got {z.shape}")
     alpha = np.asarray(confidence, dtype=np.float64).reshape(n, 1)
-    p = ad.clip(probs, 1e-12, 1.0 - 1e-12)
-    on = ad.mul(ad.constant(z), ad.log(p))
-    off = ad.mul(ad.constant(1.0 - z),
-                 ad.log(ad.sub(ad.constant(np.ones((n, m))), p)))
-    per_sample = ad.row_sum(ad.add(on, off))
-    weighted = ad.mul(per_sample, ad.constant(alpha))
-    return ad.scale(ad.total_sum(weighted), -1.0 / n)
+    # One tape node, repeating the composition kept in tests/oracles.py.
+    lo, hi = 1e-12, 1.0 - 1e-12
+    pd = probs.data
+    unclamped = ((pd > lo) & (pd < hi)).astype(np.float64)
+    p = np.clip(pd, lo, hi)
+    q = 1.0 - p
+    off_bits = 1.0 - z
+    per_sample = (z * np.log(p) + off_bits * np.log(q)).sum(axis=1,
+                                                            keepdims=True)
+    factor = -1.0 / n
+
+    def vjp(g):
+        g_rows = alpha * (g[0, 0] * factor)
+        return ((g_rows * z / p + -(g_rows * off_bits / q)) * unclamped,)
+
+    return ad.node(np.array([[(per_sample * alpha).sum()]]) * factor,
+                   (probs,), vjp)

@@ -82,16 +82,6 @@ def emotion_au_table(n_classes: int, n_units: int) -> np.ndarray:
 
 
 @dataclass
-class Sample:
-    """Row view over a dataset."""
-    id: int
-    features: np.ndarray
-    observed_label: int
-    true_label: int
-    au_labels: np.ndarray
-
-
-@dataclass
 class Dataset:
     """Struct-of-arrays dataset; treat as read-only outside label correction."""
     features: np.ndarray          # (n, dim) float64
@@ -112,11 +102,6 @@ class Dataset:
     @property
     def n(self) -> int:
         return len(self.features)
-
-    def sample(self, i: int) -> Sample:
-        return Sample(int(self.ids[i]), self.features[i],
-                      int(self.observed_labels[i]), int(self.true_labels[i]),
-                      self.au_labels[i])
 
     def copy(self) -> "Dataset":
         return Dataset(self.features.copy(), self.observed_labels.copy(),
@@ -285,9 +270,9 @@ def load(path) -> Dataset:
         except ValueError:
             raise DatasetFormatError(
                 f"line {lineno}: cannot parse value for '{key}': {value!r}") from None
-        if key in ("C", "M", "D", "n") and header[key] < 0:
+        if key in ("C", "M", "D", "n") and header[key] < 1:
             raise DatasetFormatError(
-                f"line {lineno}: '{key}' must be >= 0, got {header[key]}")
+                f"line {lineno}: '{key}' must be >= 1, got {header[key]}")
 
     n_classes, n_units = header["C"], header["M"]
     dim, n = header["D"], header["n"]
@@ -361,6 +346,9 @@ def train_test_split(ds: Dataset, test_fraction: float, seed: int
         k = min(max(k, 1 if len(members) > 1 else 0), len(members) - 1)
         picked = rng.permutation(members)[:k]
         test_mask[picked] = True
+    if not test_mask.any():
+        raise ConfigError("the held-out split would be empty: no class has "
+                          "2 or more samples")
 
     def take(mask: np.ndarray) -> Dataset:
         sub = Dataset(ds.features[mask].copy(), ds.observed_labels[mask].copy(),

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 
 
 class TargetBranch:
@@ -91,14 +91,41 @@ def weighted_cross_entropy(features: Tensor, classifier_w: Tensor,
     if labels.size and (labels.min() < 0 or labels.max() >= n_cls):
         bad = labels[(labels < 0) | (labels >= n_cls)][0]
         raise IndexError(f"label {bad} out of range [0, {n_cls})")
-    sel = ad.constant(np.asarray(class_wts, dtype=np.float64)[labels].reshape(n, 1))
-    scales = ad.mul(confidence, sel)
-    scaled = ad.scale_rows(ad.matmul(features, classifier_w), scales)
-    logp = ad.log_softmax_row(scaled)
+    sel = np.asarray(class_wts, dtype=np.float64)[labels].reshape(n, 1)
+    if confidence.shape != sel.shape:
+        raise ShapeError(f"confidence must be {n}x1, got {confidence.shape}")
+    if features.cols != classifier_w.rows:
+        raise ShapeError(f"matmul dimension mismatch: {features.shape} @ "
+                         f"{classifier_w.shape}")
+    # One tape node; the forward and backward repeat, operation for
+    # operation, the composition kept as the oracle in tests/oracles.py.
+    fd, wd, cd = features.data, classifier_w.data, confidence.data
+    scales = cd * sel
+    logits = fd @ wd
+    scaled = logits * scales
+    shifted = scaled - scaled.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     onehot = np.zeros((n, n_cls))
     onehot[np.arange(n), labels] = 1.0
-    picked = ad.row_sum(ad.mul(logp, ad.constant(onehot)))
-    return ad.scale(ad.total_sum(picked), -1.0 / n)
+    picked = (logp * onehot).sum(axis=1, keepdims=True)
+    factor = -1.0 / n
+    f_grad, w_grad, c_grad = (features.requires_grad,
+                              classifier_w.requires_grad,
+                              confidence.requires_grad)
+
+    def vjp(g):
+        g_logp = onehot * (g[0, 0] * factor)
+        g_scaled = g_logp - np.exp(logp) * g_logp.sum(axis=1, keepdims=True)
+        g_logits = g_scaled * scales
+        g_conf = None
+        if c_grad:
+            g_conf = (g_scaled * logits).sum(axis=1, keepdims=True) * sel
+        return (g_logits @ wd.T if f_grad else None,
+                fd.T @ g_logits if w_grad else None,
+                g_conf)
+
+    return ad.node(np.array([[picked.sum()]]) * factor,
+                   (features, classifier_w, confidence), vjp)
 
 
 @dataclass
@@ -150,7 +177,15 @@ def rank_regularization(confidence: Tensor, sample_ids: np.ndarray,
     mask_h[0, high] = 1.0 / k
     mask_l = np.zeros((1, n))
     mask_l[0, low] = 1.0 / (n - k)
-    avg_h = ad.matmul(ad.constant(mask_h), confidence)
-    avg_l = ad.matmul(ad.constant(mask_l), confidence)
-    loss = ad.relu(ad.sub(ad.scalar(margin), ad.sub(avg_h, avg_l)))
-    return RankSplit(loss, high, low, avg_h.item(), avg_l.item())
+    # One tape node, repeating the composition kept in tests/oracles.py.
+    avg_h = mask_h @ confidence.data
+    avg_l = mask_l @ confidence.data
+    gap = float(margin) - (avg_h - avg_l)
+    active = (gap > 0).astype(np.float64)
+
+    def vjp(g):
+        g_h = -(g * active)
+        return (mask_h.T @ g_h + mask_l.T @ -g_h,)
+
+    loss = ad.node(gap * active, (confidence,), vjp)
+    return RankSplit(loss, high, low, float(avg_h[0, 0]), float(avg_l[0, 0]))

@@ -25,7 +25,8 @@ from . import autodiff as ad
 from .aux_branch import (AUGraph, AuxiliaryBranch, au_detection_loss,
                          build_au_graph, random_au_graph)
 from .data import Dataset, batches, write_text_atomic
-from .errors import CheckpointError, ConfigError, TrainingDivergedError
+from .errors import (CheckpointError, ConfigError, DatasetValidationError,
+                     TrainingDivergedError)
 from .relabel import (RelabelRecord, SemanticTemplates, apply_corrections,
                       decide_relabel, semantic_distances)
 from .target_branch import (TargetBranch, class_weights, confidence_split,
@@ -124,9 +125,15 @@ def ramp_weights(epoch: int, pivot: int) -> tuple[float, float]:
 
 def total_loss(loss_wce: ad.Tensor, loss_rank: ad.Tensor, loss_au: ad.Tensor,
                target_weight: float, aux_weight: float) -> ad.Tensor:
-    """(target_weight / 2) * (wce + rank) + aux_weight * au."""
-    target_part = ad.scale(ad.add(loss_wce, loss_rank), target_weight / 2.0)
-    return ad.add(target_part, ad.scale(loss_au, aux_weight))
+    """(target_weight / 2) * (wce + rank) + aux_weight * au, one tape node."""
+    half, aux = float(target_weight / 2.0), float(aux_weight)
+
+    def vjp(g):
+        g_target = g * half
+        return g_target, g_target, g * aux
+
+    return ad.node((loss_wce.data + loss_rank.data) * half
+                   + loss_au.data * aux, (loss_wce, loss_rank, loss_au), vjp)
 
 
 class Model:
@@ -404,6 +411,12 @@ def train(dataset: Dataset, config: TrainConfig,
     """
     config.validate()
     dataset.validate()
+    if eval_dataset is not None:
+        held_out, training = (f"C={d.n_classes} M={d.n_units} D={d.dim}"
+                              for d in (eval_dataset, dataset))
+        if held_out != training:
+            raise DatasetValidationError(f"held-out set has {held_out} but "
+                                         f"the training set has {training}")
     _keep_heap_between_steps()
     ds = dataset.copy()
     batch_size = min(config.batch_size, ds.n)

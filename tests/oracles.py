@@ -1,12 +1,17 @@
 """Independent reference implementations used to check the library.
 
 Everything here is deliberately written the dumb way (loops, direct
-formulas) and must stay decoupled from the package internals.
+formulas) and must stay decoupled from the package internals.  The loss
+compositions at the end are built from generic autodiff primitives only;
+the library computes each loss as one tape node, and its value and
+gradients must equal these compositions bit for bit.
 """
 
 import math
 
 import numpy as np
+
+from aurelab import autodiff as ad
 
 
 def nearest_prototype_accuracy(ds) -> float:
@@ -75,6 +80,23 @@ def two_where_leaky_relu(x, slope):
     return np.where(x > 0, x, slope * x), factor
 
 
+def masked_sigmoid(x):
+    """Logistic function with each branch evaluated on its own entries."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def broadcast_block_row_dot_grads(g, x3, w):
+    """Gradients of block_row_dot by broadcast products and a sum over
+    blocks: (d blocks of x, d w)."""
+    g3 = g[:, :, None]
+    return g3 * w, (g3 * x3).sum(axis=0)
+
+
 def scalar_softmax_ce(logits_row, label) -> float:
     mx = max(logits_row)
     exps = [math.exp(v - mx) for v in logits_row]
@@ -91,3 +113,53 @@ def per_class_template_update(vectors, valid, last_update_epoch, semantics,
         vectors[c] = weighted.sum(axis=0) / members.sum()
         valid[c] = True
         last_update_epoch[c] = epoch
+
+
+def composed_weighted_cross_entropy(features, classifier_w, confidence,
+                                    class_wts, labels):
+    """Confidence- and class-scaled softmax cross-entropy, one primitive per
+    step."""
+    labels = np.asarray(labels)
+    n, n_cls = features.rows, classifier_w.cols
+    sel = ad.constant(np.asarray(class_wts, dtype=np.float64)[labels].reshape(n, 1))
+    scales = ad.mul(confidence, sel)
+    scaled = ad.scale_rows(ad.matmul(features, classifier_w), scales)
+    logp = ad.log_softmax_row(scaled)
+    onehot = np.zeros((n, n_cls))
+    onehot[np.arange(n), labels] = 1.0
+    picked = ad.row_sum(ad.mul(logp, ad.constant(onehot)))
+    return ad.scale(ad.total_sum(picked), -1.0 / n)
+
+
+def composed_rank_hinge(confidence, high, low, margin):
+    """max(0, margin - (mean of the high group - mean of the low group)) for
+    a batch of at least 2 samples."""
+    n, k = confidence.rows, len(high)
+    mask_h = np.zeros((1, n))
+    mask_h[0, high] = 1.0 / k
+    mask_l = np.zeros((1, n))
+    mask_l[0, low] = 1.0 / (n - k)
+    avg_h = ad.matmul(ad.constant(mask_h), confidence)
+    avg_l = ad.matmul(ad.constant(mask_l), confidence)
+    return ad.relu(ad.sub(ad.scalar(margin), ad.sub(avg_h, avg_l)))
+
+
+def composed_au_detection_loss(probs, au_bits, confidence):
+    """Confidence-weighted binary cross-entropy over clamped probabilities."""
+    n, m = probs.shape
+    z = np.asarray(au_bits, dtype=np.float64)
+    alpha = np.asarray(confidence, dtype=np.float64).reshape(n, 1)
+    p = ad.clip(probs, 1e-12, 1.0 - 1e-12)
+    on = ad.mul(ad.constant(z), ad.log(p))
+    off = ad.mul(ad.constant(1.0 - z),
+                 ad.log(ad.sub(ad.constant(np.ones((n, m))), p)))
+    per_sample = ad.row_sum(ad.add(on, off))
+    weighted = ad.mul(per_sample, ad.constant(alpha))
+    return ad.scale(ad.total_sum(weighted), -1.0 / n)
+
+
+def composed_total_loss(loss_wce, loss_rank, loss_au, target_weight,
+                        aux_weight):
+    """(target_weight / 2) * (wce + rank) + aux_weight * au."""
+    target_part = ad.scale(ad.add(loss_wce, loss_rank), target_weight / 2.0)
+    return ad.add(target_part, ad.scale(loss_au, aux_weight))

@@ -7,7 +7,8 @@ import pytest
 
 from aurelab import autodiff as ad
 from aurelab.errors import ShapeError
-from oracles import two_where_leaky_relu
+from oracles import (broadcast_block_row_dot_grads, masked_sigmoid,
+                     two_where_leaky_relu)
 
 
 def rand(rng, r, c):
@@ -62,6 +63,19 @@ class TestForwardValues:
         assert grad.tobytes() == want_grad.tobytes()
         assert grad[0, 0] == grad[0, 1] == slope   # subgradient at +-0
 
+    def test_sigmoid_bits_match_masked_oracle(self):
+        tiny = np.nextafter(0.0, 1.0)
+        edges = [0.0, -0.0, np.nan, np.inf, -np.inf, tiny, -tiny, 745.0,
+                 -745.0, 800.0, -800.0, 36.7]
+        rng = np.random.default_rng(12)
+        x = np.concatenate([edges, rng.standard_normal(84) * 20]).reshape(8, 12)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = masked_sigmoid(x)
+        got = ad.sigmoid(ad.constant(x)).data
+        nan = np.isnan(want)   # a NaN's sign bit is not compared
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
     def test_leaky_relu_slope_domain(self):
         with pytest.raises(ValueError):
             ad.leaky_relu(ad.constant([[1.0]]), 1.0)
@@ -104,6 +118,19 @@ def test_softmax_rows_sum_to_one(values):
 
 
 class TestGradients:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_block_row_dot_gradient_bits_match_broadcast_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        x = ad.parameter(rand(rng, 48 * 10, 64))
+        w = ad.parameter(rand(rng, 10, 64))
+        g = rand(rng, 48, 10)
+        out = ad.block_row_dot(x, w)
+        gx, gw = out._vjp(g)
+        want_x, want_w = broadcast_block_row_dot_grads(
+            g, x.data.reshape(48, 10, 64), w.data)
+        assert gx.tobytes() == want_x.reshape(x.shape).tobytes()
+        assert gw.tobytes() == want_w.tobytes()
+
     def test_quadratic_is_exact(self):
         rng = np.random.default_rng(0)
         w = ad.parameter(rand(rng, 3, 4), "w")

@@ -47,6 +47,14 @@ class TestGen:
         rc = main(["gen", "--seed", "-1", "--out", str(tmp_path / "x.txt")])
         _assert_error(rc, capsys, "seed must be >= 0, got -1", code=2)
 
+    def test_empty_holdout_is_usage_error(self, tmp_path, capsys):
+        gen = list(GEN_ARGS)
+        gen[gen.index("--size") + 1] = "3"   # one sample per class
+        rc = main(gen + ["--test-fraction", "0.2",
+                         "--out", str(tmp_path / "x.txt")])
+        _assert_error(rc, capsys, "held-out split would be empty", code=2)
+        assert not (tmp_path / "x.txt").exists()
+
     def test_test_fraction_writes_clean_holdout(self, tmp_path):
         out = tmp_path / "ds.txt"
         rc = main(GEN_ARGS + ["--corruption", "0.2", "--test-fraction", "0.25",
@@ -263,16 +271,37 @@ class TestBrokenInputs:
         _assert_error(rc, capsys, "different dataset")
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("line,key", [(1, "C"), (2, "M"), (3, "D"),
-                                          (4, "n")])
+    @pytest.mark.parametrize("line,key,value", [
+        (1, "C", -1), (2, "M", -1), (3, "D", -1), (4, "n", -1),
+        (1, "C", 0), (2, "M", 0), (3, "D", 0), (4, "n", 0)],
+        ids=["1-C", "2-M", "3-D", "4-n",
+             "1-C-zero", "2-M-zero", "3-D-zero", "4-n-zero"])
     def test_negative_header_value(self, dataset_files, tmp_path, capsys,
-                                   line, key):
+                                   line, key, value):
         lines = dataset_files[0].read_text().splitlines()
-        lines[line - 1] = f"{key}=-1"
+        lines[line - 1] = f"{key}={value}"
         path = tmp_path / "ds.txt"
         path.write_text("\n".join(lines) + "\n")
         _assert_error(main(["inspect", "dataset", str(path)]), capsys,
-                           f"line {line}: '{key}' must be >= 0")
+                           f"line {line}: '{key}' must be >= 1, got {value}")
+
+    @pytest.mark.parametrize("flag,value,shape", [
+        ("--dim", "6", "C=3 M=6 D=6"), ("--aus", "5", "C=3 M=5 D=8"),
+        ("--classes", "2", "C=2 M=6 D=8"), ("--classes", "4", "C=4 M=6 D=8")],
+        ids=["other_dim", "other_units", "fewer_classes", "more_classes"])
+    def test_held_out_file_of_another_shape(self, dataset_files, tmp_path,
+                                            capsys, flag, value, shape):
+        gen = list(GEN_ARGS)
+        gen[gen.index(flag) + 1] = value
+        other = tmp_path / "other.txt"
+        assert main(gen + ["--test-fraction", "0.25", "--out", str(other)]) == 0
+        capsys.readouterr()
+        rc = main(["train", "--data", str(dataset_files[0]), "--test-data",
+                   f"{other}.test", "--out", str(tmp_path / "run")]
+                  + TRAIN_SPEED_ARGS)
+        _assert_error(rc, capsys, f"held-out set has {shape} but the "
+                                  f"training set has C=3 M=6 D=8")
+        assert not (tmp_path / "run").exists()
 
     def test_checkpoint_path_is_a_directory(self, dataset_files, runs,
                                             capsys):
