@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,30 +42,22 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lr-aux", type=float, default=None)
     p.add_argument("--momentum", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--no-target", action="store_true",
+    p.add_argument("--no-target", action="store_false", default=None,
+                   dest="use_target_branch",
                    help="disable confidence weighting and the rank hinge")
-    p.add_argument("--no-aux", action="store_true",
+    p.add_argument("--no-aux", action="store_false", default=None,
+                   dest="use_aux_branch",
                    help="disable the detection branch and label correction")
-    p.add_argument("--random-edges", action="store_true",
+    p.add_argument("--random-edges", action="store_true", default=None,
                    help="replace counted co-occurrence edges with random ones")
 
 
-def _train_config(args, base: TrainConfig | None = None) -> TrainConfig:
-    cfg = base if base is not None else TrainConfig()
-    overrides = {}
-    for name in ("epochs", "batch_size", "high_fraction", "rank_margin",
-                 "ramp_pivot", "warmup_epochs", "lr_initial", "lr_aux",
-                 "momentum", "seed"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    if getattr(args, "no_target", False):
-        overrides["use_target_branch"] = False
-    if getattr(args, "no_aux", False):
-        overrides["use_aux_branch"] = False
-    if getattr(args, "random_edges", False):
-        overrides["random_edges"] = True
-    return replace(cfg, **overrides)
+def _train_config(args) -> TrainConfig:
+    """The stock TrainConfig with every training flag given on the command
+    line; a flag's destination is the name of the field it sets."""
+    return replace(TrainConfig(), **{
+        f.name: getattr(args, f.name) for f in fields(TrainConfig)
+        if getattr(args, f.name, None) is not None})
 
 
 def cmd_gen(args) -> int:

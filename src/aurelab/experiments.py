@@ -22,7 +22,8 @@ import numpy as np
 from .data import (Dataset, corrupt_labels, generate, train_test_split,
                    write_text_atomic)
 from .errors import ConfigError
-from .trainer import TrainConfig, TrainResult, evaluate, train
+from .relabel import correction_figures
+from .trainer import TrainConfig, TrainResult, train
 
 
 @dataclass(frozen=True)
@@ -93,16 +94,14 @@ class CellFigures:
     relabel_recall: float
 
 
-@dataclass
-class CellResult:
-    """One (configuration, seed) training run."""
-    seed: int
-    rate: float
-    accuracy: float
-    final_noise_rate: float
-    relabel_precision: float
-    relabel_recall: float
+@dataclass(frozen=True)
+class CellResult(CellFigures):
+    """One (configuration, seed) training run: its figures and the run."""
     result: TrainResult
+
+    def figures(self) -> CellFigures:
+        return CellFigures(*(getattr(self, f.name)
+                             for f in fields(CellFigures)))
 
 
 def make_cell_datasets(spec: DatasetSpec, rate: float, seed: int
@@ -132,29 +131,20 @@ def cell_config(train_cfg: TrainConfig, seed: int, use_target: bool = True,
 def run_cell(dataset_spec: DatasetSpec, train_cfg: TrainConfig, rate: float,
              seed: int, use_target: bool = True, use_aux: bool = True,
              random_edges: bool = False) -> CellResult:
+    """Train one cell; its figures are those of the last epoch on the
+    held-out split, and the label corrections over the whole run."""
+    if train_cfg.epochs < 1:
+        raise ConfigError(f"an experiment cell needs at least one epoch, "
+                          f"got {train_cfg.epochs}")
     train_ds, test_ds = make_cell_datasets(dataset_spec, rate, seed)
     cfg = cell_config(train_cfg, seed, use_target, use_aux, random_edges)
     result = train(train_ds, cfg, eval_dataset=test_ds)
-    accuracy = evaluate(result.model, test_ds).accuracy
-    final = result.final_dataset
-    moved = final.observed_labels != train_ds.observed_labels
-    if moved.any():
-        precision = float(np.mean(
-            final.observed_labels[moved] == final.true_labels[moved]))
-    else:
-        precision = float("nan")
-    wrong_at_start = train_ds.observed_labels != train_ds.true_labels
-    n_wrong = int(wrong_at_start.sum())
-    if n_wrong:
-        fixed = int(np.sum(wrong_at_start &
-                           (result.final_dataset.observed_labels ==
-                            result.final_dataset.true_labels)))
-        recall = fixed / n_wrong
-    else:
-        recall = float("nan")
-    return CellResult(seed, rate, accuracy,
-                      result.final_dataset.observed_noise_rate(),
-                      precision, recall, result)
+    last = result.metrics[-1]
+    precision, recall = correction_figures(
+        train_ds.observed_labels, result.final_dataset.observed_labels,
+        train_ds.true_labels)
+    return CellResult(seed, last.accuracy, last.noise_rate, precision,
+                      recall, result)
 
 
 # Figures of every cell trained in this process, keyed by value: the dataset
@@ -237,12 +227,9 @@ def _row_cell(spec: ExperimentSpec, row: GridRow, seed: int) -> CellFigures:
     key = (spec.dataset, cell_config(spec.train, seed, row.use_target,
                                      row.use_aux, row.random_edges), row.rate)
     if key not in _CELL_MEMO:
-        cell = run_cell(spec.dataset, spec.train, row.rate, seed,
-                        row.use_target, row.use_aux, row.random_edges)
-        _CELL_MEMO[key] = CellFigures(seed, cell.accuracy,
-                                      cell.final_noise_rate,
-                                      cell.relabel_precision,
-                                      cell.relabel_recall)
+        _CELL_MEMO[key] = run_cell(spec.dataset, spec.train, row.rate, seed,
+                                   row.use_target, row.use_aux,
+                                   row.random_edges).figures()
     return _CELL_MEMO[key]
 
 

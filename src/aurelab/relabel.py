@@ -5,6 +5,8 @@ features of that class's members in the most recent batch's high-confidence
 group.  A batch's low-confidence samples are compared against all valid
 templates by cosine distance in one matrix, and each is moved to the closest
 other class only when that class is strictly closer than its current one.
+``correction_figures`` scores the moves between two label snapshots against
+the hidden true labels, for one epoch or a whole run.
 """
 
 from __future__ import annotations
@@ -139,6 +141,21 @@ def apply_corrections(ds: Dataset, records: list[RelabelRecord]) -> int:
             changed += 1
         ds.observed_labels[rec.sample_id] = rec.corrected
     return changed
+
+
+def correction_figures(start_labels: np.ndarray, end_labels: np.ndarray,
+                       true_labels: np.ndarray) -> tuple[float, float]:
+    """(precision, recall) of the label moves from ``start_labels`` to
+    ``end_labels``: the share of moved labels that end on the true class,
+    and the share of labels wrong at the start that end right.  Each is NaN
+    when nothing moved or nothing was wrong."""
+    moved = start_labels != end_labels
+    wrong = start_labels != true_labels
+    right = end_labels == true_labels
+    n_moved, n_wrong = int(moved.sum()), int(wrong.sum())
+    precision = int((moved & right).sum()) / n_moved if n_moved else np.nan
+    recall = int((wrong & right).sum()) / n_wrong if n_wrong else np.nan
+    return precision, recall
 
 
 AUDIT_HEADER = "epoch,sample_id,original,corrected,dist_original,dist_corrected"

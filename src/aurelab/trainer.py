@@ -28,7 +28,7 @@ from .data import Dataset, batches, write_text_atomic
 from .errors import (CheckpointError, ConfigError, DatasetValidationError,
                      TrainingDivergedError)
 from .relabel import (RelabelRecord, SemanticTemplates, apply_corrections,
-                      decide_relabel, semantic_distances)
+                      correction_figures, decide_relabel, semantic_distances)
 from .target_branch import (TargetBranch, class_weights, confidence_split,
                             rank_regularization, weighted_cross_entropy)
 
@@ -70,17 +70,24 @@ class TrainConfig:
         if not 0.0 < self.high_fraction < 1.0:
             raise ConfigError(f"high_fraction must lie in (0, 1), "
                               f"got {self.high_fraction}")
-        if self.rank_margin < 0:
-            raise ConfigError(f"rank_margin must be >= 0, got {self.rank_margin}")
+        if not (math.isfinite(self.rank_margin) and self.rank_margin >= 0):
+            raise ConfigError(f"rank_margin must be finite and >= 0, "
+                              f"got {self.rank_margin}")
         if self.ramp_pivot < 1:
             raise ConfigError(f"ramp_pivot must be >= 1, got {self.ramp_pivot}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        for name in ("lr_initial", "lr_aux"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be > 0")
+        rates = [("lr_initial", self.lr_initial), ("lr_aux", self.lr_aux)]
+        rates += [(f"lr_drops rate at epoch {e}", r) for e, r in self.lr_drops]
+        for name, rate in rates:
+            if not (math.isfinite(rate) and rate > 0):
+                raise ConfigError(f"{name} must be finite and > 0, got {rate}")
+        drop_epochs = [e for e, _ in self.lr_drops]
+        if any(a >= b for a, b in zip([0, *drop_epochs], drop_epochs)):
+            raise ConfigError(f"lr_drops epochs must be >= 1 and strictly "
+                              f"increasing, got {drop_epochs}")
         if not 0.0 < self.lr_aux_decay <= 1.0:
             raise ConfigError("lr_aux_decay must lie in (0, 1]")
         if not 0.0 <= self.momentum < 1.0:
@@ -244,11 +251,7 @@ def metrics_header(n_classes: int) -> str:
 
 
 def metrics_row(m: EpochMetrics) -> str:
-    vals = [str(m.epoch), repr(m.target_weight), repr(m.aux_weight),
-            repr(m.loss_wce), repr(m.loss_rank), repr(m.loss_au),
-            repr(m.loss_total), repr(m.accuracy), str(m.relabel_count),
-            repr(m.relabel_precision), repr(m.relabel_recall),
-            repr(m.noise_rate)]
+    vals = [repr(getattr(m, name)) for name in METRICS_FIXED_COLUMNS]
     vals.extend(repr(float(v)) for v in m.per_class_accuracy)
     vals.extend(str(int(v)) for v in m.confusion.ravel())
     return ",".join(vals)
@@ -544,31 +547,13 @@ def train(dataset: Dataset, config: TrainConfig,
                             int(batch_ids[low[j]]), int(org[j]), int(new[j]),
                             dists[j].copy(), epoch))
 
-        wrong_before = ds.observed_labels != ds.true_labels
+        start_labels = ds.observed_labels.copy()
         apply_corrections(ds, epoch_records)
         all_records.extend(epoch_records)
-
-        changed = len(epoch_records)
-        if changed:
-            hits = sum(r.corrected == ds.true_labels[r.sample_id]
-                       for r in epoch_records)
-            precision = hits / changed
-        else:
-            precision = float("nan")
-        n_wrong = int(wrong_before.sum())
-        if n_wrong:
-            fixed = int(np.sum(wrong_before &
-                               (ds.observed_labels == ds.true_labels)))
-            recall = fixed / n_wrong
-        else:
-            recall = float("nan")
-
-        if eval_dataset is not None:
-            report = evaluate(model, eval_dataset)
-        else:
-            audit = ds.copy()
-            audit.observed_labels = audit.true_labels.copy()
-            report = evaluate(model, audit)
+        precision, recall = correction_figures(
+            start_labels, ds.observed_labels, ds.true_labels)
+        report = evaluate(model, eval_dataset if eval_dataset is not None
+                          else replace(ds, observed_labels=ds.true_labels))
 
         metrics.append(EpochMetrics(
             epoch=epoch, target_weight=lam_target, aux_weight=lam_aux,
@@ -577,7 +562,7 @@ def train(dataset: Dataset, config: TrainConfig,
             accuracy=report.accuracy,
             per_class_accuracy=report.per_class_accuracy,
             confusion=report.confusion,
-            relabel_count=changed, relabel_precision=precision,
+            relabel_count=len(epoch_records), relabel_precision=precision,
             relabel_recall=recall,
             noise_rate=ds.observed_noise_rate()))
 

@@ -74,6 +74,21 @@ def scalar_relabel(distances, original) -> int:
     return original
 
 
+def scalar_correction_figures(start, end, true):
+    """(precision, recall) of the moves from ``start`` to ``end`` labels, by
+    one pass over the samples; NaN when nothing moved or nothing was wrong."""
+    moved = moved_right = wrong = fixed = 0
+    for s, e, t in zip(start, end, true):
+        if s != e:
+            moved += 1
+            moved_right += int(e == t)
+        if s != t:
+            wrong += 1
+            fixed += int(e == t)
+    return (moved_right / moved if moved else math.nan,
+            fixed / wrong if wrong else math.nan)
+
+
 def two_where_leaky_relu(x, slope):
     """Leaky ReLU output and local gradient, each by its own np.where."""
     factor = np.where(x > 0, 1.0, slope)

@@ -89,6 +89,19 @@ class TestTrain:
                      "au_adjacency.csv", "au_adjacency_normalized.csv"):
             assert (out / name).exists()
 
+    def test_every_metrics_field_is_a_number(self, dataset_files, tmp_path):
+        train_path, _ = dataset_files
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(train_path), "--out", str(out)]
+                    + TRAIN_SPEED_ARGS) == 0
+        lines = (out / "metrics.csv").read_text().splitlines()
+        rows = [dict(zip(lines[0].split(","), line.split(",")))
+                for line in lines[1:]]
+        assert any(int(row["relabel_count"]) for row in rows)
+        for row in rows:
+            for value in row.values():
+                float(value)
+
     def test_missing_dataset_is_file_error(self, tmp_path):
         rc = main(["train", "--data", str(tmp_path / "nope.txt"),
                    "--out", str(tmp_path / "run")])
@@ -370,6 +383,13 @@ class TestBrokenSpecs:
         rc = main(["sweep", flag, value, "--out", str(tmp_path)])
         _assert_error(rc, capsys, f"= '{value}': expected", code=2)
 
+    def test_learning_rate_drop_that_ascends(self, tmp_path, capsys):
+        path = tmp_path / "bad.spec"
+        path.write_text("[train]\nlr_drops = 3:-0.05\n")
+        rc = main(["ablate", "--spec", str(path), "--out", str(tmp_path)])
+        _assert_error(rc, capsys, "lr_drops rate at epoch 3 must be finite "
+                      "and > 0, got -0.05", code=2)
+
     def test_negative_seed(self, tmp_path, capsys):
         rc = main(["ablate", "--seeds=2,-1", "--out", str(tmp_path)])
         _assert_error(rc, capsys, "seeds must be >= 0, got -1", code=2)
@@ -478,6 +498,15 @@ class TestAblateAndSweep:
         experiments.clear_cell_memo()
         assert main(args) == 0
         assert sha(tmp_path / "out" / "sweep.csv") == first
+
+
+def test_ablate_without_epochs_is_usage_error(tmp_path, capsys):
+    spec_path = tmp_path / "ab.ini"
+    spec_path.write_text(_tiny_spec_text("ablation", tmp_path / "out"))
+    rc = main(["ablate", "--spec", str(spec_path), "--epochs", "0"])
+    _assert_error(rc, capsys, "an experiment cell needs at least one epoch",
+                  code=2)
+    assert not (tmp_path / "out" / "ablation.csv").exists()
 
 
 class TestCellMemo:

@@ -8,10 +8,11 @@ import pytest
 from aurelab.data import generate
 from aurelab.errors import IntegrityError
 from aurelab.relabel import (RelabelRecord, SemanticTemplates,
-                             apply_corrections, audit_rows, decide_relabel,
+                             apply_corrections, audit_rows,
+                             correction_figures, decide_relabel,
                              semantic_distances)
-from oracles import (per_class_template_update, scalar_cosine_distance,
-                     scalar_relabel)
+from oracles import (per_class_template_update, scalar_correction_figures,
+                     scalar_cosine_distance, scalar_relabel)
 
 
 def templates_from(vectors, valid=None):
@@ -273,3 +274,40 @@ class TestApplyCorrections:
         assert fields[:4] == ["5", "4", "0", "1"]
         assert float(fields[4]) == 0.5
         assert float(fields[5]) == 0.4
+
+
+class TestCorrectionFigures:
+    def _same_as_oracle(self, start, end, true):
+        got = correction_figures(np.asarray(start), np.asarray(end),
+                                 np.asarray(true))
+        want = scalar_correction_figures(start, end, true)
+        assert all(type(v) is float for v in got)
+        np.testing.assert_array_equal(got, want)
+        return got
+
+    def test_nothing_moved_has_nan_precision(self):
+        precision, recall = self._same_as_oracle([0, 1, 2], [0, 1, 2],
+                                                 [0, 1, 0])
+        assert math.isnan(precision)
+        assert recall == 0.0
+
+    def test_nothing_wrong_has_nan_recall(self):
+        precision, recall = self._same_as_oracle([0, 1, 2], [1, 1, 2],
+                                                 [0, 1, 2])
+        assert precision == 0.0
+        assert math.isnan(recall)
+
+    def test_one_right_move_of_two(self):
+        # sample 0 fixed, sample 2 moved from right to wrong, sample 3 stays
+        # wrong
+        assert self._same_as_oracle([1, 1, 2, 0], [0, 1, 0, 0],
+                                    [0, 1, 2, 2]) == (0.5, 0.5)
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(st.integers(1, 40), st.integers(2, 5),
+                      st.integers(0, 2**32 - 1))
+    def test_random_triples_match_oracle(self, n, classes, seed):
+        rng = np.random.default_rng(seed)
+        start, end, true = (rng.integers(0, classes, n).tolist()
+                            for _ in range(3))
+        self._same_as_oracle(start, end, true)

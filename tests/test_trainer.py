@@ -16,11 +16,12 @@ from aurelab.aux_branch import AuxiliaryBranch
 from aurelab.data import corrupt_labels, generate, train_test_split
 from aurelab.errors import ConfigError, TrainingDivergedError
 from aurelab.experiments import (EXPERIMENT_TRAIN_DEFAULTS, DatasetSpec,
-                                 make_cell_datasets)
+                                 make_cell_datasets, run_cell)
 from aurelab.trainer import (Checkpoint, TrainConfig, evaluate,
                              load_checkpoint, ramp_weights, save_checkpoint,
                              total_loss, train, trained_parameters)
-from oracles import nearest_prototype_accuracy, scalar_ramp_weights
+from oracles import (nearest_prototype_accuracy, scalar_correction_figures,
+                     scalar_ramp_weights)
 
 FAST = TrainConfig(epochs=4, batch_size=32, warmup_epochs=2, ramp_pivot=2,
                    hidden_dim=16, feat_dim=8, node_dim=4, gcn_channels=8,
@@ -316,6 +317,23 @@ class TestEvaluate:
         assert acc >= nearest_prototype_accuracy(test_ds) - 0.05
 
 
+def test_run_cell_figures_match_independent_evaluation():
+    spec = DatasetSpec(n_classes=3, n_units=6, dim=8, n=160,
+                       test_fraction=0.25)
+    cell = run_cell(spec, FAST, 0.3, seed=1)
+    train_ds, test_ds = make_cell_datasets(spec, 0.3, 1)
+    final = cell.result.final_dataset
+    assert cell.result.records
+    assert cell.accuracy == evaluate(cell.result.model, test_ds).accuracy
+    assert cell.final_noise_rate == float(np.mean(
+        final.observed_labels != final.true_labels))
+    np.testing.assert_array_equal(
+        (cell.relabel_precision, cell.relabel_recall),
+        scalar_correction_figures(train_ds.observed_labels.tolist(),
+                                  final.observed_labels.tolist(),
+                                  train_ds.true_labels.tolist()))
+
+
 class TestCheckpointing:
     def test_round_trip_file(self, tmp_path):
         ds = tiny_ds()
@@ -393,6 +411,14 @@ class TestConfigValidation:
         ("rank_margin", -0.1), ("ramp_pivot", 0), ("batch_size", 0),
         ("lr_initial", 0.0), ("lr_aux_decay", 0.0), ("momentum", 1.0),
         ("leaky_slope", 0.0), ("epochs", -1), ("seed", -1),
+        ("lr_initial", math.nan), ("lr_initial", math.inf),
+        ("lr_aux", math.nan), ("lr_aux", math.inf),
+        ("rank_margin", math.inf), ("rank_margin", math.nan),
+        ("lr_drops", ((3, -0.05),)), ("lr_drops", ((3, 0.0),)),
+        ("lr_drops", ((3, math.nan),)), ("lr_drops", ((3, math.inf),)),
+        ("lr_drops", ((-2, 1e-3),)), ("lr_drops", ((0, 1e-3),)),
+        ("lr_drops", ((20, 1e-3), (10, 1e-4))),
+        ("lr_drops", ((10, 1e-3), (10, 1e-4))),
     ])
     def test_rejects_out_of_range(self, field, value):
         with pytest.raises(ConfigError):
