@@ -73,7 +73,6 @@ class AuxiliaryBranch:
             rng = np.random.default_rng(0)
         self.n_units = n_units
         self.node_dim = node_dim
-        self.channels = channels
         self.leaky_slope = leaky_slope
         wide = n_units * node_dim
         self.head_w = ad.parameter(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,9 +23,6 @@ from .errors import (ConfigError, DatasetFormatError, DatasetValidationError)
 # AU9 nose wrinkler, AU12 lip corner puller, AU15 lip corner depressor,
 # AU20 lip stretcher, AU23 lip tightener, AU26 jaw drop.
 AU_NUMBERS = (1, 2, 4, 5, 6, 7, 9, 12, 15, 20, 23, 26)
-
-BASIC_EMOTIONS = ("surprise", "fear", "disgust", "happiness", "sadness",
-                  "anger", "neutral")
 
 # Stylized activation patterns for the seven basic-emotion classes over the
 # twelve units above (indices into AU_NUMBERS).
@@ -83,7 +80,8 @@ def emotion_au_table(n_classes: int, n_units: int) -> np.ndarray:
 
 @dataclass
 class Dataset:
-    """Struct-of-arrays dataset; treat as read-only outside label correction."""
+    """Struct-of-arrays dataset; treat as read-only outside label correction.
+    A sample's id is its row position."""
     features: np.ndarray          # (n, dim) float64
     observed_labels: np.ndarray   # (n,) int64
     true_labels: np.ndarray       # (n,) int64, hidden from training
@@ -93,11 +91,6 @@ class Dataset:
     dim: int
     corruption_rate: float
     seed: int
-    ids: np.ndarray = field(default=None)  # (n,) contiguous from 0
-
-    def __post_init__(self):
-        if self.ids is None:
-            self.ids = np.arange(len(self.features), dtype=np.int64)
 
     @property
     def n(self) -> int:
@@ -107,7 +100,7 @@ class Dataset:
         return Dataset(self.features.copy(), self.observed_labels.copy(),
                        self.true_labels.copy(), self.au_labels.copy(),
                        self.n_classes, self.n_units, self.dim,
-                       self.corruption_rate, self.seed, self.ids.copy())
+                       self.corruption_rate, self.seed)
 
     def observed_noise_rate(self) -> float:
         return float(np.mean(self.observed_labels != self.true_labels))
@@ -129,8 +122,6 @@ class Dataset:
         if self.au_labels.shape != (n, self.n_units):
             raise DatasetValidationError(
                 f"au_labels shape {self.au_labels.shape} != ({n}, {self.n_units})")
-        if not np.array_equal(self.ids, np.arange(n)):
-            raise DatasetValidationError("ids are not contiguous from 0")
         for name, labels in (("observed", self.observed_labels),
                              ("true", self.true_labels)):
             if labels.shape != (n,):
@@ -215,7 +206,7 @@ def corrupt_labels(ds: Dataset, rate: float, seed: int) -> Dataset:
 
 # ---------------------------------------------------------------------------
 # file format: key=value header, then one CSV row per sample of
-#   id, observed, true, <n_units bits>, <dim feature values>
+#   id (the row position), observed, true, <n_units bits>, <dim feature values>
 
 _HEADER_KEYS = ("C", "M", "D", "n", "corruption_rate", "seed")
 
@@ -243,7 +234,7 @@ def save(ds: Dataset, path) -> None:
         f"seed={ds.seed}",
     ]
     for i in range(ds.n):
-        fields = [str(int(ds.ids[i])), str(int(ds.observed_labels[i])),
+        fields = [str(i), str(int(ds.observed_labels[i])),
                   str(int(ds.true_labels[i]))]
         fields.extend(str(int(b)) for b in ds.au_labels[i])
         fields.extend(repr(float(v)) for v in ds.features[i])

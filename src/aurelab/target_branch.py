@@ -10,7 +10,6 @@ high group above the low group by a margin.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,9 +26,6 @@ class TargetBranch:
                  rng: np.random.Generator | None = None):
         if rng is None:
             rng = np.random.default_rng(0)
-        self.in_dim = in_dim
-        self.feat_dim = feat_dim
-        self.n_classes = n_classes
         self.leaky_slope = leaky_slope
         self.layer1_w = ad.parameter(
             rng.standard_normal((in_dim, hidden_dim)) * np.sqrt(2.0 / in_dim),
@@ -128,16 +124,6 @@ def weighted_cross_entropy(features: Tensor, classifier_w: Tensor,
                    (features, classifier_w, confidence), vjp)
 
 
-@dataclass
-class RankSplit:
-    """Hinge loss plus the batch's high/low confidence partition."""
-    loss: Tensor
-    high_indices: np.ndarray   # positions within the batch, sorted rank order
-    low_indices: np.ndarray
-    avg_high: float
-    avg_low: float
-
-
 def confidence_split(confidence: Tensor, sample_ids: np.ndarray,
                      high_fraction: float) -> tuple[np.ndarray, np.ndarray]:
     """(high, low): batch positions of the high and low confidence groups.
@@ -158,25 +144,22 @@ def confidence_split(confidence: Tensor, sample_ids: np.ndarray,
     return order[:k], order[k:]
 
 
-def rank_regularization(confidence: Tensor, sample_ids: np.ndarray,
-                        high_fraction: float, margin: float) -> RankSplit:
-    """Split the batch as ``confidence_split`` does and penalize a mean gap
-    smaller than ``margin``: max(0, margin - (avg_high - avg_low)),
-    differentiable through both means.
+def rank_regularization(confidence: Tensor, high: np.ndarray,
+                        low: np.ndarray, margin: float) -> Tensor:
+    """Hinge on the gap between the mean confidence of the ``high`` and
+    ``low`` batch positions (as ``confidence_split`` gives them):
+    max(0, margin - (avg_high - avg_low)), differentiable through both means.
     """
-    high, low = confidence_split(confidence, sample_ids, high_fraction)
     if margin < 0.0:
         raise ConfigError(f"margin must be >= 0, got {margin}")
     n = confidence.rows
-    if n < 2:
+    if len(low) == 0:
         warnings.warn("rank regularization skipped: batch has fewer than 2 samples")
-        return RankSplit(ad.scalar(0.0), high, low,
-                         float(confidence.data.mean()) if n else 0.0, 0.0)
-    k = len(high)
+        return ad.scalar(0.0)
     mask_h = np.zeros((1, n))
-    mask_h[0, high] = 1.0 / k
+    mask_h[0, high] = 1.0 / len(high)
     mask_l = np.zeros((1, n))
-    mask_l[0, low] = 1.0 / (n - k)
+    mask_l[0, low] = 1.0 / len(low)
     # One tape node, repeating the composition kept in tests/oracles.py.
     avg_h = mask_h @ confidence.data
     avg_l = mask_l @ confidence.data
@@ -187,5 +170,4 @@ def rank_regularization(confidence: Tensor, sample_ids: np.ndarray,
         g_h = -(g * active)
         return (mask_h.T @ g_h + mask_l.T @ -g_h,)
 
-    loss = ad.node(gap * active, (confidence,), vjp)
-    return RankSplit(loss, high, low, float(avg_h[0, 0]), float(avg_l[0, 0]))
+    return ad.node(gap * active, (confidence,), vjp)

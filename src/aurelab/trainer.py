@@ -17,7 +17,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field, fields, replace
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
@@ -264,23 +264,57 @@ def write_metrics_csv(metrics: list[EpochMetrics], n_classes: int, path) -> None
 
 
 # Decoders of a checkpoint's JSON values; each raises AttributeError,
-# KeyError, TypeError or ValueError on a malformed value.
+# KeyError, OverflowError, TypeError or ValueError on a malformed value.
+
+_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float)}
+
+
+def _json_value(value, kind: type, name: str):
+    """``value`` as ``kind`` when its JSON type fits: true or false for a
+    bool, an integer for an int, any number for a float, and a list of
+    [integer, number] pairs for a tuple (``lr_drops``)."""
+    if kind is tuple:
+        return tuple((_json_value(e, int, name), _json_value(r, float, name))
+                     for e, r in value)
+    if type(value) not in _JSON_TYPES[kind]:
+        raise TypeError(f"{name} must be of type {kind.__name__}, "
+                        f"got {value!r}")
+    return kind(value)
+
 
 def _named_arrays(value) -> dict[str, np.ndarray]:
     return {name: np.asarray(v, dtype=np.float64) for name, v in value.items()}
 
 
 def _config(value) -> TrainConfig:
-    cfg = TrainConfig(**{**value, "lr_drops":
-                         tuple(tuple(p) for p in value["lr_drops"])})
+    kinds = {f.name: type(f.default) for f in fields(TrainConfig)}
+    cfg = TrainConfig(**{name: _json_value(v, kinds[name], name)
+                         if name in kinds else v
+                         for name, v in value.items()})
     cfg.validate()
     return cfg
 
 
+def _epoch(value) -> int:
+    epoch = _json_value(value, int, "epoch")
+    if epoch < 0:
+        raise ValueError(f"epoch must be >= 0, got {epoch}")
+    return epoch
+
+
+def _json_list(value, kind: type, name: str) -> np.ndarray:
+    """A JSON list of ``kind`` values, each checked by ``_json_value``."""
+    if type(value) is not list:
+        raise TypeError(f"{name} must be a list, got {value!r}")
+    return np.array([_json_value(v, kind, name) for v in value],
+                    dtype=np.int64 if kind is int else kind)
+
+
 def _templates(value) -> SemanticTemplates:
-    return SemanticTemplates(np.asarray(value["vectors"], dtype=np.float64),
-                             np.asarray(value["valid"], dtype=bool),
-                             np.asarray(value["last_update_epoch"], dtype=np.int64))
+    return SemanticTemplates(
+        np.asarray(value["vectors"], dtype=np.float64),
+        _json_list(value["valid"], bool, "valid"),
+        _json_list(value["last_update_epoch"], int, "last_update_epoch"))
 
 
 def _rng_state(value) -> dict:
@@ -298,13 +332,14 @@ class Checkpoint:
     decoder that reads it back.  The unit graph is not stored: ``init_model``
     rebuilds it identically from the dataset or the seed.
     """
-    epoch: int = _stored(int)
+    epoch: int = _stored(_epoch)
     config: TrainConfig = _stored(_config)
     dataset_hash: str = _stored(str)
     params: dict[str, np.ndarray] = _stored(_named_arrays)
     velocities: dict[str, np.ndarray] = _stored(_named_arrays)
     templates: SemanticTemplates = _stored(_templates)
-    observed_labels: np.ndarray = _stored(partial(np.asarray, dtype=np.int64))
+    observed_labels: np.ndarray = _stored(
+        lambda value: _json_list(value, int, "observed_labels"))
     rng_state: dict = _stored(_rng_state)
 
 
@@ -335,7 +370,8 @@ def load_checkpoint(path) -> Checkpoint:
     for f in fields(Checkpoint):
         try:
             values[f.name] = f.metadata["decode"](doc[f.name])
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, OverflowError, TypeError,
+                ValueError) as exc:
             raise CheckpointError(f"{path}: field '{f.name}' is missing or "
                                   f"malformed ({exc})") from None
     return Checkpoint(**values)
@@ -470,40 +506,30 @@ def train(dataset: Dataset, config: TrainConfig,
                 batches(ds, batch_size, _epoch_seed(config.seed, epoch))):
             n = len(idx)
             batch_labels = ds.observed_labels[idx]
-            batch_ids = ds.ids[idx]
             x = ad.constant(ds.features[idx])
             feats = model.target.features(x)
 
             if not plain_baseline:
                 conf = model.target.confidence(feats)
-                conf_vals = conf.data[:, 0].copy()
+                high, low = confidence_split(conf, idx, config.high_fraction)
             if config.use_target_branch:
-                split = rank_regularization(conf, batch_ids,
-                                            config.high_fraction,
-                                            config.rank_margin)
-                high, low = split.high_indices, split.low_indices
                 gamma = class_weights(batch_labels, ds.n_classes)
                 loss_wce = weighted_cross_entropy(
                     feats, model.target.classifier_w, conf, gamma, batch_labels)
-                loss_rank = split.loss
+                loss_rank = rank_regularization(conf, high, low,
+                                                config.rank_margin)
             else:
                 ones = ad.constant(np.ones((n, 1)))
                 loss_wce = weighted_cross_entropy(
                     feats, model.target.classifier_w, ones,
                     np.ones(ds.n_classes), batch_labels)
                 loss_rank = ad.scalar(0.0)
-                if config.use_aux_branch:
-                    # detection only: the templates and relabeling need the
-                    # split, but no loss reads the hinge
-                    high, low = confidence_split(conf, batch_ids,
-                                                 config.high_fraction)
 
             if config.use_aux_branch:
                 probs, semantics = model.aux.semantic_logits(
                     feats, model.graph.normalized)
-                loss_au = au_detection_loss(probs, ds.au_labels[idx], conf_vals)
+                loss_au = au_detection_loss(probs, ds.au_labels[idx], conf.data)
             else:
-                semantics = None
                 loss_au = ad.scalar(0.0)
 
             loss = total_loss(loss_wce, loss_rank, loss_au, lam_target, lam_aux)
@@ -529,22 +555,22 @@ def train(dataset: Dataset, config: TrainConfig,
 
             if config.use_aux_branch:
                 sem_vals = semantics.data
-                model.templates.update(sem_vals[high], conf_vals[high],
+                model.templates.update(sem_vals[high], conf.data[high, 0],
                                        batch_labels[high], epoch)
                 if relabel_on:
-                    low = low[np.argsort(batch_ids[low])]
+                    low = low[np.argsort(idx[low])]
                     low_sem = sem_vals[low]
                     dists = semantic_distances(low_sem, model.templates)
                     zero = np.linalg.norm(low_sem, axis=1) == 0.0
                     if zero.any() and model.templates.usable().any():
-                        for sid in batch_ids[low[zero]]:
+                        for sid in idx[low[zero]]:
                             warnings.warn(f"skipping relabel of sample "
                                           f"{int(sid)}: zero-norm semantics")
                     org = batch_labels[low]
                     new = decide_relabel(dists, org)
                     for j in np.flatnonzero(new != org):
                         epoch_records.append(RelabelRecord(
-                            int(batch_ids[low[j]]), int(org[j]), int(new[j]),
+                            int(idx[low[j]]), int(org[j]), int(new[j]),
                             dists[j].copy(), epoch))
 
         start_labels = ds.observed_labels.copy()

@@ -22,7 +22,7 @@ from aurelab.experiments import (EXPERIMENT_TRAIN_DEFAULTS, DatasetSpec,
 from aurelab.relabel import decide_relabel, semantic_distances
 from aurelab.relabel import SemanticTemplates
 from aurelab.target_branch import (TargetBranch, class_weights,
-                                   rank_regularization,
+                                   confidence_split, rank_regularization,
                                    weighted_cross_entropy)
 from aurelab.trainer import (TrainConfig, load_checkpoint, ramp_weights,
                              save_checkpoint, total_loss, train)
@@ -57,7 +57,6 @@ class _Probe:
         ds = data.corrupt_labels(ds, 0.2, seed=seed + 1)
         self.x = ad.constant(ds.features)
         self.labels = ds.observed_labels
-        self.ids = ds.ids
         self.au_bits = ds.au_labels
         self.graph = build_au_graph(ds.au_labels)
         self.gamma = class_weights(self.labels, 3)
@@ -68,6 +67,10 @@ class _Probe:
         conf = self.target.confidence(feats)
         return feats, conf
 
+    def _hinge(self, conf):
+        high, low = confidence_split(conf, np.arange(conf.rows), 0.8)
+        return rank_regularization(conf, high, low, self.margin)
+
     def is_smooth(self):
         feats, conf = self._forward()
         h_pre = (self.x.data @ self.target.layer1_w.data
@@ -77,9 +80,8 @@ class _Probe:
         alphas = np.sort(conf.data[:, 0])
         if np.min(np.diff(alphas)) < 1e-3:
             return False
-        split = rank_regularization(conf, self.ids, 0.8, self.margin)
-        gap = self.margin - (split.avg_high - split.avg_low)
-        if not gap > 1e-3:          # hinge must be active and off its kink
+        # the hinge must be active and off its kink: its value is the gap
+        if not self._hinge(conf).item() > 1e-3:
             return False
         probs, _ = self.aux.semantic_logits(feats, self.graph.normalized)
         return bool(np.all((probs.data > 1e-6) & (probs.data < 1 - 1e-6)))
@@ -99,7 +101,7 @@ class _Probe:
 
     def loss_rank(self):
         _, conf = self._forward()
-        return rank_regularization(conf, self.ids, 0.8, self.margin).loss
+        return self._hinge(conf)
 
     def loss_au(self, frozen_alpha):
         feats, _ = self._forward()
@@ -198,9 +200,10 @@ def test_criterion_3_unit_values():
                    np.max(np.abs(gamma - [0.5, 0.75, 0.75])) < 1e-12))
 
     conf = ad.constant(np.array([0.6, 0.6, 0.6, 0.6, 0.55]).reshape(5, 1))
-    split = rank_regularization(conf, np.arange(5), 0.8, 0.15)
+    high, low = confidence_split(conf, np.arange(5), 0.8)
+    hinge = rank_regularization(conf, high, low, 0.15)
     checks.append(("hinge(0.6, 0.55, margin .15) = 0.10",
-                   abs(split.loss.item() - 0.10) < 1e-12))
+                   abs(hinge.item() - 0.10) < 1e-12))
 
     lam_t, lam_a = ramp_weights(10, 10)
     checks.append(("ramp weights both 1 at the pivot",

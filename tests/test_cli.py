@@ -220,6 +220,14 @@ def _damaged(text, damage):
         doc["format"] = "aurelab-checkpoint-v1"
     elif damage == "wrong_type":
         doc["observed_labels"] = "not a list"
+    else:   # "<key>[.<key or list index>]=<JSON value>"
+        path, _, value = damage.partition("=")
+        *parents, last = path.split(".")
+        owner = doc
+        for key in parents:
+            owner = owner[key]
+        owner[int(last) if isinstance(owner, list) else last] = \
+            json.loads(value)
     return json.dumps(doc)
 
 
@@ -241,19 +249,39 @@ class TestBrokenInputs:
     @pytest.mark.parametrize("damage,message", [
         ("truncated", "not a JSON file"), ("missing_key", "'params'"),
         ("v1", "v1 checkpoints are no longer read"),
-        ("wrong_type", "'observed_labels'")])
-    @pytest.mark.parametrize("command", ["eval", "inspect"])
+        ("wrong_type", "'observed_labels'"),
+        ("config.hidden_dim=64.5", "hidden_dim must be of type int"),
+        ("config.seed=1.5", "seed must be of type int"),
+        ("config.batch_size=true", "batch_size must be of type int"),
+        ('config.use_aux_branch="no"', "use_aux_branch must be of type bool"),
+        ("config.use_target_branch=1", "use_target_branch must be of type"),
+        ('config.rank_margin="0.15"', "rank_margin must be of type float"),
+        ("config.lr_drops=[[2.5, 0.001]]", "lr_drops must be of type int"),
+        ("config.lr_drops=[[2, null]]", "lr_drops must be of type float"),
+        ("epoch=-5", "epoch must be >= 0, got -5"),
+        ("epoch=1.5", "epoch must be of type int"),
+        ("observed_labels.0=1.5", "observed_labels must be of type int"),
+        ("observed_labels.0=1180591620717411303424", "'observed_labels'"),
+        ('templates.valid.0="no"', "valid must be of type bool"),
+        ("templates.last_update_epoch.0=1.7",
+         "last_update_epoch must be of type int")])
+    @pytest.mark.parametrize("command", ["eval", "inspect", "resume"])
     def test_damaged_checkpoint(self, dataset_files, runs, tmp_path, capsys,
                                 damage, message, command):
         text = (runs / "three_run" / "checkpoint.json").read_text()
         path = tmp_path / "checkpoint.json"
         path.write_text(_damaged(text, damage))
+        train_path, test_path = dataset_files
         if command == "eval":
-            argv = ["eval", "--checkpoint", str(path),
-                    "--data", str(dataset_files[1])]
+            argv = ["eval", "--checkpoint", str(path), "--data", str(test_path)]
+        elif command == "resume":
+            argv = (["train", "--data", str(train_path), "--out",
+                     str(tmp_path / "run"), "--resume", str(path)]
+                    + TRAIN_SPEED_ARGS)
         else:
             argv = ["inspect", "checkpoint", str(path)]
         _assert_error(main(argv), capsys, message)
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("command", ["eval", "resume"])
     def test_checkpoint_with_other_class_count(self, dataset_files, runs,

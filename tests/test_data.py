@@ -170,6 +170,16 @@ class TestSaveLoad:
         with pytest.raises(DatasetValidationError, match="line 7"):
             data.load(path)
 
+    def test_rows_out_of_order_are_validation_error(self, tmp_path):
+        path = tmp_path / "ds.txt"
+        data.save(small_ds(), path)
+        lines = path.read_text().splitlines()
+        lines[6], lines[7] = lines[7], lines[6]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetValidationError,
+                           match=r"line 7: sample id 1 out of order"):
+            data.load(path)
+
 
 class TestBatches:
     def test_single_batch_when_size_is_n(self):
@@ -209,12 +219,18 @@ def test_batches_always_partition(batch_size, epoch_seed):
 
 
 class TestTrainTestSplit:
-    def test_partition_and_reindex(self):
+    def test_partition_and_reindex(self, tmp_path):
         ds = small_ds()
         train, test = data.train_test_split(ds, 0.2, seed=11)
         assert train.n + test.n == ds.n
-        assert np.array_equal(train.ids, np.arange(train.n))
-        assert np.array_equal(test.ids, np.arange(test.n))
+        # a sample's id is its row position: each part is written with ids
+        # 0..n-1, which load (it rejects rows out of order) reads back
+        for part in (train, test):
+            path = tmp_path / "part.txt"
+            data.save(part, path)
+            rows = path.read_text().splitlines()[6:]
+            assert [int(r.split(",")[0]) for r in rows] == list(range(part.n))
+            assert data.load(path).fingerprint() == part.fingerprint()
 
     def test_stratified(self):
         ds = small_ds()

@@ -71,10 +71,9 @@ class TestRankHinge:
     def hinge_pair(values, margin, ids=None):
         confidence = ad.parameter(np.asarray(values, dtype=float).reshape(-1, 1))
         ids = np.arange(confidence.rows) if ids is None else ids
-        split = rank_regularization(confidence, ids, 0.8, margin)
         high, low = confidence_split(confidence, ids, 0.8)
-        composed = composed_rank_hinge(confidence, high, low, margin)
-        return split.loss, composed, confidence
+        return (rank_regularization(confidence, high, low, margin),
+                composed_rank_hinge(confidence, high, low, margin), confidence)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_batches(self, seed):
@@ -97,24 +96,13 @@ class TestRankHinge:
         assert loss.item() > 0.0
         assert_same_bits(loss, composed, [conf])
 
-    def test_split_fields_match_the_composed_means(self):
-        rng = np.random.default_rng(7)
-        conf = ad.parameter(rng.uniform(0, 1, (30, 1)))
-        split = rank_regularization(conf, np.arange(30), 0.8, 0.1)
-        high, low = confidence_split(conf, np.arange(30), 0.8)
-        assert np.array_equal(split.high_indices, high)
-        assert np.array_equal(split.low_indices, low)
-        mask = np.zeros((1, 30))
-        mask[0, high] = 1.0 / len(high)
-        assert split.avg_high == ad.matmul(ad.constant(mask), conf).item()
-
     def test_one_sample_batch(self):
         conf = ad.parameter(np.array([[0.7]]))
+        high, low = confidence_split(conf, np.array([3]), 0.8)
         with pytest.warns(UserWarning, match="fewer than 2"):
-            split = rank_regularization(conf, np.array([3]), 0.8, 0.1)
-        assert split.loss.item() == 0.0 and not split.loss.requires_grad
-        assert np.array_equal(ad.gradients(split.loss, [conf])[0],
-                              np.zeros((1, 1)))
+            loss = rank_regularization(conf, high, low, 0.1)
+        assert loss.item() == 0.0 and not loss.requires_grad
+        assert np.array_equal(ad.gradients(loss, [conf])[0], np.zeros((1, 1)))
 
 
 class TestAuDetectionLoss:
@@ -175,7 +163,7 @@ def test_training_step_gradients_match_the_composition(use_target, use_aux):
         feats = model.target.features(ad.constant(ds.features[idx]))
         conf = model.target.confidence(feats)
         if use_target:
-            high, low = confidence_split(conf, ds.ids[idx], 0.8)
+            high, low = confidence_split(conf, idx, 0.8)
             wce = wce_fn(feats, model.target.classifier_w, conf,
                          class_weights(labels, 4), labels)
             rank = hinge_fn(conf, high, low)
@@ -187,14 +175,13 @@ def test_training_step_gradients_match_the_composition(use_target, use_aux):
         au = ad.scalar(0.0)
         if use_aux:
             probs, _ = model.aux.semantic_logits(feats, model.graph.normalized)
-            au = au_fn(probs, ds.au_labels[idx], conf.data[:, 0].copy())
+            au = au_fn(probs, ds.au_labels[idx], conf.data)
         return total_fn(wce, rank, au, 0.8, 0.6)
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         node = step(weighted_cross_entropy,
-                    lambda c, h, l: rank_regularization(c, ds.ids[idx], 0.8,
-                                                        0.1).loss,
+                    lambda c, h, l: rank_regularization(c, h, l, 0.1),
                     au_detection_loss, total_loss)
         composed = step(composed_weighted_cross_entropy,
                         lambda c, h, l: composed_rank_hinge(c, h, l, 0.1),

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import hypothesis
 import hypothesis.strategies as st
@@ -177,39 +176,41 @@ class TestRankRegularization:
     def _conf(self, values):
         return ad.constant(np.asarray(values, dtype=float).reshape(-1, 1))
 
+    def _hinge(self, conf, phi, margin):
+        high, low = confidence_split(conf, np.arange(conf.rows), phi)
+        return rank_regularization(conf, high, low, margin)
+
     def test_loss_zero_when_gap_exceeds_margin(self):
         # constructed so avg_high = 0.8, avg_low = 0.5
         conf = self._conf([0.8, 0.8, 0.8, 0.8, 0.5])
-        split = rank_regularization(conf, np.arange(5), 0.8, 0.15)
-        assert split.avg_high == pytest.approx(0.8)
-        assert split.avg_low == pytest.approx(0.5)
-        assert split.loss.item() == 0.0
+        assert self._hinge(conf, 0.8, 0.15).item() == 0.0
 
     def test_documented_hinge_value(self):
         conf = self._conf([0.6, 0.6, 0.6, 0.6, 0.55])
-        split = rank_regularization(conf, np.arange(5), 0.8, 0.15)
-        assert split.loss.item() == pytest.approx(0.10, abs=1e-12)
+        assert self._hinge(conf, 0.8, 0.15).item() == pytest.approx(
+            0.10, abs=1e-12)
 
     def test_split_sizes_at_phi_08(self):
         conf = self._conf(np.linspace(0.9, 0.1, 10))
-        split = rank_regularization(conf, np.arange(10), 0.8, 0.15)
-        assert len(split.high_indices) == 8
-        assert len(split.low_indices) == 2
+        high, low = confidence_split(conf, np.arange(10), 0.8)
+        assert len(high) == 8
+        assert len(low) == 2
 
     def test_ties_break_by_ascending_id(self):
         conf = self._conf([0.5, 0.5, 0.5, 0.5])
         ids = np.array([7, 3, 9, 1])
-        split = rank_regularization(conf, ids, 0.5, 0.1)
-        assert ids[split.high_indices].tolist() == [1, 3]
-        assert ids[split.low_indices].tolist() == [7, 9]
+        high, low = confidence_split(conf, ids, 0.5)
+        assert ids[high].tolist() == [1, 3]
+        assert ids[low].tolist() == [7, 9]
 
     def test_single_sample_skips_with_warning(self):
+        conf = self._conf([0.4])
+        high, low = confidence_split(conf, np.arange(1), 0.8)
+        assert len(high) == 1
+        assert len(low) == 0
         with pytest.warns(UserWarning):
-            split = rank_regularization(self._conf([0.4]), np.arange(1),
-                                        0.8, 0.15)
-        assert split.loss.item() == 0.0
-        assert len(split.high_indices) == 1
-        assert len(split.low_indices) == 0
+            loss = rank_regularization(conf, high, low, 0.15)
+        assert loss.item() == 0.0
 
     def test_loss_bounded_by_margin_and_gradient_checks(self):
         rng = np.random.default_rng(11)
@@ -217,8 +218,7 @@ class TestRankRegularization:
         x = ad.constant(rng.standard_normal((8, 3)))
 
         def loss_fn():
-            conf = ad.sigmoid(ad.matmul(x, w))
-            return rank_regularization(conf, np.arange(8), 0.8, 0.4).loss
+            return self._hinge(ad.sigmoid(ad.matmul(x, w)), 0.8, 0.4)
 
         value = loss_fn().item()
         assert 0.0 < value <= 0.4
@@ -232,30 +232,13 @@ class TestRankRegularization:
     def test_partition_respects_sorted_order(self, values, phi):
         conf = self._conf(values)
         n = len(values)
-        split = rank_regularization(conf, np.arange(n), phi, 0.15)
-        assert sorted(np.concatenate([split.high_indices,
-                                      split.low_indices]).tolist()) == list(range(n))
+        high, low = confidence_split(conf, np.arange(n), phi)
+        assert sorted(np.concatenate([high, low]).tolist()) == list(range(n))
         k = int(round(phi * n))
-        assert len(split.high_indices) == min(max(k, 1), n - 1)
+        assert len(high) == min(max(k, 1), n - 1)
         arr = np.asarray(values)
-        if len(split.low_indices):
-            assert arr[split.high_indices].min() >= arr[split.low_indices].max()
-        assert split.avg_high >= split.avg_low
-
-    @hypothesis.settings(max_examples=60, deadline=None)
-    @hypothesis.given(
-        st.lists(st.sampled_from([0.2, 0.5, 0.7, 0.9]), min_size=1,
-                 max_size=30),
-        st.sampled_from([0.5, 0.8, 0.9]))
-    def test_split_alone_matches_the_hinge_split(self, values, phi):
-        conf = self._conf(values)
-        ids = np.arange(len(values))[::-1]
-        high, low = confidence_split(conf, ids, phi)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            split = rank_regularization(conf, ids, phi, 0.15)
-        assert high.tolist() == split.high_indices.tolist()
-        assert low.tolist() == split.low_indices.tolist()
+        if len(low):
+            assert arr[high].min() >= arr[low].max()
 
     def test_split_alone_rejects_bad_fraction(self):
         with pytest.raises(ConfigError):

@@ -1,8 +1,10 @@
+import json
 import math
 import os
 import platform
 import re
 import resource
+import warnings
 from dataclasses import replace
 
 import hypothesis
@@ -140,7 +142,8 @@ class TestTrainLoop:
     def test_nan_abort_with_diagnostics(self):
         ds = tiny_ds()
         bad = replace(FAST, lr_initial=1e18, epochs=3, lr_drops=())
-        with pytest.raises(TrainingDivergedError) as err:
+        with pytest.warns(RuntimeWarning), \
+                pytest.raises(TrainingDivergedError) as err:
             train(ds, bad)
         assert err.value.epoch is not None
         assert set(err.value.components) == {"wce", "rank", "au", "total"}
@@ -161,7 +164,7 @@ class TestTrainLoop:
 
         def recording_batches(dataset, *args):
             for idx in real_batches(dataset, *args):
-                batch_ids[:] = dataset.ids[idx]
+                batch_ids[:] = idx
                 yield idx
 
         def zeroing_logits(self, features, adjacency):
@@ -179,6 +182,23 @@ class TestTrainLoop:
         assert warned and warned <= zeroed
         assert result.records
         assert not zeroed & {r.sample_id for r in result.records}
+
+    @pytest.mark.parametrize("use_target,use_aux", [
+        (False, False), (True, False), (False, True), (True, True)])
+    def test_one_sample_batch_in_every_configuration(self, use_target,
+                                                     use_aux):
+        # 97 = 48 + 48 + 1: every epoch ends with a batch whose low group
+        # is empty, so the hinge is skipped and the relabel step sees no one
+        cfg = replace(FAST, batch_size=48, warmup_epochs=1,
+                      use_target_branch=use_target, use_aux_branch=use_aux)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = train(tiny_ds(n=97), cfg)
+        assert [m.epoch for m in result.metrics] == [1, 2, 3, 4]
+        assert all(math.isfinite(m.loss_total) for m in result.metrics)
+        skipped = [w for w in caught if "fewer than 2" in str(w.message)]
+        assert len(skipped) == (cfg.epochs if use_target else 0)
+        assert bool(result.records) == use_aux
 
     def test_disabled_aux_branch_never_relabels(self):
         ds = tiny_ds()
@@ -353,6 +373,20 @@ class TestCheckpointing:
                 assert loaded[name].tobytes() == arr.tobytes()
         assert np.array_equal(back.observed_labels, ckpt.observed_labels)
         assert back.rng_state == ckpt.rng_state
+
+    def test_float_fields_read_json_integers(self, tmp_path):
+        ckpt = train(tiny_ds(), replace(FAST, epochs=1)).checkpoint
+        path = tmp_path / "ck.json"
+        save_checkpoint(ckpt, path)
+        doc = json.loads(path.read_text())
+        assert doc["config"]["momentum"] == 0.0
+        doc["config"]["momentum"] = 0
+        doc["config"]["lr_drops"] = [[3, 1]]
+        path.write_text(json.dumps(doc))
+        config = load_checkpoint(path).config
+        assert config == replace(ckpt.config, lr_drops=((3, 1.0),))
+        assert type(config.momentum) is float
+        assert type(config.lr_drops[0][1]) is float
 
     def test_resume_reproduces_uninterrupted_run(self, tmp_path):
         ds = tiny_ds(n=120)
