@@ -1,0 +1,117 @@
+"""Print one sha256 per file a small fixed CLI pipeline writes.
+
+The file-level twin of ``train_digest.py``: two source trees write
+byte-identical artifacts when this script prints the same lines for both:
+
+    PYTHONPATH=src python scripts/artifact_digest.py > after.txt
+    PYTHONPATH=/path/to/other/tree/src python scripts/artifact_digest.py > before.txt
+    diff before.txt after.txt
+
+In a temporary directory it runs ``aurelab gen --test-fraction``, ``train``
+with the held-out file, ``eval --out``, ``train --resume`` to a later epoch,
+``ablate`` on a branch spec and on an edges spec, and ``sweep``; the specs
+are tiny.  It then prints the digest of each artifact: the dataset and its
+``.test`` file; each run's ``metrics.csv``, ``checkpoint.json``,
+``relabel_audit.csv`` and both unit-graph CSVs; the eval CSV; the three
+tables and each table's ``spec.resolved``.  The last line combines them.
+Paths are relative to the temporary directory, so the lines do not depend
+on where it is.
+"""
+
+import hashlib
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+from aurelab import cli
+
+GEN = ["gen", "--classes", "3", "--aus", "6", "--dim", "8", "--size", "300",
+       "--corruption", "0.2", "--test-fraction", "0.25", "--seed", "5",
+       "--out", "ds.txt"]
+TRAIN = ["--batch-size", "32", "--warmup-epochs", "2", "--ramp-pivot", "2",
+         "--lr", "0.05", "--momentum", "0.8", "--seed", "5"]
+SPEC = """[experiment]
+name = {name}
+seeds = 0,1
+rate = 0.2
+rates = 0.2,0.3
+out = {name}
+
+[dataset]
+n_classes = 3
+n_units = 6
+dim = 8
+n = 160
+test_fraction = 0.25
+
+[train]
+epochs = 3
+batch_size = 32
+warmup_epochs = 1
+ramp_pivot = 2
+"""
+STEPS = [
+    GEN,
+    ["train", "--data", "ds.txt", "--test-data", "ds.txt.test",
+     "--out", "run", "--epochs", "4"] + TRAIN,
+    ["eval", "--checkpoint", "run/checkpoint.json", "--data", "ds.txt.test",
+     "--out", "eval.csv"],
+    ["train", "--data", "ds.txt", "--test-data", "ds.txt.test",
+     "--out", "resumed", "--resume", "run/checkpoint.json",
+     "--epochs", "6"] + TRAIN,
+    ["ablate", "--spec", "ablation.spec"],
+    ["ablate", "--spec", "edges.spec"],
+    ["sweep", "--spec", "noise_sweep.spec"],
+]
+RUN_FILES = ("metrics.csv", "checkpoint.json", "relabel_audit.csv",
+             "au_adjacency.csv", "au_adjacency_normalized.csv")
+ARTIFACTS = (["ds.txt", "ds.txt.test", "eval.csv"]
+             + [f"{run}/{name}" for run in ("run", "resumed")
+                for name in RUN_FILES]
+             + ["ablation/ablation.csv", "edges/edges.csv",
+                "noise_sweep/sweep.csv"]
+             + [f"{name}/spec.resolved"
+                for name in ("ablation", "edges", "noise_sweep")])
+
+
+def write_artifacts() -> int:
+    """Run every step in the current directory; the first non-zero exit
+    code, or 0."""
+    for name in ("ablation", "edges", "noise_sweep"):
+        Path(f"{name}.spec").write_text(SPEC.format(name=name))
+    for step in STEPS:
+        # the commands' own summaries go to stderr, the digests to stdout
+        stdout, sys.stdout = sys.stdout, sys.stderr
+        try:
+            rc = cli.main(step)
+        finally:
+            sys.stdout = stdout
+        if rc != 0:
+            print(f"aurelab {' '.join(step)} exited {rc}", file=sys.stderr)
+            return rc
+    return 0
+
+
+def main() -> int:
+    combined = hashlib.sha256()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as root:
+        os.chdir(root)
+        try:
+            rc = write_artifacts()
+            lines = [(rel, hashlib.sha256(Path(rel).read_bytes()).hexdigest())
+                     for rel in ARTIFACTS] if rc == 0 else []
+        finally:
+            os.chdir(cwd)
+    if rc != 0:
+        return rc
+    for rel, digest in lines:
+        combined.update(digest.encode())
+        print(f"{rel:<36} {digest}")
+    print(f"combined {combined.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,8 +1,9 @@
 """Command-line experiment harness.
 
 Subcommands: gen (write a dataset file), train, eval, ablate, sweep,
-inspect.  Exit codes: 0 success, 2 usage or configuration error, 3 missing,
-unreadable or malformed file, 4 numeric failure during training.
+inspect.  Exit codes: 0 success, 2 usage or configuration error (a size too
+large to allocate included), 3 missing, unreadable or malformed file, 4
+numeric failure during training.
 """
 
 from __future__ import annotations
@@ -95,8 +96,8 @@ def cmd_gen(args) -> int:
 def _write_graph_files(graph, out_dir: Path) -> None:
     for name, matrix in (("au_adjacency.csv", graph.conditional),
                          ("au_adjacency_normalized.csv", graph.normalized)):
-        lines = [",".join(repr(float(v)) for v in row) for row in matrix]
-        data.write_text_atomic(out_dir / name, "\n".join(lines) + "\n")
+        data.write_atomic(out_dir / name, (
+            ",".join(repr(float(v)) for v in row) + "\n" for row in matrix))
 
 
 def cmd_train(args) -> int:
@@ -111,7 +112,8 @@ def cmd_train(args) -> int:
     write_metrics_csv(result.metrics, ds.n_classes, out_dir / "metrics.csv")
     save_checkpoint(result.checkpoint, out_dir / "checkpoint.json")
     audit = [AUDIT_HEADER] + audit_rows(result.records)
-    data.write_text_atomic(out_dir / "relabel_audit.csv", "\n".join(audit) + "\n")
+    data.write_atomic(out_dir / "relabel_audit.csv",
+                      (line + "\n" for line in audit))
     _write_graph_files(result.model.graph, out_dir)
 
     if result.metrics:
@@ -141,7 +143,7 @@ def cmd_eval(args) -> int:
         lines.append("confusion")
         lines += [",".join(str(int(v)) for v in row)
                   for row in report.confusion]
-        data.write_text_atomic(args.out, "\n".join(lines) + "\n")
+        data.write_atomic(args.out, (line + "\n" for line in lines))
     return EXIT_OK
 
 
@@ -386,7 +388,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (OSError, ArtifactFormatError, CheckpointError, DatasetFormatError,

@@ -9,9 +9,10 @@ active action units drawn from its true class's prototype pattern.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import os
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -37,6 +38,51 @@ _BASIC_EMOTION_PATTERNS = (
 )
 
 
+def _first_fitting_pattern(n_units: int, weight: int,
+                           chosen: list[tuple[int, ...]],
+                           max_overlap: int) -> tuple[int, ...] | None:
+    """The lexicographically first ``weight``-unit pattern that shares at
+    most ``max_overlap`` units with every chosen pattern, or None.
+
+    A depth-first search over the units in ascending order.  It drops a
+    prefix as soon as it shares more than ``max_overlap`` units with a
+    chosen pattern (adding units never lowers an overlap), and when the
+    units left cannot complete it: it can add every unit left that no
+    chosen pattern holds, but each held one spends at least one unit of
+    the chosen patterns' remaining overlap.  Every pattern up to the last
+    chosen one shares too many units with some chosen pattern (a chosen
+    pattern shares all of its own), so this is also the next pattern a
+    scan of ``itertools.combinations`` would pick.
+    """
+    owners: list[list[int]] = [[] for _ in range(n_units)]
+    for k, pattern in enumerate(chosen):
+        for unit in pattern:
+            owners[unit].append(k)
+    free_from = [0] * (n_units + 1)   # units >= u that no chosen pattern holds
+    for unit in reversed(range(n_units)):
+        free_from[unit] = free_from[unit + 1] + (not owners[unit])
+    overlap = [0] * len(chosen)
+    budget = max_overlap * len(chosen)   # overlap the prefix may still add
+    prefix: list[int] = []
+    unit = 0
+    while len(prefix) < weight:
+        held_left = n_units - unit - free_from[unit]
+        if len(prefix) + free_from[unit] + min(held_left, budget) < weight:
+            if not prefix:
+                return None
+            unit = prefix.pop()
+            budget += len(owners[unit])
+            for k in owners[unit]:
+                overlap[k] -= 1
+        elif all(overlap[k] < max_overlap for k in owners[unit]):
+            prefix.append(unit)
+            budget -= len(owners[unit])
+            for k in owners[unit]:
+                overlap[k] += 1
+        unit += 1
+    return tuple(prefix)
+
+
 def emotion_au_table(n_classes: int, n_units: int) -> np.ndarray:
     """Class -> action-unit prototype bit table, shape (n_classes, n_units).
 
@@ -51,6 +97,9 @@ def emotion_au_table(n_classes: int, n_units: int) -> np.ndarray:
         raise ConfigError(f"need at least 2 classes, got {n_classes}")
     if n_units < 4:
         raise ConfigError(f"need at least 4 action units, got {n_units}")
+    # Allocated before the search, so a table too large for memory fails
+    # at once.
+    table = np.zeros((n_classes, n_units), dtype=np.int64)
     if (n_classes, n_units) == (7, 12):
         patterns = _BASIC_EMOTION_PATTERNS
     else:
@@ -59,12 +108,12 @@ def emotion_au_table(n_classes: int, n_units: int) -> np.ndarray:
         patterns = None
         for max_overlap in range(weight):
             chosen: list[tuple[int, ...]] = []
-            for cand in itertools.combinations(range(n_units), weight):
-                if all(len(set(cand) & set(row)) <= max_overlap
-                       for row in chosen):
-                    chosen.append(cand)
-                    if len(chosen) == n_classes:
-                        break
+            while len(chosen) < n_classes:
+                cand = _first_fitting_pattern(n_units, weight, chosen,
+                                              max_overlap)
+                if cand is None:
+                    break
+                chosen.append(cand)
             if len(chosen) == n_classes:
                 patterns = chosen
                 break
@@ -72,7 +121,6 @@ def emotion_au_table(n_classes: int, n_units: int) -> np.ndarray:
             raise ConfigError(
                 f"cannot build {n_classes} distinct unit patterns over "
                 f"{n_units} units")
-    table = np.zeros((n_classes, n_units), dtype=np.int64)
     for row, pattern in enumerate(patterns):
         table[row, list(pattern)] = 1
     return table
@@ -80,8 +128,12 @@ def emotion_au_table(n_classes: int, n_units: int) -> np.ndarray:
 
 @dataclass
 class Dataset:
-    """Struct-of-arrays dataset; treat as read-only outside label correction.
-    A sample's id is its row position."""
+    """Struct-of-arrays dataset.  A sample's id is its row position.
+
+    Only label correction writes to a dataset, and only to
+    ``observed_labels``: ``corrupt_labels`` and ``train`` copy that array
+    alone and share the features, unit bits and true labels with their
+    input, so none of those may be written to in place."""
     features: np.ndarray          # (n, dim) float64
     observed_labels: np.ndarray   # (n,) int64
     true_labels: np.ndarray       # (n,) int64, hidden from training
@@ -95,12 +147,6 @@ class Dataset:
     @property
     def n(self) -> int:
         return len(self.features)
-
-    def copy(self) -> "Dataset":
-        return Dataset(self.features.copy(), self.observed_labels.copy(),
-                       self.true_labels.copy(), self.au_labels.copy(),
-                       self.n_classes, self.n_units, self.dim,
-                       self.corruption_rate, self.seed)
 
     def observed_noise_rate(self) -> float:
         return float(np.mean(self.observed_labels != self.true_labels))
@@ -178,29 +224,31 @@ def generate(n_classes: int, n_units: int, dim: int, n: int,
             f"could not draw {n_classes} distinct prototypes in {dim} dimensions")
 
     true = np.arange(n, dtype=np.int64) % n_classes
-    features = prototypes[true] + within_noise * rng.standard_normal((n, dim))
+    features = rng.standard_normal((n, dim))
+    features *= within_noise
+    features += prototypes[true]
     flips = rng.random((n, n_units)) < au_noise
     au = np.where(flips, 1 - table[true], table[true]).astype(np.int64)
-    return Dataset(features, true.copy(), true.copy(), au,
+    return Dataset(features, true.copy(), true, au,
                    n_classes, n_units, dim, 0.0, seed)
 
 
 def corrupt_labels(ds: Dataset, rate: float, seed: int) -> Dataset:
     """Flip round(rate * n) uniformly chosen observed labels to a uniformly
-    drawn different class (never the sample's true label)."""
+    drawn different class (never the sample's true label).  Only the
+    observed labels are copied; the rest is shared with ``ds``."""
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"corruption rate must lie in [0, 1), got {rate}")
-    out = ds.copy()
+    out = replace(ds, observed_labels=ds.observed_labels.copy(),
+                  corruption_rate=rate)
     k = int(round(rate * ds.n))
     if k == 0:
-        out.corruption_rate = rate
         return out
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     chosen = rng.choice(ds.n, size=k, replace=False)
     offsets = rng.integers(0, ds.n_classes - 1, size=k)
     true = out.true_labels[chosen]
     out.observed_labels[chosen] = offsets + (offsets >= true)
-    out.corruption_rate = rate
     return out
 
 
@@ -211,45 +259,54 @@ def corrupt_labels(ds: Dataset, rate: float, seed: int) -> Dataset:
 _HEADER_KEYS = ("C", "M", "D", "n", "corruption_rate", "seed")
 
 
-def write_text_atomic(path, text: str) -> None:
-    """Write ``text`` to a temporary file beside ``path``, then move it into
-    place with ``os.replace``: a failed write leaves the old file whole."""
+def write_atomic(path, pieces: Iterable[str]) -> None:
+    """Write the strings of ``pieces`` one after another to a temporary file
+    beside ``path``, then move it into place with ``os.replace``: a failed
+    write leaves the old file whole.  The text is never held whole."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
 
 
+def _dataset_lines(ds: Dataset) -> Iterator[str]:
+    """The lines of ``ds``'s file, each row formatted as it is asked for."""
+    yield (f"C={ds.n_classes}\nM={ds.n_units}\nD={ds.dim}\nn={ds.n}\n"
+           f"corruption_rate={ds.corruption_rate!r}\nseed={ds.seed}\n")
+    for i, (bits, values) in enumerate(zip(ds.au_labels, ds.features)):
+        yield ",".join([str(i), str(int(ds.observed_labels[i])),
+                        str(int(ds.true_labels[i])),
+                        *map(str, bits.tolist()),
+                        *map(repr, values.tolist())]) + "\n"
+
+
 def save(ds: Dataset, path) -> None:
-    lines = [
-        f"C={ds.n_classes}",
-        f"M={ds.n_units}",
-        f"D={ds.dim}",
-        f"n={ds.n}",
-        f"corruption_rate={ds.corruption_rate!r}",
-        f"seed={ds.seed}",
-    ]
-    for i in range(ds.n):
-        fields = [str(i), str(int(ds.observed_labels[i])),
-                  str(int(ds.true_labels[i]))]
-        fields.extend(str(int(b)) for b in ds.au_labels[i])
-        fields.extend(repr(float(v)) for v in ds.features[i])
-        lines.append(",".join(fields))
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    """Write ``ds`` in the text format, a row at a time."""
+    write_atomic(path, _dataset_lines(ds))
 
 
-def load(path) -> Dataset:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+def _lines(fh) -> Iterator[str]:
+    """The lines of a text file as ``str.splitlines`` cuts them, read a file
+    line at a time.  Besides line ends, ``splitlines`` cuts at \\v, \\f,
+    \\x1c-\\x1e, \\x85, \\u2028 and \\u2029; an ASCII line that holds
+    none of the first five is cut only at its end, without the scan."""
+    for line in fh:
+        if line.isascii() and not any(c in line for c in "\v\f\x1c\x1d\x1e"):
+            yield line.rstrip("\n")
+        else:
+            yield from line.splitlines()
+
+
+def _read_header(lines: Iterator[str]) -> dict:
     header = {}
     for lineno, key in enumerate(_HEADER_KEYS, start=1):
-        if lineno > len(lines):
+        line = next(lines, None)
+        if line is None:
             raise DatasetFormatError(f"line {lineno}: missing header line '{key}='")
-        line = lines[lineno - 1]
         if "=" not in line:
             raise DatasetFormatError(f"line {lineno}: expected '{key}=<value>'")
         got_key, _, value = line.partition("=")
@@ -264,46 +321,83 @@ def load(path) -> Dataset:
         if key in ("C", "M", "D", "n") and header[key] < 1:
             raise DatasetFormatError(
                 f"line {lineno}: '{key}' must be >= 1, got {header[key]}")
+    return header
 
-    n_classes, n_units = header["C"], header["M"]
-    dim, n = header["D"], header["n"]
-    body = lines[len(_HEADER_KEYS):]
-    while body and body[-1] == "":
-        body.pop()
-    if len(body) != n:
+
+def _first_misshapen_row(body: Iterator[str], n: int, n_fields: int
+                         ) -> tuple[int, int] | None:
+    """Check that ``body`` holds ``n`` rows (blank lines at its end are not
+    rows), then return the index and field count of its first row without
+    ``n_fields`` fields, or None."""
+    rows = blanks = 0
+    misshapen = None
+    for line in body:
+        if not line:
+            blanks += 1
+            continue
+        if blanks and misshapen is None:
+            misshapen = (rows, 1)   # a blank row holds one empty field
+        rows += blanks
+        blanks = 0
+        fields = line.count(",") + 1
+        if fields != n_fields and misshapen is None:
+            misshapen = (rows, fields)
+        rows += 1
+    if rows != n:
         raise DatasetFormatError(
-            f"line {len(_HEADER_KEYS) + len(body) + 1}: header declares n={n} "
-            f"samples but file has {len(body)}")
+            f"line {len(_HEADER_KEYS) + rows + 1}: header declares n={n} "
+            f"samples but file has {rows}")
+    return misshapen
 
-    expected_fields = 3 + n_units + dim
-    features = np.zeros((n, dim))
-    observed = np.zeros(n, dtype=np.int64)
-    true = np.zeros(n, dtype=np.int64)
-    au = np.zeros((n, n_units), dtype=np.int64)
-    for i, line in enumerate(body):
-        lineno = len(_HEADER_KEYS) + 1 + i
-        fields = line.split(",")
-        if len(fields) != expected_fields:
-            raise DatasetValidationError(
-                f"line {lineno}: expected {expected_fields} fields "
-                f"(3 + M={n_units} + D={dim}), got {len(fields)}")
-        try:
-            sid = int(fields[0])
-            obs, tru = int(fields[1]), int(fields[2])
-            bits = [int(b) for b in fields[3:3 + n_units]]
-            vals = [float(v) for v in fields[3 + n_units:]]
-        except ValueError:
-            raise DatasetFormatError(f"line {lineno}: unparseable field") from None
-        if sid != i:
-            raise DatasetValidationError(
-                f"line {lineno}: sample id {sid} out of order (expected {i})")
-        if not (0 <= obs < n_classes and 0 <= tru < n_classes):
-            raise DatasetValidationError(f"line {lineno}: label out of range")
-        if any(b not in (0, 1) for b in bits):
-            raise DatasetValidationError(f"line {lineno}: unit bits must be 0/1")
-        observed[i], true[i] = obs, tru
-        au[i] = bits
-        features[i] = vals
+
+def load(path) -> Dataset:
+    """Read a dataset file in two passes, a line at a time.
+
+    The first pass checks the header, the row count and every row's field
+    count.  Only then are the arrays allocated, and the second pass parses
+    the rows into them.  A wrong row count is reported first; otherwise the
+    first faulty row in file order, by the first check it fails.
+    """
+    with open(path) as fh:
+        lines = _lines(fh)
+        header = _read_header(lines)
+        n_classes, n_units = header["C"], header["M"]
+        dim, n = header["D"], header["n"]
+        n_fields = 3 + n_units + dim
+        misshapen = _first_misshapen_row(lines, n, n_fields)
+        # rows before the first misshapen one are parsed for earlier faults
+        rows = n if misshapen is None else misshapen[0]
+        features = np.empty((rows, dim))
+        observed = np.empty(rows, dtype=np.int64)
+        true = np.empty(rows, dtype=np.int64)
+        au = np.empty((rows, n_units), dtype=np.int64)
+        fh.seek(0)
+        first = len(_HEADER_KEYS)
+        for i, line in enumerate(islice(_lines(fh), first, first + rows)):
+            lineno = first + 1 + i
+            fields = line.split(",")
+            try:
+                sid = int(fields[0])
+                obs, tru = int(fields[1]), int(fields[2])
+                bits = list(map(int, fields[3:3 + n_units]))
+                vals = list(map(float, fields[3 + n_units:]))
+            except ValueError:
+                raise DatasetFormatError(f"line {lineno}: unparseable field") from None
+            if sid != i:
+                raise DatasetValidationError(
+                    f"line {lineno}: sample id {sid} out of order (expected {i})")
+            if not (0 <= obs < n_classes and 0 <= tru < n_classes):
+                raise DatasetValidationError(f"line {lineno}: label out of range")
+            if any(b not in (0, 1) for b in bits):
+                raise DatasetValidationError(f"line {lineno}: unit bits must be 0/1")
+            observed[i], true[i] = obs, tru
+            au[i] = bits
+            features[i] = vals
+    if misshapen is not None:
+        row, got = misshapen
+        raise DatasetValidationError(
+            f"line {first + 1 + row}: expected {n_fields} fields "
+            f"(3 + M={n_units} + D={dim}), got {got}")
     ds = Dataset(features, observed, true, au, n_classes, n_units, dim,
                  header["corruption_rate"], header["seed"])
     ds.validate()
@@ -342,8 +436,8 @@ def train_test_split(ds: Dataset, test_fraction: float, seed: int
                           "2 or more samples")
 
     def take(mask: np.ndarray) -> Dataset:
-        sub = Dataset(ds.features[mask].copy(), ds.observed_labels[mask].copy(),
-                      ds.true_labels[mask].copy(), ds.au_labels[mask].copy(),
+        sub = Dataset(ds.features[mask], ds.observed_labels[mask],
+                      ds.true_labels[mask], ds.au_labels[mask],
                       ds.n_classes, ds.n_units, ds.dim, 0.0, ds.seed)
         sub.corruption_rate = sub.observed_noise_rate()
         return sub

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .data import (Dataset, corrupt_labels, generate, train_test_split,
-                   write_text_atomic)
+                   write_atomic)
 from .errors import ConfigError
 from .relabel import correction_figures
 from .trainer import TrainConfig, TrainResult, train
@@ -263,7 +263,7 @@ def write_table(rows: list[TableRow], path) -> None:
         vals.extend(repr(row.extra[c]) for c in extra_cols)
         vals.extend(repr(row.per_seed_accuracy[s]) for s in seed_cols)
         lines.append(",".join(vals))
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    write_atomic(path, (line + "\n" for line in lines))
 
 
 # ---------------------------------------------------------------------------
@@ -379,4 +379,4 @@ def save_spec(spec: ExperimentSpec, path) -> None:
             lines.append(f"lr_drops = {_format_lr_drops(value)}")
         else:
             lines.append(f"{f.name} = {value!r}")
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    write_atomic(path, (line + "\n" for line in lines))

@@ -24,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from .aux_branch import (AUGraph, AuxiliaryBranch, au_detection_loss,
                          build_au_graph, random_au_graph)
-from .data import Dataset, batches, write_text_atomic
+from .data import Dataset, batches, write_atomic
 from .errors import (CheckpointError, ConfigError, DatasetValidationError,
                      TrainingDivergedError)
 from .relabel import (RelabelRecord, SemanticTemplates, apply_corrections,
@@ -260,7 +260,7 @@ def metrics_row(m: EpochMetrics) -> str:
 def write_metrics_csv(metrics: list[EpochMetrics], n_classes: int, path) -> None:
     lines = [metrics_header(n_classes)]
     lines.extend(metrics_row(m) for m in metrics)
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    write_atomic(path, (line + "\n" for line in lines))
 
 
 # Decoders of a checkpoint's JSON values; each raises AttributeError,
@@ -348,8 +348,8 @@ CHECKPOINT_FORMAT = "aurelab-checkpoint-v2"
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     doc = {"format": CHECKPOINT_FORMAT, **vars(ckpt)}
-    write_text_atomic(path, json.dumps(doc, default=lambda obj: (
-        obj.tolist() if isinstance(obj, np.ndarray) else vars(obj))))
+    write_atomic(path, [json.dumps(doc, default=lambda obj: (
+        obj.tolist() if isinstance(obj, np.ndarray) else vars(obj)))])
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -441,7 +441,11 @@ def _keep_heap_between_steps() -> None:
 def train(dataset: Dataset, config: TrainConfig,
           eval_dataset: Dataset | None = None,
           resume: Checkpoint | None = None) -> TrainResult:
-    """Run the full training loop; the input dataset is copied, never mutated.
+    """Run the full training loop; the input dataset is never mutated.
+
+    Only its observed labels are copied, since label correction rewrites
+    them; the features, unit bits and true labels are shared read-only, and
+    the result's ``final_dataset`` shares them too.
 
     When ``eval_dataset`` is given, per-epoch accuracy/confusion come from it;
     otherwise they are measured on the training samples against their hidden
@@ -457,7 +461,7 @@ def train(dataset: Dataset, config: TrainConfig,
             raise DatasetValidationError(f"held-out set has {held_out} but "
                                          f"the training set has {training}")
     _keep_heap_between_steps()
-    ds = dataset.copy()
+    ds = replace(dataset, observed_labels=dataset.observed_labels.copy())
     batch_size = min(config.batch_size, ds.n)
 
     if resume is None:

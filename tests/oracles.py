@@ -7,6 +7,7 @@ the library computes each loss as one tape node, and its value and
 gradients must equal these compositions bit for bit.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -38,6 +39,25 @@ def cooccurrence_by_double_loop(bits) -> np.ndarray:
                        for i in range(n))
             out[p, q] = both / occ_q if occ_q > 0 else 0.0
     return out
+
+
+def au_table_by_combination_scan(n_classes, n_units):
+    """The class -> unit table of a size other than 7x12 by scanning every
+    ``itertools.combinations`` pattern in order, at each overlap limit in
+    turn, or None when no limit gives ``n_classes`` patterns."""
+    weight = min(max(2, round(2 * n_units / n_classes)),
+                 max(2, n_units // 2))
+    for max_overlap in range(weight):
+        chosen = []
+        for cand in itertools.combinations(range(n_units), weight):
+            if all(len(set(cand) & set(row)) <= max_overlap for row in chosen):
+                chosen.append(cand)
+                if len(chosen) == n_classes:
+                    table = np.zeros((n_classes, n_units), dtype=np.int64)
+                    for row, pattern in enumerate(chosen):
+                        table[row, list(pattern)] = 1
+                    return table
+    return None
 
 
 def scalar_class_weights(labels, n_classes) -> list:

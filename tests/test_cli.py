@@ -1,6 +1,7 @@
 import hashlib
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,6 +55,21 @@ class TestGen:
                          "--out", str(tmp_path / "x.txt")])
         _assert_error(rc, capsys, "held-out split would be empty", code=2)
         assert not (tmp_path / "x.txt").exists()
+
+    @pytest.mark.parametrize("flag", ["--size", "--dim"])
+    def test_size_too_large_to_allocate_is_usage_error(self, tmp_path, capsys,
+                                                       flag):
+        # beyond the address space: numpy refuses before touching memory
+        rc = main(["gen", flag, str(10**14), "--out", str(tmp_path / "x.txt")])
+        _assert_error(rc, capsys, "Unable to allocate", code=2)
+        assert not (tmp_path / "x.txt").exists()
+
+    def test_wide_unit_table_is_built_at_once(self, tmp_path):
+        start = time.perf_counter()
+        rc = main(["gen", "--classes", "2", "--aus", "40", "--size", "10",
+                   "--out", str(tmp_path / "x.txt")])
+        assert rc == 0
+        assert time.perf_counter() - start < 1.0
 
     def test_test_fraction_writes_clean_holdout(self, tmp_path):
         out = tmp_path / "ds.txt"
@@ -326,6 +342,35 @@ class TestBrokenInputs:
         _assert_error(main(["inspect", "dataset", str(path)]), capsys,
                            f"line {line}: '{key}' must be >= 1, got {value}")
 
+    @pytest.mark.parametrize("line,key", [(2, "M"), (3, "D")])
+    def test_header_size_beyond_memory_that_the_rows_contradict(
+            self, dataset_files, tmp_path, capsys, line, key):
+        lines = dataset_files[0].read_text().splitlines()[:7]
+        lines[3] = "n=1"
+        lines[line - 1] = f"{key}={10**12}"
+        path = tmp_path / "ds.txt"
+        path.write_text("\n".join(lines) + "\n")
+        m, d = (10**12, 8) if key == "M" else (6, 10**12)
+        _assert_error(main(["inspect", "dataset", str(path)]), capsys,
+                      f"line 7: expected {3 + m + d} fields "
+                      f"(3 + M={m} + D={d}), got 17")
+
+    def test_row_count_beyond_memory_allocates_nothing(self, dataset_files,
+                                                       tmp_path, capsys):
+        lines = dataset_files[0].read_text().splitlines()[:7]
+        lines[3] = f"n={10**14}"
+        path = tmp_path / "ds.txt"
+        path.write_text("\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            rc = main(["inspect", "dataset", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        _assert_error(rc, capsys, f"line 8: header declares n={10**14} "
+                                  f"samples but file has 1")
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize("flag,value,shape", [
         ("--dim", "6", "C=3 M=6 D=6"), ("--aus", "5", "C=3 M=5 D=8"),
         ("--classes", "2", "C=2 M=6 D=8"), ("--classes", "4", "C=4 M=6 D=8")],
@@ -417,6 +462,13 @@ class TestBrokenSpecs:
         rc = main(["ablate", "--spec", str(path), "--out", str(tmp_path)])
         _assert_error(rc, capsys, "lr_drops rate at epoch 3 must be finite "
                       "and > 0, got -0.05", code=2)
+
+    def test_dataset_too_large_to_allocate(self, tmp_path, capsys):
+        spec = tmp_path / "big.spec"
+        spec.write_text(_tiny_spec_text("ablation", tmp_path / "out").replace(
+            "n = 160", f"n = {10**14}"))
+        _assert_error(main(["ablate", "--spec", str(spec)]), capsys,
+                      "Unable to allocate", code=2)
 
     def test_negative_seed(self, tmp_path, capsys):
         rc = main(["ablate", "--seeds=2,-1", "--out", str(tmp_path)])

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import hypothesis
 import hypothesis.strategies as st
@@ -8,7 +9,7 @@ import pytest
 from aurelab import data
 from aurelab.errors import (ConfigError, DatasetFormatError,
                             DatasetValidationError)
-from oracles import nearest_prototype_accuracy
+from oracles import au_table_by_combination_scan, nearest_prototype_accuracy
 
 
 def small_ds(seed=7, **kw):
@@ -33,6 +34,18 @@ class TestEmotionAuTable:
         assert t.shape == (c, m)
         assert (t.sum(axis=1) >= 1).all()
         assert len({tuple(row) for row in t}) == c
+
+    @pytest.mark.parametrize("c", range(2, 11))
+    def test_matches_the_combination_scan(self, c):
+        for m in range(4, 19):
+            if (c, m) == (7, 12):
+                continue
+            want = au_table_by_combination_scan(c, m)
+            if want is None:
+                with pytest.raises(ConfigError, match="cannot build"):
+                    data.emotion_au_table(c, m)
+            else:
+                assert np.array_equal(data.emotion_au_table(c, m), want), m
 
     def test_size_validation(self):
         with pytest.raises(ConfigError):
@@ -179,6 +192,92 @@ class TestSaveLoad:
         with pytest.raises(DatasetValidationError,
                            match=r"line 7: sample id 1 out of order"):
             data.load(path)
+
+
+class TestStreamedFormat:
+    """``save`` writes and ``load`` reads a row at a time; ``load`` checks
+    the row count and every row's field count before it allocates."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        ds = data.corrupt_labels(small_ds(), 0.2, seed=9)
+        path = tmp_path / "ds.txt"
+        data.save(ds, path)
+        return ds, path, path.read_text().splitlines()
+
+    @staticmethod
+    def write(path, lines, end="\n"):
+        path.write_bytes(("\n".join(lines) + end).encode())
+
+    def test_peak_memory_is_a_fraction_of_the_features(self, tmp_path):
+        ds = data.generate(5, 10, 64, 2000, 4.0, 1.0, seed=3)
+        path = tmp_path / "ds.txt"
+        for step, bound in ((lambda: data.save(ds, path), 0.5),
+                            (lambda: data.load(path), 2.0)):
+            tracemalloc.start()
+            try:
+                step()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound * ds.features.nbytes
+
+    def test_trailing_blank_lines_are_accepted(self, saved):
+        ds, path, lines = saved
+        self.write(path, lines, end="\n\n\n")
+        assert data.load(path).fingerprint() == ds.fingerprint()
+
+    def test_blank_line_inside_the_body_is_its_own_row(self, saved):
+        _, path, lines = saved
+        lines[10] = ""
+        self.write(path, lines)
+        with pytest.raises(DatasetValidationError,
+                           match=r"^line 11: expected 25 fields "
+                                 r"\(3 \+ M=6 \+ D=16\), got 1$"):
+            data.load(path)
+
+    def test_crlf_file_loads_bit_identically(self, saved):
+        ds, path, lines = saved
+        path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+        back = data.load(path)
+        assert back.features.tobytes() == ds.features.tobytes()
+        assert np.array_equal(back.observed_labels, ds.observed_labels)
+        assert back.fingerprint() == ds.fingerprint()
+
+    def test_row_count_error_comes_before_a_bad_row(self, saved):
+        _, path, lines = saved
+        lines[3] = "n=301"
+        lines[7] = lines[7].rsplit(",", 1)[0]       # a field short
+        lines[8] = "x" + lines[8]                   # unparseable
+        self.write(path, lines)
+        with pytest.raises(DatasetFormatError, match=r"^line 307: header "
+                           r"declares n=301 samples but file has 300$"):
+            data.load(path)
+
+    def test_first_bad_row_wins_over_a_later_field_count(self, saved):
+        _, path, lines = saved
+        lines[8] = "x" + lines[8]                   # unparseable, line 9
+        lines[9] = lines[9].rsplit(",", 1)[0]       # a field short, line 10
+        self.write(path, lines)
+        with pytest.raises(DatasetFormatError,
+                           match=r"^line 9: unparseable field$"):
+            data.load(path)
+
+    # str.splitlines cuts at these besides line ends; the reader cuts the
+    # same lines, so a row holding one splits in two, as before the rows
+    # were streamed
+    @pytest.mark.parametrize("char", ["\v", "\f", "\x1c", "\x1d", "\x1e",
+                                      "\x85", "\u2028", "\u2029"])
+    def test_other_line_breaks_split_a_row(self, saved, char):
+        ds, path, lines = saved
+        head, _, tail = lines[12].partition(",")
+        self.write(path, lines[:12] + [f"{head},{char}{tail}"] + lines[13:])
+        with pytest.raises(DatasetFormatError, match=r"^line 308: header "
+                           r"declares n=300 samples but file has 301$"):
+            data.load(path)
+        # at the end of the last row it only adds a trailing blank line
+        self.write(path, lines[:-1] + [lines[-1] + char])
+        assert data.load(path).fingerprint() == ds.fingerprint()
 
 
 class TestBatches:
