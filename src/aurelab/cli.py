@@ -1,8 +1,8 @@
 """Command-line experiment harness.
 
 Subcommands: gen (write a dataset file), train, eval, ablate, sweep,
-inspect.  Exit codes: 0 success, 2 usage or configuration error (a size too
-large to allocate included), 3 missing, unreadable or malformed file, 4
+inspect.  Exit codes: 0 success, 2 usage or configuration error (a dataset
+too large to generate included), 3 missing, unreadable or malformed file, 4
 numeric failure during training.
 """
 
@@ -388,7 +388,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, MemoryError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (OSError, ArtifactFormatError, CheckpointError, DatasetFormatError,

@@ -12,7 +12,6 @@ import hashlib
 import os
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
-from itertools import islice
 
 import numpy as np
 
@@ -203,34 +202,36 @@ def generate(n_classes: int, n_units: int, dim: int, n: int,
         raise ConfigError(f"au_noise must lie in [0, 1), got {au_noise}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    table = emotion_au_table(n_classes, n_units)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    try:
+        table = emotion_au_table(n_classes, n_units)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
-    prototypes = None
-    for _ in range(100):
-        cand = rng.standard_normal((n_classes, dim))
-        norms = np.linalg.norm(cand, axis=1, keepdims=True)
-        if np.any(norms == 0):
-            continue
-        cand = cand / norms * class_spread
-        diffs = cand[:, None, :] - cand[None, :, :]
-        dists = np.linalg.norm(diffs, axis=2)
-        np.fill_diagonal(dists, np.inf)
-        if dists.min() > 1e-9:
-            prototypes = cand
-            break
-    if prototypes is None:
-        raise ConfigError(
-            f"could not draw {n_classes} distinct prototypes in {dim} dimensions")
+        prototypes = None
+        for _ in range(100):
+            cand = rng.standard_normal((n_classes, dim))
+            norms = np.linalg.norm(cand, axis=1, keepdims=True)
+            if np.any(norms == 0):
+                continue
+            cand = cand / norms * class_spread
+            diffs = cand[:, None, :] - cand[None, :, :]
+            dists = np.linalg.norm(diffs, axis=2)
+            np.fill_diagonal(dists, np.inf)
+            if dists.min() > 1e-9:
+                prototypes = cand
+                break
+        if prototypes is None:
+            raise ConfigError(f"could not draw {n_classes} distinct "
+                              f"prototypes in {dim} dimensions")
 
-    true = np.arange(n, dtype=np.int64) % n_classes
-    features = rng.standard_normal((n, dim))
-    features *= within_noise
-    features += prototypes[true]
-    flips = rng.random((n, n_units)) < au_noise
-    au = np.where(flips, 1 - table[true], table[true]).astype(np.int64)
-    return Dataset(features, true.copy(), true, au,
-                   n_classes, n_units, dim, 0.0, seed)
+        true = np.arange(n, dtype=np.int64) % n_classes
+        features = prototypes[true] + within_noise * rng.standard_normal((n, dim))
+        flips = rng.random((n, n_units)) < au_noise
+        au = np.where(flips, 1 - table[true], table[true]).astype(np.int64)
+        return Dataset(features, true.copy(), true, au,
+                       n_classes, n_units, dim, 0.0, seed)
+    except MemoryError as exc:
+        raise ConfigError(f"a dataset of n={n}, dim={dim}, C={n_classes}, "
+                          f"M={n_units} is too large to allocate: {exc}") from None
 
 
 def corrupt_labels(ds: Dataset, rate: float, seed: int) -> Dataset:
@@ -291,14 +292,9 @@ def save(ds: Dataset, path) -> None:
 
 def _lines(fh) -> Iterator[str]:
     """The lines of a text file as ``str.splitlines`` cuts them, read a file
-    line at a time.  Besides line ends, ``splitlines`` cuts at \\v, \\f,
-    \\x1c-\\x1e, \\x85, \\u2028 and \\u2029; an ASCII line that holds
-    none of the first five is cut only at its end, without the scan."""
+    line at a time."""
     for line in fh:
-        if line.isascii() and not any(c in line for c in "\v\f\x1c\x1d\x1e"):
-            yield line.rstrip("\n")
-        else:
-            yield from line.splitlines()
+        yield from line.splitlines()
 
 
 def _read_header(lines: Iterator[str]) -> dict:
@@ -324,80 +320,86 @@ def _read_header(lines: Iterator[str]) -> dict:
     return header
 
 
-def _first_misshapen_row(body: Iterator[str], n: int, n_fields: int
-                         ) -> tuple[int, int] | None:
-    """Check that ``body`` holds ``n`` rows (blank lines at its end are not
-    rows), then return the index and field count of its first row without
-    ``n_fields`` fields, or None."""
-    rows = blanks = 0
-    misshapen = None
-    for line in body:
-        if not line:
-            blanks += 1
-            continue
-        if blanks and misshapen is None:
-            misshapen = (rows, 1)   # a blank row holds one empty field
-        rows += blanks
-        blanks = 0
-        fields = line.count(",") + 1
-        if fields != n_fields and misshapen is None:
-            misshapen = (rows, fields)
-        rows += 1
-    if rows != n:
-        raise DatasetFormatError(
-            f"line {len(_HEADER_KEYS) + rows + 1}: header declares n={n} "
-            f"samples but file has {rows}")
-    return misshapen
+def _parse_row(line: str, i: int, lineno: int, n_units: int, dim: int,
+               n_classes: int):
+    """(observed, true, bits, values) of row ``i``, checked in this order:
+    field count, parse, sample id, label range, unit bits."""
+    fields = line.split(",")
+    if len(fields) != 3 + n_units + dim:
+        raise DatasetValidationError(
+            f"line {lineno}: expected {3 + n_units + dim} fields "
+            f"(3 + M={n_units} + D={dim}), got {len(fields)}")
+    try:
+        sid = int(fields[0])
+        obs, tru = int(fields[1]), int(fields[2])
+        bits = list(map(int, fields[3:3 + n_units]))
+        vals = list(map(float, fields[3 + n_units:]))
+    except ValueError:
+        raise DatasetFormatError(f"line {lineno}: unparseable field") from None
+    if sid != i:
+        raise DatasetValidationError(
+            f"line {lineno}: sample id {sid} out of order (expected {i})")
+    if not (0 <= obs < n_classes and 0 <= tru < n_classes):
+        raise DatasetValidationError(f"line {lineno}: label out of range")
+    if any(b not in (0, 1) for b in bits):
+        raise DatasetValidationError(f"line {lineno}: unit bits must be 0/1")
+    return obs, tru, bits, vals
 
 
 def load(path) -> Dataset:
-    """Read a dataset file in two passes, a line at a time.
+    """Read a dataset file in one pass, a line at a time.
 
-    The first pass checks the header, the row count and every row's field
-    count.  Only then are the arrays allocated, and the second pass parses
-    the rows into them.  A wrong row count is reported first; otherwise the
-    first faulty row in file order, by the first check it fails.
+    Rows are parsed into arrays that double as rows arrive, never past the
+    header's ``n``, and only a row with the header's field count is stored:
+    no array holds more than twice the rows read, however large the
+    header's values.  Blank lines at the end are not rows.  After the first
+    faulty row the rest are only counted, because a wrong row count is
+    reported first; otherwise that row's fault is.
     """
+    first = len(_HEADER_KEYS)
     with open(path) as fh:
         lines = _lines(fh)
         header = _read_header(lines)
         n_classes, n_units = header["C"], header["M"]
         dim, n = header["D"], header["n"]
-        n_fields = 3 + n_units + dim
-        misshapen = _first_misshapen_row(lines, n, n_fields)
-        # rows before the first misshapen one are parsed for earlier faults
-        rows = n if misshapen is None else misshapen[0]
-        features = np.empty((rows, dim))
-        observed = np.empty(rows, dtype=np.int64)
-        true = np.empty(rows, dtype=np.int64)
-        au = np.empty((rows, n_units), dtype=np.int64)
-        fh.seek(0)
-        first = len(_HEADER_KEYS)
-        for i, line in enumerate(islice(_lines(fh), first, first + rows)):
-            lineno = first + 1 + i
-            fields = line.split(",")
-            try:
-                sid = int(fields[0])
-                obs, tru = int(fields[1]), int(fields[2])
-                bits = list(map(int, fields[3:3 + n_units]))
-                vals = list(map(float, fields[3 + n_units:]))
-            except ValueError:
-                raise DatasetFormatError(f"line {lineno}: unparseable field") from None
-            if sid != i:
-                raise DatasetValidationError(
-                    f"line {lineno}: sample id {sid} out of order (expected {i})")
-            if not (0 <= obs < n_classes and 0 <= tru < n_classes):
-                raise DatasetValidationError(f"line {lineno}: label out of range")
-            if any(b not in (0, 1) for b in bits):
-                raise DatasetValidationError(f"line {lineno}: unit bits must be 0/1")
-            observed[i], true[i] = obs, tru
-            au[i] = bits
-            features[i] = vals
-    if misshapen is not None:
-        row, got = misshapen
-        raise DatasetValidationError(
-            f"line {first + 1 + row}: expected {n_fields} fields "
-            f"(3 + M={n_units} + D={dim}), got {got}")
+        features = np.empty((0, dim))
+        observed = np.empty(0, dtype=np.int64)
+        true = np.empty(0, dtype=np.int64)
+        au = np.empty((0, n_units), dtype=np.int64)
+        fault = None
+        rows = blanks = 0
+        for line in lines:
+            if not line:
+                blanks += 1
+                continue
+            # blank lines before a row are rows of one empty field
+            for text in [""] * blanks + [line]:
+                if fault is None and rows < n:
+                    try:
+                        obs, tru, bits, vals = _parse_row(
+                            text, rows, first + 1 + rows, n_units, dim,
+                            n_classes)
+                    except (DatasetFormatError, DatasetValidationError) as exc:
+                        fault = exc
+                    else:
+                        if rows == len(observed):
+                            # no view of these arrays exists to be left dangling
+                            cap = min(2 * rows or 1, n)
+                            features.resize((cap, dim), refcheck=False)
+                            au.resize((cap, n_units), refcheck=False)
+                            observed.resize(cap, refcheck=False)
+                            true.resize(cap, refcheck=False)
+                        observed[rows], true[rows] = obs, tru
+                        au[rows] = bits
+                        features[rows] = vals
+                rows += 1
+            blanks = 0
+    if rows != n:
+        raise DatasetFormatError(
+            f"line {first + rows + 1}: header declares n={n} "
+            f"samples but file has {rows}")
+    if fault is not None:
+        raise fault
     ds = Dataset(features, observed, true, au, n_classes, n_units, dim,
                  header["corruption_rate"], header["seed"])
     ds.validate()

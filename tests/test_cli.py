@@ -64,6 +64,17 @@ class TestGen:
         _assert_error(rc, capsys, "Unable to allocate", code=2)
         assert not (tmp_path / "x.txt").exists()
 
+    def test_memory_error_elsewhere_is_not_a_usage_error(self, tmp_path,
+                                                         monkeypatch):
+        path = tmp_path / "x.txt"
+        assert main(GEN_ARGS + ["--out", str(path)]) == 0
+
+        def out_of_memory(_):
+            raise MemoryError
+        monkeypatch.setattr(data, "load", out_of_memory)
+        with pytest.raises(MemoryError):
+            main(["inspect", "dataset", str(path)])
+
     def test_wide_unit_table_is_built_at_once(self, tmp_path):
         start = time.perf_counter()
         rc = main(["gen", "--classes", "2", "--aus", "40", "--size", "10",

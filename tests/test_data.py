@@ -1,4 +1,6 @@
 import hashlib
+import os
+import threading
 import tracemalloc
 
 import hypothesis
@@ -92,6 +94,13 @@ class TestGenerate:
             small_ds(within_noise=5.0)         # spread <= noise
         with pytest.raises(ConfigError):
             small_ds(au_noise=1.0)
+
+    @pytest.mark.parametrize("size", [dict(n=10**14), dict(dim=10**14)])
+    def test_size_too_large_to_allocate(self, size):
+        # beyond the address space: numpy refuses before touching memory
+        with pytest.raises(ConfigError, match="too large to allocate: "
+                                              "Unable to allocate"):
+            small_ds(**size)
 
     def test_fresh_dataset_validates(self):
         small_ds().validate()
@@ -221,6 +230,21 @@ class TestStreamedFormat:
             finally:
                 tracemalloc.stop()
             assert peak < bound * ds.features.nbytes
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a FIFO")
+    def test_reads_from_a_pipe(self, saved, tmp_path):
+        ds, path, _ = saved
+        fifo = tmp_path / "ds.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(
+            target=lambda: fifo.write_bytes(path.read_bytes()))
+        writer.start()
+        try:
+            back = data.load(fifo)
+        finally:
+            writer.join()
+        assert back.fingerprint() == ds.fingerprint()
+        assert np.array_equal(back.observed_labels, ds.observed_labels)
 
     def test_trailing_blank_lines_are_accepted(self, saved):
         ds, path, lines = saved
