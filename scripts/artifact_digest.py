@@ -10,9 +10,10 @@ byte-identical artifacts when this script prints the same lines for both:
 In a temporary directory it runs ``aurelab gen --test-fraction``, ``train``
 with the held-out file, ``eval --out``, ``train --resume`` to a later epoch,
 ``ablate`` on a branch spec and on an edges spec, and ``sweep``; the specs
-are tiny.  It then prints the digest of each artifact: the dataset and its
+are tiny.  Then ``ablate`` and ``sweep`` again, given only flags and no
+spec file.  It then prints the digest of each artifact: the dataset and its
 ``.test`` file; each run's ``metrics.csv``, ``checkpoint.json``,
-``relabel_audit.csv`` and both unit-graph CSVs; the eval CSV; the three
+``relabel_audit.csv`` and both unit-graph CSVs; the eval CSV; the five
 tables and each table's ``spec.resolved``.  The last line combines them.
 Paths are relative to the temporary directory, so the lines do not depend
 on where it is.
@@ -51,6 +52,7 @@ batch_size = 32
 warmup_epochs = 1
 ramp_pivot = 2
 """
+FLAGS = ["--epochs", "3", "--size", "160", "--out"]
 STEPS = [
     GEN,
     ["train", "--data", "ds.txt", "--test-data", "ds.txt.test",
@@ -63,6 +65,8 @@ STEPS = [
     ["ablate", "--spec", "ablation.spec"],
     ["ablate", "--spec", "edges.spec"],
     ["sweep", "--spec", "noise_sweep.spec"],
+    ["ablate", "--seeds", "0,1", "--rate", "0.2"] + FLAGS + ["flag_ablation"],
+    ["sweep", "--seeds", "0,1", "--rates", "0.2,0.3"] + FLAGS + ["flag_sweep"],
 ]
 RUN_FILES = ("metrics.csv", "checkpoint.json", "relabel_audit.csv",
              "au_adjacency.csv", "au_adjacency_normalized.csv")
@@ -70,9 +74,11 @@ ARTIFACTS = (["ds.txt", "ds.txt.test", "eval.csv"]
              + [f"{run}/{name}" for run in ("run", "resumed")
                 for name in RUN_FILES]
              + ["ablation/ablation.csv", "edges/edges.csv",
-                "noise_sweep/sweep.csv"]
+                "noise_sweep/sweep.csv", "flag_ablation/ablation.csv",
+                "flag_sweep/sweep.csv"]
              + [f"{name}/spec.resolved"
-                for name in ("ablation", "edges", "noise_sweep")])
+                for name in ("ablation", "edges", "noise_sweep",
+                             "flag_ablation", "flag_sweep")])
 
 
 def write_artifacts() -> int:

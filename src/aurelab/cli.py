@@ -1,9 +1,15 @@
 """Command-line experiment harness.
 
 Subcommands: gen (write a dataset file), train, eval, ablate, sweep,
-inspect.  Exit codes: 0 success, 2 usage or configuration error (a dataset
-too large to generate included), 3 missing, unreadable or malformed file, 4
-numeric failure during training.
+inspect.  ``ablate`` writes the ``ablation`` or ``edges`` table and
+``sweep`` the ``noise_sweep`` table.  Each of their flags but ``--spec`` is
+the spec key it sets (``--seeds`` is ``[experiment] seeds``, ``--epochs``
+``[train] epochs``, ``--size`` ``[dataset] n``), read like the file's text
+and laid over it; a spec that names another table is exit 2.
+
+Exit codes: 0 success, 2 usage or configuration error (a dataset too large
+to generate included), 3 missing, unreadable (not UTF-8 text included) or
+malformed file, 4 numeric failure during training.
 """
 
 from __future__ import annotations
@@ -147,51 +153,26 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _spec_from_args(args) -> experiments.ExperimentSpec:
-    if args.spec:
-        spec = experiments.load_spec(args.spec)
-    else:
-        spec = experiments.ExperimentSpec()
+def _spec_from_args(args, tables: tuple[str, ...]
+                    ) -> experiments.ExperimentSpec:
+    """The ``--spec`` file, or an empty spec, with every spec flag given
+    laid over it, naming one of ``tables``; a flag's destination is the
+    ``section.key`` it sets."""
     overrides = {}
-    if args.name:
-        overrides["name"] = args.name
-    if args.seeds:
-        overrides["seeds"] = experiments.parse_value("experiment", "seeds",
-                                                     args.seeds)
-    if getattr(args, "rates", None):
-        overrides["rates"] = experiments.parse_value("experiment", "rates",
-                                                     args.rates)
-    if getattr(args, "rate", None) is not None:
-        overrides["rate"] = args.rate
-    if args.out:
-        overrides["out_dir"] = args.out
-    if args.epochs is not None or args.size is not None:
-        tr = spec.train
-        dsspec = spec.dataset
-        if args.epochs is not None:
-            tr = replace(tr, epochs=args.epochs)
-        if args.size is not None:
-            dsspec = replace(dsspec, n=args.size)
-        overrides["train"] = tr
-        overrides["dataset"] = dsspec
-    spec = replace(spec, **overrides)
-    spec.validate()
-    return spec
+    for dest, text in vars(args).items():
+        section, _, key = dest.rpartition(".")
+        if section and text is not None:
+            overrides.setdefault(section, {})[key] = text
+    return experiments.load_spec(args.spec, overrides, tables)
 
 
-def _add_spec_flags(p: argparse.ArgumentParser, with_rates: bool) -> None:
+def _add_spec_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--spec", default=None, help="experiment spec file (INI)")
-    p.add_argument("--name", default=None, help="experiment kind override")
-    p.add_argument("--seeds", default=None, help="comma-separated seed list")
-    if with_rates:
-        p.add_argument("--rates", default=None,
-                       help="comma-separated corruption rates")
-    else:
-        p.add_argument("--rate", type=float, default=None,
-                       help="corruption rate for this experiment")
-    p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--size", type=int, default=None,
+    p.add_argument("--seeds", dest="experiment.seeds",
+                   help="comma-separated seed list")
+    p.add_argument("--out", dest="experiment.out", help="output directory")
+    p.add_argument("--epochs", dest="train.epochs")
+    p.add_argument("--size", dest="dataset.n",
                    help="dataset size before the train/test split")
 
 
@@ -212,18 +193,13 @@ def _write_table(spec: experiments.ExperimentSpec, describe) -> int:
 
 
 def cmd_ablate(args) -> int:
-    spec = _spec_from_args(args)
-    if spec.name == "single_run":
-        spec = replace(spec, name="ablation")
-    if spec.name not in ("ablation", "edges"):
-        raise ConfigError(f"ablate expects an 'ablation' or 'edges' spec, "
-                          f"got '{spec.name}'")
+    spec = _spec_from_args(args, ("ablation", "edges"))
     return _write_table(spec, lambda label: " ".join(
         f"{k}={v}" for k, v in label.items()))
 
 
 def cmd_sweep(args) -> int:
-    spec = replace(_spec_from_args(args), name="noise_sweep")
+    spec = _spec_from_args(args, ("noise_sweep",))
     return _write_table(spec, lambda label: (
         f"{label['method']} @ {label['corruption_rate']:.0%}"))
 
@@ -366,11 +342,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablate", help="branch or edge ablation table")
-    _add_spec_flags(p, with_rates=False)
+    _add_spec_flags(p)
+    p.add_argument("--name", dest="experiment.name",
+                   help="table: ablation or edges")
+    p.add_argument("--rate", dest="experiment.rate",
+                   help="corruption rate for this experiment")
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("sweep", help="corruption-rate sweep table")
-    _add_spec_flags(p, with_rates=True)
+    _add_spec_flags(p)
+    p.add_argument("--rates", dest="experiment.rates",
+                   help="comma-separated corruption rates")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("inspect", help="print an artifact in readable form")
@@ -391,8 +373,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, ArtifactFormatError, CheckpointError, DatasetFormatError,
-            DatasetValidationError, IntegrityError) as exc:
+    except (OSError, UnicodeDecodeError, ArtifactFormatError,
+            CheckpointError, DatasetFormatError, DatasetValidationError,
+            IntegrityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FILE
     except TrainingDivergedError as exc:

@@ -314,9 +314,10 @@ def _read_header(lines: Iterator[str]) -> dict:
         except ValueError:
             raise DatasetFormatError(
                 f"line {lineno}: cannot parse value for '{key}': {value!r}") from None
-        if key in ("C", "M", "D", "n") and header[key] < 1:
-            raise DatasetFormatError(
-                f"line {lineno}: '{key}' must be >= 1, got {header[key]}")
+        # counts index int64 arrays, and labels below C are stored in them
+        if key in ("C", "M", "D", "n") and not 1 <= header[key] < 2**63:
+            raise DatasetFormatError(f"line {lineno}: '{key}' must lie in "
+                                     f"[1, 2**63), got {header[key]}")
     return header
 
 

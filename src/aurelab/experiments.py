@@ -7,9 +7,9 @@ All randomness derives from the cell's seed, so a spec file plus its seed
 list reproduces every number exactly.
 
 Experiments: ``ablation`` (branch on/off grid), ``edges`` (counted versus
-random adjacency), ``noise_sweep`` (baseline versus full method across
-corruption rates), and ``single_run``.  The three tables are lists of rows
-run by one grid runner; a cell that two tables share trains once per process.
+random adjacency) and ``noise_sweep`` (baseline versus full method across
+corruption rates).  The three tables are lists of rows run by one grid
+runner; a cell that two tables share trains once per process.
 """
 
 from __future__ import annotations
@@ -60,12 +60,9 @@ EXPERIMENT_TRAIN_DEFAULTS = TrainConfig(
     feat_dim=64,
 )
 
-EXPERIMENT_KINDS = ("single_run", "ablation", "edges", "noise_sweep")
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
-    name: str = "single_run"
+    name: str = "ablation"
     dataset: DatasetSpec = field(default_factory=DatasetSpec)
     train: TrainConfig = field(default_factory=lambda: EXPERIMENT_TRAIN_DEFAULTS)
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
@@ -74,9 +71,6 @@ class ExperimentSpec:
     out_dir: str = "runs"
 
     def validate(self) -> None:
-        if self.name not in EXPERIMENT_KINDS:
-            raise ConfigError(f"unknown experiment '{self.name}'; "
-                              f"expected one of {EXPERIMENT_KINDS}")
         if not self.seeds:
             raise ConfigError("experiment needs at least one seed")
         if min(self.seeds) < 0:
@@ -198,6 +192,7 @@ class TableRow:
 ABLATION_GRID = ((False, False), (True, False), (False, True), (True, True))
 TABLE_FILES = {"ablation": "ablation.csv", "edges": "edges.csv",
                "noise_sweep": "sweep.csv"}
+EXPERIMENT_KINDS = tuple(TABLE_FILES)
 _CORRECTION_FIGURES = ("final_noise_rate", "relabel_precision",
                        "relabel_recall")
 
@@ -339,21 +334,34 @@ def _section(parser: configparser.ConfigParser, name: str) -> dict:
             for key, text in parser[name].items()}
 
 
-def load_spec(path) -> ExperimentSpec:
+def load_spec(path=None, overrides=None, tables=EXPERIMENT_KINDS
+              ) -> ExperimentSpec:
+    """The spec in file ``path``, or in empty sections when there is none,
+    with ``overrides`` (``{section: {key: text}}``) laid over its keys.
+
+    Every value is read by :func:`parse_value` and the spec is validated
+    once.  A spec without a ``name`` writes the first of ``tables``; one
+    that names another table is a ConfigError.
+    """
     # no spec uses %(name)s references; a '%' in a value is plain text
     parser = configparser.ConfigParser(interpolation=None)
-    try:
-        read = parser.read(path)
-    except configparser.Error as exc:
-        # duplicate keys, a missing section header, a line without '='
-        raise ConfigError(" ".join(str(exc).split())) from None
-    if not read:
-        raise FileNotFoundError(f"spec file not found: {path}")
+    if path is not None:
+        try:
+            read = parser.read(path)
+        except configparser.Error as exc:
+            # duplicate keys, a missing section header, a line without '='
+            raise ConfigError(" ".join(str(exc).split())) from None
+        if not read:
+            raise FileNotFoundError(f"spec file not found: {path}")
+    parser.read_dict(overrides or {})
     unknown_sections = set(parser.sections()) - set(_SPEC_KEYS)
     if unknown_sections:
         raise ConfigError(f"unknown spec sections: {sorted(unknown_sections)}")
 
-    kwargs = _section(parser, "experiment")
+    kwargs = {"name": tables[0], **_section(parser, "experiment")}
+    if kwargs["name"] not in tables:
+        raise ConfigError(f"[experiment] name = '{kwargs['name']}': "
+                          f"expected {' or '.join(tables)}")
     if "out" in kwargs:
         kwargs["out_dir"] = kwargs.pop("out")
     spec = ExperimentSpec(

@@ -341,17 +341,55 @@ class TestBrokenInputs:
 
     @pytest.mark.parametrize("line,key,value", [
         (1, "C", -1), (2, "M", -1), (3, "D", -1), (4, "n", -1),
-        (1, "C", 0), (2, "M", 0), (3, "D", 0), (4, "n", 0)],
+        (1, "C", 0), (2, "M", 0), (3, "D", 0), (4, "n", 0),
+        (1, "C", 10**30), (2, "M", 10**30), (3, "D", 10**30),
+        (4, "n", 10**30)],
         ids=["1-C", "2-M", "3-D", "4-n",
-             "1-C-zero", "2-M-zero", "3-D-zero", "4-n-zero"])
+             "1-C-zero", "2-M-zero", "3-D-zero", "4-n-zero",
+             "1-C-beyond-int64", "2-M-beyond-int64", "3-D-beyond-int64",
+             "4-n-beyond-int64"])
     def test_negative_header_value(self, dataset_files, tmp_path, capsys,
                                    line, key, value):
         lines = dataset_files[0].read_text().splitlines()
         lines[line - 1] = f"{key}={value}"
+        if key == "C":
+            # an observed label below C that no int64 holds
+            fields = lines[6].split(",")
+            fields[1] = str(2**70)
+            lines[6] = ",".join(fields)
         path = tmp_path / "ds.txt"
         path.write_text("\n".join(lines) + "\n")
         _assert_error(main(["inspect", "dataset", str(path)]), capsys,
-                           f"line {line}: '{key}' must be >= 1, got {value}")
+                           f"line {line}: '{key}' must lie in [1, 2**63), "
+                           f"got {value}")
+
+    @pytest.mark.parametrize("command,source", [
+        ("inspect dataset", "train.txt"), ("train --data", "train.txt"),
+        ("train --test-data", "train.txt.test"),
+        ("ablate --spec", "spec"), ("sweep --spec", "spec"),
+        ("inspect graph", "three_run/au_adjacency.csv"),
+        ("inspect audit", "three_run/relabel_audit.csv"),
+        ("inspect metrics", "three_run/metrics.csv")])
+    def test_file_that_is_not_utf8(self, dataset_files, runs, tmp_path,
+                                   capsys, command, source):
+        if source == "spec":
+            text = _tiny_spec_text("noise_sweep" if "sweep" in command
+                                   else "ablation", tmp_path / "out")
+        elif source.startswith("train"):
+            text = (dataset_files[0].parent / source).read_text()
+        else:
+            text = (runs / source).read_text()
+        path = tmp_path / "file"
+        path.write_bytes(text[:1].encode() + b"\xff" + text[1:].encode())
+        argv = command.split() + [str(path)]
+        if command == "train --data":
+            argv += ["--out", str(tmp_path / "run")]
+        elif command == "train --test-data":
+            argv += ["--data", str(dataset_files[0]),
+                     "--out", str(tmp_path / "run")]
+        _assert_error(main(argv), capsys, "can't decode byte 0xff")
+        assert not (tmp_path / "run").exists()
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("line,key", [(2, "M"), (3, "D")])
     def test_header_size_beyond_memory_that_the_rows_contradict(
@@ -440,8 +478,9 @@ class TestBrokenInputs:
 
 
 class TestBrokenSpecs:
-    """A spec or list flag that does not parse, or a negative seed, ends
-    in one error line that names the value, and exit 2."""
+    """A spec or spec flag that does not parse, a negative seed, or a spec
+    that names another command's table, ends in one error line that names
+    the value, and exit 2."""
 
     @pytest.mark.parametrize("section,key,value,expected", [
         ("experiment", "seeds", "a", "comma-separated integers"),
@@ -460,12 +499,43 @@ class TestBrokenSpecs:
         _assert_error(rc, capsys, f"[{section}] {key} = '{value}': "
                       f"expected {expected}", code=2)
 
-    @pytest.mark.parametrize("flag,value", [("--seeds", "0,a"),
-                                            ("--rates", "x")])
+    # every spec flag: the spec key it sets and the commands that have it
+    SPEC_FLAGS = {"--seeds": ("[experiment] seeds", ("ablate", "sweep")),
+                  "--rates": ("[experiment] rates", ("sweep",)),
+                  "--rate": ("[experiment] rate", ("ablate",)),
+                  "--epochs": ("[train] epochs", ("ablate", "sweep")),
+                  "--size": ("[dataset] n", ("ablate", "sweep"))}
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--seeds", "0,a"), ("--rates", "x"), ("--rate", "x"),
+        ("--epochs", "1.5"), ("--size", "a")])
     def test_list_flag_that_does_not_parse(self, tmp_path, capsys, flag,
                                            value):
-        rc = main(["sweep", flag, value, "--out", str(tmp_path)])
-        _assert_error(rc, capsys, f"= '{value}': expected", code=2)
+        key, commands = self.SPEC_FLAGS[flag]
+        for command in commands:
+            rc = main([command, flag, value, "--out", str(tmp_path)])
+            _assert_error(rc, capsys, f"{key} = '{value}': expected", code=2)
+
+    @pytest.mark.parametrize("command,flag,table", [
+        ("sweep", "--spec", "ablation"), ("ablate", "--spec", "noise_sweep"),
+        ("ablate", "--name", "noise_sweep"), ("ablate", "--name", "single_run")])
+    def test_table_of_another_command(self, tmp_path, capsys, command, flag,
+                                      table):
+        value = table
+        if flag == "--spec":
+            value = tmp_path / "other.spec"
+            value.write_text(_tiny_spec_text(table, tmp_path / "out"))
+        rc = main([command, flag, str(value), "--out", str(tmp_path / "out")])
+        expected = "noise_sweep" if command == "sweep" else "ablation or edges"
+        _assert_error(rc, capsys, f"[experiment] name = '{table}': expected "
+                      f"{expected}", code=2)
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_has_no_name_flag(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--name", "edges"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --name edges" in capsys.readouterr().err
 
     def test_learning_rate_drop_that_ascends(self, tmp_path, capsys):
         path = tmp_path / "bad.spec"
@@ -577,6 +647,18 @@ class TestAblateAndSweep:
         assert len(table) == 5   # 2 methods x 2 rates
         methods = [r.split(",")[0] for r in table[1:]]
         assert methods == ["baseline", "full", "baseline", "full"]
+
+    def test_flag_overrides_the_spec_key(self, tmp_path):
+        spec_path = tmp_path / "ab.ini"
+        spec_path.write_text(_tiny_spec_text("ablation", tmp_path / "out"))
+        assert main(["ablate", "--spec", str(spec_path), "--seeds", "1",
+                     "--name", "edges", "--out", str(tmp_path / "flag")]) == 0
+        assert not (tmp_path / "out").exists()
+        table = (tmp_path / "flag" / "edges.csv").read_text().splitlines()
+        assert table[0].endswith(",median_accuracy,accuracy_s1")
+        resolved = (tmp_path / "flag" / "spec.resolved").read_text()
+        assert "name = edges\nseeds = 1\n" in resolved
+        assert "epochs = 3\n" in resolved
 
     def test_sweep_rerun_checksum_identical(self, tmp_path):
         spec_path = tmp_path / "sw.ini"
