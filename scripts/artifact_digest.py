@@ -11,10 +11,15 @@ In a temporary directory it runs ``aurelab gen --test-fraction``, ``train``
 with the held-out file, ``eval --out``, ``train --resume`` to a later epoch,
 ``ablate`` on a branch spec and on an edges spec, and ``sweep``; the specs
 are tiny.  Then ``ablate`` and ``sweep`` again, given only flags and no
-spec file.  It then prints the digest of each artifact: the dataset and its
-``.test`` file; each run's ``metrics.csv``, ``checkpoint.json``,
+spec file, and three more ``train`` runs that between them use every
+training flag the first runs leave out (``--no-target``, ``--no-aux``,
+``--random-edges``, ``--high-fraction``, ``--rank-margin``, ``--lr-aux``).
+It then prints the digest of each artifact: the dataset and its ``.test``
+file; each of the first two runs' ``metrics.csv``, ``checkpoint.json``,
 ``relabel_audit.csv`` and both unit-graph CSVs; the eval CSV; the five
-tables and each table's ``spec.resolved``.  The last line combines them.
+tables and each table's ``spec.resolved``; the ``checkpoint.json`` (which
+stores every training value) and ``metrics.csv`` of each flag run.  The
+last line combines them.
 Paths are relative to the temporary directory, so the lines do not depend
 on where it is.
 """
@@ -53,6 +58,14 @@ warmup_epochs = 1
 ramp_pivot = 2
 """
 FLAGS = ["--epochs", "3", "--size", "160", "--out"]
+# run directory: the training flags no other step gives
+FLAG_RUNS = {
+    "flags_no_target": ["--no-target", "--lr-aux", "0.02"],
+    "flags_no_aux": ["--no-aux", "--high-fraction", "0.7",
+                     "--rank-margin", "0.3"],
+    "flags_random_edges": ["--random-edges", "--high-fraction", "0.6",
+                           "--rank-margin", "0.05", "--lr-aux", "0.002"],
+}
 STEPS = [
     GEN,
     ["train", "--data", "ds.txt", "--test-data", "ds.txt.test",
@@ -67,7 +80,9 @@ STEPS = [
     ["sweep", "--spec", "noise_sweep.spec"],
     ["ablate", "--seeds", "0,1", "--rate", "0.2"] + FLAGS + ["flag_ablation"],
     ["sweep", "--seeds", "0,1", "--rates", "0.2,0.3"] + FLAGS + ["flag_sweep"],
-]
+] + [["train", "--data", "ds.txt", "--test-data", "ds.txt.test",
+      "--out", run, "--epochs", "4"] + TRAIN + flags
+     for run, flags in FLAG_RUNS.items()]
 RUN_FILES = ("metrics.csv", "checkpoint.json", "relabel_audit.csv",
              "au_adjacency.csv", "au_adjacency_normalized.csv")
 ARTIFACTS = (["ds.txt", "ds.txt.test", "eval.csv"]
@@ -78,7 +93,9 @@ ARTIFACTS = (["ds.txt", "ds.txt.test", "eval.csv"]
                 "flag_sweep/sweep.csv"]
              + [f"{name}/spec.resolved"
                 for name in ("ablation", "edges", "noise_sweep",
-                             "flag_ablation", "flag_sweep")])
+                             "flag_ablation", "flag_sweep")]
+             + [f"{run}/{name}" for run in FLAG_RUNS
+                for name in ("checkpoint.json", "metrics.csv")])
 
 
 def write_artifacts() -> int:

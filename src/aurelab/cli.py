@@ -5,7 +5,14 @@ inspect.  ``ablate`` writes the ``ablation`` or ``edges`` table and
 ``sweep`` the ``noise_sweep`` table.  Each of their flags but ``--spec`` is
 the spec key it sets (``--seeds`` is ``[experiment] seeds``, ``--epochs``
 ``[train] epochs``, ``--size`` ``[dataset] n``), read like the file's text
-and laid over it; a spec that names another table is exit 2.
+and laid over it; a spec that names another table is exit 2.  Each of
+``train``'s training flags is a ``[train]`` key too (``--lr`` is
+``lr_initial``; ``--no-target``, ``--no-aux`` and ``--random-edges`` set
+theirs to false, false and true), laid over the stock ``TrainConfig``.
+Every such flag's text goes through ``experiments.parse_value``, the
+parser of spec files, so a value that does not parse is the same
+``[train] epochs = '1.5': expected an integer`` line, exit 2, whichever
+command it is given to.
 
 Exit codes: 0 success, 2 usage or configuration error (a dataset too large
 to generate included), 3 missing, unreadable (not UTF-8 text included) or
@@ -17,7 +24,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -38,33 +45,51 @@ EXIT_NUMERIC = 4
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--high-fraction", type=float, default=None,
+    p.add_argument("--epochs", dest="train.epochs")
+    p.add_argument("--batch-size", dest="train.batch_size")
+    p.add_argument("--high-fraction", dest="train.high_fraction",
                    help="share of each batch treated as high confidence")
-    p.add_argument("--rank-margin", type=float, default=None)
-    p.add_argument("--ramp-pivot", type=int, default=None)
-    p.add_argument("--warmup-epochs", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None, dest="lr_initial")
-    p.add_argument("--lr-aux", type=float, default=None)
-    p.add_argument("--momentum", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--no-target", action="store_false", default=None,
-                   dest="use_target_branch",
+    p.add_argument("--rank-margin", dest="train.rank_margin")
+    p.add_argument("--ramp-pivot", dest="train.ramp_pivot")
+    p.add_argument("--warmup-epochs", dest="train.warmup_epochs")
+    p.add_argument("--lr", dest="train.lr_initial")
+    p.add_argument("--lr-aux", dest="train.lr_aux")
+    p.add_argument("--momentum", dest="train.momentum")
+    p.add_argument("--seed", dest="train.seed")
+    p.add_argument("--no-target", action="store_const", const="false",
+                   dest="train.use_target_branch",
                    help="disable confidence weighting and the rank hinge")
-    p.add_argument("--no-aux", action="store_false", default=None,
-                   dest="use_aux_branch",
+    p.add_argument("--no-aux", action="store_const", const="false",
+                   dest="train.use_aux_branch",
                    help="disable the detection branch and label correction")
-    p.add_argument("--random-edges", action="store_true", default=None,
+    p.add_argument("--random-edges", action="store_const", const="true",
+                   dest="train.random_edges",
                    help="replace counted co-occurrence edges with random ones")
 
 
+def _flag_texts(args) -> dict[str, dict[str, str]]:
+    """The text of each flag given whose destination is a ``section.key``."""
+    texts = {}
+    for dest, text in vars(args).items():
+        section, _, key = dest.rpartition(".")
+        if section and text is not None:
+            texts.setdefault(section, {})[key] = text
+    return texts
+
+
 def _train_config(args) -> TrainConfig:
-    """The stock TrainConfig with every training flag given on the command
-    line; a flag's destination is the name of the field it sets."""
+    """The stock TrainConfig with every training flag given laid over it."""
     return replace(TrainConfig(), **{
-        f.name: getattr(args, f.name) for f in fields(TrainConfig)
-        if getattr(args, f.name, None) is not None})
+        key: experiments.parse_value("train", key, text)
+        for key, text in _flag_texts(args).get("train", {}).items()})
+
+
+def _label_histogram(ds: data.Dataset) -> str:
+    """The count of each observed label that occurs, in label order.  A
+    class no sample bears is left out, so a huge ``C`` costs nothing."""
+    labels, counts = np.unique(ds.observed_labels, return_counts=True)
+    return "label histogram: " + " ".join(
+        f"{c}:{h}" for c, h in zip(labels.tolist(), counts.tolist()))
 
 
 def cmd_gen(args) -> int:
@@ -87,13 +112,11 @@ def cmd_gen(args) -> int:
         paths.append(test_path)
 
     corrupted = int(np.sum(ds.observed_labels != ds.true_labels))
-    hist = np.bincount(ds.observed_labels, minlength=ds.n_classes)
     print(f"wrote {ds.n} samples to {out}")
     if test_ds is not None:
         print(f"wrote {test_ds.n} clean held-out samples to {paths[1]}")
     print(f"classes={ds.n_classes} units={ds.n_units} dim={ds.dim}")
-    print("label histogram: " + " ".join(f"{c}:{int(h)}"
-                                         for c, h in enumerate(hist)))
+    print(_label_histogram(ds))
     print(f"corrupted labels: {corrupted} of {ds.n} "
           f"({corrupted / ds.n:.1%}, requested {args.corruption:.1%})")
     return EXIT_OK
@@ -107,9 +130,9 @@ def _write_graph_files(graph, out_dir: Path) -> None:
 
 
 def cmd_train(args) -> int:
+    cfg = _train_config(args)
     ds = data.load(args.data)
     eval_ds = data.load(args.test_data) if args.test_data else None
-    cfg = _train_config(args)
     resume = load_checkpoint(args.resume) if args.resume else None
     result = train(ds, cfg, eval_dataset=eval_ds, resume=resume)
 
@@ -153,19 +176,6 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _spec_from_args(args, tables: tuple[str, ...]
-                    ) -> experiments.ExperimentSpec:
-    """The ``--spec`` file, or an empty spec, with every spec flag given
-    laid over it, naming one of ``tables``; a flag's destination is the
-    ``section.key`` it sets."""
-    overrides = {}
-    for dest, text in vars(args).items():
-        section, _, key = dest.rpartition(".")
-        if section and text is not None:
-            overrides.setdefault(section, {})[key] = text
-    return experiments.load_spec(args.spec, overrides, tables)
-
-
 def _add_spec_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--spec", default=None, help="experiment spec file (INI)")
     p.add_argument("--seeds", dest="experiment.seeds",
@@ -179,7 +189,7 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
 def _write_table(spec: experiments.ExperimentSpec, describe) -> int:
     """Run ``spec``'s table, write it with the resolved spec beside it, and
     print one ``describe(row)`` line per row."""
-    out_dir = Path(spec.out_dir)
+    out_dir = Path(spec.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = experiments.run_grid(spec)
     table = out_dir / experiments.TABLE_FILES[spec.name]
@@ -193,13 +203,15 @@ def _write_table(spec: experiments.ExperimentSpec, describe) -> int:
 
 
 def cmd_ablate(args) -> int:
-    spec = _spec_from_args(args, ("ablation", "edges"))
+    spec = experiments.load_spec(args.spec, _flag_texts(args),
+                                 ("ablation", "edges"))
     return _write_table(spec, lambda label: " ".join(
         f"{k}={v}" for k, v in label.items()))
 
 
 def cmd_sweep(args) -> int:
-    spec = _spec_from_args(args, ("noise_sweep",))
+    spec = experiments.load_spec(args.spec, _flag_texts(args),
+                                 ("noise_sweep",))
     return _write_table(spec, lambda label: (
         f"{label['method']} @ {label['corruption_rate']:.0%}"))
 
@@ -292,12 +304,10 @@ def cmd_inspect(args) -> int:
                   f"corrections {row['relabel_count']}")
     elif kind == "dataset":
         ds = data.load(path)
-        hist = np.bincount(ds.observed_labels, minlength=ds.n_classes)
         corrupted = int(np.sum(ds.observed_labels != ds.true_labels))
         print(f"n={ds.n} classes={ds.n_classes} units={ds.n_units} "
               f"dim={ds.dim} seed={ds.seed}")
-        print("label histogram: " + " ".join(f"{c}:{int(h)}"
-                                             for c, h in enumerate(hist)))
+        print(_label_histogram(ds))
         print(f"observed != true: {corrupted} ({corrupted / ds.n:.1%})")
     else:
         raise ConfigError(f"unknown artifact kind '{kind}'")

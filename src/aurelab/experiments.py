@@ -68,7 +68,7 @@ class ExperimentSpec:
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     rates: tuple[float, ...] = (0.1, 0.2, 0.3)
     rate: float = 0.2
-    out_dir: str = "runs"
+    out: str = "runs"
 
     def validate(self) -> None:
         if not self.seeds:
@@ -282,15 +282,21 @@ def _parse_lr_drops(value: str) -> tuple[tuple[int, float], ...]:
                  (part.partition(":") for part in value.split(",")))
 
 
-def _format_lr_drops(drops: tuple[tuple[int, float], ...]) -> str:
-    return ",".join(f"{epoch}:{rate!r}" for epoch, rate in drops)
+def _list_kind(parse, expected: str):
+    """The kind of a comma-separated list of ``parse`` values."""
+    return (lambda v: tuple(parse(s) for s in v.split(",")),
+            lambda values: ",".join(map(str, values)), expected)
 
 
-# How a spec value is read, by the type of the field's default: the parser,
-# which raises ValueError on bad text, and what the value should look like.
-_KINDS = {int: (int, "an integer"), float: (float, "a number"),
-          bool: (_parse_bool, "true or false"),
-          tuple: (_parse_lr_drops, "'epoch:rate,epoch:rate'")}
+# How a spec value is read and written, by the type of the field's default:
+# the parser, which raises ValueError on bad text, the writer, whose text the
+# parser reads back equal, and what the value should look like.
+_KINDS = {int: (int, str, "an integer"), float: (float, str, "a number"),
+          bool: (_parse_bool, str, "true or false"),
+          str: (str.strip, str, "text"),
+          tuple: (_parse_lr_drops,
+                  lambda drops: ",".join(f"{e}:{r}" for e, r in drops),
+                  "'epoch:rate,epoch:rate'")}
 
 
 def _field_keys(defaults) -> dict:
@@ -298,14 +304,13 @@ def _field_keys(defaults) -> dict:
             for f in fields(defaults)}
 
 
+# Every spec key by section, in the order spec files are written.
 _SPEC_KEYS = {
     "experiment": {
-        "name": (str.strip, "text"), "out": (str.strip, "text"),
-        "rate": _KINDS[float],
-        "seeds": (lambda v: tuple(int(s) for s in v.split(",")),
-                  "comma-separated integers"),
-        "rates": (lambda v: tuple(float(s) for s in v.split(",")),
-                  "comma-separated numbers"),
+        "name": _KINDS[str],
+        "seeds": _list_kind(int, "comma-separated integers"),
+        "rates": _list_kind(float, "comma-separated numbers"),
+        "rate": _KINDS[float], "out": _KINDS[str],
     },
     "dataset": _field_keys(DatasetSpec()),
     "train": _field_keys(EXPERIMENT_TRAIN_DEFAULTS),
@@ -319,7 +324,7 @@ def parse_value(section: str, key: str, text: str):
     kinds = _SPEC_KEYS[section]
     if key not in kinds:
         raise ConfigError(f"unknown [{section}] key: {key}")
-    parse, expected = kinds[key]
+    parse, _, expected = kinds[key]
     try:
         return parse(text)
     except ValueError:
@@ -362,8 +367,6 @@ def load_spec(path=None, overrides=None, tables=EXPERIMENT_KINDS
     if kwargs["name"] not in tables:
         raise ConfigError(f"[experiment] name = '{kwargs['name']}': "
                           f"expected {' or '.join(tables)}")
-    if "out" in kwargs:
-        kwargs["out_dir"] = kwargs.pop("out")
     spec = ExperimentSpec(
         **kwargs, dataset=DatasetSpec(**_section(parser, "dataset")),
         train=replace(EXPERIMENT_TRAIN_DEFAULTS, **_section(parser, "train")))
@@ -372,19 +375,13 @@ def load_spec(path=None, overrides=None, tables=EXPERIMENT_KINDS
 
 
 def save_spec(spec: ExperimentSpec, path) -> None:
-    lines = ["[experiment]", f"name = {spec.name}",
-             f"seeds = {','.join(str(s) for s in spec.seeds)}",
-             f"rates = {','.join(repr(r) for r in spec.rates)}",
-             f"rate = {spec.rate!r}", f"out = {spec.out_dir}", "",
-             "[dataset]"]
-    for f in fields(DatasetSpec):
-        lines.append(f"{f.name} = {getattr(spec.dataset, f.name)!r}")
-    lines.append("")
-    lines.append("[train]")
-    for f in fields(TrainConfig):
-        value = getattr(spec.train, f.name)
-        if f.name == "lr_drops":
-            lines.append(f"lr_drops = {_format_lr_drops(value)}")
-        else:
-            lines.append(f"{f.name} = {value!r}")
-    write_atomic(path, (line + "\n" for line in lines))
+    """Write every key of ``spec`` with its kind's writer, so that
+    :func:`load_spec` reads the file back equal."""
+    lines = []
+    for section, keys in _SPEC_KEYS.items():
+        # the [experiment] keys are fields of the spec itself
+        values = getattr(spec, section, spec)
+        lines += ["", f"[{section}]"]
+        lines += [f"{key} = {write(getattr(values, key))}"
+                  for key, (_, write, _) in keys.items()]
+    write_atomic(path, (line + "\n" for line in lines[1:]))

@@ -237,10 +237,10 @@ class EpochMetrics:
     noise_rate: float
 
 
-METRICS_FIXED_COLUMNS = ("epoch", "target_weight", "aux_weight", "loss_wce",
-                         "loss_rank", "loss_au", "loss_total", "accuracy",
-                         "relabel_count", "relabel_precision",
-                         "relabel_recall", "noise_rate")
+# every scalar field; the two arrays follow them as per-class columns
+METRICS_FIXED_COLUMNS = tuple(
+    f.name for f in fields(EpochMetrics)
+    if f.name not in ("per_class_accuracy", "confusion"))
 
 
 def metrics_header(n_classes: int) -> str:

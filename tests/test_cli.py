@@ -2,13 +2,14 @@ import hashlib
 import json
 import time
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from aurelab import data, experiments
 from aurelab.cli import main
-from aurelab.trainer import load_checkpoint
+from aurelab.trainer import TrainConfig, load_checkpoint
 
 
 def sha(path):
@@ -225,6 +226,21 @@ class TestEvalAndInspect:
         rc = main(["inspect", "dataset", str(train_path)])
         assert rc == 0
         assert "label histogram" in capsys.readouterr().out
+
+    def test_inspect_dataset_with_a_class_count_beyond_memory(
+            self, dataset_files, tmp_path, capsys):
+        # C fits an int64, so the file loads; no sample bears most classes
+        lines = dataset_files[0].read_text().splitlines()
+        lines[0] = f"C={10**14}"
+        path = tmp_path / "ds.txt"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["inspect", "dataset", str(dataset_files[0])]) == 0
+        histogram = capsys.readouterr().out.splitlines()[1]
+        assert main(["inspect", "dataset", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert f"classes={10**14}" in captured.out
+        assert captured.out.splitlines()[1] == histogram
+        assert captured.err == ""
 
     def test_inspect_missing_file_is_file_error(self, tmp_path):
         assert main(["inspect", "graph", str(tmp_path / "nope.csv")]) == 3
@@ -516,6 +532,22 @@ class TestBrokenSpecs:
             rc = main([command, flag, value, "--out", str(tmp_path)])
             _assert_error(rc, capsys, f"{key} = '{value}': expected", code=2)
 
+    @pytest.mark.parametrize("flag,value,key,expected", [
+        ("--epochs", "1.5", "epochs", "an integer"),
+        ("--batch-size", "a", "batch_size", "an integer"),
+        ("--lr", "x", "lr_initial", "a number"),
+        ("--high-fraction", "y", "high_fraction", "a number"),
+        ("--seed", "1.5", "seed", "an integer")])
+    def test_train_flag_that_does_not_parse(self, dataset_files, tmp_path,
+                                            capsys, flag, value, key,
+                                            expected):
+        rc = main(["train", "--data", str(dataset_files[0]),
+                   "--out", str(tmp_path / "run"), flag, value])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: [train] {key} = '{value}': expected {expected}\n")
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("command,flag,table", [
         ("sweep", "--spec", "ablation"), ("ablate", "--spec", "noise_sweep"),
         ("ablate", "--name", "noise_sweep"), ("ablate", "--name", "single_run")])
@@ -566,19 +598,38 @@ class TestBrokenSpecs:
         _assert_error(rc, capsys, message, code=2)
 
 
+# a value other than the default for every key of every spec section
+EVERY_KEY_SPEC = experiments.ExperimentSpec(
+    name="edges", seeds=(7, 0, 11), rates=(0.05, 0.45), rate=0.35,
+    out="runs/every key 100%",
+    dataset=experiments.DatasetSpec(
+        n_classes=4, n_units=9, dim=12, n=777, class_spread=3.25,
+        within_noise=0.75, au_noise=0.125, test_fraction=0.3),
+    train=TrainConfig(
+        high_fraction=0.65, rank_margin=0.2, ramp_pivot=7, epochs=9,
+        batch_size=33, lr_initial=0.07, lr_drops=(), lr_aux=0.02,
+        lr_aux_decay=0.9, momentum=0.5, warmup_epochs=4, seed=13,
+        hidden_dim=24, feat_dim=20, node_dim=6, gcn_channels=10,
+        leaky_slope=0.2, use_target_branch=False, use_aux_branch=False,
+        random_edges=True))
+
+
 class TestExperimentSpecs:
     def test_spec_round_trip(self, tmp_path):
         from aurelab.experiments import ExperimentSpec, load_spec, save_spec
-        spec = ExperimentSpec(name="noise_sweep", seeds=(1, 2),
-                              rates=(0.1, 0.3), out_dir="runs/x")
-        path = tmp_path / "spec.ini"
-        save_spec(spec, path)
-        back = load_spec(path)
-        assert back.name == "noise_sweep"
-        assert back.seeds == (1, 2)
-        assert back.rates == (0.1, 0.3)
-        assert back.train == spec.train
-        assert back.dataset == spec.dataset
+        default = ExperimentSpec()
+        for part, part_default in ((EVERY_KEY_SPEC, default),
+                                   (EVERY_KEY_SPEC.dataset, default.dataset),
+                                   (EVERY_KEY_SPEC.train, default.train)):
+            for f in fields(part):
+                assert (getattr(part, f.name)
+                        != getattr(part_default, f.name)), f.name
+        few_keys = ExperimentSpec(name="noise_sweep", seeds=(1, 2),
+                                  rates=(0.1, 0.3), out="runs/x")
+        for spec in (few_keys, EVERY_KEY_SPEC):
+            path = tmp_path / "spec.ini"
+            save_spec(spec, path)
+            assert load_spec(path) == spec
 
     def test_unknown_key_rejected(self, tmp_path):
         from aurelab.errors import ConfigError
