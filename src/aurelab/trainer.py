@@ -5,6 +5,9 @@ Per epoch, each shuffled batch runs: backbone forward, confidence scores,
 class weights, high/low split, detection branch forward, loss composition,
 one SGD step with per-branch learning rates, template update from the high
 group, and (after the warmup) correction decisions for the low group.
+Each step is a scope, ``_train_step``: its tape lives only in that
+function's locals and is freed when it returns, so only one step's tape is
+alive at a time and none during evaluation.
 Corrections collected during an epoch are applied to the stored labels
 between epochs.  The detection branch never participates in evaluation:
 predictions are the plain argmax of the classifier logits.
@@ -184,15 +187,23 @@ def trained_parameters(model: Model, config: TrainConfig
 
 def init_model(dataset: Dataset, config: TrainConfig,
                rng: np.random.Generator) -> Model:
-    target = TargetBranch(dataset.dim, config.hidden_dim, config.feat_dim,
-                          dataset.n_classes, config.leaky_slope, rng)
-    aux = AuxiliaryBranch(config.feat_dim, dataset.n_units, config.node_dim,
-                          config.gcn_channels, config.leaky_slope, rng)
-    if config.random_edges:
-        graph = random_au_graph(dataset.n_units, rng)
-    else:
-        graph = build_au_graph(dataset.au_labels)
-    templates = SemanticTemplates.empty(dataset.n_classes, dataset.n_units)
+    """A fresh model for ``dataset``'s shapes; raises ConfigError when its
+    weights or templates do not fit in memory (a header's class count, say,
+    can be far larger than its labels need)."""
+    c, m, d = dataset.n_classes, dataset.n_units, dataset.dim
+    try:
+        target = TargetBranch(d, config.hidden_dim, config.feat_dim, c,
+                              config.leaky_slope, rng)
+        aux = AuxiliaryBranch(config.feat_dim, m, config.node_dim,
+                              config.gcn_channels, config.leaky_slope, rng)
+        if config.random_edges:
+            graph = random_au_graph(m, rng)
+        else:
+            graph = build_au_graph(dataset.au_labels)
+        templates = SemanticTemplates.empty(c, m)
+    except MemoryError as exc:
+        raise ConfigError(f"a model for C={c}, M={m}, D={d} is too large to "
+                          f"allocate: {exc}") from None
     return Model(target, aux, graph, templates, config)
 
 
@@ -438,6 +449,86 @@ def _keep_heap_between_steps() -> None:
         mallopt(_M_TOP_PAD, _HEAP_TOP_PAD)
 
 
+def _train_step(model: Model, config: TrainConfig, ds: Dataset,
+                idx: np.ndarray, params: dict[str, ad.Tensor],
+                velocities: dict[str, np.ndarray], lrs: dict[str, float],
+                weights: tuple[float, float], epoch: int, batch_no: int
+                ) -> tuple[dict[str, float], list[RelabelRecord]]:
+    """One SGD step on the samples ``idx``: the step's four loss components
+    and the corrections it decided.
+
+    The step's tape is held only by locals of this function, so it is freed
+    on return, before the next step builds its own tape or the epoch's
+    evaluation runs; floats and records are all that leave.
+    """
+    n = len(idx)
+    batch_labels = ds.observed_labels[idx]
+    x = ad.constant(ds.features[idx])
+    feats = model.target.features(x)
+
+    if config.use_target_branch or config.use_aux_branch:
+        conf = model.target.confidence(feats)
+        high, low = confidence_split(conf, idx, config.high_fraction)
+    if config.use_target_branch:
+        gamma = class_weights(batch_labels, ds.n_classes)
+        loss_wce = weighted_cross_entropy(
+            feats, model.target.classifier_w, conf, gamma, batch_labels)
+        loss_rank = rank_regularization(conf, high, low, config.rank_margin)
+    else:
+        ones = ad.constant(np.ones((n, 1)))
+        loss_wce = weighted_cross_entropy(
+            feats, model.target.classifier_w, ones,
+            np.ones(ds.n_classes), batch_labels)
+        loss_rank = ad.scalar(0.0)
+
+    if config.use_aux_branch:
+        probs, semantics = model.aux.semantic_logits(
+            feats, model.graph.normalized)
+        loss_au = au_detection_loss(probs, ds.au_labels[idx], conf.data)
+    else:
+        loss_au = ad.scalar(0.0)
+
+    loss = total_loss(loss_wce, loss_rank, loss_au, *weights)
+    components = {"wce": loss_wce.item(), "rank": loss_rank.item(),
+                  "au": loss_au.item(), "total": loss.item()}
+    if not all(math.isfinite(v) for v in components.values()):
+        raise TrainingDivergedError(
+            f"non-finite loss at epoch {epoch}, batch {batch_no}: "
+            f"{components}", epoch=epoch, batch=batch_no,
+            components=components)
+
+    grads = ad.gradients(loss, list(params.values()))
+    for (name, tensor), g in zip(params.items(), grads):
+        if config.momentum > 0.0:
+            v = velocities[name]
+            v *= config.momentum
+            v += g
+            g = v
+        tensor.data -= lrs[name] * g
+
+    records: list[RelabelRecord] = []
+    if config.use_aux_branch:
+        sem_vals = semantics.data
+        model.templates.update(sem_vals[high], conf.data[high, 0],
+                               batch_labels[high], epoch)
+        if epoch > config.warmup_epochs:
+            low = low[np.argsort(idx[low])]
+            low_sem = sem_vals[low]
+            dists = semantic_distances(low_sem, model.templates)
+            zero = np.linalg.norm(low_sem, axis=1) == 0.0
+            if zero.any() and model.templates.usable().any():
+                for sid in idx[low[zero]]:
+                    warnings.warn(f"skipping relabel of sample "
+                                  f"{int(sid)}: zero-norm semantics")
+            org = batch_labels[low]
+            new = decide_relabel(dists, org)
+            for j in np.flatnonzero(new != org):
+                records.append(RelabelRecord(
+                    int(idx[low[j]]), int(org[j]), int(new[j]),
+                    dists[j].copy(), epoch))
+    return components, records
+
+
 def train(dataset: Dataset, config: TrainConfig,
           eval_dataset: Dataset | None = None,
           resume: Checkpoint | None = None) -> TrainResult:
@@ -497,85 +588,24 @@ def train(dataset: Dataset, config: TrainConfig,
 
     for epoch in range(start_epoch, config.epochs + 1):
         if plain_baseline:
-            lam_target, lam_aux = 2.0, 0.0
+            weights = 2.0, 0.0
         else:
-            lam_target, lam_aux = ramp_weights(epoch, config.ramp_pivot)
+            weights = ramp_weights(epoch, config.ramp_pivot)
         lr_t = config.lr_target(epoch)
         lr_a = config.lr_aux_at(epoch)
-        relabel_on = config.use_aux_branch and epoch > config.warmup_epochs
+        lrs = {name: lr_t if name in target_names else lr_a
+               for name in params}
         epoch_records: list[RelabelRecord] = []
         sums = {"wce": 0.0, "rank": 0.0, "au": 0.0, "total": 0.0}
 
         for batch_no, idx in enumerate(
                 batches(ds, batch_size, _epoch_seed(config.seed, epoch))):
-            n = len(idx)
-            batch_labels = ds.observed_labels[idx]
-            x = ad.constant(ds.features[idx])
-            feats = model.target.features(x)
-
-            if not plain_baseline:
-                conf = model.target.confidence(feats)
-                high, low = confidence_split(conf, idx, config.high_fraction)
-            if config.use_target_branch:
-                gamma = class_weights(batch_labels, ds.n_classes)
-                loss_wce = weighted_cross_entropy(
-                    feats, model.target.classifier_w, conf, gamma, batch_labels)
-                loss_rank = rank_regularization(conf, high, low,
-                                                config.rank_margin)
-            else:
-                ones = ad.constant(np.ones((n, 1)))
-                loss_wce = weighted_cross_entropy(
-                    feats, model.target.classifier_w, ones,
-                    np.ones(ds.n_classes), batch_labels)
-                loss_rank = ad.scalar(0.0)
-
-            if config.use_aux_branch:
-                probs, semantics = model.aux.semantic_logits(
-                    feats, model.graph.normalized)
-                loss_au = au_detection_loss(probs, ds.au_labels[idx], conf.data)
-            else:
-                loss_au = ad.scalar(0.0)
-
-            loss = total_loss(loss_wce, loss_rank, loss_au, lam_target, lam_aux)
-            components = {"wce": loss_wce.item(), "rank": loss_rank.item(),
-                          "au": loss_au.item(), "total": loss.item()}
-            if not all(math.isfinite(v) for v in components.values()):
-                raise TrainingDivergedError(
-                    f"non-finite loss at epoch {epoch}, batch {batch_no}: "
-                    f"{components}", epoch=epoch, batch=batch_no,
-                    components=components)
+            components, records = _train_step(
+                model, config, ds, idx, params, velocities, lrs, weights,
+                epoch, batch_no)
             for key, v in components.items():
-                sums[key] += v * n
-
-            grads = ad.gradients(loss, list(params.values()))
-            for (name, tensor), g in zip(params.items(), grads):
-                lr = lr_t if name in target_names else lr_a
-                if config.momentum > 0.0:
-                    v = velocities[name]
-                    v *= config.momentum
-                    v += g
-                    g = v
-                tensor.data -= lr * g
-
-            if config.use_aux_branch:
-                sem_vals = semantics.data
-                model.templates.update(sem_vals[high], conf.data[high, 0],
-                                       batch_labels[high], epoch)
-                if relabel_on:
-                    low = low[np.argsort(idx[low])]
-                    low_sem = sem_vals[low]
-                    dists = semantic_distances(low_sem, model.templates)
-                    zero = np.linalg.norm(low_sem, axis=1) == 0.0
-                    if zero.any() and model.templates.usable().any():
-                        for sid in idx[low[zero]]:
-                            warnings.warn(f"skipping relabel of sample "
-                                          f"{int(sid)}: zero-norm semantics")
-                    org = batch_labels[low]
-                    new = decide_relabel(dists, org)
-                    for j in np.flatnonzero(new != org):
-                        epoch_records.append(RelabelRecord(
-                            int(idx[low[j]]), int(org[j]), int(new[j]),
-                            dists[j].copy(), epoch))
+                sums[key] += v * len(idx)
+            epoch_records.extend(records)
 
         start_labels = ds.observed_labels.copy()
         apply_corrections(ds, epoch_records)
@@ -586,7 +616,7 @@ def train(dataset: Dataset, config: TrainConfig,
                           else replace(ds, observed_labels=ds.true_labels))
 
         metrics.append(EpochMetrics(
-            epoch=epoch, target_weight=lam_target, aux_weight=lam_aux,
+            epoch=epoch, target_weight=weights[0], aux_weight=weights[1],
             loss_wce=sums["wce"] / ds.n, loss_rank=sums["rank"] / ds.n,
             loss_au=sums["au"] / ds.n, loss_total=sums["total"] / ds.n,
             accuracy=report.accuracy,

@@ -339,6 +339,27 @@ class TestBrokenInputs:
                     + TRAIN_SPEED_ARGS)
         _assert_error(main(argv), capsys, "does not fit this dataset")
 
+    @pytest.mark.parametrize("command", ["train", "resume", "eval"])
+    def test_class_count_beyond_memory(self, dataset_files, runs, tmp_path,
+                                       capsys, command):
+        # the header loads (C fits an int64) but C-wide weights cannot exist
+        train_path, _ = dataset_files
+        lines = train_path.read_text().splitlines()
+        lines[0] = f"C={10**14}"
+        path = tmp_path / "ds.txt"
+        path.write_text("\n".join(lines) + "\n")
+        ckpt = str(runs / "three_run" / "checkpoint.json")
+        if command == "eval":
+            argv = ["eval", "--checkpoint", ckpt, "--data", str(path)]
+        else:
+            argv = (["train", "--data", str(path), "--out",
+                     str(tmp_path / "run")] + TRAIN_SPEED_ARGS
+                    + (["--resume", ckpt] if command == "resume" else []))
+        _assert_error(main(argv), capsys,
+                      f"a model for C={10**14}, M=6, D=8 is too large to "
+                      f"allocate", code=2)
+        assert not (tmp_path / "run").exists()
+
     def test_resume_on_other_dataset_of_same_size(self, dataset_files, runs,
                                                   tmp_path, capsys):
         train_path, _ = dataset_files

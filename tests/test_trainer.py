@@ -5,6 +5,7 @@ import platform
 import re
 import resource
 import warnings
+import weakref
 from dataclasses import replace
 
 import hypothesis
@@ -19,6 +20,7 @@ from aurelab.data import corrupt_labels, generate, train_test_split
 from aurelab.errors import ConfigError, TrainingDivergedError
 from aurelab.experiments import (EXPERIMENT_TRAIN_DEFAULTS, DatasetSpec,
                                  make_cell_datasets, run_cell)
+from aurelab.target_branch import TargetBranch
 from aurelab.trainer import (Checkpoint, TrainConfig, evaluate,
                              load_checkpoint, ramp_weights, save_checkpoint,
                              total_loss, train, trained_parameters)
@@ -266,6 +268,36 @@ class TestTrainLoop:
         for name in init.keys() - trained:
             assert ckpt.params[name].tobytes() == init[name].data.tobytes()
             assert not ckpt.velocities[name].any()
+
+    @pytest.mark.parametrize("both", [True, False])
+    def test_no_tape_outlives_its_step(self, monkeypatch, both):
+        # A Tensor takes no weak reference but its data array does.  Each
+        # step's loss array, and with it the step's tape, must be gone when
+        # the next forward pass starts: the next step's or an evaluation's.
+        ds = tiny_ds()
+        cfg = replace(FAST, warmup_epochs=1, use_target_branch=both,
+                      use_aux_branch=both)
+        losses, alive_at = [], []
+        real_total_loss = trainer.total_loss
+        real_features = TargetBranch.features
+
+        def recording_total_loss(*args):
+            loss = real_total_loss(*args)
+            losses.append(weakref.ref(loss.data))
+            return loss
+
+        def checking_features(self, inputs):
+            if losses and losses[-1]() is not None:
+                alive_at.append(len(losses))
+            return real_features(self, inputs)
+
+        monkeypatch.setattr(trainer, "total_loss", recording_total_loss)
+        monkeypatch.setattr(TargetBranch, "features", checking_features)
+        result = train(ds, cfg)
+        assert len(losses) == cfg.epochs * math.ceil(ds.n / cfg.batch_size)
+        assert alive_at == [], f"a tape outlived steps {alive_at}"
+        assert all(ref() is None for ref in losses)
+        assert bool(result.records) == both
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="the heap setting is glibc's")
