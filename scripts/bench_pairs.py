@@ -3,13 +3,15 @@
     python scripts/bench_pairs.py --parent /path/to/parent/checkout \\
         --workload file_pipeline --seed 11 --seconds 20 --pairs 10
 
-Each pair runs ``perfbench/run.py --trace 0`` once from the parent tree and
-once from this tree, at the same workload, seed and run length; the first
-pair starts with the parent, the next with this tree, and so on.  Each run
-gives one value per end-to-end metric (its median over rounds).  For every
-metric in ``BENCHMARK.json`` the script prints each side's median and
-quartiles over the pairs, as ``statistics.quantiles(values, n=4)`` gives
-them, the pairs this tree wins (ties count for neither) and one verdict:
+``--workload`` may repeat; the workloads run one after another, each with
+its own pairs and its own summary table.  Each pair runs
+``perfbench/run.py --trace 0`` once from the parent tree and once from this
+tree, at the same workload, seed and run length; the first pair starts with
+the parent, the next with this tree, and so on.  Each run gives one value
+per end-to-end metric (its median over rounds).  For every metric in
+``BENCHMARK.json`` the script prints each side's median and quartiles over
+the pairs, as ``statistics.quantiles(values, n=4)`` gives them, the pairs
+this tree wins (ties count for neither) and one verdict:
 
 - ``unresolved``: the distance between the parent's quartiles exceeds the
   metric's bound times the parent's median, and not every run of this tree
@@ -22,7 +24,9 @@ them, the pairs this tree wins (ties count for neither) and one verdict:
 - ``within bound`` otherwise.
 
 A run that is not correct or has failed operations is reported on its own
-line and makes the exit code 1.  The script reads ``BENCHMARK.json`` and
+line and makes the exit code 1.  A run whose last line is not a JSON result
+ends the script with one ``error:`` line naming its pair and side, and
+exit code 1.  The script reads ``BENCHMARK.json`` and
 runs ``perfbench/run.py`` as they are; each run writes only the result file
 in its tree's git-ignored ``perfbench/out/``.
 """
@@ -61,17 +65,24 @@ def summarize(metric: dict, parent: list[float], change: list[float]) -> dict:
             "wins": wins, "pairs": len(parent), "verdict": verdict}
 
 
-def run_once(tree: Path, args) -> dict:
-    """The last line of one ``perfbench/run.py`` run from ``tree``."""
+def run_once(tree: Path, workload: str, args, where: str) -> dict:
+    """The last line of one ``perfbench/run.py`` run of ``workload`` from
+    ``tree``; ``where`` names the run in an error."""
     cmd = [sys.executable, str(tree / "perfbench" / "run.py"),
-           "--workload", args.workload, "--seed", str(args.seed),
+           "--workload", workload, "--seed", str(args.seed),
            "--seconds", str(args.seconds), "--trace", "0"]
     proc = subprocess.run(cmd, capture_output=True, text=True, cwd=tree)
     lines = proc.stdout.strip().splitlines()
     if not lines:
-        raise SystemExit(f"error: {' '.join(cmd)} exited {proc.returncode} "
-                         f"with no output: {proc.stderr.strip()[-2000:]}")
-    return json.loads(lines[-1])
+        raise SystemExit(f"error: {where}: {' '.join(cmd)} exited "
+                         f"{proc.returncode} with no output: "
+                         f"{proc.stderr.strip()[-2000:]}")
+    try:
+        return json.loads(lines[-1])
+    except json.JSONDecodeError:
+        raise SystemExit(f"error: {where}: the last line of {' '.join(cmd)} "
+                         f"(exit {proc.returncode}) is not JSON: "
+                         f"{lines[-1][:200]!r}") from None
 
 
 def _fmt(quarts: tuple[float, float, float]) -> str:
@@ -79,11 +90,47 @@ def _fmt(quarts: tuple[float, float, float]) -> str:
     return f"{median:.6g} [{q1:.6g}, {q3:.6g}]"
 
 
+def compare(workload: str, sides: dict, metrics: list[dict], args) -> bool:
+    """Run ``args.pairs`` pairs of ``workload`` and print its summary table;
+    False when a run was not correct or had failed operations."""
+    values = {side: {m["name"]: [] for m in metrics} for side in sides}
+    ok = True
+    for pair in range(args.pairs):
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        for side in order:
+            where = f"{workload} pair {pair + 1} {side}"
+            result = run_once(sides[side], workload, args, where)
+            if not result["correct"] or result["failed"]:
+                ok = False
+                print(f"{where}: correct={result['correct']}, "
+                      f"{result['failed']} of {result['attempted']} "
+                      f"operations failed")
+            if not result["metrics"]:
+                raise SystemExit(f"error: {where}: no metrics")
+            for m in metrics:
+                values[side][m["name"]].append(
+                    result["metrics"][m["name"]]["value"])
+        print(f"{workload} pair {pair + 1}: " + ", ".join(
+            f"{name} {values['parent'][name][-1]:.6g} -> "
+            f"{values['change'][name][-1]:.6g}"
+            for name in values["parent"]), flush=True)
+    print(f"{workload} seed {args.seed}, {args.pairs} pairs of "
+          f"{args.seconds:g}-s runs; median [q1, q3], parent -> change")
+    for m in metrics:
+        s = summarize(m, values["parent"][m["name"]],
+                      values["change"][m["name"]])
+        print(f"{m['name']} ({m['unit']}): {_fmt(s['parent'])} -> "
+              f"{_fmt(s['change'])}; change wins {s['wins']}/{s['pairs']}; "
+              f"{s['verdict']}", flush=True)
+    return ok
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True,
                         help="checkout of the parent commit")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, action="append",
+                        help="a workload to compare; may repeat")
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--pairs", type=int, default=10)
@@ -92,34 +139,9 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 2 to give quartiles")
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     sides = {"parent": args.parent.resolve(), "change": ROOT}
-    values = {side: {m["name"]: [] for m in metrics} for side in sides}
     ok = True
-    for pair in range(args.pairs):
-        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-        for side in order:
-            result = run_once(sides[side], args)
-            if not result["correct"] or result["failed"]:
-                ok = False
-                print(f"pair {pair + 1} {side}: correct={result['correct']}, "
-                      f"{result['failed']} of {result['attempted']} "
-                      f"operations failed")
-            if not result["metrics"]:
-                raise SystemExit(f"error: pair {pair + 1} {side}: no metrics")
-            for m in metrics:
-                values[side][m["name"]].append(
-                    result["metrics"][m["name"]]["value"])
-        print(f"pair {pair + 1}: " + ", ".join(
-            f"{name} {values['parent'][name][-1]:.6g} -> "
-            f"{values['change'][name][-1]:.6g}"
-            for name in values["parent"]), flush=True)
-    print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of "
-          f"{args.seconds:g}-s runs; median [q1, q3], parent -> change")
-    for m in metrics:
-        s = summarize(m, values["parent"][m["name"]],
-                      values["change"][m["name"]])
-        print(f"{m['name']} ({m['unit']}): {_fmt(s['parent'])} -> "
-              f"{_fmt(s['change'])}; change wins {s['wins']}/{s['pairs']}; "
-              f"{s['verdict']}")
+    for workload in args.workload:
+        ok = compare(workload, sides, metrics, args) and ok
     return 0 if ok else 1
 
 

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import hashlib
 import os
+import warnings
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -37,11 +39,19 @@ _BASIC_EMOTION_PATTERNS = (
 )
 
 
+# Steps of the pattern search one table may take: every table of 2-10
+# classes over 4-24 units takes fewer than 25,000, and a size that runs
+# past this budget, such as 5 classes over 60 units, could take minutes.
+_TABLE_SEARCH_STEPS = 250_000
+
+
 def _first_fitting_pattern(n_units: int, weight: int,
-                           chosen: list[tuple[int, ...]],
-                           max_overlap: int) -> tuple[int, ...] | None:
+                           chosen: list[tuple[int, ...]], max_overlap: int,
+                           steps: int) -> tuple[tuple[int, ...] | None, int]:
     """The lexicographically first ``weight``-unit pattern that shares at
-    most ``max_overlap`` units with every chosen pattern, or None.
+    most ``max_overlap`` units with every chosen pattern, or None, and the
+    steps left of ``steps``: None and a negative count when the search
+    ran out of them.
 
     A depth-first search over the units in ascending order.  It drops a
     prefix as soon as it shares more than ``max_overlap`` units with a
@@ -65,10 +75,13 @@ def _first_fitting_pattern(n_units: int, weight: int,
     prefix: list[int] = []
     unit = 0
     while len(prefix) < weight:
+        steps -= 1
+        if steps < 0:
+            return None, steps
         held_left = n_units - unit - free_from[unit]
         if len(prefix) + free_from[unit] + min(held_left, budget) < weight:
             if not prefix:
-                return None
+                return None, steps
             unit = prefix.pop()
             budget += len(owners[unit])
             for k in owners[unit]:
@@ -79,7 +92,7 @@ def _first_fitting_pattern(n_units: int, weight: int,
             for k in owners[unit]:
                 overlap[k] += 1
         unit += 1
-    return tuple(prefix)
+    return tuple(prefix), steps
 
 
 def emotion_au_table(n_classes: int, n_units: int) -> np.ndarray:
@@ -105,11 +118,17 @@ def emotion_au_table(n_classes: int, n_units: int) -> np.ndarray:
         weight = min(max(2, round(2 * n_units / n_classes)),
                      max(2, n_units // 2))
         patterns = None
+        steps = _TABLE_SEARCH_STEPS
         for max_overlap in range(weight):
             chosen: list[tuple[int, ...]] = []
             while len(chosen) < n_classes:
-                cand = _first_fitting_pattern(n_units, weight, chosen,
-                                              max_overlap)
+                cand, steps = _first_fitting_pattern(
+                    n_units, weight, chosen, max_overlap, steps)
+                if steps < 0:
+                    raise ConfigError(
+                        f"no table of {n_classes} unit patterns over "
+                        f"{n_units} units found within "
+                        f"{_TABLE_SEARCH_STEPS} search steps")
                 if cand is None:
                     break
                 chosen.append(cand)
@@ -258,6 +277,7 @@ def corrupt_labels(ds: Dataset, rate: float, seed: int) -> Dataset:
 #   id (the row position), observed, true, <n_units bits>, <dim feature values>
 
 _HEADER_KEYS = ("C", "M", "D", "n", "corruption_rate", "seed")
+_BLOCK_ROWS = 256   # rows that ``load`` parses with one np.loadtxt call
 
 
 def write_atomic(path, pieces: Iterable[str]) -> None:
@@ -347,13 +367,74 @@ def _parse_row(line: str, i: int, lineno: int, n_units: int, dim: int,
     return obs, tru, bits, vals
 
 
-def load(path) -> Dataset:
-    """Read a dataset file in one pass, a line at a time.
+def _rows(lines: Iterator[str]) -> Iterator[str]:
+    """The body's rows: blank lines before a row are rows of one empty
+    field, blank lines at the end are not rows."""
+    blanks = 0
+    for line in lines:
+        if not line:
+            blanks += 1
+            continue
+        for _ in range(blanks):
+            yield ""
+        blanks = 0
+        yield line
 
-    Rows are parsed into arrays that double as rows arrive, never past the
-    header's ``n``, and only a row with the header's field count is stored:
-    no array holds more than twice the rows read, however large the
-    header's values.  Blank lines at the end are not rows.  After the first
+
+def _parse_block(block: list[str], start: int, lineno: int, n_units: int,
+                 dim: int, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ints, values) of the rows ``block``, the first of them row ``start``
+    on line ``lineno``: ints holds each row's id, observed and true labels
+    and unit bits, values its features.
+
+    One ``np.loadtxt`` call parses the block once every row has the
+    header's field count, so nothing is sized from a header the rows do
+    not bear out; array operations then check the ids, labels and bits.
+    A block that numpy rejects or that fails a check is parsed again by
+    :func:`_parse_row`, which raises the first row's fault and accepts
+    what ``int`` and ``float`` accept but numpy does not (``1_0.5``,
+    non-ASCII digits).  Both parsers round correctly.
+
+    numpy before 2.4 reads an integer field written as a float (``1.0``,
+    ``0.9``) by truncating it, with only a DeprecationWarning; that
+    warning is made an error here, so such a block is rejected as ``int``
+    rejects the field.
+    """
+    commas = 2 + n_units + dim
+    if all(line.count(",") == commas for line in block):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                table = np.loadtxt(block, delimiter=",", comments=None,
+                                   ndmin=1,
+                                   dtype=[("i", np.int64, (3 + n_units,)),
+                                          ("f", np.float64, (dim,))])
+        except (ValueError, DeprecationWarning):
+            pass
+        else:
+            ints = table["i"]
+            labels, bits = ints[:, 1:3], ints[:, 3:]
+            if (np.array_equal(ints[:, 0], np.arange(start, start + len(block)))
+                    and (labels >= 0).all() and (labels < n_classes).all()
+                    and ((bits == 0) | (bits == 1)).all()):
+                return ints, table["f"]
+    rows = [_parse_row(line, start + k, lineno + k, n_units, dim, n_classes)
+            for k, line in enumerate(block)]
+    ints = np.array([[start + k, obs, tru, *bits]
+                     for k, (obs, tru, bits, _) in enumerate(rows)],
+                    dtype=np.int64)
+    return ints, np.array([vals for *_, vals in rows], dtype=np.float64)
+
+
+def load(path) -> Dataset:
+    """Read a dataset file in one pass, a block of ``_BLOCK_ROWS`` rows at
+    a time.
+
+    Each block is parsed by :func:`_parse_block`, through numpy, and stored
+    in arrays that double as blocks arrive, never past the header's ``n``.
+    Only rows with the header's field count are parsed or stored: no array
+    holds more than twice the rows read, however large the header's
+    values.  Blank lines at the end are not rows.  After the first
     faulty row the rest are only counted, because a wrong row count is
     reported first; otherwise that row's fault is.
     """
@@ -367,34 +448,34 @@ def load(path) -> Dataset:
         observed = np.empty(0, dtype=np.int64)
         true = np.empty(0, dtype=np.int64)
         au = np.empty((0, n_units), dtype=np.int64)
+        texts = _rows(lines)
         fault = None
-        rows = blanks = 0
-        for line in lines:
-            if not line:
-                blanks += 1
-                continue
-            # blank lines before a row are rows of one empty field
-            for text in [""] * blanks + [line]:
-                if fault is None and rows < n:
-                    try:
-                        obs, tru, bits, vals = _parse_row(
-                            text, rows, first + 1 + rows, n_units, dim,
-                            n_classes)
-                    except (DatasetFormatError, DatasetValidationError) as exc:
-                        fault = exc
-                    else:
-                        if rows == len(observed):
-                            # no view of these arrays exists to be left dangling
-                            cap = min(2 * rows or 1, n)
-                            features.resize((cap, dim), refcheck=False)
-                            au.resize((cap, n_units), refcheck=False)
-                            observed.resize(cap, refcheck=False)
-                            true.resize(cap, refcheck=False)
-                        observed[rows], true[rows] = obs, tru
-                        au[rows] = bits
-                        features[rows] = vals
-                rows += 1
-            blanks = 0
+        rows = 0
+        while fault is None and rows < n:
+            block = list(islice(texts, min(_BLOCK_ROWS, n - rows)))
+            if not block:
+                break
+            try:
+                ints, values = _parse_block(block, rows, first + 1 + rows,
+                                            n_units, dim, n_classes)
+            except (DatasetFormatError, DatasetValidationError) as exc:
+                fault = exc
+            else:
+                end = rows + len(block)
+                if end > len(observed):
+                    # no view of these arrays exists to be left dangling
+                    cap = min(max(2 * len(observed), end), n)
+                    features.resize((cap, dim), refcheck=False)
+                    au.resize((cap, n_units), refcheck=False)
+                    observed.resize(cap, refcheck=False)
+                    true.resize(cap, refcheck=False)
+                observed[rows:end], true[rows:end] = ints[:, 1], ints[:, 2]
+                au[rows:end] = ints[:, 3:]
+                features[rows:end] = values
+                del ints, values
+            rows += len(block)
+            del block   # freed before the next block is read
+        rows += sum(1 for _ in texts)
     if rows != n:
         raise DatasetFormatError(
             f"line {first + rows + 1}: header declares n={n} "

@@ -1,6 +1,11 @@
-"""The summary arithmetic of scripts/bench_pairs.py; no benchmark is run."""
+"""The summary arithmetic and the run handling of scripts/bench_pairs.py;
+no benchmark is run: the trees compared are fakes whose ``perfbench/run.py``
+prints a fixed result."""
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -79,3 +84,46 @@ def test_parent_spread_beyond_the_bound_is_unresolved():
     # ...unless every run of the change reads better than every parent run
     s = bench_pairs.summarize(LOWER, parent, [5.0, 10.0, 15.0, 20.0, 25.0])
     assert s["verdict"] == "gain"
+
+
+def _fake_tree(root: Path, last_line: str) -> Path:
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(
+        f"print('a metric line')\nprint({last_line!r})\n")
+    return root
+
+
+def test_a_run_that_ends_without_json_is_one_error_line(tmp_path):
+    parent = _fake_tree(tmp_path / "parent", "Traceback: not a result")
+    proc = subprocess.run(
+        [sys.executable, str(_PATH), "--parent", str(parent),
+         "--workload", "file_pipeline", "--seed", "1", "--seconds", "1"],
+        capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: file_pipeline pair 1 parent: ")
+    assert proc.stderr.count("\n") == 1
+    assert "is not JSON: 'Traceback: not a result'" in proc.stderr
+    assert "JSONDecodeError" not in proc.stderr
+
+
+def test_repeated_workloads_print_a_table_each(tmp_path, monkeypatch, capsys):
+    metrics = json.loads((_PATH.parent.parent / "BENCHMARK.json")
+                         .read_text())["end_to_end"]
+    result = json.dumps({"correct": True, "failed": 0, "attempted": 8,
+                         "metrics": {m["name"]: {"value": 1.0}
+                                     for m in metrics}})
+    change = _fake_tree(tmp_path / "change", result)
+    (change / "BENCHMARK.json").write_text(
+        (_PATH.parent.parent / "BENCHMARK.json").read_text())
+    parent = _fake_tree(tmp_path / "parent", result)
+    monkeypatch.setattr(bench_pairs, "ROOT", change)
+    rc = bench_pairs.main(["--parent", str(parent), "--workload", "a",
+                           "--workload", "b", "--seed", "1", "--seconds", "1",
+                           "--pairs", "2"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    for workload in ("a", "b"):
+        assert f"{workload} seed 1, 2 pairs of 1-s runs" in out
+        assert f"{workload} pair 2: run_s 1 -> 1" in out
+    assert out.count("run_s (s): 1 [1, 1] -> 1 [1, 1]; change wins 0/2; "
+                     "within bound") == 2

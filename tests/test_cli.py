@@ -83,6 +83,18 @@ class TestGen:
         assert rc == 0
         assert time.perf_counter() - start < 1.0
 
+    # (6, 40) built in 2.3 s before the search had a budget
+    @pytest.mark.parametrize("classes,aus", [(5, 60), (10, 200), (6, 40)])
+    def test_unit_table_past_the_search_budget_is_usage_error(
+            self, tmp_path, capsys, classes, aus):
+        start = time.perf_counter()
+        rc = main(["gen", "--classes", str(classes), "--aus", str(aus),
+                   "--size", "10", "--out", str(tmp_path / "x.txt")])
+        assert time.perf_counter() - start < 2.0
+        _assert_error(rc, capsys, f"no table of {classes} unit patterns over "
+                                  f"{aus} units found within", code=2)
+        assert not (tmp_path / "x.txt").exists()
+
     def test_test_fraction_writes_clean_holdout(self, tmp_path):
         out = tmp_path / "ds.txt"
         rc = main(GEN_ARGS + ["--corruption", "0.2", "--test-fraction", "0.25",

@@ -1,7 +1,9 @@
 import hashlib
 import os
+import tempfile
 import threading
 import tracemalloc
+import warnings
 
 import hypothesis
 import hypothesis.strategies as st
@@ -11,7 +13,8 @@ import pytest
 from aurelab import data
 from aurelab.errors import (ConfigError, DatasetFormatError,
                             DatasetValidationError)
-from oracles import au_table_by_combination_scan, nearest_prototype_accuracy
+from oracles import (au_table_by_combination_scan, load_row_at_a_time,
+                     nearest_prototype_accuracy)
 
 
 def small_ds(seed=7, **kw):
@@ -204,8 +207,9 @@ class TestSaveLoad:
 
 
 class TestStreamedFormat:
-    """``save`` writes and ``load`` reads a row at a time; ``load`` checks
-    the row count and every row's field count before it allocates."""
+    """``save`` writes a row at a time and ``load`` reads a block of rows
+    at a time; ``load`` checks the row count and every row's field count
+    before it allocates."""
 
     @pytest.fixture
     def saved(self, tmp_path):
@@ -251,14 +255,21 @@ class TestStreamedFormat:
         self.write(path, lines, end="\n\n\n")
         assert data.load(path).fingerprint() == ds.fingerprint()
 
-    def test_blank_line_inside_the_body_is_its_own_row(self, saved):
+    def blank_row(self, saved, row):
         _, path, lines = saved
-        lines[10] = ""
+        lines[6 + row] = ""
         self.write(path, lines)
         with pytest.raises(DatasetValidationError,
-                           match=r"^line 11: expected 25 fields "
+                           match=rf"^line {7 + row}: expected 25 fields "
                                  r"\(3 \+ M=6 \+ D=16\), got 1$"):
             data.load(path)
+
+    def test_blank_line_inside_the_body_is_its_own_row(self, saved):
+        self.blank_row(saved, 4)
+
+    def test_blank_line_opening_the_second_block(self, saved):
+        assert data._BLOCK_ROWS == 256
+        self.blank_row(saved, 256)
 
     def test_crlf_file_loads_bit_identically(self, saved):
         ds, path, lines = saved
@@ -278,14 +289,52 @@ class TestStreamedFormat:
                            r"declares n=301 samples but file has 300$"):
             data.load(path)
 
-    def test_first_bad_row_wins_over_a_later_field_count(self, saved):
+    def first_bad_row_wins(self, saved, short):
         _, path, lines = saved
         lines[8] = "x" + lines[8]                   # unparseable, line 9
-        lines[9] = lines[9].rsplit(",", 1)[0]       # a field short, line 10
+        lines[short] = lines[short].rsplit(",", 1)[0]   # a field short
         self.write(path, lines)
         with pytest.raises(DatasetFormatError,
                            match=r"^line 9: unparseable field$"):
             data.load(path)
+
+    def test_first_bad_row_wins_over_a_later_field_count(self, saved):
+        self.first_bad_row_wins(saved, 9)
+
+    # every row's field count is checked before its block is parsed
+    @pytest.mark.parametrize("row", [256, 299])
+    def test_first_bad_row_wins_over_a_field_count_in_a_later_block(
+            self, saved, row):
+        self.first_bad_row_wins(saved, 6 + row)
+
+    def test_fault_in_the_first_row_of_the_second_block(self, saved):
+        _, path, lines = saved
+        fields = lines[6 + 256].split(",")
+        fields[1] = "3"                             # C=3: out of range
+        lines[6 + 256] = ",".join(fields)
+        self.write(path, lines)
+        with pytest.raises(DatasetValidationError,
+                           match=r"^line 263: label out of range$"):
+            data.load(path)
+
+    # numpy would size its rows from a header of M=10**5 before it found
+    # them short
+    @pytest.mark.parametrize("m,d", [(10**12, 16), (6, 10**12), (10**5, 16)])
+    def test_header_size_the_rows_contradict_allocates_nothing(
+            self, saved, m, d):
+        _, path, lines = saved
+        lines[1:3] = [f"M={m}", f"D={d}"]
+        self.write(path, lines)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DatasetValidationError,
+                               match=rf"^line 7: expected {3 + m + d} fields "
+                                     rf"\(3 \+ M={m} \+ D={d}\), got 25$"):
+                data.load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     # str.splitlines cuts at these besides line ends; the reader cuts the
     # same lines, so a row holding one splits in two, as before the rows
@@ -302,6 +351,110 @@ class TestStreamedFormat:
         # at the end of the last row it only adds a trailing blank line
         self.write(path, lines[:-1] + [lines[-1] + char])
         assert data.load(path).fingerprint() == ds.fingerprint()
+
+
+# A saved file of 600 rows, three blocks, mutated in its first block, on
+# the boundary between the first two and in its last block.
+def _saved_lines(ds) -> list[str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ds.txt")
+        data.save(ds, path)
+        with open(path) as fh:
+            return fh.read().splitlines()
+
+
+_BODY = _saved_lines(data.corrupt_labels(small_ds(n=600), 0.2, seed=9))
+
+
+def _mutate(lines: list[str], row: int, kind: str, pick: int) -> None:
+    at = 6 + row
+    fields = lines[at].split(",")
+    bit, value = 3 + pick % 6, 9 + pick % 16     # a unit bit, a feature
+    if kind == "drop":
+        del fields[pick % len(fields)]
+    elif kind == "extra":
+        fields.insert(pick % len(fields), "0")
+    elif kind == "garble int":
+        fields[pick % 9] += "x"
+    elif kind == "garble float":
+        fields[value] = fields[value][:-1] + "e"
+    elif kind == "int as float":
+        # an id, a label or a unit bit
+        fields[pick % 9] = f"{fields[pick % 9]}.0" if pick % 2 else "0.9"
+    elif kind == "underscore":
+        fields[value] = "1_0.5"
+    elif kind == "non-ASCII digit":
+        # the same digits in Arabic-Indic or fullwidth
+        digits = "\u0660\u0661" if pick % 2 else "\uff10\uff11"
+        fields[bit] = digits[int(fields[bit])]
+    elif kind == "spaces":
+        fields[pick % len(fields)] = f" {fields[pick % len(fields)]}\t"
+    elif kind == "label out of range":
+        fields[1 + pick % 2] = "3" if pick % 4 < 2 else "-1"
+    elif kind == "bit of 2":
+        fields[bit] = "2"
+    elif kind == "swap ids":
+        other = at - 1 if row == 599 else at + 1
+        lines[at], lines[other] = lines[other], lines[at]
+        return
+    elif kind == "blank line":
+        lines.insert(at, "")
+        return
+    elif kind == "CR":
+        fields[pick % len(fields)] += "\r"
+    lines[at] = ",".join(fields)
+
+
+@hypothesis.settings(max_examples=80, deadline=None, derandomize=True)
+@hypothesis.given(mutations=st.lists(st.tuples(
+    st.sampled_from([0, 1, 100, 254, 255, 256, 257, 258, 420, 598, 599]),
+    st.sampled_from(["drop", "extra", "garble int", "garble float",
+                     "int as float", "underscore", "non-ASCII digit", "spaces",
+                     "label out of range", "bit of 2", "swap ids",
+                     "blank line", "CR"]),
+    st.integers(0, 10**6)), min_size=1, max_size=3))
+def test_block_parse_matches_the_row_by_row_reference(mutations):
+    lines = list(_BODY)
+    for row, kind, pick in mutations:
+        _mutate(lines, row, kind, pick)
+    outcomes = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ds.txt")
+        with open(path, "w", newline="") as fh:
+            fh.write("\n".join(lines) + "\n")
+        for load in (data.load, load_row_at_a_time):
+            try:
+                ds = load(path)
+            except (DatasetFormatError, DatasetValidationError) as exc:
+                outcomes.append((type(exc), str(exc)))
+            else:
+                outcomes.append(tuple(
+                    (a.dtype, a.shape, a.tobytes())
+                    for a in (ds.features, ds.observed_labels,
+                              ds.true_labels, ds.au_labels)))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_an_int_written_as_a_float_is_refused_where_numpy_truncates_it(
+        tmp_path, monkeypatch):
+    """numpy before 2.4 reads ``300.0`` into an int64 field as 300 with only
+    a DeprecationWarning; such a loadtxt must not let the block through."""
+    real = np.loadtxt
+
+    def truncating_loadtxt(block, **kw):
+        if any(line.startswith("300.0,") for line in block):
+            warnings.warn("loadtxt(): Parsing an integer via a float is "
+                          "deprecated.", DeprecationWarning, stacklevel=2)
+            block = [line.replace("300.0,", "300,", 1) for line in block]
+        return real(block, **kw)
+
+    lines = list(_BODY)
+    lines[6 + 300] = lines[6 + 300].replace("300,", "300.0,", 1)
+    path = tmp_path / "ds.txt"
+    path.write_text("\n".join(lines) + "\n")
+    monkeypatch.setattr(data.np, "loadtxt", truncating_loadtxt)
+    with pytest.raises(DatasetFormatError, match=r"^line 307: unparseable"):
+        data.load(path)
 
 
 class TestBatches:
