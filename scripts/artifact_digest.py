@@ -7,14 +7,16 @@ byte-identical artifacts when this script prints the same lines for both:
     PYTHONPATH=/path/to/other/tree/src python scripts/artifact_digest.py > before.txt
     diff before.txt after.txt
 
-In a temporary directory it runs ``aurelab gen --test-fraction``, ``train``
+In a temporary directory it runs ``aurelab gen --test-fraction``, ``gen``
+again with the feature and unit-bit noise flags, ``gen`` with only
+``--out`` (the defaults: no held-out split, no corruption), ``train``
 with the held-out file, ``eval --out``, ``train --resume`` to a later epoch,
 ``ablate`` on a branch spec and on an edges spec, and ``sweep``; the specs
 are tiny.  Then ``ablate`` and ``sweep`` again, given only flags and no
 spec file, and three more ``train`` runs that between them use every
 training flag the first runs leave out (``--no-target``, ``--no-aux``,
 ``--random-edges``, ``--high-fraction``, ``--rank-margin``, ``--lr-aux``).
-It then prints the digest of each artifact: the dataset and its ``.test``
+It then prints the digest of each artifact: the datasets and the ``.test``
 file; each of the first two runs' ``metrics.csv``, ``checkpoint.json``,
 ``relabel_audit.csv`` and both unit-graph CSVs; the eval CSV; the five
 tables and each table's ``spec.resolved``; the ``checkpoint.json`` (which
@@ -35,6 +37,11 @@ from aurelab import cli
 GEN = ["gen", "--classes", "3", "--aus", "6", "--dim", "8", "--size", "300",
        "--corruption", "0.2", "--test-fraction", "0.25", "--seed", "5",
        "--out", "ds.txt"]
+# the generator flags GEN leaves out, and then none but --out
+GEN_NOISE = ["gen", "--classes", "4", "--aus", "8", "--dim", "6", "--size",
+             "120", "--spread", "3.5", "--noise", "0.75", "--au-noise", "0.1",
+             "--seed", "3", "--out", "noise.txt"]
+GEN_DEFAULTS = ["gen", "--out", "defaults.txt"]
 TRAIN = ["--batch-size", "32", "--warmup-epochs", "2", "--ramp-pivot", "2",
          "--lr", "0.05", "--momentum", "0.8", "--seed", "5"]
 SPEC = """[experiment]
@@ -68,6 +75,8 @@ FLAG_RUNS = {
 }
 STEPS = [
     GEN,
+    GEN_NOISE,
+    GEN_DEFAULTS,
     ["train", "--data", "ds.txt", "--test-data", "ds.txt.test",
      "--out", "run", "--epochs", "4"] + TRAIN,
     ["eval", "--checkpoint", "run/checkpoint.json", "--data", "ds.txt.test",
@@ -85,7 +94,8 @@ STEPS = [
      for run, flags in FLAG_RUNS.items()]
 RUN_FILES = ("metrics.csv", "checkpoint.json", "relabel_audit.csv",
              "au_adjacency.csv", "au_adjacency_normalized.csv")
-ARTIFACTS = (["ds.txt", "ds.txt.test", "eval.csv"]
+ARTIFACTS = (["ds.txt", "ds.txt.test", "noise.txt", "defaults.txt",
+              "eval.csv"]
              + [f"{run}/{name}" for run in ("run", "resumed")
                 for name in RUN_FILES]
              + ["ablation/ablation.csv", "edges/edges.csv",

@@ -9,10 +9,14 @@ and laid over it; a spec that names another table is exit 2.  Each of
 ``train``'s training flags is a ``[train]`` key too (``--lr`` is
 ``lr_initial``; ``--no-target``, ``--no-aux`` and ``--random-edges`` set
 theirs to false, false and true), laid over the stock ``TrainConfig``.
-Every such flag's text goes through ``experiments.parse_value``, the
-parser of spec files, so a value that does not parse is the same
-``[train] epochs = '1.5': expected an integer`` line, exit 2, whichever
-command it is given to.
+Each of ``gen``'s flags but ``--seed`` and ``--out`` is a spec key too: a
+``[dataset]`` key (``--classes`` is ``n_classes``, ``--spread``
+``class_spread``), or ``[experiment] rate`` for ``--corruption``, laid
+over ``DatasetSpec`` and checked by ``DatasetSpec.validate`` before
+anything is generated.  Every such flag's text goes through
+``experiments.parse_value``, the parser of spec files, so a value that
+does not parse is the same ``[train] epochs = '1.5': expected an
+integer`` line, exit 2, whichever command it is given to.
 
 Exit codes: 0 success, 2 usage or configuration error (a dataset too large
 to generate included), 3 missing, unreadable (not UTF-8 text included) or
@@ -93,32 +97,30 @@ def _label_histogram(ds: data.Dataset) -> str:
 
 
 def cmd_gen(args) -> int:
-    ds = data.generate(args.classes, args.aus, args.dim, args.size,
-                       args.spread, args.noise, args.seed,
-                       au_noise=args.au_noise)
+    spec = experiments.load_spec(None, _flag_texts(args))
+    d = spec.dataset
+    ds = data.generate(d.n_classes, d.n_units, d.dim, d.n, d.class_spread,
+                       d.within_noise, args.seed, au_noise=d.au_noise)
     test_ds = None
-    if args.test_fraction > 0:
-        ds, test_ds = data.train_test_split(ds, args.test_fraction,
+    if d.test_fraction > 0:
+        ds, test_ds = data.train_test_split(ds, d.test_fraction,
                                             seed=args.seed)
-    if args.corruption > 0:
-        ds = data.corrupt_labels(ds, args.corruption, seed=args.seed)
+    ds = data.corrupt_labels(ds, spec.rate, seed=args.seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     data.save(ds, out)
-    paths = [out]
     if test_ds is not None:
         test_path = out.with_suffix(out.suffix + ".test")
         data.save(test_ds, test_path)
-        paths.append(test_path)
 
     corrupted = int(np.sum(ds.observed_labels != ds.true_labels))
     print(f"wrote {ds.n} samples to {out}")
     if test_ds is not None:
-        print(f"wrote {test_ds.n} clean held-out samples to {paths[1]}")
+        print(f"wrote {test_ds.n} clean held-out samples to {test_path}")
     print(f"classes={ds.n_classes} units={ds.n_units} dim={ds.dim}")
     print(_label_histogram(ds))
     print(f"corrupted labels: {corrupted} of {ds.n} "
-          f"({corrupted / ds.n:.1%}, requested {args.corruption:.1%})")
+          f"({corrupted / ds.n:.1%}, requested {spec.rate:.1%})")
     return EXIT_OK
 
 
@@ -256,16 +258,21 @@ def _csv_rows(path: Path, header_ok, expected: str
 
 
 def _audit_epochs(path: Path) -> list[int]:
-    """The epoch of every record in a relabel audit CSV."""
+    """The epoch of every record in a relabel audit CSV whose distances are
+    numbers and whose other fields are integers."""
     epochs = []
     for lineno, row in _csv_rows(path, lambda h: h == AUDIT_HEADER.split(","),
                                  f"the audit header '{AUDIT_HEADER}'"):
-        try:
-            epochs.append(int(row["epoch"]))
-        except ValueError:
-            raise ArtifactFormatError(f"{path}, line {lineno}: epoch "
-                                      f"'{row['epoch']}' is not an "
-                                      f"integer") from None
+        for column, text in row.items():
+            parse, expected = ((float, "a number") if column.startswith("dist")
+                               else (int, "an integer"))
+            try:
+                parse(text)
+            except ValueError:
+                raise ArtifactFormatError(f"{path}, line {lineno}: {column} "
+                                          f"'{text}' is not "
+                                          f"{expected}") from None
+        epochs.append(int(row["epoch"]))
     return epochs
 
 
@@ -322,17 +329,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a synthetic dataset file")
     p.add_argument("--out", required=True)
-    p.add_argument("--classes", type=int, default=5)
-    p.add_argument("--aus", type=int, default=10,
-                   help="number of action units")
-    p.add_argument("--dim", type=int, default=16)
-    p.add_argument("--size", type=int, default=2000, dest="size")
-    p.add_argument("--spread", type=float, default=4.0)
-    p.add_argument("--noise", type=float, default=1.0)
-    p.add_argument("--au-noise", type=float, default=0.05)
-    p.add_argument("--corruption", type=float, default=0.0)
-    p.add_argument("--test-fraction", type=float, default=0.0,
-                   help="also write a clean held-out file (<out>.test)")
+    p.add_argument("--classes", dest="dataset.n_classes")
+    p.add_argument("--aus", dest="dataset.n_units")
+    p.add_argument("--dim", dest="dataset.dim")
+    p.add_argument("--size", dest="dataset.n")
+    p.add_argument("--spread", dest="dataset.class_spread")
+    p.add_argument("--noise", dest="dataset.within_noise")
+    p.add_argument("--au-noise", dest="dataset.au_noise", default="0.05")
+    p.add_argument("--corruption", dest="experiment.rate", default="0")
+    p.add_argument("--test-fraction", dest="dataset.test_fraction",
+                   default="0", help="also write a clean held-out <out>.test")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gen)
 

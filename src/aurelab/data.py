@@ -1,5 +1,6 @@
 """Synthetic expression datasets: clustered features, action-unit bit labels,
 controllable label corruption, a diff-able text file format, and batching.
+``DatasetSpec`` holds the generator's arguments and is their one check.
 
 Each sample carries the label used for training (``observed``), the hidden
 generation label (``true``, kept for auditing only), and a bit-vector of
@@ -198,6 +199,35 @@ class Dataset:
             raise DatasetValidationError("non-finite feature values")
 
 
+@dataclass(frozen=True)
+class DatasetSpec:
+    """Generator arguments and the held-out share, and their one check."""
+    n_classes: int = 5
+    n_units: int = 10
+    dim: int = 16
+    n: int = 2000
+    class_spread: float = 4.0
+    within_noise: float = 1.0
+    au_noise: float = 0.03
+    test_fraction: float = 0.2
+
+    def validate(self) -> None:
+        if self.n < self.n_classes:
+            raise ConfigError(f"need n >= n_classes, got n={self.n}, "
+                              f"classes={self.n_classes}")
+        if self.dim < 1:
+            raise ConfigError(f"feature dimension must be >= 1, got {self.dim}")
+        if not np.inf > self.class_spread > self.within_noise > 0:
+            raise ConfigError(
+                f"need a finite class_spread > within_noise > 0, got "
+                f"spread={self.class_spread}, noise={self.within_noise}")
+        for name in ("au_noise", "test_fraction"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1), got "
+                                  f"{getattr(self, name)}")
+
+
+@np.errstate(over="raise", invalid="raise")
 def generate(n_classes: int, n_units: int, dim: int, n: int,
              class_spread: float, within_noise: float, seed: int,
              au_noise: float = 0.05) -> Dataset:
@@ -208,46 +238,39 @@ def generate(n_classes: int, n_units: int, dim: int, n: int,
     ``i % n_classes`` and is its prototype plus N(0, within_noise^2) noise.
     Unit bits copy the class's table row with per-bit flip chance au_noise.
     Observed and true labels start identical; see :func:`corrupt_labels`.
+    Float overflow raises, so features too large for float64 are refused.
     """
-    if n < n_classes:
-        raise ConfigError(f"need n >= n_classes, got n={n}, classes={n_classes}")
-    if dim < 1:
-        raise ConfigError(f"feature dimension must be >= 1, got {dim}")
-    if not (class_spread > within_noise > 0):
-        raise ConfigError(
-            f"need class_spread > within_noise > 0, got "
-            f"spread={class_spread}, noise={within_noise}")
-    if not 0.0 <= au_noise < 1.0:
-        raise ConfigError(f"au_noise must lie in [0, 1), got {au_noise}")
+    DatasetSpec(n_classes, n_units, dim, n, class_spread, within_noise,
+                au_noise).validate()
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     try:
         table = emotion_au_table(n_classes, n_units)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
-        prototypes = None
         for _ in range(100):
             cand = rng.standard_normal((n_classes, dim))
             norms = np.linalg.norm(cand, axis=1, keepdims=True)
             if np.any(norms == 0):
                 continue
             cand = cand / norms * class_spread
-            diffs = cand[:, None, :] - cand[None, :, :]
-            dists = np.linalg.norm(diffs, axis=2)
+            dists = np.linalg.norm(cand[:, None, :] - cand[None, :, :], axis=2)
             np.fill_diagonal(dists, np.inf)
             if dists.min() > 1e-9:
-                prototypes = cand
                 break
-        if prototypes is None:
+        else:
             raise ConfigError(f"could not draw {n_classes} distinct "
                               f"prototypes in {dim} dimensions")
 
         true = np.arange(n, dtype=np.int64) % n_classes
-        features = prototypes[true] + within_noise * rng.standard_normal((n, dim))
+        features = cand[true] + within_noise * rng.standard_normal((n, dim))
         flips = rng.random((n, n_units)) < au_noise
         au = np.where(flips, 1 - table[true], table[true]).astype(np.int64)
         return Dataset(features, true.copy(), true, au,
                        n_classes, n_units, dim, 0.0, seed)
+    except FloatingPointError as exc:
+        raise ConfigError(f"class_spread={class_spread} and within_noise="
+                          f"{within_noise} overflow float64: {exc}") from None
     except MemoryError as exc:
         raise ConfigError(f"a dataset of n={n}, dim={dim}, C={n_classes}, "
                           f"M={n_units} is too large to allocate: {exc}") from None

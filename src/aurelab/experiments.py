@@ -19,24 +19,11 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .data import (Dataset, corrupt_labels, generate, train_test_split,
-                   write_atomic)
+from .data import (Dataset, DatasetSpec, corrupt_labels, generate,
+                   train_test_split, write_atomic)
 from .errors import ConfigError
 from .relabel import correction_figures
 from .trainer import TrainConfig, TrainResult, train
-
-
-@dataclass(frozen=True)
-class DatasetSpec:
-    """Generator arguments for one experiment dataset."""
-    n_classes: int = 5
-    n_units: int = 10
-    dim: int = 16
-    n: int = 2000
-    class_spread: float = 4.0
-    within_noise: float = 1.0
-    au_noise: float = 0.03
-    test_fraction: float = 0.2
 
 
 # Desk-scale training protocol for experiments.  The stock TrainConfig
@@ -75,6 +62,14 @@ class ExperimentSpec:
             raise ConfigError("experiment needs at least one seed")
         if min(self.seeds) < 0:
             raise ConfigError(f"seeds must be >= 0, got {min(self.seeds)}")
+        for rate in (self.rate, *self.rates):
+            if not 0.0 <= rate < 1.0:
+                raise ConfigError(f"corruption rate must lie in [0, 1), "
+                                  f"got {rate}")
+        if self.train.epochs < 1:
+            raise ConfigError(f"an experiment cell needs at least one epoch, "
+                              f"got {self.train.epochs}")
+        self.dataset.validate()
         self.train.validate()
 
 
@@ -127,9 +122,6 @@ def run_cell(dataset_spec: DatasetSpec, train_cfg: TrainConfig, rate: float,
              random_edges: bool = False) -> CellResult:
     """Train one cell; its figures are those of the last epoch on the
     held-out split, and the label corrections over the whole run."""
-    if train_cfg.epochs < 1:
-        raise ConfigError(f"an experiment cell needs at least one epoch, "
-                          f"got {train_cfg.epochs}")
     train_ds, test_ds = make_cell_datasets(dataset_spec, rate, seed)
     cfg = cell_config(train_cfg, seed, use_target, use_aux, random_edges)
     result = train(train_ds, cfg, eval_dataset=test_ds)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import time
 import tracemalloc
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from aurelab import data, experiments
 from aurelab.cli import main
+from aurelab.relabel import AUDIT_HEADER
 from aurelab.trainer import TrainConfig, load_checkpoint
 
 
@@ -94,6 +96,31 @@ class TestGen:
         _assert_error(rc, capsys, f"no table of {classes} unit patterns over "
                                   f"{aus} units found within", code=2)
         assert not (tmp_path / "x.txt").exists()
+
+    # every flag that is a spec key, the key, and whether it reads integers
+    FLAG_KEYS = {"--classes": ("[dataset] n_classes", True),
+                 "--aus": ("[dataset] n_units", True),
+                 "--dim": ("[dataset] dim", True),
+                 "--size": ("[dataset] n", True),
+                 "--spread": ("[dataset] class_spread", False),
+                 "--noise": ("[dataset] within_noise", False),
+                 "--au-noise": ("[dataset] au_noise", False),
+                 "--test-fraction": ("[dataset] test_fraction", False),
+                 "--corruption": ("[experiment] rate", False)}
+
+    @pytest.mark.parametrize("value", ["x", "nan", "inf", "-1", "1e300"])
+    @pytest.mark.parametrize("flag", list(FLAG_KEYS))
+    def test_flag_value_out_of_range_or_not_parsing(self, tmp_path, capsys,
+                                                    flag, value):
+        key, integer = self.FLAG_KEYS[flag]
+        out = tmp_path / "x.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["gen", flag, value, "--out", str(out)])
+        parses = value == "-1" or (value != "x" and not integer)
+        message = "" if parses else f"error: {key} = '{value}': expected"
+        _assert_error(rc, capsys, message, code=2)
+        assert list(tmp_path.iterdir()) == []
 
     def test_test_fraction_writes_clean_holdout(self, tmp_path):
         out = tmp_path / "ds.txt"
@@ -501,6 +528,20 @@ class TestBrokenInputs:
         _assert_error(main(["inspect", "graph", str(path)]), capsys,
                            f"{path}, line 3: expected comma-separated numbers")
 
+    @pytest.mark.parametrize("row,message", [
+        ("x,1,1,2,0.5,0.25", "epoch 'x' is not an integer"),
+        ("3,x,1,2,0.5,zz", "sample_id 'x' is not an integer"),
+        ("3,1,1.5,2,0.5,0.25", "original '1.5' is not an integer"),
+        ("3,1,1,,0.5,0.25", "corrected '' is not an integer"),
+        ("3,1,1,2,zz,0.25", "dist_original 'zz' is not a number"),
+        ("3,1,1,2,0.5,0.2.5", "dist_corrected '0.2.5' is not a number")])
+    def test_audit_with_a_field_that_does_not_parse(self, tmp_path, capsys,
+                                                    row, message):
+        path = tmp_path / "audit.csv"
+        path.write_text(f"{AUDIT_HEADER}\n3,0,1,2,0.5,0.25\n{row}\n")
+        _assert_error(main(["inspect", "audit", str(path)]), capsys,
+                      f"{path}, line 3: {message}")
+
     def test_audit_read_from_a_dataset_file(self, dataset_files, capsys):
         rc = main(["inspect", "audit", str(dataset_files[0])])
         _assert_error(rc, capsys, "line 1: expected the audit header")
@@ -553,7 +594,7 @@ class TestBrokenSpecs:
                   "--rates": ("[experiment] rates", ("sweep",)),
                   "--rate": ("[experiment] rate", ("ablate",)),
                   "--epochs": ("[train] epochs", ("ablate", "sweep")),
-                  "--size": ("[dataset] n", ("ablate", "sweep"))}
+                  "--size": ("[dataset] n", ("ablate", "sweep", "gen"))}
 
     @pytest.mark.parametrize("flag,value", [
         ("--seeds", "0,a"), ("--rates", "x"), ("--rate", "x"),
@@ -608,6 +649,37 @@ class TestBrokenSpecs:
         rc = main(["ablate", "--spec", str(path), "--out", str(tmp_path)])
         _assert_error(rc, capsys, "lr_drops rate at epoch 3 must be finite "
                       "and > 0, got -0.05", code=2)
+
+    @pytest.mark.parametrize("command,flags,dataset_key,message", [
+        ("sweep", ["--rates", "0.2,1.5"], "",
+         "corruption rate must lie in [0, 1), got 1.5"),
+        ("ablate", ["--epochs", "0"], "",
+         "an experiment cell needs at least one epoch, got 0"),
+        ("ablate", ["--rate", "1.5"], "",
+         "corruption rate must lie in [0, 1), got 1.5"),
+        ("ablate", [], "class_spread = 0.5\n",
+         "need a finite class_spread > within_noise > 0, got spread=0.5")],
+        ids=["sweep-rates", "ablate-epochs", "ablate-rate", "spec-spread"])
+    def test_spec_out_of_range_trains_nothing(self, tmp_path, capsys,
+                                              monkeypatch, command, flags,
+                                              dataset_key, message):
+        name = "noise_sweep" if command == "sweep" else "ablation"
+        spec = tmp_path / "bad.spec"
+        spec.write_text(_tiny_spec_text(name, tmp_path / "out").replace(
+            "[dataset]\n", "[dataset]\n" + dataset_key))
+        calls = []
+        real_run_cell = experiments.run_cell
+
+        def counting_run_cell(*args):
+            calls.append(args)
+            return real_run_cell(*args)
+
+        monkeypatch.setattr(experiments, "run_cell", counting_run_cell)
+        experiments.clear_cell_memo()
+        rc = main([command, "--spec", str(spec)] + flags)
+        _assert_error(rc, capsys, message, code=2)
+        assert not (tmp_path / "out").exists()
+        assert calls == []
 
     def test_dataset_too_large_to_allocate(self, tmp_path, capsys):
         spec = tmp_path / "big.spec"
