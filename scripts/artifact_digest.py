@@ -20,13 +20,18 @@ It then prints the digest of each artifact: the datasets and the ``.test``
 file; each of the first two runs' ``metrics.csv``, ``checkpoint.json``,
 ``relabel_audit.csv`` and both unit-graph CSVs; the eval CSV; the five
 tables and each table's ``spec.resolved``; the ``checkpoint.json`` (which
-stores every training value) and ``metrics.csv`` of each flag run.  The
+stores every training value) and ``metrics.csv`` of each flag run; and the
+stdout of ``inspect`` on each kind of the first ``train`` run's files
+(``audit``, ``metrics``, ``checkpoint``, both ``graph`` CSVs and the
+``dataset`` it trained on), which covers the readers of those files.  The
 last line combines them.
 Paths are relative to the temporary directory, so the lines do not depend
 on where it is.
 """
 
+import contextlib
 import hashlib
+import io
 import os
 import sys
 import tempfile
@@ -106,6 +111,22 @@ ARTIFACTS = (["ds.txt", "ds.txt.test", "noise.txt", "defaults.txt",
                              "flag_ablation", "flag_sweep")]
              + [f"{run}/{name}" for run in FLAG_RUNS
                 for name in ("checkpoint.json", "metrics.csv")])
+# (kind, path) of every ``inspect`` whose stdout is hashed
+INSPECTED = [("audit", "run/relabel_audit.csv"), ("metrics", "run/metrics.csv"),
+             ("checkpoint", "run/checkpoint.json"),
+             ("graph", "run/au_adjacency.csv"),
+             ("graph", "run/au_adjacency_normalized.csv"),
+             ("dataset", "ds.txt")]
+
+
+def inspect_stdout(kind: str, path: str) -> bytes:
+    """What ``aurelab inspect kind path`` prints; raises unless it exits 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(["inspect", kind, path])
+    if rc != 0:
+        raise RuntimeError(f"aurelab inspect {kind} {path} exited {rc}")
+    return out.getvalue().encode()
 
 
 def write_artifacts() -> int:
@@ -133,15 +154,18 @@ def main() -> int:
         os.chdir(root)
         try:
             rc = write_artifacts()
-            lines = [(rel, hashlib.sha256(Path(rel).read_bytes()).hexdigest())
-                     for rel in ARTIFACTS] if rc == 0 else []
+            outputs = [] if rc != 0 else (
+                [(rel, Path(rel).read_bytes()) for rel in ARTIFACTS]
+                + [(f"inspect {kind} {rel}", inspect_stdout(kind, rel))
+                   for kind, rel in INSPECTED])
         finally:
             os.chdir(cwd)
     if rc != 0:
         return rc
-    for rel, digest in lines:
+    for name, output in outputs:
+        digest = hashlib.sha256(output).hexdigest()
         combined.update(digest.encode())
-        print(f"{rel:<36} {digest}")
+        print(f"{name:<36} {digest}")
     print(f"combined {combined.hexdigest()}")
     return 0
 

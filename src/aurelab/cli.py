@@ -16,7 +16,9 @@ over ``DatasetSpec`` and checked by ``DatasetSpec.validate`` before
 anything is generated.  Every such flag's text goes through
 ``experiments.parse_value``, the parser of spec files, so a value that
 does not parse is the same ``[train] epochs = '1.5': expected an
-integer`` line, exit 2, whichever command it is given to.
+integer`` line, exit 2, whichever command it is given to.  ``inspect``
+reads a file with the reader beside its writer (``relabel.read_audit``,
+``trainer.read_metrics``); only the unit-graph CSVs are this module's.
 
 Exit codes: 0 success, 2 usage or configuration error (a dataset too large
 to generate included), 3 missing, unreadable (not UTF-8 text included) or
@@ -27,20 +29,17 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from . import data, experiments
+from . import data, experiments, relabel
 from .errors import (ArtifactFormatError, CheckpointError, ConfigError,
                      DatasetFormatError, DatasetValidationError,
                      IntegrityError, TrainingDivergedError)
-from .relabel import AUDIT_HEADER, audit_rows
-from .trainer import (METRICS_FIXED_COLUMNS, TrainConfig, evaluate,
-                      load_checkpoint, restore_model, save_checkpoint, train,
-                      write_metrics_csv)
+from .trainer import (TrainConfig, evaluate, load_checkpoint, read_metrics,
+                      restore_model, save_checkpoint, train, write_metrics_csv)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -81,11 +80,10 @@ def _flag_texts(args) -> dict[str, dict[str, str]]:
     return texts
 
 
-def _train_config(args) -> TrainConfig:
-    """The stock TrainConfig with every training flag given laid over it."""
-    return replace(TrainConfig(), **{
-        key: experiments.parse_value("train", key, text)
-        for key, text in _flag_texts(args).get("train", {}).items()})
+def _flag_values(args, section: str) -> dict:
+    """Each ``section`` key that a flag gives, with the flag's value."""
+    return {key: experiments.parse_value(section, key, text)
+            for key, text in _flag_texts(args).get(section, {}).items()}
 
 
 def _label_histogram(ds: data.Dataset) -> str:
@@ -97,15 +95,17 @@ def _label_histogram(ds: data.Dataset) -> str:
 
 
 def cmd_gen(args) -> int:
-    spec = experiments.load_spec(None, _flag_texts(args))
-    d = spec.dataset
+    rate = _flag_values(args, "experiment")["rate"]
+    d = data.DatasetSpec(**_flag_values(args, "dataset"))
+    data.check_corruption_rate(rate)
+    d.validate()
     ds = data.generate(d.n_classes, d.n_units, d.dim, d.n, d.class_spread,
                        d.within_noise, args.seed, au_noise=d.au_noise)
     test_ds = None
     if d.test_fraction > 0:
         ds, test_ds = data.train_test_split(ds, d.test_fraction,
                                             seed=args.seed)
-    ds = data.corrupt_labels(ds, spec.rate, seed=args.seed)
+    ds = data.corrupt_labels(ds, rate, seed=args.seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     data.save(ds, out)
@@ -120,7 +120,7 @@ def cmd_gen(args) -> int:
     print(f"classes={ds.n_classes} units={ds.n_units} dim={ds.dim}")
     print(_label_histogram(ds))
     print(f"corrupted labels: {corrupted} of {ds.n} "
-          f"({corrupted / ds.n:.1%}, requested {spec.rate:.1%})")
+          f"({corrupted / ds.n:.1%}, requested {rate:.1%})")
     return EXIT_OK
 
 
@@ -132,7 +132,7 @@ def _write_graph_files(graph, out_dir: Path) -> None:
 
 
 def cmd_train(args) -> int:
-    cfg = _train_config(args)
+    cfg = replace(TrainConfig(), **_flag_values(args, "train"))
     ds = data.load(args.data)
     eval_ds = data.load(args.test_data) if args.test_data else None
     resume = load_checkpoint(args.resume) if args.resume else None
@@ -142,9 +142,7 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_metrics_csv(result.metrics, ds.n_classes, out_dir / "metrics.csv")
     save_checkpoint(result.checkpoint, out_dir / "checkpoint.json")
-    audit = [AUDIT_HEADER] + audit_rows(result.records)
-    data.write_atomic(out_dir / "relabel_audit.csv",
-                      (line + "\n" for line in audit))
+    relabel.write_audit(out_dir / "relabel_audit.csv", result.records)
     _write_graph_files(result.model.graph, out_dir)
 
     if result.metrics:
@@ -162,7 +160,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     ds = data.load(args.data)
-    model, _ = restore_model(load_checkpoint(args.checkpoint), ds)
+    model = restore_model(load_checkpoint(args.checkpoint), ds)
     report = evaluate(model, ds)
     print(f"accuracy {report.accuracy:.4f} on {report.n} samples")
     for c, acc in enumerate(report.per_class_accuracy):
@@ -236,54 +234,6 @@ def _graph_rows(path: Path) -> list[np.ndarray]:
     return rows
 
 
-def _csv_rows(path: Path, header_ok, expected: str
-              ) -> list[tuple[int, dict[str, str]]]:
-    """The line number and the fields, keyed by column, of every row of a
-    CSV artifact whose header passes ``header_ok``; every row must have as
-    many fields as the header."""
-    lines = path.read_text().splitlines()
-    header = lines[0].split(",") if lines else []
-    if not header_ok(header):
-        raise ArtifactFormatError(f"{path}, line 1: expected {expected}")
-    rows = []
-    for lineno, line in enumerate(lines[1:], 2):
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != len(header):
-            raise ArtifactFormatError(f"{path}, line {lineno}: {len(fields)} "
-                                      f"fields, expected {len(header)}")
-        rows.append((lineno, dict(zip(header, fields))))
-    return rows
-
-
-def _audit_epochs(path: Path) -> list[int]:
-    """The epoch of every record in a relabel audit CSV whose distances are
-    numbers and whose other fields are integers."""
-    epochs = []
-    for lineno, row in _csv_rows(path, lambda h: h == AUDIT_HEADER.split(","),
-                                 f"the audit header '{AUDIT_HEADER}'"):
-        for column, text in row.items():
-            parse, expected = ((float, "a number") if column.startswith("dist")
-                               else (int, "an integer"))
-            try:
-                parse(text)
-            except ValueError:
-                raise ArtifactFormatError(f"{path}, line {lineno}: {column} "
-                                          f"'{text}' is not "
-                                          f"{expected}") from None
-        epochs.append(int(row["epoch"]))
-    return epochs
-
-
-def _metrics_rows(path: Path) -> list[dict[str, str]]:
-    """The rows of a metrics CSV, keyed by column name."""
-    fixed = list(METRICS_FIXED_COLUMNS)
-    return [row for _, row in _csv_rows(
-        path, lambda h: h[:len(fixed)] == fixed,
-        f"a metrics header starting '{','.join(fixed)}'")]
-
-
 def cmd_inspect(args) -> int:
     kind, path = args.kind, Path(args.path)
     if not path.exists():
@@ -292,11 +242,12 @@ def cmd_inspect(args) -> int:
         for row in _graph_rows(path):
             print(",".join(f"{v:.4f}" for v in row) + f"  | sum {row.sum():.6f}")
     elif kind == "audit":
-        counts = Counter(_audit_epochs(path))
+        epochs, counts = np.unique(relabel.read_audit(path)["epoch"],
+                                   return_counts=True)
         print("epoch,corrections")
-        for epoch in sorted(counts):
-            print(f"{epoch},{counts[epoch]}")
-        print(f"total,{sum(counts.values())}")
+        for epoch, count in zip(epochs.tolist(), counts.tolist()):
+            print(f"{epoch},{count}")
+        print(f"total,{int(counts.sum())}")
     elif kind == "checkpoint":
         ckpt = load_checkpoint(path)
         print(f"epoch {ckpt.epoch}")
@@ -305,7 +256,7 @@ def cmd_inspect(args) -> int:
             print(f"{name}: {'x'.join(map(str, arr.shape))}")
         print(f"templates valid: {ckpt.templates.valid.astype(int).tolist()}")
     elif kind == "metrics":
-        for row in _metrics_rows(path):
+        for row in read_metrics(path):
             print(f"epoch {row['epoch']}: accuracy {row['accuracy']}, "
                   f"noise_rate {row['noise_rate']}, "
                   f"corrections {row['relabel_count']}")

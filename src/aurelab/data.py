@@ -15,10 +15,12 @@ import warnings
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 
-from .errors import (ConfigError, DatasetFormatError, DatasetValidationError)
+from .errors import (ArtifactFormatError, ConfigError, DatasetFormatError,
+                     DatasetValidationError)
 
 # Columns of the default table, by action-unit number:
 # AU1 inner brow raiser, AU2 outer brow raiser, AU4 brow lowerer,
@@ -112,7 +114,11 @@ def emotion_au_table(n_classes: int, n_units: int) -> np.ndarray:
         raise ConfigError(f"need at least 4 action units, got {n_units}")
     # Allocated before the search, so a table too large for memory fails
     # at once.
-    table = np.zeros((n_classes, n_units), dtype=np.int64)
+    try:
+        table = np.zeros((n_classes, n_units), dtype=np.int64)
+    except MemoryError as exc:
+        raise ConfigError(f"a {n_classes}x{n_units} unit table is too large "
+                          f"to allocate: {exc}") from None
     if (n_classes, n_units) == (7, 12):
         patterns = _BASIC_EMOTION_PATTERNS
     else:
@@ -225,6 +231,8 @@ class DatasetSpec:
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1), got "
                                   f"{getattr(self, name)}")
+        # the class and unit minimums and the search budget
+        emotion_au_table(self.n_classes, self.n_units)
 
 
 @np.errstate(over="raise", invalid="raise")
@@ -276,12 +284,16 @@ def generate(n_classes: int, n_units: int, dim: int, n: int,
                           f"M={n_units} is too large to allocate: {exc}") from None
 
 
+def check_corruption_rate(rate: float) -> None:
+    if not 0.0 <= rate < 1.0:
+        raise ConfigError(f"corruption rate must lie in [0, 1), got {rate}")
+
+
 def corrupt_labels(ds: Dataset, rate: float, seed: int) -> Dataset:
     """Flip round(rate * n) uniformly chosen observed labels to a uniformly
     drawn different class (never the sample's true label).  Only the
     observed labels are copied; the rest is shared with ``ds``."""
-    if not 0.0 <= rate < 1.0:
-        raise ConfigError(f"corruption rate must lie in [0, 1), got {rate}")
+    check_corruption_rate(rate)
     out = replace(ds, observed_labels=ds.observed_labels.copy(),
                   corruption_rate=rate)
     k = int(round(rate * ds.n))
@@ -315,6 +327,27 @@ def write_atomic(path, pieces: Iterable[str]) -> None:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def _csv_rows(path, header_ok, expected: str
+              ) -> list[tuple[int, dict[str, str]]]:
+    """The line number and the fields, keyed by column, of every row of a
+    CSV artifact whose header passes ``header_ok``; every row must have as
+    many fields as the header."""
+    lines = Path(path).read_text().splitlines()
+    header = lines[0].split(",") if lines else []
+    if not header_ok(header):
+        raise ArtifactFormatError(f"{path}, line 1: expected {expected}")
+    rows = []
+    for lineno, line in enumerate(lines[1:], 2):
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != len(header):
+            raise ArtifactFormatError(f"{path}, line {lineno}: {len(fields)} "
+                                      f"fields, expected {len(header)}")
+        rows.append((lineno, dict(zip(header, fields))))
+    return rows
 
 
 def _dataset_lines(ds: Dataset) -> Iterator[str]:

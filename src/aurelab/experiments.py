@@ -19,8 +19,8 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .data import (Dataset, DatasetSpec, corrupt_labels, generate,
-                   train_test_split, write_atomic)
+from .data import (Dataset, DatasetSpec, check_corruption_rate,
+                   corrupt_labels, generate, train_test_split, write_atomic)
 from .errors import ConfigError
 from .relabel import correction_figures
 from .trainer import TrainConfig, TrainResult, train
@@ -63,13 +63,14 @@ class ExperimentSpec:
         if min(self.seeds) < 0:
             raise ConfigError(f"seeds must be >= 0, got {min(self.seeds)}")
         for rate in (self.rate, *self.rates):
-            if not 0.0 <= rate < 1.0:
-                raise ConfigError(f"corruption rate must lie in [0, 1), "
-                                  f"got {rate}")
+            check_corruption_rate(rate)
         if self.train.epochs < 1:
             raise ConfigError(f"an experiment cell needs at least one epoch, "
                               f"got {self.train.epochs}")
         self.dataset.validate()
+        if self.dataset.test_fraction == 0.0:   # every cell has a held-out set
+            raise ConfigError(f"test_fraction must lie in (0, 1), got "
+                              f"{self.dataset.test_fraction}")
         self.train.validate()
 
 

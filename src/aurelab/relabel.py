@@ -1,22 +1,25 @@
-"""Semantic templates and label correction.
+"""Semantic templates, label correction and the relabel audit file.
 
 Each class keeps a template: the confidence-weighted mean of the semantic
 features of that class's members in the most recent batch's high-confidence
-group.  A batch's low-confidence samples are compared against all valid
-templates by cosine distance in one matrix, and each is moved to the closest
-other class only when that class is strictly closer than its current one.
+group.  ``propose_corrections`` takes a batch's low-confidence samples in
+sample-id order, compares them against all valid templates by cosine
+distance in one matrix, and moves each to the closest other class only when
+that class is strictly closer than its current one.  ``write_audit`` and
+``read_audit`` write and read ``relabel_audit.csv``, a row per correction.
 ``correction_figures`` scores the moves between two label snapshots against
 the hidden true labels, for one epoch or a whole run.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
-from .errors import IntegrityError, ShapeError
+from .data import Dataset, _csv_rows, write_atomic
+from .errors import ArtifactFormatError, IntegrityError, ShapeError
 
 
 @dataclass
@@ -129,6 +132,26 @@ def decide_relabel(distances: np.ndarray, originals) -> np.ndarray | int:
     return int(out[0]) if d.ndim == 1 else out
 
 
+def propose_corrections(templates: SemanticTemplates, semantics: np.ndarray,
+                        labels: np.ndarray, sample_ids: np.ndarray,
+                        epoch: int) -> list[RelabelRecord]:
+    """The moves ``decide_relabel`` makes in a batch's low-confidence group,
+    given in any order (semantics (k, M), labels, sample ids), in sample-id
+    order; a zero-norm sample stays, with a warning if a template is usable."""
+    order = np.argsort(sample_ids)
+    semantics, labels, ids = semantics[order], labels[order], sample_ids[order]
+    dists = semantic_distances(semantics, templates)
+    zero = np.linalg.norm(semantics, axis=1) == 0.0
+    if zero.any() and templates.usable().any():
+        for sid in ids[zero]:
+            warnings.warn(f"skipping relabel of sample "
+                          f"{int(sid)}: zero-norm semantics")
+    new = decide_relabel(dists, labels)
+    return [RelabelRecord(int(ids[j]), int(labels[j]), int(new[j]),
+                          dists[j].copy(), epoch)
+            for j in np.flatnonzero(new != labels)]
+
+
 def apply_corrections(ds: Dataset, records: list[RelabelRecord]) -> int:
     """Overwrite the observed label of every referenced sample; returns how
     many labels actually changed."""
@@ -158,16 +181,41 @@ def correction_figures(start_labels: np.ndarray, end_labels: np.ndarray,
     return precision, recall
 
 
-AUDIT_HEADER = "epoch,sample_id,original,corrected,dist_original,dist_corrected"
+# the audit's columns and the type of each
+AUDIT_COLUMNS = dict(epoch=int, sample_id=int, original=int, corrected=int,
+                     dist_original=float, dist_corrected=float)
+AUDIT_HEADER = ",".join(AUDIT_COLUMNS)
 
 
-def audit_rows(records: list[RelabelRecord]) -> list[str]:
-    """CSV rows under AUDIT_HEADER, one per record."""
-    rows = []
-    for r in records:
-        rows.append(",".join([
-            str(r.epoch), str(r.sample_id), str(r.original), str(r.corrected),
-            repr(float(r.distances[r.original])),
-            repr(float(r.distances[r.corrected])),
-        ]))
-    return rows
+def write_audit(path, records: list[RelabelRecord]) -> None:
+    """Write ``records`` as a relabel audit CSV, one row per record."""
+    write_atomic(path, [AUDIT_HEADER + "\n"] + [
+        f"{r.epoch},{r.sample_id},{r.original},{r.corrected},"
+        f"{float(r.distances[r.original])!r},"
+        f"{float(r.distances[r.corrected])!r}\n" for r in records])
+
+
+def read_audit(path) -> dict[str, np.ndarray]:
+    """The columns of a relabel audit CSV: int64 ``epoch``, ``sample_id``,
+    ``original`` and ``corrected``, float64 ``dist_original`` and
+    ``dist_corrected``.  A field that does not parse, or an integer beyond
+    int64, raises ArtifactFormatError naming its line and column."""
+    columns = {name: [] for name in AUDIT_COLUMNS}
+    for lineno, row in _csv_rows(path, lambda h: h == list(AUDIT_COLUMNS),
+                                 f"the audit header '{AUDIT_HEADER}'"):
+        for name, text in row.items():
+            parse = AUDIT_COLUMNS[name]
+            try:
+                value = parse(text)
+            except ValueError:
+                expected = "an integer" if parse is int else "a number"
+                raise ArtifactFormatError(f"{path}, line {lineno}: {name} "
+                                          f"'{text}' is not {expected}"
+                                          ) from None
+            if parse is int and not -2**63 <= value < 2**63:
+                raise ArtifactFormatError(f"{path}, line {lineno}: {name} "
+                                          f"'{text}' does not fit in int64")
+            columns[name].append(value)
+    return {name: np.array(columns[name], dtype=np.int64 if parse is int
+                           else np.float64)
+            for name, parse in AUDIT_COLUMNS.items()}

@@ -4,8 +4,8 @@ maintenance, deferred label correction, evaluation, and checkpointing.
 Per epoch, each shuffled batch runs: backbone forward, confidence scores,
 class weights, high/low split, detection branch forward, loss composition,
 one SGD step with per-branch learning rates, template update from the high
-group, and (after the warmup) correction decisions for the low group.
-Each step is a scope, ``_train_step``: its tape lives only in that
+group, and (after the warmup) ``relabel.propose_corrections`` on the low
+group.  Each step is a scope, ``_train_step``: its tape lives only in that
 function's locals and is freed when it returns, so only one step's tape is
 alive at a time and none during evaluation.
 Corrections collected during an epoch are applied to the stored labels
@@ -18,7 +18,6 @@ from __future__ import annotations
 import ctypes
 import json
 import math
-import warnings
 from dataclasses import dataclass, field, fields, replace
 from functools import cache
 
@@ -27,11 +26,11 @@ import numpy as np
 from . import autodiff as ad
 from .aux_branch import (AUGraph, AuxiliaryBranch, au_detection_loss,
                          build_au_graph, random_au_graph)
-from .data import Dataset, batches, write_atomic
+from .data import Dataset, _csv_rows, batches, write_atomic
 from .errors import (CheckpointError, ConfigError, DatasetValidationError,
                      TrainingDivergedError)
 from .relabel import (RelabelRecord, SemanticTemplates, apply_corrections,
-                      correction_figures, decide_relabel, semantic_distances)
+                      correction_figures, propose_corrections)
 from .target_branch import (TargetBranch, class_weights, confidence_split,
                             rank_regularization, weighted_cross_entropy)
 
@@ -146,17 +145,14 @@ def total_loss(loss_wce: ad.Tensor, loss_rank: ad.Tensor, loss_au: ad.Tensor,
                    + loss_au.data * aux, (loss_wce, loss_rank, loss_au), vjp)
 
 
+@dataclass(eq=False)
 class Model:
     """Both branches plus the frozen unit graph and the template store."""
-
-    def __init__(self, target: TargetBranch, aux: AuxiliaryBranch,
-                 graph: AUGraph, templates: SemanticTemplates,
-                 config: TrainConfig):
-        self.target = target
-        self.aux = aux
-        self.graph = graph
-        self.templates = templates
-        self.config = config
+    target: TargetBranch
+    aux: AuxiliaryBranch
+    graph: AUGraph
+    templates: SemanticTemplates
+    config: TrainConfig
 
     def parameters(self) -> dict[str, ad.Tensor]:
         return {**self.target.parameters(), **self.aux.parameters()}
@@ -185,11 +181,12 @@ def trained_parameters(model: Model, config: TrainConfig
     return params
 
 
-def init_model(dataset: Dataset, config: TrainConfig,
-               rng: np.random.Generator) -> Model:
-    """A fresh model for ``dataset``'s shapes; raises ConfigError when its
-    weights or templates do not fit in memory (a header's class count, say,
-    can be far larger than its labels need)."""
+def init_model(dataset: Dataset, config: TrainConfig) -> Model:
+    """A fresh model for ``dataset``'s shapes, seeded with ``config.seed``;
+    raises ConfigError when its weights or templates do not fit in memory
+    (a header's class count, say, can be far larger than its labels need)."""
+    rng = np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(config.seed)))
     c, m, d = dataset.n_classes, dataset.n_units, dataset.dim
     try:
         target = TargetBranch(d, config.hidden_dim, config.feat_dim, c,
@@ -254,24 +251,22 @@ METRICS_FIXED_COLUMNS = tuple(
     if f.name not in ("per_class_accuracy", "confusion"))
 
 
-def metrics_header(n_classes: int) -> str:
-    cols = list(METRICS_FIXED_COLUMNS)
-    cols.extend(f"class_acc_{c}" for c in range(n_classes))
-    cols.extend(f"cm_{i}_{j}" for i in range(n_classes) for j in range(n_classes))
-    return ",".join(cols)
-
-
-def metrics_row(m: EpochMetrics) -> str:
-    vals = [repr(getattr(m, name)) for name in METRICS_FIXED_COLUMNS]
-    vals.extend(repr(float(v)) for v in m.per_class_accuracy)
-    vals.extend(str(int(v)) for v in m.confusion.ravel())
-    return ",".join(vals)
-
-
 def write_metrics_csv(metrics: list[EpochMetrics], n_classes: int, path) -> None:
-    lines = [metrics_header(n_classes)]
-    lines.extend(metrics_row(m) for m in metrics)
-    write_atomic(path, (line + "\n" for line in lines))
+    classes = range(n_classes)
+    header = [*METRICS_FIXED_COLUMNS, *(f"class_acc_{c}" for c in classes),
+              *(f"cm_{i}_{j}" for i in classes for j in classes)]
+    rows = ([*(repr(getattr(m, name)) for name in METRICS_FIXED_COLUMNS),
+             *(repr(float(v)) for v in m.per_class_accuracy),
+             *(str(int(v)) for v in m.confusion.ravel())] for m in metrics)
+    write_atomic(path, (",".join(row) + "\n" for row in [header, *rows]))
+
+
+def read_metrics(path) -> list[dict[str, str]]:
+    """The rows of a metrics CSV, each field's text keyed by its column."""
+    fixed = list(METRICS_FIXED_COLUMNS)
+    return [row for _, row in _csv_rows(
+        path, lambda h: h[:len(fixed)] == fixed,
+        f"a metrics header starting '{','.join(fixed)}'")]
 
 
 # Decoders of a checkpoint's JSON values; each raises AttributeError,
@@ -328,11 +323,6 @@ def _templates(value) -> SemanticTemplates:
         _json_list(value["last_update_epoch"], int, "last_update_epoch"))
 
 
-def _rng_state(value) -> dict:
-    np.random.PCG64(0).state = value   # raises unless a PCG64 state
-    return value
-
-
 def _stored(decode):
     return field(metadata={"decode": decode})
 
@@ -351,7 +341,6 @@ class Checkpoint:
     templates: SemanticTemplates = _stored(_templates)
     observed_labels: np.ndarray = _stored(
         lambda value: _json_list(value, int, "observed_labels"))
-    rng_state: dict = _stored(_rng_state)
 
 
 CHECKPOINT_FORMAT = "aurelab-checkpoint-v2"
@@ -389,14 +378,11 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def restore_model(ckpt: Checkpoint, dataset: Dataset,
-                  config: TrainConfig | None = None
-                  ) -> tuple[Model, np.random.Generator]:
+                  config: TrainConfig | None = None) -> Model:
     """Rebuild a checkpointed model on ``dataset`` under ``config`` (by
     default the checkpoint's own), with the unit graph exactly as in
     training; raises CheckpointError when a stored shape does not fit."""
-    config = config or ckpt.config
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
-    model = init_model(dataset, config, rng)
+    model = init_model(dataset, config or ckpt.config)
     stored = [(f"{kind} {name}", store.get(name), t.data.shape)
               for kind, store in (("parameter", ckpt.params),
                                   ("velocity", ckpt.velocities))
@@ -411,8 +397,7 @@ def restore_model(ckpt: Checkpoint, dataset: Dataset,
     for name, tensor in model.parameters().items():
         tensor.data[...] = ckpt.params[name]
     model.templates = ckpt.templates.copy()
-    rng.bit_generator.state = ckpt.rng_state
-    return model, rng
+    return model
 
 
 @dataclass
@@ -422,10 +407,6 @@ class TrainResult:
     records: list[RelabelRecord]
     final_dataset: Dataset
     checkpoint: Checkpoint
-
-
-def _epoch_seed(seed: int, epoch: int) -> int:
-    return seed * 1_000_003 + epoch
 
 
 # glibc gives freed memory at the top of the heap back to the system once it
@@ -512,20 +493,8 @@ def _train_step(model: Model, config: TrainConfig, ds: Dataset,
         model.templates.update(sem_vals[high], conf.data[high, 0],
                                batch_labels[high], epoch)
         if epoch > config.warmup_epochs:
-            low = low[np.argsort(idx[low])]
-            low_sem = sem_vals[low]
-            dists = semantic_distances(low_sem, model.templates)
-            zero = np.linalg.norm(low_sem, axis=1) == 0.0
-            if zero.any() and model.templates.usable().any():
-                for sid in idx[low[zero]]:
-                    warnings.warn(f"skipping relabel of sample "
-                                  f"{int(sid)}: zero-norm semantics")
-            org = batch_labels[low]
-            new = decide_relabel(dists, org)
-            for j in np.flatnonzero(new != org):
-                records.append(RelabelRecord(
-                    int(idx[low[j]]), int(org[j]), int(new[j]),
-                    dists[j].copy(), epoch))
+            records = propose_corrections(model.templates, sem_vals[low],
+                                          batch_labels[low], idx[low], epoch)
     return components, records
 
 
@@ -556,15 +525,13 @@ def train(dataset: Dataset, config: TrainConfig,
     batch_size = min(config.batch_size, ds.n)
 
     if resume is None:
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(config.seed)))
-        model = init_model(ds, config, rng)
+        model = init_model(ds, config)
         start_epoch = 1
     else:
         if replace(resume.config, epochs=config.epochs) != config:
             raise ConfigError("checkpoint configuration does not match; "
                               "only the total epoch count may change on resume")
-        model, rng = restore_model(resume, ds, config)
+        model = restore_model(resume, ds, config)
         if resume.dataset_hash != ds.fingerprint():
             raise CheckpointError("checkpoint was trained on a different "
                                   "dataset; resume needs the same training set")
@@ -599,7 +566,7 @@ def train(dataset: Dataset, config: TrainConfig,
         sums = {"wce": 0.0, "rank": 0.0, "au": 0.0, "total": 0.0}
 
         for batch_no, idx in enumerate(
-                batches(ds, batch_size, _epoch_seed(config.seed, epoch))):
+                batches(ds, batch_size, config.seed * 1_000_003 + epoch)):
             components, records = _train_step(
                 model, config, ds, idx, params, velocities, lrs, weights,
                 epoch, batch_no)
@@ -632,6 +599,5 @@ def train(dataset: Dataset, config: TrainConfig,
         params={k: t.data.copy() for k, t in model.parameters().items()},
         velocities={k: v.copy() for k, v in velocities.items()},
         templates=model.templates.copy(),
-        observed_labels=ds.observed_labels.copy(),
-        rng_state=rng.bit_generator.state)
+        observed_labels=ds.observed_labels.copy())
     return TrainResult(model, metrics, all_records, ds, ckpt)

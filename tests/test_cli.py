@@ -534,7 +534,9 @@ class TestBrokenInputs:
         ("3,1,1.5,2,0.5,0.25", "original '1.5' is not an integer"),
         ("3,1,1,,0.5,0.25", "corrected '' is not an integer"),
         ("3,1,1,2,zz,0.25", "dist_original 'zz' is not a number"),
-        ("3,1,1,2,0.5,0.2.5", "dist_corrected '0.2.5' is not a number")])
+        ("3,1,1,2,0.5,0.2.5", "dist_corrected '0.2.5' is not a number"),
+        (f"3,{2**63},1,2,0.5,0.25",
+         f"sample_id '{2**63}' does not fit in int64")])
     def test_audit_with_a_field_that_does_not_parse(self, tmp_path, capsys,
                                                     row, message):
         path = tmp_path / "audit.csv"
@@ -650,23 +652,36 @@ class TestBrokenSpecs:
         _assert_error(rc, capsys, "lr_drops rate at epoch 3 must be finite "
                       "and > 0, got -0.05", code=2)
 
-    @pytest.mark.parametrize("command,flags,dataset_key,message", [
-        ("sweep", ["--rates", "0.2,1.5"], "",
+    # each edit replaces a text of the tiny spec
+    @pytest.mark.parametrize("command,flags,edit,message", [
+        ("sweep", ["--rates", "0.2,1.5"], (),
          "corruption rate must lie in [0, 1), got 1.5"),
-        ("ablate", ["--epochs", "0"], "",
+        ("ablate", ["--epochs", "0"], (),
          "an experiment cell needs at least one epoch, got 0"),
-        ("ablate", ["--rate", "1.5"], "",
+        ("ablate", ["--rate", "1.5"], (),
          "corruption rate must lie in [0, 1), got 1.5"),
-        ("ablate", [], "class_spread = 0.5\n",
-         "need a finite class_spread > within_noise > 0, got spread=0.5")],
-        ids=["sweep-rates", "ablate-epochs", "ablate-rate", "spec-spread"])
+        ("ablate", [], ("[dataset]\n", "[dataset]\nclass_spread = 0.5\n"),
+         "need a finite class_spread > within_noise > 0, got spread=0.5"),
+        ("ablate", [], ("n_classes = 3", "n_classes = 1"),
+         "need at least 2 classes, got 1"),
+        ("ablate", [], ("n_units = 6", "n_units = 3"),
+         "need at least 4 action units, got 3"),
+        ("sweep", [], ("test_fraction = 0.25", "test_fraction = 0"),
+         "test_fraction must lie in (0, 1), got 0.0"),
+        ("ablate", [], ("n_classes = 3\nn_units = 6",
+                        "n_classes = 5\nn_units = 60"),
+         "no table of 5 unit patterns over 60 units found within 250000 "
+         "search steps")],
+        ids=["sweep-rates", "ablate-epochs", "ablate-rate", "spec-spread",
+             "spec-classes", "spec-units", "spec-no-held-out",
+             "spec-table-search"])
     def test_spec_out_of_range_trains_nothing(self, tmp_path, capsys,
                                               monkeypatch, command, flags,
-                                              dataset_key, message):
+                                              edit, message):
         name = "noise_sweep" if command == "sweep" else "ablation"
         spec = tmp_path / "bad.spec"
-        spec.write_text(_tiny_spec_text(name, tmp_path / "out").replace(
-            "[dataset]\n", "[dataset]\n" + dataset_key))
+        text = _tiny_spec_text(name, tmp_path / "out")
+        spec.write_text(text.replace(*edit) if edit else text)
         calls = []
         real_run_cell = experiments.run_cell
 

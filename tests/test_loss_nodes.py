@@ -155,7 +155,7 @@ def test_training_step_gradients_match_the_composition(use_target, use_aux):
     config = TrainConfig(hidden_dim=16, feat_dim=8, node_dim=4,
                          gcn_channels=8, use_target_branch=use_target,
                          use_aux_branch=use_aux)
-    model = init_model(ds, config, np.random.default_rng(0))
+    model = init_model(ds, config)
     idx = np.arange(0, 96, 2)
     labels = ds.observed_labels[idx]
 

@@ -7,10 +7,10 @@ import pytest
 
 from aurelab.data import generate
 from aurelab.errors import IntegrityError
-from aurelab.relabel import (RelabelRecord, SemanticTemplates,
-                             apply_corrections, audit_rows,
-                             correction_figures, decide_relabel,
-                             semantic_distances)
+from aurelab.relabel import (AUDIT_HEADER, RelabelRecord, SemanticTemplates,
+                             apply_corrections, correction_figures,
+                             decide_relabel, propose_corrections, read_audit,
+                             semantic_distances, write_audit)
 from oracles import (per_class_template_update, scalar_correction_figures,
                      scalar_cosine_distance, scalar_relabel)
 
@@ -268,12 +268,85 @@ class TestApplyCorrections:
         with pytest.raises(IntegrityError):
             apply_corrections(ds, [self._rec(999, 0, 1)])
 
-    def test_audit_rows_format(self):
-        rows = audit_rows([self._rec(4, 0, 1)])
-        fields = rows[0].split(",")
-        assert fields[:4] == ["5", "4", "0", "1"]
-        assert float(fields[4]) == 0.5
-        assert float(fields[5]) == 0.4
+
+class TestProposeCorrections:
+    def _group(self, seed, k=40, classes=4, units=6):
+        rng = np.random.default_rng(seed)
+        templates = templates_from(rng.standard_normal((classes, units)))
+        semantics = rng.standard_normal((k, units))
+        semantics[::7] = 0.0    # zero-norm rows keep their label
+        labels = rng.integers(0, classes, k)
+        sample_ids = rng.permutation(10 * k)[:k]
+        return templates, semantics, labels, sample_ids
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_shuffled_group_gives_the_sorted_groups_records(self, seed):
+        templates, semantics, labels, ids = self._group(seed)
+        order = np.argsort(ids)
+        with pytest.warns(UserWarning, match="zero-norm semantics"):
+            want = propose_corrections(templates, semantics[order],
+                                       labels[order], ids[order], 7)
+        shuffle = np.random.default_rng(seed + 100).permutation(len(ids))
+        with pytest.warns(UserWarning, match="zero-norm semantics"):
+            got = propose_corrections(templates, semantics[shuffle],
+                                      labels[shuffle], ids[shuffle], 7)
+        assert want
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert ((g.sample_id, g.original, g.corrected, g.epoch) ==
+                    (w.sample_id, w.original, w.corrected, w.epoch))
+            assert g.distances.tobytes() == w.distances.tobytes()
+
+    def test_records_follow_the_rule_in_sample_id_order(self):
+        templates, semantics, labels, ids = self._group(9)
+        with pytest.warns(UserWarning):
+            records = propose_corrections(templates, semantics, labels, ids,
+                                          3)
+        want = []
+        for j in np.argsort(ids):
+            if not semantics[j].any():
+                continue
+            new = scalar_relabel(semantic_distances(semantics[j], templates),
+                                 int(labels[j]))
+            if new != labels[j]:
+                want.append((int(ids[j]), int(labels[j]), new))
+        assert [(r.sample_id, r.original, r.corrected)
+                for r in records] == want
+        assert all(r.epoch == 3 for r in records)
+
+
+class TestAudit:
+    def _records(self):
+        distances = np.array([0.5, -0.0, 5e-324, 1 / 3, 2.0])
+        return [RelabelRecord(4, 0, 1, distances, 5),
+                RelabelRecord(2**40, 3, 2, distances[::-1].copy(), 12),
+                RelabelRecord(0, 4, 0, distances, 12)]
+
+    def test_write_audit_format(self, tmp_path):
+        path = tmp_path / "audit.csv"
+        write_audit(path, self._records()[:1])
+        assert path.read_text().splitlines() == [AUDIT_HEADER,
+                                                 "5,4,0,1,0.5,-0.0"]
+
+    @pytest.mark.parametrize("count", [0, 3])
+    def test_read_returns_what_was_written(self, tmp_path, count):
+        records = self._records()[:count]
+        path = tmp_path / "audit.csv"
+        write_audit(path, records)
+        got = read_audit(path)
+        ints = {"epoch": [r.epoch for r in records],
+                "sample_id": [r.sample_id for r in records],
+                "original": [r.original for r in records],
+                "corrected": [r.corrected for r in records]}
+        dists = {"dist_original": [r.distances[r.original] for r in records],
+                 "dist_corrected": [r.distances[r.corrected]
+                                    for r in records]}
+        assert list(got) == AUDIT_HEADER.split(",")
+        for columns, dtype in ((ints, np.int64), (dists, np.float64)):
+            for name, values in columns.items():
+                assert got[name].dtype == dtype
+                assert got[name].tobytes() == np.array(
+                    values, dtype=dtype).tobytes()
 
 
 class TestCorrectionFigures:
