@@ -19,16 +19,20 @@ does not parse is the same ``[train] epochs = '1.5': expected an
 integer`` line, exit 2, whichever command it is given to.  ``inspect``
 reads a file with the reader beside its writer (``relabel.read_audit``,
 ``trainer.read_metrics``); only the unit-graph CSVs are this module's.
+Every CSV a command writes, ``eval --out``'s included, goes through
+``data.write_csv``.
 
 Exit codes: 0 success, 2 usage or configuration error (a dataset too large
 to generate included), 3 missing, unreadable (not UTF-8 text included) or
-malformed file, 4 numeric failure during training.
+malformed file, 4 numeric failure during training.  An error is one
+``error:`` line on stderr, and each warning shown one ``warning:`` line.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -127,8 +131,7 @@ def cmd_gen(args) -> int:
 def _write_graph_files(graph, out_dir: Path) -> None:
     for name, matrix in (("au_adjacency.csv", graph.conditional),
                          ("au_adjacency_normalized.csv", graph.normalized)):
-        data.write_atomic(out_dir / name, (
-            ",".join(repr(float(v)) for v in row) + "\n" for row in matrix))
+        data.write_csv(out_dir / name, matrix)
 
 
 def cmd_train(args) -> int:
@@ -166,13 +169,9 @@ def cmd_eval(args) -> int:
     for c, acc in enumerate(report.per_class_accuracy):
         print(f"class {c}: {acc:.4f}")
     if args.out:
-        lines = ["class,accuracy"]
-        lines += [f"{c},{acc!r}" for c, acc in
-                  enumerate(report.per_class_accuracy)]
-        lines.append("confusion")
-        lines += [",".join(str(int(v)) for v in row)
-                  for row in report.confusion]
-        data.write_atomic(args.out, (line + "\n" for line in lines))
+        data.write_csv(args.out, [
+            ("class", "accuracy"), *enumerate(report.per_class_accuracy),
+            ("confusion",), *report.confusion])
     return EXIT_OK
 
 
@@ -335,6 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a warning shown on stderr is one line, as an error is
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         return args.func(args)
     except ConfigError as exc:
@@ -348,6 +350,8 @@ def main(argv=None) -> int:
     except TrainingDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -1,6 +1,8 @@
 """Synthetic expression datasets: clustered features, action-unit bit labels,
 controllable label corruption, a diff-able text file format, and batching.
 ``DatasetSpec`` holds the generator's arguments and is their one check.
+``write_atomic`` writes every artifact, and ``write_csv`` is where every
+CSV artifact's values become text.
 
 Each sample carries the label used for training (``observed``), the hidden
 generation label (``true``, kept for auditing only), and a bit-vector of
@@ -11,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import warnings
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from itertools import islice
@@ -329,6 +330,23 @@ def write_atomic(path, pieces: Iterable[str]) -> None:
             os.unlink(tmp)
 
 
+def _csv_field(value) -> str:
+    """A CSV field's text: a float, Python's or numpy's, as its shortest
+    round-trip ``repr``, an integer as its digits, text as it is."""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return value
+
+
+def write_csv(path, rows: Iterable[Iterable]) -> None:
+    """Write each of ``rows`` as one line of comma-separated fields through
+    :func:`write_atomic`; every CSV artifact's values become text here."""
+    write_atomic(path, (",".join(map(_csv_field, row)) + "\n"
+                        for row in rows))
+
+
 def _csv_rows(path, header_ok, expected: str
               ) -> list[tuple[int, dict[str, str]]]:
     """The line number and the fields, keyed by column, of every row of a
@@ -449,23 +467,16 @@ def _parse_block(block: list[str], start: int, lineno: int, n_units: int,
     A block that numpy rejects or that fails a check is parsed again by
     :func:`_parse_row`, which raises the first row's fault and accepts
     what ``int`` and ``float`` accept but numpy does not (``1_0.5``,
-    non-ASCII digits).  Both parsers round correctly.
-
-    numpy before 2.4 reads an integer field written as a float (``1.0``,
-    ``0.9``) by truncating it, with only a DeprecationWarning; that
-    warning is made an error here, so such a block is rejected as ``int``
-    rejects the field.
+    non-ASCII digits).  Both parsers round correctly, and both refuse an
+    integer field written as a float (``1.0``, ``0.9``).
     """
     commas = 2 + n_units + dim
     if all(line.count(",") == commas for line in block):
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", DeprecationWarning)
-                table = np.loadtxt(block, delimiter=",", comments=None,
-                                   ndmin=1,
-                                   dtype=[("i", np.int64, (3 + n_units,)),
-                                          ("f", np.float64, (dim,))])
-        except (ValueError, DeprecationWarning):
+            table = np.loadtxt(block, delimiter=",", comments=None, ndmin=1,
+                               dtype=[("i", np.int64, (3 + n_units,)),
+                                      ("f", np.float64, (dim,))])
+        except ValueError:
             pass
         else:
             ints = table["i"]

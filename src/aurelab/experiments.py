@@ -9,7 +9,8 @@ list reproduces every number exactly.
 Experiments: ``ablation`` (branch on/off grid), ``edges`` (counted versus
 random adjacency) and ``noise_sweep`` (baseline versus full method across
 corruption rates).  The three tables are lists of rows run by one grid
-runner; a cell that two tables share trains once per process.
+runner, which returns each row with its cells; a cell that two tables
+share trains once per process, and the memo holds it without its run.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .data import (Dataset, DatasetSpec, check_corruption_rate,
-                   corrupt_labels, generate, train_test_split, write_atomic)
+                   corrupt_labels, generate, train_test_split, write_atomic,
+                   write_csv)
 from .errors import ConfigError
 from .relabel import correction_figures
 from .trainer import TrainConfig, TrainResult, train
@@ -75,23 +77,15 @@ class ExperimentSpec:
 
 
 @dataclass(frozen=True)
-class CellFigures:
-    """What a table reads of one (configuration, seed) training run."""
+class CellResult:
+    """One (configuration, seed) training run: the figures a table reads,
+    and the run itself, which the cell memo does not keep (None)."""
     seed: int
     accuracy: float
     final_noise_rate: float
     relabel_precision: float
     relabel_recall: float
-
-
-@dataclass(frozen=True)
-class CellResult(CellFigures):
-    """One (configuration, seed) training run: its figures and the run."""
-    result: TrainResult
-
-    def figures(self) -> CellFigures:
-        return CellFigures(*(getattr(self, f.name)
-                             for f in fields(CellFigures)))
+    result: TrainResult | None
 
 
 def make_cell_datasets(spec: DatasetSpec, rate: float, seed: int
@@ -134,10 +128,11 @@ def run_cell(dataset_spec: DatasetSpec, train_cfg: TrainConfig, rate: float,
                       recall, result)
 
 
-# Figures of every cell trained in this process, keyed by value: the dataset
-# spec, the cell's configuration and the corruption rate.  Cells are fixed by
-# their seed, so a repeated cell gives the same figures without training.
-_CELL_MEMO: dict[tuple[DatasetSpec, TrainConfig, float], CellFigures] = {}
+# Every cell trained in this process, without its run, keyed by value: the
+# dataset spec, the cell's configuration and the corruption rate.  Cells are
+# fixed by their seed, so a repeated cell gives the same figures without
+# training.
+_CELL_MEMO: dict[tuple[DatasetSpec, TrainConfig, float], CellResult] = {}
 
 
 def clear_cell_memo() -> None:
@@ -145,41 +140,31 @@ def clear_cell_memo() -> None:
     _CELL_MEMO.clear()
 
 
-def _median(values: list[float]) -> float:
-    arr = np.asarray(values, dtype=np.float64)
-    if np.isnan(arr).all():
-        return float("nan")
-    return float(np.nanmedian(arr))
-
-
 @dataclass(frozen=True)
 class GridRow:
-    """One table row: its label columns and the cell it trains at every seed
-    of the spec.  ``correction`` rows also report how well the stored labels
-    were corrected."""
+    """One table row: its label columns, the cell it trains at every seed of
+    the spec and, once run, those cells in the spec's seed order.
+    ``correction`` rows also report how well the stored labels were
+    corrected."""
     label: dict
     rate: float
     use_target: bool = True
     use_aux: bool = True
     random_edges: bool = False
     correction: bool = False
+    cells: tuple[CellResult, ...] = ()
 
-
-@dataclass
-class TableRow:
-    """One table row: its label columns and its cell's figures at every seed
-    of the spec, in the spec's order."""
-    label: dict
-    cells: list[CellFigures]
-    extra: dict = field(default_factory=dict)
+    def median(self, figure: str) -> float:
+        """The median of ``figure`` over the row's cells, ignoring NaN;
+        NaN when every cell's is NaN."""
+        values = np.array([getattr(c, figure) for c in self.cells])
+        if np.isnan(values).all():
+            return float("nan")
+        return float(np.nanmedian(values))
 
     @property
     def median_accuracy(self) -> float:
-        return _median([c.accuracy for c in self.cells])
-
-    @property
-    def per_seed_accuracy(self) -> dict[int, float]:
-        return {c.seed: c.accuracy for c in self.cells}
+        return self.median("accuracy")
 
 
 ABLATION_GRID = ((False, False), (True, False), (False, True), (True, True))
@@ -209,49 +194,43 @@ def grid_rows(spec: ExperimentSpec) -> list[GridRow]:
     raise ConfigError(f"experiment '{spec.name}' has no table")
 
 
-def _row_cell(spec: ExperimentSpec, row: GridRow, seed: int) -> CellFigures:
-    """The figures of ``row``'s cell at ``seed``, trained at most once per
+def _row_cell(spec: ExperimentSpec, row: GridRow, seed: int) -> CellResult:
+    """``row``'s cell at ``seed`` without its run, trained at most once per
     process."""
     key = (spec.dataset, cell_config(spec.train, seed, row.use_target,
                                      row.use_aux, row.random_edges), row.rate)
     if key not in _CELL_MEMO:
-        _CELL_MEMO[key] = run_cell(spec.dataset, spec.train, row.rate, seed,
-                                   row.use_target, row.use_aux,
-                                   row.random_edges).figures()
+        _CELL_MEMO[key] = replace(run_cell(
+            spec.dataset, spec.train, row.rate, seed, row.use_target,
+            row.use_aux, row.random_edges), result=None)
     return _CELL_MEMO[key]
 
 
-def run_grid(spec: ExperimentSpec) -> list[TableRow]:
-    """Every row of ``spec``'s table crossed with its seeds, each cell taken
-    from the process-wide memo."""
-    table = []
-    for row in grid_rows(spec):
-        cells = [_row_cell(spec, row, seed) for seed in spec.seeds]
-        extra = {}
-        if row.correction:
-            extra = {f"median_{name}": _median([getattr(c, name)
-                                                for c in cells])
-                     for name in _CORRECTION_FIGURES}
-        table.append(TableRow(row.label, cells, extra))
-    return table
+def run_grid(spec: ExperimentSpec) -> list[GridRow]:
+    """The rows of ``spec``'s table, each with its cell at every seed of the
+    spec, taken from the process-wide memo."""
+    return [replace(row, cells=tuple(_row_cell(spec, row, seed)
+                                     for seed in spec.seeds))
+            for row in grid_rows(spec)]
 
 
-def write_table(rows: list[TableRow], path) -> None:
+def write_table(rows: list[GridRow], path) -> None:
+    """Write the run ``rows``: label columns, the median accuracy (and the
+    correction medians of ``correction`` rows), then each seed's accuracy."""
     if not rows:
         raise ConfigError("no table rows to write")
     label_cols = list(rows[0].label)
-    extra_cols = list(rows[0].extra)
-    seed_cols = sorted(rows[0].per_seed_accuracy)
-    header = (label_cols + ["median_accuracy"] + extra_cols +
-              [f"accuracy_s{s}" for s in seed_cols])
-    lines = [",".join(header)]
+    figures = ("accuracy",
+               *(_CORRECTION_FIGURES if rows[0].correction else ()))
+    seeds = sorted({c.seed for c in rows[0].cells})
+    lines = [[*label_cols, *(f"median_{f}" for f in figures),
+              *(f"accuracy_s{s}" for s in seeds)]]
     for row in rows:
-        vals = [str(row.label[c]) for c in label_cols]
-        vals.append(repr(row.median_accuracy))
-        vals.extend(repr(row.extra[c]) for c in extra_cols)
-        vals.extend(repr(row.per_seed_accuracy[s]) for s in seed_cols)
-        lines.append(",".join(vals))
-    write_atomic(path, (line + "\n" for line in lines))
+        accuracy = {c.seed: c.accuracy for c in row.cells}
+        lines.append([*(row.label[c] for c in label_cols),
+                      *(row.median(f) for f in figures),
+                      *(accuracy[s] for s in seeds)])
+    write_csv(path, lines)
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .data import Dataset, _csv_rows, write_atomic
+from .data import Dataset, _csv_rows, write_csv
 from .errors import ArtifactFormatError, IntegrityError, ShapeError
 
 
@@ -188,11 +189,12 @@ AUDIT_HEADER = ",".join(AUDIT_COLUMNS)
 
 
 def write_audit(path, records: list[RelabelRecord]) -> None:
-    """Write ``records`` as a relabel audit CSV, one row per record."""
-    write_atomic(path, [AUDIT_HEADER + "\n"] + [
-        f"{r.epoch},{r.sample_id},{r.original},{r.corrected},"
-        f"{float(r.distances[r.original])!r},"
-        f"{float(r.distances[r.corrected])!r}\n" for r in records])
+    """Write ``records`` as a relabel audit CSV, one row per record, each
+    row made as it is written."""
+    write_csv(path, chain([AUDIT_COLUMNS], (
+        [r.epoch, r.sample_id, r.original, r.corrected,
+         r.distances[r.original], r.distances[r.corrected]]
+        for r in records)))
 
 
 def read_audit(path) -> dict[str, np.ndarray]:

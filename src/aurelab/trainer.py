@@ -26,7 +26,7 @@ import numpy as np
 from . import autodiff as ad
 from .aux_branch import (AUGraph, AuxiliaryBranch, au_detection_loss,
                          build_au_graph, random_au_graph)
-from .data import Dataset, _csv_rows, batches, write_atomic
+from .data import Dataset, _csv_rows, batches, write_atomic, write_csv
 from .errors import (CheckpointError, ConfigError, DatasetValidationError,
                      TrainingDivergedError)
 from .relabel import (RelabelRecord, SemanticTemplates, apply_corrections,
@@ -255,10 +255,9 @@ def write_metrics_csv(metrics: list[EpochMetrics], n_classes: int, path) -> None
     classes = range(n_classes)
     header = [*METRICS_FIXED_COLUMNS, *(f"class_acc_{c}" for c in classes),
               *(f"cm_{i}_{j}" for i in classes for j in classes)]
-    rows = ([*(repr(getattr(m, name)) for name in METRICS_FIXED_COLUMNS),
-             *(repr(float(v)) for v in m.per_class_accuracy),
-             *(str(int(v)) for v in m.confusion.ravel())] for m in metrics)
-    write_atomic(path, (",".join(row) + "\n" for row in [header, *rows]))
+    write_csv(path, [header, *(
+        [*(getattr(m, name) for name in METRICS_FIXED_COLUMNS),
+         *m.per_class_accuracy, *m.confusion.ravel()] for m in metrics)])
 
 
 def read_metrics(path) -> list[dict[str, str]]:

@@ -1,13 +1,18 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aurelab
 from aurelab import data, experiments
 from aurelab.cli import main
 from aurelab.relabel import AUDIT_HEADER
@@ -156,18 +161,51 @@ class TestTrain:
                      "au_adjacency.csv", "au_adjacency_normalized.csv"):
             assert (out / name).exists()
 
-    def test_every_metrics_field_is_a_number(self, dataset_files, tmp_path):
-        train_path, _ = dataset_files
-        out = tmp_path / "run"
-        assert main(["train", "--data", str(train_path), "--out", str(out)]
-                    + TRAIN_SPEED_ARGS) == 0
-        lines = (out / "metrics.csv").read_text().splitlines()
-        rows = [dict(zip(lines[0].split(","), line.split(",")))
-                for line in lines[1:]]
-        assert any(int(row["relabel_count"]) for row in rows)
+    @pytest.fixture(scope="class")
+    def csv_files(self, dataset_files, tmp_path_factory):
+        """A train run's CSVs, ``eval --out``'s file and an ``ablate``
+        table."""
+        train_path, test_path = dataset_files
+        root = tmp_path_factory.mktemp("csv")
+        assert main(["train", "--data", str(train_path), "--out",
+                     str(root / "run")] + TRAIN_SPEED_ARGS) == 0
+        assert main(["eval", "--checkpoint", str(root / "run" /
+                     "checkpoint.json"), "--data", str(test_path),
+                     "--out", str(root / "eval.csv")]) == 0
+        spec = root / "ablation.spec"
+        spec.write_text(_tiny_spec_text("ablation", root / "ablate"))
+        assert main(["ablate", "--spec", str(spec)]) == 0
+        return root
+
+    @pytest.mark.parametrize("name", [
+        "run/metrics.csv", "run/relabel_audit.csv", "run/au_adjacency.csv",
+        "run/au_adjacency_normalized.csv", "eval.csv", "ablate/ablation.csv"],
+        ids=["metrics", "audit", "graph", "graph-normalized", "eval",
+             "table"])
+    def test_every_metrics_field_is_a_number(self, csv_files, name):
+        lines = (csv_files / name).read_text().splitlines()
+        # header lines and a table's label columns hold no numbers
+        headers = set() if "au_adjacency" in name else {lines[0], "confusion"}
+        labels = (lines[0].split(",").index("median_accuracy")
+                  if name.startswith("ablate") else 0)
+        rows = [line.split(",")[labels:] for line in lines
+                if line not in headers]
+        if name == "run/metrics.csv":
+            column = lines[0].split(",").index("relabel_count")
+            assert any(int(row[column]) for row in rows)
+        assert rows
         for row in rows:
-            for value in row.values():
+            for value in row:
                 float(value)
+
+    def test_zero_epochs_writes_the_initialization_checkpoint(
+            self, dataset_files, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(dataset_files[0]), "--out",
+                     str(out), "--epochs", "0"]) == 0
+        assert ("no epochs trained; wrote initialization checkpoint\n"
+                in capsys.readouterr().out)
+        assert load_checkpoint(out / "checkpoint.json").epoch == 0
 
     def test_missing_dataset_is_file_error(self, tmp_path):
         rc = main(["train", "--data", str(tmp_path / "nope.txt"),
@@ -302,6 +340,8 @@ def _damaged(text, damage):
         doc["format"] = "aurelab-checkpoint-v1"
     elif damage == "wrong_type":
         doc["observed_labels"] = "not a list"
+    elif damage == "empty":
+        doc = {}
     else:   # "<key>[.<key or list index>]=<JSON value>"
         path, _, value = damage.partition("=")
         *parents, last = path.split(".")
@@ -330,6 +370,7 @@ class TestBrokenInputs:
 
     @pytest.mark.parametrize("damage,message", [
         ("truncated", "not a JSON file"), ("missing_key", "'params'"),
+        ("empty", "not an aurelab-checkpoint-v2 file"),
         ("v1", "v1 checkpoints are no longer read"),
         ("wrong_type", "'observed_labels'"),
         ("config.hidden_dim=64.5", "hidden_dim must be of type int"),
@@ -363,6 +404,17 @@ class TestBrokenInputs:
         else:
             argv = ["inspect", "checkpoint", str(path)]
         _assert_error(main(argv), capsys, message)
+        assert not (tmp_path / "run").exists()
+
+    def test_resume_with_a_label_out_of_range(self, dataset_files, runs,
+                                              tmp_path, capsys):
+        text = (runs / "three_run" / "checkpoint.json").read_text()
+        path = tmp_path / "checkpoint.json"
+        path.write_text(_damaged(text, "observed_labels.0=99"))
+        rc = main(["train", "--data", str(dataset_files[0]), "--out",
+                   str(tmp_path / "run"), "--resume", str(path)]
+                  + TRAIN_SPEED_ARGS)
+        _assert_error(rc, capsys, "checkpoint labels do not fit the dataset")
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("command", ["eval", "resume"])
@@ -438,6 +490,24 @@ class TestBrokenInputs:
         _assert_error(main(["inspect", "dataset", str(path)]), capsys,
                            f"line {line}: '{key}' must lie in [1, 2**63), "
                            f"got {value}")
+
+    # each edit takes a dataset file's lines and returns the damaged ones
+    @pytest.mark.parametrize("edit,message", [
+        (lambda lines: lines[:3], "line 4: missing header line 'n='"),
+        (lambda lines: ["X=3", *lines[1:]],
+         "line 1: expected header key 'C', got 'X'"),
+        (lambda lines: ["C=abc", *lines[1:]],
+         "line 1: cannot parse value for 'C'"),
+        (lambda lines: [*lines[:6], lines[6].rsplit(",", 1)[0] + ",nan",
+                        *lines[7:]], "non-finite feature values")],
+        ids=["short-header", "wrong-key", "value-not-parsing", "nan-feature"])
+    def test_malformed_dataset(self, dataset_files, tmp_path, capsys, edit,
+                               message):
+        lines = dataset_files[0].read_text().splitlines()
+        path = tmp_path / "ds.txt"
+        path.write_text("\n".join(edit(lines)) + "\n")
+        _assert_error(main(["inspect", "dataset", str(path)]), capsys,
+                      message)
 
     @pytest.mark.parametrize("command,source", [
         ("inspect dataset", "train.txt"), ("train --data", "train.txt"),
@@ -624,6 +694,12 @@ class TestBrokenSpecs:
             f"error: [train] {key} = '{value}': expected {expected}\n")
         assert not (tmp_path / "run").exists()
 
+    def test_train_flag_out_of_range(self, dataset_files, tmp_path, capsys):
+        rc = main(["train", "--data", str(dataset_files[0]),
+                   "--out", str(tmp_path / "run"), "--warmup-epochs", "-1"])
+        _assert_error(rc, capsys, "warmup_epochs must be >= 0", code=2)
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("command,flag,table", [
         ("sweep", "--spec", "ablation"), ("ablate", "--spec", "noise_sweep"),
         ("ablate", "--name", "noise_sweep"), ("ablate", "--name", "single_run")])
@@ -710,7 +786,8 @@ class TestBrokenSpecs:
     @pytest.mark.parametrize("text,message", [
         ("[experiment]\nseeds = 0\nseeds = 1\n", "already exists"),
         ("seeds = 0\n", "no section headers"),
-        ("[experiment]\nseeds 0\n", "parsing errors")])
+        ("[experiment]\nseeds 0\n", "parsing errors"),
+        ("[foo]\nseeds = 0\n", "unknown spec sections: ['foo']")])
     def test_spec_that_is_not_ini(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.spec"
         path.write_text(text)
@@ -895,3 +972,42 @@ class TestCellMemo:
         shared = self._run_tables(tmp_path / "shared", clear_between=False)
         fresh = self._run_tables(tmp_path / "fresh", clear_between=True)
         assert shared == fresh
+
+
+def run_aurelab(*argv, cwd) -> subprocess.CompletedProcess:
+    """``python -m aurelab argv`` in a fresh interpreter: what a user sees."""
+    src = Path(aurelab.__file__).resolve().parents[1]
+    return subprocess.run([sys.executable, "-m", "aurelab", *argv], cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=300)
+
+
+class TestStderr:
+    """Every warning a command raises is one ``warning:`` line on stderr,
+    as every error is one ``error:`` line."""
+
+    def test_warning_is_one_line(self, tmp_path):
+        # 225 samples at batch 32 end every epoch in a one-sample batch
+        gen = list(GEN_ARGS)
+        gen[gen.index("--size") + 1] = "225"
+        assert main(gen + ["--out", str(tmp_path / "ds.txt")]) == 0
+        proc = run_aurelab("train", "--data", "ds.txt", "--out", "run",
+                           "--epochs", "2", "--batch-size", "32",
+                           cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ("warning: rank regularization skipped: batch "
+                               "has fewer than 2 samples\n")
+
+    def test_divergence_is_exit_4_after_warning_lines(self, tmp_path):
+        # features near 1e150 overflow the first matmuls of training
+        assert main(["gen", "--spread", "1e150", "--size", "200", "--out",
+                     str(tmp_path / "ds.txt")]) == 0
+        proc = run_aurelab("train", "--data", "ds.txt", "--out", "run",
+                           "--epochs", "2", cwd=tmp_path)
+        assert proc.returncode == 4, proc.stderr
+        lines = proc.stderr.splitlines()
+        errors = [line for line in lines if line.startswith("error: ")]
+        assert errors == [line for line in lines
+                          if not line.startswith("warning: ")], lines
+        assert len(errors) == 1 and "non-finite loss" in errors[0]
+        assert "Traceback" not in proc.stderr

@@ -3,7 +3,6 @@ import os
 import tempfile
 import threading
 import tracemalloc
-import warnings
 
 import hypothesis
 import hypothesis.strategies as st
@@ -433,28 +432,6 @@ def test_block_parse_matches_the_row_by_row_reference(mutations):
                     for a in (ds.features, ds.observed_labels,
                               ds.true_labels, ds.au_labels)))
     assert outcomes[0] == outcomes[1]
-
-
-def test_an_int_written_as_a_float_is_refused_where_numpy_truncates_it(
-        tmp_path, monkeypatch):
-    """numpy before 2.4 reads ``300.0`` into an int64 field as 300 with only
-    a DeprecationWarning; such a loadtxt must not let the block through."""
-    real = np.loadtxt
-
-    def truncating_loadtxt(block, **kw):
-        if any(line.startswith("300.0,") for line in block):
-            warnings.warn("loadtxt(): Parsing an integer via a float is "
-                          "deprecated.", DeprecationWarning, stacklevel=2)
-            block = [line.replace("300.0,", "300,", 1) for line in block]
-        return real(block, **kw)
-
-    lines = list(_BODY)
-    lines[6 + 300] = lines[6 + 300].replace("300,", "300.0,", 1)
-    path = tmp_path / "ds.txt"
-    path.write_text("\n".join(lines) + "\n")
-    monkeypatch.setattr(data.np, "loadtxt", truncating_loadtxt)
-    with pytest.raises(DatasetFormatError, match=r"^line 307: unparseable"):
-        data.load(path)
 
 
 class TestBatches:

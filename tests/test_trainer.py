@@ -3,7 +3,8 @@ import math
 import os
 import platform
 import re
-import resource
+import subprocess
+import sys
 import warnings
 import weakref
 from dataclasses import replace
@@ -18,8 +19,7 @@ from aurelab import trainer
 from aurelab.aux_branch import AuxiliaryBranch
 from aurelab.data import corrupt_labels, generate, train_test_split
 from aurelab.errors import ConfigError, TrainingDivergedError
-from aurelab.experiments import (EXPERIMENT_TRAIN_DEFAULTS, DatasetSpec,
-                                 make_cell_datasets, run_cell)
+from aurelab.experiments import DatasetSpec, make_cell_datasets, run_cell
 from aurelab.target_branch import TargetBranch
 from aurelab.trainer import (Checkpoint, TrainConfig, evaluate,
                              load_checkpoint, ramp_weights, save_checkpoint,
@@ -306,17 +306,35 @@ class TestTrainLoop:
         # back and faults them in again: over 100 minor page faults a step.
         # With it a repeated cell takes next to none; the least of three
         # repeats is taken because a run that raises the heap's high-water
-        # mark faults in its new pages once.
-        train_ds, test_ds = make_cell_datasets(DatasetSpec(n=500), 0.2, 0)
-        cfg = replace(EXPERIMENT_TRAIN_DEFAULTS, epochs=4)
-        steps = cfg.epochs * math.ceil(train_ds.n / cfg.batch_size)
-        train(train_ds, cfg, eval_dataset=test_ds)
-        faults = []
-        for _ in range(3):
-            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        # mark faults in its new pages once.  The cells run in a fresh
+        # interpreter: after a failed huge allocation in the same process
+        # (as tests of MemoryError handling make) the pad was seen not to
+        # hold.
+        code = """if True:
+            import json, math, resource
+            from dataclasses import replace
+            from aurelab.experiments import (EXPERIMENT_TRAIN_DEFAULTS,
+                                             DatasetSpec, make_cell_datasets)
+            from aurelab.trainer import train
+            train_ds, test_ds = make_cell_datasets(DatasetSpec(n=500), 0.2, 0)
+            cfg = replace(EXPERIMENT_TRAIN_DEFAULTS, epochs=4)
+            steps = cfg.epochs * math.ceil(train_ds.n / cfg.batch_size)
             train(train_ds, cfg, eval_dataset=test_ds)
-            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-                          - before)
+            faults = []
+            for _ in range(3):
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                train(train_ds, cfg, eval_dataset=test_ds)
+                faults.append(resource.getrusage(resource.RUSAGE_SELF)
+                              .ru_minflt - before)
+            print(json.dumps([faults, steps]))
+        """
+        src = os.path.dirname(os.path.dirname(
+            os.path.abspath(trainer.__file__)))
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        faults, steps = json.loads(proc.stdout)
         assert min(faults) < steps, (faults, steps)
 
     def test_lr_schedule(self):
