@@ -31,6 +31,8 @@ malformed file, 4 numeric failure during training.  An error is one
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 import warnings
 from dataclasses import replace
@@ -136,12 +138,17 @@ def _write_graph_files(graph, out_dir: Path) -> None:
 
 def cmd_train(args) -> int:
     cfg = replace(TrainConfig(), **_flag_values(args, "train"))
+    out_dir = Path(args.out)
+    # fail before the run, not after it, when the directory cannot be made
+    nearest = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not nearest.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR),
+                                 str(nearest))
     ds = data.load(args.data)
     eval_ds = data.load(args.test_data) if args.test_data else None
     resume = load_checkpoint(args.resume) if args.resume else None
     result = train(ds, cfg, eval_dataset=eval_ds, resume=resume)
 
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_metrics_csv(result.metrics, ds.n_classes, out_dir / "metrics.csv")
     save_checkpoint(result.checkpoint, out_dir / "checkpoint.json")
@@ -216,9 +223,11 @@ def cmd_sweep(args) -> int:
 
 
 def _graph_rows(path: Path) -> list[np.ndarray]:
-    """The rows of a unit-graph CSV: equally long lists of numbers."""
+    """The rows of a unit-graph CSV: a non-empty square matrix of finite
+    numbers."""
     rows = []
-    for lineno, line in enumerate(path.read_text().splitlines(), 1):
+    lines = path.read_text().splitlines()
+    for lineno, line in enumerate(lines, 1):
         if not line.strip():
             continue
         try:
@@ -226,10 +235,18 @@ def _graph_rows(path: Path) -> list[np.ndarray]:
         except ValueError:
             raise ArtifactFormatError(f"{path}, line {lineno}: expected "
                                       f"comma-separated numbers") from None
+        if not np.isfinite(rows[-1]).all():
+            raise ArtifactFormatError(f"{path}, line {lineno}: expected "
+                                      f"finite numbers")
         if len(rows[-1]) != len(rows[0]):
             raise ArtifactFormatError(f"{path}, line {lineno}: "
                                       f"{len(rows[-1])} values, expected "
                                       f"{len(rows[0])}")
+    width = len(rows[0]) if rows else 0
+    if not rows or len(rows) != width:
+        raise ArtifactFormatError(f"{path}, line {len(lines) + 1}: "
+                                  f"{len(rows)} rows of {width} values, "
+                                  f"expected a non-empty square matrix")
     return rows
 
 

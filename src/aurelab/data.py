@@ -325,6 +325,11 @@ def write_atomic(path, pieces: Iterable[str]) -> None:
         with open(tmp, "w") as fh:
             fh.writelines(pieces)
         os.replace(tmp, path)
+    except OSError as exc:
+        if exc.filename != tmp:
+            raise
+        # name the file asked for, not the temporary one beside it
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)

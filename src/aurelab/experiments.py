@@ -64,6 +64,12 @@ class ExperimentSpec:
             raise ConfigError("experiment needs at least one seed")
         if min(self.seeds) < 0:
             raise ConfigError(f"seeds must be >= 0, got {min(self.seeds)}")
+        # a table has one column per seed and one row per rate
+        for name in ("seeds", "rates"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{name} must not repeat, got "
+                                  f"{list(values)}")
         for rate in (self.rate, *self.rates):
             check_corruption_rate(rate)
         if self.train.epochs < 1:
@@ -116,10 +122,12 @@ def run_cell(dataset_spec: DatasetSpec, train_cfg: TrainConfig, rate: float,
              seed: int, use_target: bool = True, use_aux: bool = True,
              random_edges: bool = False) -> CellResult:
     """Train one cell; its figures are those of the last epoch on the
-    held-out split, and the label corrections over the whole run."""
+    held-out split, and the label corrections over the whole run.  Only
+    the last epoch is evaluated, since no other epoch's accuracy is read."""
     train_ds, test_ds = make_cell_datasets(dataset_spec, rate, seed)
     cfg = cell_config(train_cfg, seed, use_target, use_aux, random_edges)
-    result = train(train_ds, cfg, eval_dataset=test_ds)
+    result = train(train_ds, cfg, eval_dataset=test_ds,
+                   evaluate_each_epoch=False)
     last = result.metrics[-1]
     precision, recall = correction_figures(
         train_ds.observed_labels, result.final_dataset.observed_labels,

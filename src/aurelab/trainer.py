@@ -9,8 +9,10 @@ group.  Each step is a scope, ``_train_step``: its tape lives only in that
 function's locals and is freed when it returns, so only one step's tape is
 alive at a time and none during evaluation.
 Corrections collected during an epoch are applied to the stored labels
-between epochs.  The detection branch never participates in evaluation:
-predictions are the plain argmax of the classifier logits.
+between epochs, and then the epoch is evaluated; a caller that reads only
+the last epoch's figures (an experiment cell) evaluates only that one.
+The detection branch never participates in evaluation: predictions are
+the plain argmax of the classifier logits.
 """
 
 from __future__ import annotations
@@ -499,7 +501,8 @@ def _train_step(model: Model, config: TrainConfig, ds: Dataset,
 
 def train(dataset: Dataset, config: TrainConfig,
           eval_dataset: Dataset | None = None,
-          resume: Checkpoint | None = None) -> TrainResult:
+          resume: Checkpoint | None = None, *,
+          evaluate_each_epoch: bool = True) -> TrainResult:
     """Run the full training loop; the input dataset is never mutated.
 
     Only its observed labels are copied, since label correction rewrites
@@ -508,8 +511,11 @@ def train(dataset: Dataset, config: TrainConfig,
 
     When ``eval_dataset`` is given, per-epoch accuracy/confusion come from it;
     otherwise they are measured on the training samples against their hidden
-    true labels.  ``resume`` continues a checkpointed run up to
-    ``config.epochs`` total epochs.
+    true labels.  With ``evaluate_each_epoch`` false only epoch
+    ``config.epochs`` is evaluated; every earlier epoch records the figures
+    of an evaluation of no sample (NaN accuracies, an all-zero confusion),
+    and its other fields as usual.  ``resume`` continues a checkpointed run
+    up to ``config.epochs`` total epochs.
     """
     config.validate()
     dataset.validate()
@@ -578,8 +584,12 @@ def train(dataset: Dataset, config: TrainConfig,
         all_records.extend(epoch_records)
         precision, recall = correction_figures(
             start_labels, ds.observed_labels, ds.true_labels)
-        report = evaluate(model, eval_dataset if eval_dataset is not None
-                          else replace(ds, observed_labels=ds.true_labels))
+        if evaluate_each_epoch or epoch == config.epochs:
+            report = evaluate(model, eval_dataset if eval_dataset is not None
+                              else replace(ds, observed_labels=ds.true_labels))
+        else:
+            report = EvalReport(math.nan, np.full(ds.n_classes, math.nan),
+                                np.zeros((ds.n_classes,) * 2, np.int64), 0)
 
         metrics.append(EpochMetrics(
             epoch=epoch, target_weight=weights[0], aux_weight=weights[1],

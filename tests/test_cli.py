@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import aurelab
-from aurelab import data, experiments
+from aurelab import cli, data, experiments
 from aurelab.cli import main
 from aurelab.relabel import AUDIT_HEADER
 from aurelab.trainer import TrainConfig, load_checkpoint
@@ -590,13 +590,45 @@ class TestBrokenInputs:
                    "--data", str(dataset_files[1])])
         _assert_error(rc, capsys, "Is a directory")
 
-    def test_graph_with_non_numeric_cell(self, runs, tmp_path, capsys):
-        lines = (runs / "three_run" / "au_adjacency.csv").read_text().splitlines()
-        lines[2] = "a," + lines[2].split(",", 1)[1]
+    # None damages line 3 of a written graph; a text replaces the file
+    @pytest.mark.parametrize("text,message", [
+        (None, "line 3: expected comma-separated numbers"),
+        ("", "line 1: 0 rows of 0 values, expected a non-empty square "
+         "matrix"),
+        ("nan,inf\n", "line 1: expected finite numbers"),
+        ("1,0,0\n0,1,0\n", "line 3: 2 rows of 3 values, expected a "
+         "non-empty square matrix")],
+        ids=["non-numeric", "empty", "non-finite", "not-square"])
+    def test_graph_with_non_numeric_cell(self, runs, tmp_path, capsys, text,
+                                         message):
+        if text is None:
+            lines = (runs / "three_run" / "au_adjacency.csv").read_text(
+                ).splitlines()
+            lines[2] = "a," + lines[2].split(",", 1)[1]
+            text = "\n".join(lines) + "\n"
         path = tmp_path / "graph.csv"
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text(text)
         _assert_error(main(["inspect", "graph", str(path)]), capsys,
-                           f"{path}, line 3: expected comma-separated numbers")
+                      f"{path}, {message}")
+
+    @pytest.mark.parametrize("out", ["file", "file/run"])
+    def test_train_out_that_is_a_file_trains_nothing(
+            self, dataset_files, tmp_path, capsys, monkeypatch, out):
+        (tmp_path / "file").write_text("")
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("train() called")
+
+        monkeypatch.setattr(cli, "train", no_training)
+        rc = main(["train", "--data", str(dataset_files[0]),
+                   "--out", str(tmp_path / out)])
+        _assert_error(rc, capsys, f"Not a directory: '{tmp_path / 'file'}'")
+
+    def test_gen_out_that_is_a_directory(self, tmp_path, capsys):
+        rc = main(GEN_ARGS + ["--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
 
     @pytest.mark.parametrize("row,message", [
         ("x,1,1,2,0.5,0.25", "epoch 'x' is not an integer"),
@@ -747,10 +779,14 @@ class TestBrokenSpecs:
         ("ablate", [], ("n_classes = 3\nn_units = 6",
                         "n_classes = 5\nn_units = 60"),
          "no table of 5 unit patterns over 60 units found within 250000 "
-         "search steps")],
+         "search steps"),
+        ("ablate", ["--seeds", "1,1,2"], (),
+         "seeds must not repeat, got [1, 1, 2]"),
+        ("sweep", ["--rates", "0.2,0.2"], (),
+         "rates must not repeat, got [0.2, 0.2]")],
         ids=["sweep-rates", "ablate-epochs", "ablate-rate", "spec-spread",
              "spec-classes", "spec-units", "spec-no-held-out",
-             "spec-table-search"])
+             "spec-table-search", "repeated-seed", "repeated-rate"])
     def test_spec_out_of_range_trains_nothing(self, tmp_path, capsys,
                                               monkeypatch, command, flags,
                                               edit, message):

@@ -7,7 +7,7 @@ import subprocess
 import sys
 import warnings
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import hypothesis
 import hypothesis.strategies as st
@@ -402,6 +402,66 @@ def test_run_cell_figures_match_independent_evaluation():
         scalar_correction_figures(train_ds.observed_labels.tolist(),
                                   final.observed_labels.tolist(),
                                   train_ds.true_labels.tolist()))
+
+
+class TestLastEpochEvaluation:
+    """``evaluate_each_epoch=False`` evaluates only the last epoch, and
+    ``run_cell`` asks for it."""
+
+    def test_run_cell_evaluates_once(self, monkeypatch):
+        calls = []
+        real_evaluate = trainer.evaluate
+
+        def counting_evaluate(*args):
+            calls.append(args)
+            return real_evaluate(*args)
+
+        monkeypatch.setattr(trainer, "evaluate", counting_evaluate)
+        spec = DatasetSpec(n_classes=3, n_units=6, dim=8, n=160,
+                           test_fraction=0.25)
+        cell = run_cell(spec, FAST, 0.3, seed=1)
+        assert len(calls) == 1
+        assert calls[0][0] is cell.result.model
+
+    @pytest.mark.parametrize("held_out", [False, True])
+    def test_skipped_evaluations_change_no_trained_number(self, held_out):
+        ds = tiny_ds(n=120)
+        eval_ds = tiny_ds(seed=9, corruption=0) if held_out else None
+        every = train(ds, FAST, eval_ds)
+        last = train(ds, FAST, eval_ds, evaluate_each_epoch=False)
+        for a, b in ((every.checkpoint.params, last.checkpoint.params),
+                     (every.checkpoint.velocities, last.checkpoint.velocities),
+                     (vars(every.checkpoint.templates),
+                      vars(last.checkpoint.templates))):
+            assert a.keys() == b.keys()
+            for name in a:
+                assert a[name].tobytes() == b[name].tobytes()
+        assert every.records
+        assert len(every.records) == len(last.records)
+        for ra, rb in zip(every.records, last.records):
+            assert (ra.sample_id, ra.original, ra.corrected, ra.epoch) == \
+                (rb.sample_id, rb.original, rb.corrected, rb.epoch)
+            assert ra.distances.tobytes() == rb.distances.tobytes()
+        assert every.final_dataset.observed_labels.tobytes() == \
+            last.final_dataset.observed_labels.tobytes()
+
+        assert len(every.metrics) == len(last.metrics) == FAST.epochs
+        for f in fields(trainer.EpochMetrics):
+            a, b = (getattr(m.metrics[-1], f.name) for m in (every, last))
+            assert np.array_equal(a, b, equal_nan=True), f.name
+        measured = {"accuracy", "per_class_accuracy", "confusion"}
+        for ma, mb in zip(every.metrics[:-1], last.metrics[:-1]):
+            assert math.isnan(mb.accuracy)
+            assert np.isnan(mb.per_class_accuracy).all()
+            assert mb.per_class_accuracy.shape == ma.per_class_accuracy.shape
+            assert mb.confusion.dtype == ma.confusion.dtype
+            assert np.array_equal(mb.confusion,
+                                  np.zeros_like(ma.confusion))
+            for f in fields(trainer.EpochMetrics):
+                if f.name not in measured:
+                    assert np.array_equal(getattr(ma, f.name),
+                                          getattr(mb, f.name),
+                                          equal_nan=True), f.name
 
 
 class TestCheckpointing:
