@@ -64,13 +64,11 @@ def random_au_graph(n_units: int, rng: np.random.Generator) -> AUGraph:
 class AuxiliaryBranch:
     """Node-feature head, two graph-convolution layers, per-node classifiers."""
 
-    def __init__(self, feat_dim: int, n_units: int, node_dim: int = 16,
-                 channels: int = 64, leaky_slope: float = 0.01,
-                 rng: np.random.Generator | None = None):
+    def __init__(self, feat_dim: int, n_units: int, node_dim: int,
+                 channels: int, leaky_slope: float = 0.01, *,
+                 rng: np.random.Generator):
         if node_dim < 1:
             raise ConfigError(f"node_dim must be >= 1, got {node_dim}")
-        if rng is None:
-            rng = np.random.default_rng(0)
         self.n_units = n_units
         self.node_dim = node_dim
         self.leaky_slope = leaky_slope

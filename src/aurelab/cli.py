@@ -8,7 +8,8 @@ the spec key it sets (``--seeds`` is ``[experiment] seeds``, ``--epochs``
 and laid over it; a spec that names another table is exit 2.  Each of
 ``train``'s training flags is a ``[train]`` key too (``--lr`` is
 ``lr_initial``; ``--no-target``, ``--no-aux`` and ``--random-edges`` set
-theirs to false, false and true), laid over the stock ``TrainConfig``.
+theirs to false, false and true), laid over the stock ``TrainConfig``, or
+with ``--resume`` over the checkpoint's configuration.
 Each of ``gen``'s flags but ``--seed`` and ``--out`` is a spec key too: a
 ``[dataset]`` key (``--classes`` is ``n_classes``, ``--spread``
 ``class_spread``), or ``[experiment] rate`` for ``--corruption``, laid
@@ -137,7 +138,7 @@ def _write_graph_files(graph, out_dir: Path) -> None:
 
 
 def cmd_train(args) -> int:
-    cfg = replace(TrainConfig(), **_flag_values(args, "train"))
+    flags = _flag_values(args, "train")
     out_dir = Path(args.out)
     # fail before the run, not after it, when the directory cannot be made
     nearest = next(p for p in (out_dir, *out_dir.parents) if p.exists())
@@ -147,6 +148,7 @@ def cmd_train(args) -> int:
     ds = data.load(args.data)
     eval_ds = data.load(args.test_data) if args.test_data else None
     resume = load_checkpoint(args.resume) if args.resume else None
+    cfg = replace(resume.config if resume else TrainConfig(), **flags)
     result = train(ds, cfg, eval_dataset=eval_ds, resume=resume)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -162,6 +164,9 @@ def cmd_train(args) -> int:
               f"final {where} accuracy {last.accuracy:.4f}")
         print(f"final stored-label noise rate {last.noise_rate:.4f}; "
               f"{sum(m.relabel_count for m in result.metrics)} corrections")
+    elif resume is not None:
+        print(f"no epochs trained; wrote the resumed epoch-{resume.epoch} "
+              f"checkpoint again")
     else:
         print("no epochs trained; wrote initialization checkpoint")
     print(f"artifacts under {out_dir}")

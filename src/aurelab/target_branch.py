@@ -22,10 +22,8 @@ class TargetBranch:
     """Backbone (dim -> hidden -> feat), confidence head, class logits."""
 
     def __init__(self, in_dim: int, hidden_dim: int, feat_dim: int,
-                 n_classes: int, leaky_slope: float = 0.01,
-                 rng: np.random.Generator | None = None):
-        if rng is None:
-            rng = np.random.default_rng(0)
+                 n_classes: int, leaky_slope: float = 0.01, *,
+                 rng: np.random.Generator):
         self.leaky_slope = leaky_slope
         self.layer1_w = ad.parameter(
             rng.standard_normal((in_dim, hidden_dim)) * np.sqrt(2.0 / in_dim),

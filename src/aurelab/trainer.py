@@ -192,9 +192,9 @@ def init_model(dataset: Dataset, config: TrainConfig) -> Model:
     c, m, d = dataset.n_classes, dataset.n_units, dataset.dim
     try:
         target = TargetBranch(d, config.hidden_dim, config.feat_dim, c,
-                              config.leaky_slope, rng)
+                              config.leaky_slope, rng=rng)
         aux = AuxiliaryBranch(config.feat_dim, m, config.node_dim,
-                              config.gcn_channels, config.leaky_slope, rng)
+                              config.gcn_channels, config.leaky_slope, rng=rng)
         if config.random_edges:
             graph = random_au_graph(m, rng)
         else:
@@ -515,7 +515,8 @@ def train(dataset: Dataset, config: TrainConfig,
     ``config.epochs`` is evaluated; every earlier epoch records the figures
     of an evaluation of no sample (NaN accuracies, an all-zero confusion),
     and its other fields as usual.  ``resume`` continues a checkpointed run
-    up to ``config.epochs`` total epochs.
+    up to ``config.epochs`` total epochs, which may not be fewer than the
+    checkpoint's.
     """
     config.validate()
     dataset.validate()
@@ -536,6 +537,9 @@ def train(dataset: Dataset, config: TrainConfig,
         if replace(resume.config, epochs=config.epochs) != config:
             raise ConfigError("checkpoint configuration does not match; "
                               "only the total epoch count may change on resume")
+        if resume.epoch > config.epochs:
+            raise ConfigError(f"checkpoint is at epoch {resume.epoch}, past "
+                              f"the {config.epochs} total epochs asked for")
         model = restore_model(resume, ds, config)
         if resume.dataset_hash != ds.fingerprint():
             raise CheckpointError("checkpoint was trained on a different "
@@ -603,7 +607,7 @@ def train(dataset: Dataset, config: TrainConfig,
             noise_rate=ds.observed_noise_rate()))
 
     ckpt = Checkpoint(
-        epoch=max(config.epochs, resume.epoch if resume else 0),
+        epoch=config.epochs,
         config=config, dataset_hash=ds.fingerprint(),
         params={k: t.data.copy() for k, t in model.parameters().items()},
         velocities={k: v.copy() for k, v in velocities.items()},

@@ -2,8 +2,8 @@
 
 Everything here is deliberately written the dumb way (loops, direct
 formulas) and must stay decoupled from the package internals.  The loss
-compositions at the end are built from generic autodiff primitives only;
-the library computes each loss as one tape node, and its value and
+compositions at the end are built from generic tape primitives only
+(``tape_kit``'s and the library's); the library computes each loss as one tape node, and its value and
 gradients must equal these compositions bit for bit.
 """
 
@@ -15,6 +15,8 @@ import numpy as np
 from aurelab import autodiff as ad
 from aurelab import data
 from aurelab.errors import DatasetFormatError, DatasetValidationError
+
+import tape_kit as tk
 
 
 def nearest_prototype_accuracy(ds) -> float:
@@ -235,13 +237,13 @@ def composed_weighted_cross_entropy(features, classifier_w, confidence,
     labels = np.asarray(labels)
     n, n_cls = features.rows, classifier_w.cols
     sel = ad.constant(np.asarray(class_wts, dtype=np.float64)[labels].reshape(n, 1))
-    scales = ad.mul(confidence, sel)
-    scaled = ad.scale_rows(ad.matmul(features, classifier_w), scales)
+    scales = tk.mul(confidence, sel)
+    scaled = tk.scale_rows(ad.matmul(features, classifier_w), scales)
     logp = ad.log_softmax_row(scaled)
     onehot = np.zeros((n, n_cls))
     onehot[np.arange(n), labels] = 1.0
-    picked = ad.row_sum(ad.mul(logp, ad.constant(onehot)))
-    return ad.scale(ad.total_sum(picked), -1.0 / n)
+    picked = ad.row_sum(tk.mul(logp, ad.constant(onehot)))
+    return tk.scale(ad.total_sum(picked), -1.0 / n)
 
 
 def composed_rank_hinge(confidence, high, low, margin):
@@ -254,7 +256,7 @@ def composed_rank_hinge(confidence, high, low, margin):
     mask_l[0, low] = 1.0 / (n - k)
     avg_h = ad.matmul(ad.constant(mask_h), confidence)
     avg_l = ad.matmul(ad.constant(mask_l), confidence)
-    return ad.relu(ad.sub(ad.scalar(margin), ad.sub(avg_h, avg_l)))
+    return tk.relu(tk.sub(ad.scalar(margin), tk.sub(avg_h, avg_l)))
 
 
 def composed_au_detection_loss(probs, au_bits, confidence):
@@ -262,17 +264,17 @@ def composed_au_detection_loss(probs, au_bits, confidence):
     n, m = probs.shape
     z = np.asarray(au_bits, dtype=np.float64)
     alpha = np.asarray(confidence, dtype=np.float64).reshape(n, 1)
-    p = ad.clip(probs, 1e-12, 1.0 - 1e-12)
-    on = ad.mul(ad.constant(z), ad.log(p))
-    off = ad.mul(ad.constant(1.0 - z),
-                 ad.log(ad.sub(ad.constant(np.ones((n, m))), p)))
-    per_sample = ad.row_sum(ad.add(on, off))
-    weighted = ad.mul(per_sample, ad.constant(alpha))
-    return ad.scale(ad.total_sum(weighted), -1.0 / n)
+    p = tk.clip(probs, 1e-12, 1.0 - 1e-12)
+    on = tk.mul(ad.constant(z), tk.log(p))
+    off = tk.mul(ad.constant(1.0 - z),
+                 tk.log(tk.sub(ad.constant(np.ones((n, m))), p)))
+    per_sample = ad.row_sum(tk.add(on, off))
+    weighted = tk.mul(per_sample, ad.constant(alpha))
+    return tk.scale(ad.total_sum(weighted), -1.0 / n)
 
 
 def composed_total_loss(loss_wce, loss_rank, loss_au, target_weight,
                         aux_weight):
     """(target_weight / 2) * (wce + rank) + aux_weight * au."""
-    target_part = ad.scale(ad.add(loss_wce, loss_rank), target_weight / 2.0)
-    return ad.add(target_part, ad.scale(loss_au, aux_weight))
+    target_part = tk.scale(tk.add(loss_wce, loss_rank), target_weight / 2.0)
+    return tk.add(target_part, tk.scale(loss_au, aux_weight))

@@ -26,6 +26,7 @@ from aurelab.target_branch import (TargetBranch, class_weights,
                                    weighted_cross_entropy)
 from aurelab.trainer import (TrainConfig, load_checkpoint, ramp_weights,
                              save_checkpoint, total_loss, train)
+import tape_kit as tk
 from oracles import (cooccurrence_by_double_loop, scalar_class_weights,
                      scalar_cosine_distance, scalar_ramp_weights,
                      scalar_relabel)
@@ -132,7 +133,7 @@ def test_criterion_1_gradient_correctness():
         for loss_fn in (probe.loss_wce, probe.loss_rank,
                         lambda: probe.loss_au(frozen),
                         lambda: probe.loss_total(frozen)):
-            rep = ad.check_gradients(loss_fn, probe.params(), eps=1e-5)
+            rep = tk.check_gradients(loss_fn, probe.params(), eps=1e-5)
             worst = max(worst, rep.max_rel_error)
     elapsed = time.monotonic() - started
     report(1, worst < 1e-4 and elapsed < 60,

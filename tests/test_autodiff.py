@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import hypothesis
 import hypothesis.strategies as st
@@ -7,6 +9,7 @@ import pytest
 
 from aurelab import autodiff as ad
 from aurelab.errors import ShapeError
+import tape_kit as tk
 from oracles import (broadcast_block_row_dot_grads, masked_sigmoid,
                      two_where_leaky_relu)
 
@@ -81,18 +84,18 @@ class TestForwardValues:
             ad.leaky_relu(ad.constant([[1.0]]), 1.0)
 
     def test_softmax_uniform_row(self):
-        out = ad.softmax_row(ad.constant([[0.0, 0.0, 0.0]]))
+        out = tk.softmax_row(ad.constant([[0.0, 0.0, 0.0]]))
         np.testing.assert_allclose(out.data, [[1 / 3] * 3])
 
     def test_softmax_no_overflow(self):
-        out = ad.softmax_row(ad.constant([[1000.0, 0.0]])).data
+        out = tk.softmax_row(ad.constant([[1000.0, 0.0]])).data
         assert np.all(np.isfinite(out))
         assert out[0, 0] == pytest.approx(1.0)
         assert out[0, 1] == pytest.approx(0.0, abs=1e-300)
 
     def test_log_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            ad.log(ad.constant([[0.0]]))
+            tk.log(ad.constant([[0.0]]))
 
     def test_reshape_roundtrip(self):
         x = ad.constant(np.arange(6, dtype=float).reshape(2, 3))
@@ -113,7 +116,7 @@ class TestForwardValues:
 @hypothesis.given(st.lists(st.floats(min_value=-50, max_value=50),
                            min_size=2, max_size=8))
 def test_softmax_rows_sum_to_one(values):
-    out = ad.softmax_row(ad.constant([values]))
+    out = tk.softmax_row(ad.constant([values]))
     assert abs(out.data.sum() - 1.0) < 1e-12
 
 
@@ -134,8 +137,25 @@ class TestGradients:
     def test_quadratic_is_exact(self):
         rng = np.random.default_rng(0)
         w = ad.parameter(rand(rng, 3, 4), "w")
-        report = ad.check_gradients(lambda: ad.total_sum(ad.mul(w, w)), [w])
+        report = tk.check_gradients(lambda: ad.total_sum(tk.mul(w, w)), [w])
         assert report.max_rel_error < 1e-8
+
+    @pytest.mark.parametrize("factor", [1.0, 1.001, -1.0])
+    def test_oracle_fails_a_wrong_vjp(self, factor):
+        # a sigmoid whose vjp is off by 0.1% or has the wrong sign fails at
+        # the primitives' tolerance (1e-6) and at acceptance criterion 1's
+        # (1e-4); the right vjp passes both
+        rng = np.random.default_rng(5)
+        x = ad.parameter(rand(rng, 3, 4), "x")
+        probe = ad.constant(rand(rng, 3, 4))
+
+        def loss_fn():
+            s = ad.sigmoid(x)
+            node = ad.node(s.data, (x,), lambda g: (factor * s._vjp(g)[0],))
+            return ad.total_sum(tk.mul(node, probe))
+
+        report = tk.check_gradients(loss_fn, [x])
+        assert [report.ok(1e-6), report.ok(1e-4)] == [factor == 1.0] * 2
 
     def test_unused_parameter_gets_zeros(self):
         w = ad.parameter([[1.0, 2.0]], "w")
@@ -152,7 +172,7 @@ class TestGradients:
     def test_shared_subexpression_accumulates(self):
         # d/dw of (w*w + w) = 2w + 1
         w = ad.parameter([[3.0]], "w")
-        loss = ad.total_sum(ad.add(ad.mul(w, w), w))
+        loss = ad.total_sum(tk.add(tk.mul(w, w), w))
         (g,) = ad.gradients(loss, [w])
         np.testing.assert_allclose(g, [[7.0]])
 
@@ -160,7 +180,7 @@ class TestGradients:
         rng = np.random.default_rng(1)
         a = ad.parameter(rand(rng, 3, 4), "a")
         b = ad.parameter(rand(rng, 4, 2), "b")
-        report = ad.check_gradients(lambda: ad.total_sum(ad.matmul(a, b)), [a, b])
+        report = tk.check_gradients(lambda: ad.total_sum(ad.matmul(a, b)), [a, b])
         assert report.max_rel_error < 1e-6
 
     @pytest.mark.parametrize("x0", [-2.0, 0.0, 3.0])
@@ -170,14 +190,14 @@ class TestGradients:
         (analytic,) = ad.gradients(loss_fn(), [x])
         s = 1.0 / (1.0 + math.exp(-x0))
         assert analytic[0, 0] == pytest.approx(s * (1 - s), rel=1e-12)
-        assert ad.check_gradients(loss_fn, [x]).max_rel_error < 1e-6
+        assert tk.check_gradients(loss_fn, [x]).max_rel_error < 1e-6
 
     def test_leaky_relu_gradient_away_from_kink(self):
         rng = np.random.default_rng(2)
         vals = rand(rng, 3, 3)
         vals[np.abs(vals) < 1e-3] = 0.5
         x = ad.parameter(vals, "x")
-        report = ad.check_gradients(
+        report = tk.check_gradients(
             lambda: ad.total_sum(ad.leaky_relu(x, 0.01)), [x])
         assert report.max_rel_error < 1e-6
 
@@ -190,8 +210,8 @@ class TestGradients:
         rng = np.random.default_rng(4)
         x = ad.parameter(rand(rng, 2, 5), "x")
         probe = ad.constant(rand(rng, 2, 5))
-        report = ad.check_gradients(
-            lambda: ad.total_sum(ad.mul(ad.softmax_row(x), probe)), [x])
+        report = tk.check_gradients(
+            lambda: ad.total_sum(tk.mul(tk.softmax_row(x), probe)), [x])
         assert report.max_rel_error < 1e-6
 
     @pytest.mark.parametrize("op", ["log_softmax", "scale_rows", "add_row",
@@ -202,48 +222,48 @@ class TestGradients:
         if op == "log_softmax":
             x = ad.parameter(rand(rng, 3, 4), "x")
             probe = ad.constant(rand(rng, 3, 4))
-            fn = lambda: ad.total_sum(ad.mul(ad.log_softmax_row(x), probe))
+            fn = lambda: ad.total_sum(tk.mul(ad.log_softmax_row(x), probe))
             params = [x]
         elif op == "scale_rows":
             x = ad.parameter(rand(rng, 4, 3), "x")
             s = ad.parameter(rand(rng, 4, 1), "s")
-            fn = lambda: ad.total_sum(ad.scale_rows(x, s))
+            fn = lambda: ad.total_sum(tk.scale_rows(x, s))
             params = [x, s]
         elif op == "add_row":
             x = ad.parameter(rand(rng, 4, 3), "x")
             b = ad.parameter(rand(rng, 1, 3), "b")
             probe = ad.constant(rand(rng, 4, 3))
-            fn = lambda: ad.total_sum(ad.mul(ad.add_row(x, b), probe))
+            fn = lambda: ad.total_sum(tk.mul(ad.add_row(x, b), probe))
             params = [x, b]
         elif op == "tile_rows":
             x = ad.parameter(rand(rng, 2, 3), "x")
             probe = ad.constant(rand(rng, 6, 3))
-            fn = lambda: ad.total_sum(ad.mul(ad.tile_rows(x, 3), probe))
+            fn = lambda: ad.total_sum(tk.mul(ad.tile_rows(x, 3), probe))
             params = [x]
         elif op == "row_sum":
             x = ad.parameter(rand(rng, 4, 3), "x")
             probe = ad.constant(rand(rng, 4, 1))
-            fn = lambda: ad.total_sum(ad.mul(ad.row_sum(x), probe))
+            fn = lambda: ad.total_sum(tk.mul(ad.row_sum(x), probe))
             params = [x]
         elif op == "block_row_dot":
             x = ad.parameter(rand(rng, 8, 3), "x")
             w = ad.parameter(rand(rng, 4, 3), "w")
             probe = ad.constant(rand(rng, 2, 4))
-            fn = lambda: ad.total_sum(ad.mul(ad.block_row_dot(x, w), probe))
+            fn = lambda: ad.total_sum(tk.mul(ad.block_row_dot(x, w), probe))
             params = [x, w]
         elif op == "clip":
             vals = rand(rng, 3, 3)
             vals[np.abs(vals - 0.5) < 1e-2] = 0.0   # keep away from clip edges
             x = ad.parameter(vals, "x")
-            fn = lambda: ad.total_sum(ad.clip(x, -0.5, 0.5))
+            fn = lambda: ad.total_sum(tk.clip(x, -0.5, 0.5))
             params = [x]
         else:
             left = rand(rng, 3, 3)
             x = ad.parameter(rand(rng, 9, 4), "x")
             probe = ad.constant(rand(rng, 9, 4))
-            fn = lambda: ad.total_sum(ad.mul(ad.block_matmul(left, x, 3), probe))
+            fn = lambda: ad.total_sum(tk.mul(ad.block_matmul(left, x, 3), probe))
             params = [x]
-        assert ad.check_gradients(fn, params).max_rel_error < 1e-6
+        assert tk.check_gradients(fn, params).max_rel_error < 1e-6
 
     def test_all_primitives_pass_fd_for_100_seeds(self):
         # Composite touching every differentiable primitive, random smooth
@@ -260,23 +280,51 @@ class TestGradients:
 
             def loss_fn():
                 h = ad.leaky_relu(ad.add_row(ad.matmul(x, w1), b1), 0.01)
-                z = ad.scale_rows(ad.matmul(h, w2), scales)
+                z = tk.scale_rows(ad.matmul(h, w2), scales)
                 z = ad.block_matmul(left, z, 2)
-                p = ad.clip(ad.sigmoid(z), 1e-9, 1 - 1e-9)
-                t1 = ad.total_sum(ad.mul(ad.log(p), probe))
-                t2 = ad.total_sum(ad.mul(ad.log_softmax_row(z), probe))
-                t3 = ad.mean_all(ad.mul(ad.softmax_row(z), probe))
-                t4 = ad.total_sum(ad.row_sum(ad.relu(ad.sub(z, ad.constant(
+                p = tk.clip(ad.sigmoid(z), 1e-9, 1 - 1e-9)
+                t1 = ad.total_sum(tk.mul(tk.log(p), probe))
+                t2 = ad.total_sum(tk.mul(ad.log_softmax_row(z), probe))
+                t3 = tk.mean_all(tk.mul(tk.softmax_row(z), probe))
+                t4 = ad.total_sum(ad.row_sum(tk.relu(tk.sub(z, ad.constant(
                     np.full((6, 2), 0.05))))))
-                return ad.add(ad.add(ad.scale(t1, 0.3), ad.scale(t2, 0.5)),
-                              ad.add(t3, ad.neg(ad.scale(t4, 0.1))))
+                return tk.add(tk.add(tk.scale(t1, 0.3), tk.scale(t2, 0.5)),
+                              tk.add(t3, tk.neg(tk.scale(t4, 0.1))))
 
-            report = ad.check_gradients(loss_fn, [w1, b1, w2, scales])
+            report = tk.check_gradients(loss_fn, [w1, b1, w2, scales])
             assert report.max_rel_error < 1e-4, f"seed {seed}: {report}"
 
     def test_primitives_are_deterministic(self):
         rng = np.random.default_rng(9)
         x = rand(rng, 4, 4)
-        a = ad.softmax_row(ad.sigmoid(ad.constant(x))).data
-        b = ad.softmax_row(ad.sigmoid(ad.constant(x.copy()))).data
+        a = tk.softmax_row(ad.sigmoid(ad.constant(x))).data
+        b = tk.softmax_row(ad.sigmoid(ad.constant(x.copy()))).data
         assert a.tobytes() == b.tobytes()
+
+
+def test_every_public_autodiff_name_has_a_caller():
+    """Test-only primitives live in ``tape_kit``: every public def or class
+    of ``autodiff`` is used by the package or the benchmark, as ``ad.X``,
+    ``autodiff.X`` or ``from .autodiff import X``."""
+    root = Path(__file__).resolve().parents[1]
+    package = root / "src" / "aurelab"
+
+    def parse(path):
+        return ast.parse(path.read_text(), str(path))
+
+    public = {n.name for n in parse(package / "autodiff.py").body
+              if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+              and not n.name.startswith("_")}
+    used = set()
+    for path in (*package.glob("*.py"), *(root / "perfbench").glob("*.py")):
+        if path.name == "autodiff.py":
+            continue
+        for n in ast.walk(parse(path)):
+            if (isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                    and n.value.id in ("ad", "autodiff")):
+                used.add(n.attr)
+            elif (isinstance(n, ast.ImportFrom)
+                  and n.module in ("autodiff", "aurelab.autodiff")):
+                used.update(a.name for a in n.names)
+    assert "gradients" in public
+    assert sorted(public - used) == []

@@ -10,6 +10,7 @@ from aurelab.aux_branch import (AuxiliaryBranch, au_detection_loss,
                                 build_au_graph, random_au_graph)
 from aurelab.data import corrupt_labels, generate
 from aurelab.errors import ConfigError
+import tape_kit as tk
 from oracles import cooccurrence_by_double_loop
 
 
@@ -91,8 +92,8 @@ class TestNodeFeatures:
 
     def test_gradient_through_head(self, branch):
         feats = ad.constant(np.random.default_rng(2).standard_normal((4, 6)))
-        report = ad.check_gradients(
-            lambda: ad.mean_all(branch.node_features(feats)),
+        report = tk.check_gradients(
+            lambda: tk.mean_all(branch.node_features(feats)),
             [branch.head_w, branch.head_b])
         assert report.max_rel_error < 1e-4
 
@@ -118,8 +119,8 @@ class TestGcnForward:
         g = build_au_graph((np.random.default_rng(5).random((30, 5)) < 0.4)
                            .astype(int))
         nodes = ad.constant(np.random.default_rng(6).standard_normal((15, 4)))
-        report = ad.check_gradients(
-            lambda: ad.mean_all(branch.gcn_forward(nodes, g.normalized)),
+        report = tk.check_gradients(
+            lambda: tk.mean_all(branch.gcn_forward(nodes, g.normalized)),
             [branch.gcn1_w, branch.gcn2_w])
         assert report.max_rel_error < 1e-4
 
@@ -218,7 +219,7 @@ class TestAuLoss:
 
         params = list(target.parameters().values()) + \
             list(branch.parameters().values())
-        report = ad.check_gradients(loss_fn, params)
+        report = tk.check_gradients(loss_fn, params)
         assert report.max_rel_error < 1e-4
 
     def test_gradient_three_sample_five_unit_batch(self, branch):
@@ -232,7 +233,7 @@ class TestAuLoss:
             probs, _ = branch.semantic_logits(feats, g.normalized)
             return au_detection_loss(probs, bits, alpha)
 
-        report = ad.check_gradients(loss_fn,
+        report = tk.check_gradients(loss_fn,
                                     list(branch.parameters().values()))
         assert report.max_rel_error < 1e-4
 

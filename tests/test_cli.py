@@ -256,6 +256,43 @@ class TestTrain:
         assert sha(full_out / "checkpoint.json") == \
             sha(resumed_out / "checkpoint.json")
 
+    def test_resume_given_only_epochs_matches_uninterrupted_run(
+            self, dataset_files, tmp_path):
+        # the resume reads every other setting from the checkpoint
+        train_path, _ = dataset_files
+        base = ["train", "--data", str(train_path)] + TRAIN_SPEED_ARGS
+        assert main(base + ["--out", str(tmp_path / "full")]) == 0
+        assert main(base + ["--epochs", "2", "--out",
+                            str(tmp_path / "half")]) == 0
+        assert main(["train", "--data", str(train_path), "--out",
+                     str(tmp_path / "resumed"), "--resume",
+                     str(tmp_path / "half" / "checkpoint.json"),
+                     "--epochs", "5"]) == 0
+        assert (tmp_path / "resumed" / "checkpoint.json").read_bytes() == \
+            (tmp_path / "full" / "checkpoint.json").read_bytes()
+
+    @pytest.mark.parametrize("epochs", ["1", "2"])
+    def test_resume_at_or_before_the_checkpoint_epoch(
+            self, dataset_files, tmp_path, capsys, epochs):
+        train_path, _ = dataset_files
+        ckpt = tmp_path / "two" / "checkpoint.json"
+        assert main(["train", "--data", str(train_path), "--out",
+                     str(ckpt.parent)] + TRAIN_SPEED_ARGS
+                    + ["--epochs", "2"]) == 0
+        capsys.readouterr()
+        out = tmp_path / "resumed"
+        rc = main(["train", "--data", str(train_path), "--out", str(out),
+                   "--resume", str(ckpt), "--epochs", epochs])
+        if epochs == "1":
+            _assert_error(rc, capsys, "checkpoint is at epoch 2, past the 1 "
+                          "total epochs asked for", code=2)
+            assert not out.exists()
+        else:
+            assert rc == 0
+            assert ("no epochs trained; wrote the resumed epoch-2 checkpoint "
+                    "again\n" in capsys.readouterr().out)
+            assert (out / "checkpoint.json").read_bytes() == ckpt.read_bytes()
+
 
 class TestEvalAndInspect:
     @pytest.fixture(scope="class")

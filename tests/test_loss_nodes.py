@@ -15,6 +15,7 @@ from aurelab.target_branch import (class_weights, confidence_split,
                                    rank_regularization,
                                    weighted_cross_entropy)
 from aurelab.trainer import TrainConfig, init_model, total_loss
+import tape_kit as tk
 from oracles import (composed_au_detection_loss, composed_rank_hinge,
                      composed_total_loss, composed_weighted_cross_entropy)
 
@@ -25,8 +26,8 @@ def assert_same_bits(node_loss, composed_loss, parents, upstream=0.37):
     assert np.array_equal(node_loss.data, composed_loss.data)
     tracked = [p for p in parents if p.requires_grad]
     for weight in (1.0, upstream):
-        got = ad.gradients(ad.scale(node_loss, weight), tracked)
-        want = ad.gradients(ad.scale(composed_loss, weight), tracked)
+        got = ad.gradients(tk.scale(node_loss, weight), tracked)
+        want = ad.gradients(tk.scale(composed_loss, weight), tracked)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
 

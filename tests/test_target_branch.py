@@ -10,6 +10,7 @@ from aurelab.errors import ConfigError
 from aurelab.target_branch import (TargetBranch, class_weights,
                                    confidence_split, rank_regularization,
                                    weighted_cross_entropy)
+import tape_kit as tk
 from oracles import scalar_class_weights, scalar_softmax_ce
 
 
@@ -34,8 +35,8 @@ class TestBackbone:
 
     def test_gradient_of_mean_output_vs_fd(self, branch):
         x = ad.constant(np.random.default_rng(2).standard_normal((6, 8)))
-        report = ad.check_gradients(
-            lambda: ad.mean_all(branch.features(x)), [branch.layer1_w])
+        report = tk.check_gradients(
+            lambda: tk.mean_all(branch.features(x)), [branch.layer1_w])
         assert report.max_rel_error < 1e-4
 
 
@@ -119,7 +120,7 @@ class TestWeightedCrossEntropy:
                                      labels).item()
         scales = conf.data[:, 0] * np.array(gamma)[labels]
         scaled = feats.data @ w.data * scales[:, None]
-        probs = ad.softmax_row(ad.constant(scaled)).data
+        probs = tk.softmax_row(ad.constant(scaled)).data
         expected = -np.mean(np.log(probs[np.arange(6), labels]))
         assert got == pytest.approx(expected, rel=1e-10)
 
@@ -141,7 +142,7 @@ class TestWeightedCrossEntropy:
             return weighted_cross_entropy(feats, branch.classifier_w, conf,
                                           gamma, labels)
 
-        report = ad.check_gradients(loss_fn,
+        report = tk.check_gradients(loss_fn,
                                     list(branch.parameters().values()))
         assert report.max_rel_error < 1e-4
 
@@ -158,7 +159,7 @@ class TestWeightedCrossEntropy:
             return weighted_cross_entropy(feats, branch.classifier_w, conf,
                                           gamma, labels)
 
-        report = ad.check_gradients(loss_fn,
+        report = tk.check_gradients(loss_fn,
                                     list(branch.parameters().values()))
         assert report.max_rel_error < 1e-4
 
@@ -222,7 +223,7 @@ class TestRankRegularization:
 
         value = loss_fn().item()
         assert 0.0 < value <= 0.4
-        assert ad.check_gradients(loss_fn, [w]).max_rel_error < 1e-4
+        assert tk.check_gradients(loss_fn, [w]).max_rel_error < 1e-4
 
     @hypothesis.settings(max_examples=60, deadline=None)
     @hypothesis.given(

@@ -24,6 +24,7 @@ from aurelab.target_branch import TargetBranch
 from aurelab.trainer import (Checkpoint, TrainConfig, evaluate,
                              load_checkpoint, ramp_weights, save_checkpoint,
                              total_loss, train, trained_parameters)
+import tape_kit as tk
 from oracles import (nearest_prototype_accuracy, scalar_correction_figures,
                      scalar_ramp_weights)
 
@@ -93,12 +94,12 @@ class TestTotalLoss:
         w = ad.parameter(rng.standard_normal((2, 2)), "w")
 
         def loss_fn():
-            a = ad.total_sum(ad.mul(w, w))
+            a = ad.total_sum(tk.mul(w, w))
             b = ad.total_sum(ad.sigmoid(w))
-            c = ad.mean_all(w)
+            c = tk.mean_all(w)
             return total_loss(a, b, c, 0.7, 0.3)
 
-        assert ad.check_gradients(loss_fn, [w]).max_rel_error < 1e-6
+        assert tk.check_gradients(loss_fn, [w]).max_rel_error < 1e-6
 
 
 class TestTrainLoop:
@@ -547,6 +548,15 @@ class TestCheckpointing:
         half = train(ds, replace(FAST, epochs=2))
         extended = train(ds, replace(FAST, epochs=3), resume=half.checkpoint)
         assert [m.epoch for m in extended.metrics] == [3]
+
+    def test_resume_to_no_more_epochs_than_the_checkpoint(self):
+        ds = tiny_ds()
+        half = train(ds, replace(FAST, epochs=2))
+        again = train(ds, replace(FAST, epochs=2), resume=half.checkpoint)
+        assert again.metrics == [] and again.checkpoint.epoch == 2
+        with pytest.raises(ConfigError, match="checkpoint is at epoch 2, "
+                           "past the 1 total epochs"):
+            train(ds, replace(FAST, epochs=1), resume=half.checkpoint)
 
     def test_interrupted_write_keeps_previous_file(self, tmp_path,
                                                    monkeypatch):
