@@ -15,8 +15,7 @@ steps = [
      "--corruption", "0.2", "--test-fraction", "0.25", "--seed", "0",
      "--out", f"{OUT}/train.txt"],
     ["train", "--data", f"{OUT}/train.txt", "--test-data",
-     f"{OUT}/train.txt.test", "--out", f"{OUT}/run", "--epochs", "25",
-     "--batch-size", "48", "--lr", "0.05", "--momentum", "0.8"],
+     f"{OUT}/train.txt.test", "--out", f"{OUT}/run", "--epochs", "25"],
     ["eval", "--checkpoint", f"{OUT}/run/checkpoint.json", "--data",
      f"{OUT}/train.txt.test"],
     ["inspect", "audit", f"{OUT}/run/relabel_audit.csv"],

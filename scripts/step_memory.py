@@ -5,7 +5,7 @@ its evaluations, above the memory its datasets hold.
     PYTHONPATH=/path/to/other/tree/src python scripts/step_memory.py --seed 0
 
 The cell is ``experiments.run_cell``'s with both branches on: the README's
-protocol datasets at 20% corruption and ``EXPERIMENT_TRAIN_DEFAULTS``, with
+protocol datasets at 20% corruption and the default ``TrainConfig``, with
 ``--batch-size`` in place of its batch of 48 when given.  Tracing starts
 once the datasets exist, so their arrays are not counted.  While ``train``
 runs, ``trainer.evaluate`` is wrapped: the peak between the start and the
@@ -22,8 +22,7 @@ import tracemalloc
 from dataclasses import replace
 
 from aurelab import trainer
-from aurelab.experiments import (EXPERIMENT_TRAIN_DEFAULTS, DatasetSpec,
-                                 cell_config, make_cell_datasets)
+from aurelab.experiments import DatasetSpec, cell_config, make_cell_datasets
 
 MB = 2**20
 
@@ -31,7 +30,7 @@ MB = 2**20
 def phase_peaks(seed: int, batch_size: int | None) -> tuple[float, float]:
     """(training-step peak, evaluation peak) in bytes above the datasets."""
     train_ds, test_ds = make_cell_datasets(DatasetSpec(), 0.2, seed)
-    cfg = cell_config(EXPERIMENT_TRAIN_DEFAULTS, seed)
+    cfg = cell_config(trainer.TrainConfig(), seed)
     if batch_size is not None:
         cfg = replace(cfg, batch_size=batch_size)
     peaks = {"steps": 0, "evaluations": 0}

@@ -7,10 +7,10 @@ lines for both:
     PYTHONPATH=/path/to/other/tree/src python scripts/train_digest.py > before.txt
     diff before.txt after.txt
 
-Each cell is ``experiments.run_cell`` at the experiment protocol (20%
-corruption).  The configurations are the four branch settings plus the full
-method on random edges; seeds are 0-7 unless ``--seeds`` names others.  A
-digest covers the checkpoint's parameters, velocities and templates, the
+Each cell is ``experiments.run_cell`` at the experiment protocol: 20%
+corruption and the default ``TrainConfig``.  The configurations are the
+four branch settings plus the full method on random edges; seeds are 0-7
+unless ``--seeds`` names others.  A digest covers the checkpoint's parameters, velocities and templates, the
 final labels, every relabel record with its distances, the per-epoch
 losses, and the four figures a table reads of the cell (accuracy, final
 noise rate, relabel precision and recall).  A cell evaluates its held-out
@@ -24,8 +24,8 @@ import sys
 
 import numpy as np
 
-from aurelab.experiments import (EXPERIMENT_TRAIN_DEFAULTS, DatasetSpec,
-                                 run_cell)
+from aurelab.experiments import DatasetSpec, run_cell
+from aurelab.trainer import TrainConfig
 
 # name: (use_target, use_aux, random_edges)
 CONFIGURATIONS = {
@@ -43,8 +43,8 @@ def _add(h, value) -> None:
 
 def cell_digest(seed: int, use_target: bool, use_aux: bool,
                 random_edges: bool) -> str:
-    cell = run_cell(DatasetSpec(), EXPERIMENT_TRAIN_DEFAULTS, 0.2, seed,
-                    use_target, use_aux, random_edges)
+    cell = run_cell(DatasetSpec(), TrainConfig(), 0.2, seed, use_target,
+                    use_aux, random_edges)
     result = cell.result
     ckpt = result.checkpoint
     h = hashlib.sha256()

@@ -8,8 +8,9 @@ the spec key it sets (``--seeds`` is ``[experiment] seeds``, ``--epochs``
 and laid over it; a spec that names another table is exit 2.  Each of
 ``train``'s training flags is a ``[train]`` key too (``--lr`` is
 ``lr_initial``; ``--no-target``, ``--no-aux`` and ``--random-edges`` set
-theirs to false, false and true), laid over the stock ``TrainConfig``, or
-with ``--resume`` over the checkpoint's configuration.
+theirs to false, false and true), laid over ``TrainConfig``'s defaults,
+which are the experiment protocol, or with ``--resume`` over the
+checkpoint's configuration.
 Each of ``gen``'s flags but ``--seed`` and ``--out`` is a spec key too: a
 ``[dataset]`` key (``--classes`` is ``n_classes``, ``--spread``
 ``class_spread``), or ``[experiment] rate`` for ``--corruption``, laid

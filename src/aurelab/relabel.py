@@ -82,14 +82,13 @@ class RelabelRecord:
 
 def semantic_distances(semantics: np.ndarray, templates: SemanticTemplates
                        ) -> np.ndarray:
-    """Cosine distance (1 - cosine similarity, in [0, 2]) to every template.
+    """Cosine distances (1 - cosine similarity, in [0, 2]) of a batch of
+    semantic vectors (k, M) to every template: (k, C).
 
-    Takes one semantic vector (M,) and returns (C,), or a batch (k, M) and
-    returns (k, C).  Templates that are not usable give NaN columns; a
-    zero-norm sample gives an all-NaN row.
+    Templates that are not usable give NaN columns; a zero-norm sample gives
+    an all-NaN row.
     """
-    s = np.asarray(semantics, dtype=np.float64)
-    rows = np.atleast_2d(s)
+    rows = np.asarray(semantics, dtype=np.float64)
     k, width = rows.shape
     if width != templates.vectors.shape[1]:
         raise ShapeError(f"semantics have {width} units, templates "
@@ -107,30 +106,27 @@ def semantic_distances(semantics: np.ndarray, templates: SemanticTemplates
     out = 1.0 - np.clip(cosine, -1.0, 1.0)
     out[:, ~templates.usable()] = np.nan
     out[norms[:k] == 0.0] = np.nan
-    return out[0] if s.ndim == 1 else out
+    return out
 
 
-def decide_relabel(distances: np.ndarray, originals) -> np.ndarray | int:
-    """Correction rule over per-class template distances.
+def decide_relabel(distances: np.ndarray, originals) -> np.ndarray:
+    """Correction rule over per-class template distances: rows (k, C) with
+    their k original labels give k labels.
 
-    Takes one distance row (C,) with its original label and returns an int,
-    or rows (k, C) with k labels and returns k labels.  A row moves to its
-    closest other class when that class is strictly closer than the original
-    one, and keeps its label otherwise.  It needs the original class distance
-    and at least one other non-NaN distance; ties among other-class minima
-    break toward the smallest class index.
+    A row moves to its closest other class when that class is strictly
+    closer than the original one, and keeps its label otherwise.  It needs
+    the original class distance and at least one other non-NaN distance;
+    ties among other-class minima break toward the smallest class index.
     """
-    d = np.asarray(distances, dtype=np.float64)
-    rows = np.atleast_2d(d)
-    org = np.atleast_1d(np.asarray(originals, dtype=np.int64))
+    rows = np.asarray(distances, dtype=np.float64)
+    org = np.asarray(originals, dtype=np.int64)
     at = np.arange(len(rows))
     d_org = rows[at, org]
     enough = ~np.isnan(d_org) & (np.sum(~np.isnan(rows), axis=1) >= 2)
     others = np.where(np.isnan(rows), np.inf, rows)
     others[at, org] = np.inf
     best = np.argmin(others, axis=1)
-    out = np.where(enough & (d_org - others[at, best] > 0.0), best, org)
-    return int(out[0]) if d.ndim == 1 else out
+    return np.where(enough & (d_org - others[at, best] > 0.0), best, org)
 
 
 def propose_corrections(templates: SemanticTemplates, semantics: np.ndarray,
@@ -153,18 +149,13 @@ def propose_corrections(templates: SemanticTemplates, semantics: np.ndarray,
             for j in np.flatnonzero(new != labels)]
 
 
-def apply_corrections(ds: Dataset, records: list[RelabelRecord]) -> int:
-    """Overwrite the observed label of every referenced sample; returns how
-    many labels actually changed."""
-    changed = 0
+def apply_corrections(ds: Dataset, records: list[RelabelRecord]) -> None:
+    """Overwrite the observed label of every referenced sample."""
     for rec in records:
         if not 0 <= rec.sample_id < ds.n:
             raise IntegrityError(f"relabel record references unknown sample id "
                                  f"{rec.sample_id}")
-        if ds.observed_labels[rec.sample_id] != rec.corrected:
-            changed += 1
         ds.observed_labels[rec.sample_id] = rec.corrected
-    return changed
 
 
 def correction_figures(start_labels: np.ndarray, end_labels: np.ndarray,

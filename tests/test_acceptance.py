@@ -17,8 +17,8 @@ from aurelab import data
 from aurelab.aux_branch import (AuxiliaryBranch, au_detection_loss,
                                 build_au_graph)
 from aurelab.cli import main as cli_main
-from aurelab.experiments import (EXPERIMENT_TRAIN_DEFAULTS, DatasetSpec,
-                                 ExperimentSpec, clear_cell_memo, run_grid)
+from aurelab.experiments import (DatasetSpec, ExperimentSpec,
+                                 clear_cell_memo, run_grid)
 from aurelab.relabel import decide_relabel, semantic_distances
 from aurelab.relabel import SemanticTemplates
 from aurelab.target_branch import (TargetBranch, class_weights,
@@ -171,7 +171,7 @@ def test_criterion_2_oracle_equivalence():
         templates.vectors[...] = rng.standard_normal((c, 6))
         templates.valid[...] = rng.random(c) < 0.8
         s = rng.standard_normal(6)
-        dists = semantic_distances(s, templates)
+        dists = semantic_distances(s[None], templates)[0]
         for j in range(c):
             if templates.valid[j]:
                 assert dists[j] == pytest.approx(
@@ -179,7 +179,8 @@ def test_criterion_2_oracle_equivalence():
             else:
                 assert math.isnan(dists[j])
         org = int(rng.integers(0, c))
-        assert decide_relabel(dists, org) == scalar_relabel(dists.tolist(), org)
+        assert decide_relabel(dists[None], [org])[0] == \
+            scalar_relabel(dists.tolist(), org)
 
     report(2, True, "build_graph exact on 50 datasets; class_weights, "
                     "ramp_weights, semantic_distance, relabel match scalar "
@@ -228,7 +229,7 @@ def test_criterion_3_unit_values():
 @pytest.fixture(scope="module")
 def protocol():
     return ExperimentSpec(dataset=DatasetSpec(),
-                          train=replace(EXPERIMENT_TRAIN_DEFAULTS, epochs=40),
+                          train=TrainConfig(epochs=40),
                           seeds=SEEDS, rates=(0.1, 0.2, 0.3), rate=0.2)
 
 

@@ -1,5 +1,6 @@
 import ast
 import math
+import zlib
 from pathlib import Path
 
 import hypothesis
@@ -218,7 +219,7 @@ class TestGradients:
                                     "tile_rows", "row_sum", "clip", "block",
                                     "block_row_dot"])
     def test_remaining_primitive_gradients(self, op):
-        rng = np.random.default_rng(hash(op) % 2**32)
+        rng = np.random.default_rng(zlib.crc32(op.encode()))
         if op == "log_softmax":
             x = ad.parameter(rand(rng, 3, 4), "x")
             probe = ad.constant(rand(rng, 3, 4))

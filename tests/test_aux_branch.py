@@ -241,13 +241,10 @@ class TestAuLoss:
 def test_semantic_features_separate_classes_after_training():
     # After a short run on clean data, same-class semantic vectors should sit
     # closer together (cosine) than cross-class ones.
-    from dataclasses import replace
-    from aurelab.experiments import EXPERIMENT_TRAIN_DEFAULTS
-    from aurelab.trainer import train
+    from aurelab.trainer import TrainConfig, train
 
     ds = generate(3, 6, 8, 240, 4.0, 1.0, seed=21, au_noise=0.02)
-    cfg = replace(EXPERIMENT_TRAIN_DEFAULTS, epochs=12, batch_size=48,
-                  warmup_epochs=12, seed=21)
+    cfg = TrainConfig(epochs=12, batch_size=48, warmup_epochs=12, seed=21)
     result = train(ds, cfg)
     model = result.model
     feats = model.target.features(ad.constant(ds.features))

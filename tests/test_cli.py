@@ -6,7 +6,7 @@ import sys
 import time
 import tracemalloc
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -198,6 +198,15 @@ class TestTrain:
             for value in row:
                 float(value)
 
+    def test_train_without_training_flags_runs_the_protocol(
+            self, dataset_files, tmp_path):
+        train_path, test_path = dataset_files
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(train_path), "--test-data",
+                     str(test_path), "--out", str(out), "--epochs", "2"]) == 0
+        assert load_checkpoint(out / "checkpoint.json").config == replace(
+            experiments.load_spec(None).train, epochs=2)
+
     def test_zero_epochs_writes_the_initialization_checkpoint(
             self, dataset_files, tmp_path, capsys):
         out = tmp_path / "run"
@@ -373,6 +382,8 @@ def _damaged(text, damage):
     doc = json.loads(text)
     if damage == "missing_key":
         del doc["params"]
+    elif damage == "missing_config_field":
+        del doc["config"]["momentum"]
     elif damage == "v1":
         doc["format"] = "aurelab-checkpoint-v1"
     elif damage == "wrong_type":
@@ -407,6 +418,8 @@ class TestBrokenInputs:
 
     @pytest.mark.parametrize("damage,message", [
         ("truncated", "not a JSON file"), ("missing_key", "'params'"),
+        ("missing_config_field", "field 'config' is missing or malformed "
+         "(no value for momentum)"),
         ("empty", "not an aurelab-checkpoint-v2 file"),
         ("v1", "v1 checkpoints are no longer read"),
         ("wrong_type", "'observed_labels'"),

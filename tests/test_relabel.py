@@ -23,6 +23,17 @@ def templates_from(vectors, valid=None):
     return t
 
 
+def distances_of(sample, templates):
+    """``semantic_distances`` of one sample, passed as a one-row batch."""
+    return semantic_distances(np.asarray(sample, dtype=float)[None],
+                              templates)[0]
+
+
+def relabel_of(distances, original):
+    """``decide_relabel`` of one distance row, passed as a one-row batch."""
+    return int(decide_relabel(np.asarray(distances)[None], [original])[0])
+
+
 class TestTemplateUpdate:
     def test_single_member_weighted(self):
         t = SemanticTemplates.empty(3, 4)
@@ -116,20 +127,20 @@ class TestTemplateUpdate:
 class TestSemanticDistances:
     def test_parallel_orthogonal_opposite(self):
         t = templates_from([[1, 0], [0, 1], [-1, 0]])
-        d = semantic_distances(np.array([1.0, 0.0]), t)
+        d = distances_of([1.0, 0.0], t)
         assert d[0] == pytest.approx(0.0)
         assert d[1] == pytest.approx(1.0)
         assert d[2] == pytest.approx(2.0)
 
     def test_invalid_template_is_nan(self):
         t = templates_from([[1, 0], [0, 1]], valid=[True, False])
-        d = semantic_distances(np.array([1.0, 1.0]), t)
+        d = distances_of([1.0, 1.0], t)
         assert not math.isnan(d[0])
         assert math.isnan(d[1])
 
     def test_zero_norm_template_is_nan(self):
         t = templates_from([[0, 0], [1, 1]])
-        d = semantic_distances(np.array([1.0, 0.0]), t)
+        d = distances_of([1.0, 0.0], t)
         assert math.isnan(d[0])
 
     @pytest.mark.parametrize("template,sample,expected", [
@@ -137,14 +148,13 @@ class TestSemanticDistances:
         ([1, 1], [-1, -1], 2.0), ([0, 0], [1, 0], np.nan)],
         ids=["parallel", "orthogonal", "antiparallel", "zero_norm"])
     def test_cosine_unit_cases(self, template, sample, expected):
-        d = semantic_distances(np.array(sample, dtype=float),
-                               templates_from([template]))
+        d = distances_of(sample, templates_from([template]))
         assert d.shape == (1,)
         assert d[0] == pytest.approx(expected, abs=1e-15, nan_ok=True)
 
     def test_zero_norm_sample_gives_nan_row(self):
         t = templates_from([[1, 0], [0, 1]])
-        assert np.isnan(semantic_distances(np.zeros(2), t)).all()
+        assert np.isnan(distances_of(np.zeros(2), t)).all()
         d = semantic_distances(np.array([[1.0, 1.0], [0.0, 0.0]]), t)
         assert not np.isnan(d[0]).any() and np.isnan(d[1]).all()
 
@@ -154,7 +164,7 @@ class TestSemanticDistances:
         rng = np.random.default_rng(seed)
         t = templates_from(rng.standard_normal((4, 6)))
         s = rng.standard_normal(6)
-        d = semantic_distances(s, t)
+        d = distances_of(s, t)
         for c in range(4):
             assert d[c] == pytest.approx(
                 scalar_cosine_distance(t.vectors[c], s), abs=1e-12)
@@ -184,30 +194,30 @@ class TestSemanticDistances:
 
 class TestDecideRelabel:
     def test_strictly_closer_other_class_wins(self):
-        assert decide_relabel(np.array([0.4, 0.25, 0.9]), 0) == 1
+        assert relabel_of([0.4, 0.25, 0.9], 0) == 1
 
     def test_closer_original_keeps(self):
-        assert decide_relabel(np.array([0.2, 0.3, 0.9]), 0) == 0
+        assert relabel_of([0.2, 0.3, 0.9], 0) == 0
 
     def test_exact_tie_keeps_original(self):
-        assert decide_relabel(np.array([0.3, 0.3]), 0) == 0
+        assert relabel_of([0.3, 0.3], 0) == 0
 
     def test_tie_between_others_takes_smallest_index(self):
-        assert decide_relabel(np.array([0.5, 0.2, 0.2]), 0) == 1
+        assert relabel_of([0.5, 0.2, 0.2], 0) == 1
 
     def test_needs_two_valid_templates(self):
-        assert decide_relabel(np.array([0.5, np.nan, np.nan]), 0) == 0
-        assert decide_relabel(np.array([np.nan, 0.1, 0.2]), 0) == 0
+        assert relabel_of([0.5, np.nan, np.nan], 0) == 0
+        assert relabel_of([np.nan, 0.1, 0.2], 0) == 0
 
     def test_equidistant_templates_change_nothing(self):
-        assert decide_relabel(np.full(5, 0.7), 3) == 3
+        assert relabel_of(np.full(5, 0.7), 3) == 3
 
     def test_exact_template_match_relabels(self):
         t = templates_from(np.eye(3))
         s = np.array([0.0, 1.0, 0.0])   # equals template 1 exactly
-        d = semantic_distances(s, t)
+        d = distances_of(s, t)
         assert d[0] > 0
-        assert decide_relabel(d, 0) == 1
+        assert relabel_of(d, 0) == 1
 
     @hypothesis.settings(max_examples=100, deadline=None)
     @hypothesis.given(st.integers(min_value=0, max_value=2**31))
@@ -217,7 +227,7 @@ class TestDecideRelabel:
         d = rng.random(c) * 2.0
         d[rng.random(c) < 0.2] = np.nan
         org = int(rng.integers(0, c))
-        assert decide_relabel(d, org) == scalar_relabel(d.tolist(), org)
+        assert relabel_of(d, org) == scalar_relabel(d.tolist(), org)
 
     @hypothesis.settings(max_examples=100, deadline=None)
     @hypothesis.given(st.integers(min_value=0, max_value=2**31))
@@ -248,20 +258,24 @@ class TestApplyCorrections:
     def test_empty_records_change_nothing(self):
         ds = self._ds()
         before = ds.observed_labels.copy()
-        assert apply_corrections(ds, []) == 0
+        apply_corrections(ds, [])
         assert np.array_equal(ds.observed_labels, before)
 
     def test_noop_record_not_counted(self):
         ds = self._ds()
+        before = ds.observed_labels.copy()
         org = int(ds.observed_labels[4])
-        assert apply_corrections(ds, [self._rec(4, org, org)]) == 0
+        apply_corrections(ds, [self._rec(4, org, org)])
+        assert np.array_equal(ds.observed_labels, before)
 
     def test_changes_applied_and_counted(self):
         ds = self._ds()
         org = int(ds.observed_labels[4])
         new = (org + 1) % 3
-        assert apply_corrections(ds, [self._rec(4, org, new)]) == 1
-        assert ds.observed_labels[4] == new
+        expected = ds.observed_labels.copy()
+        expected[4] = new
+        apply_corrections(ds, [self._rec(4, org, new)])
+        assert np.array_equal(ds.observed_labels, expected)
 
     def test_unknown_id_is_integrity_error(self):
         ds = self._ds()
@@ -306,7 +320,7 @@ class TestProposeCorrections:
         for j in np.argsort(ids):
             if not semantics[j].any():
                 continue
-            new = scalar_relabel(semantic_distances(semantics[j], templates),
+            new = scalar_relabel(distances_of(semantics[j], templates),
                                  int(labels[j]))
             if new != labels[j]:
                 want.append((int(ids[j]), int(labels[j]), new))

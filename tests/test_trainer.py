@@ -8,6 +8,7 @@ import sys
 import warnings
 import weakref
 from dataclasses import fields, replace
+from pathlib import Path
 
 import hypothesis
 import hypothesis.strategies as st
@@ -19,7 +20,8 @@ from aurelab import trainer
 from aurelab.aux_branch import AuxiliaryBranch
 from aurelab.data import corrupt_labels, generate, train_test_split
 from aurelab.errors import ConfigError, TrainingDivergedError
-from aurelab.experiments import DatasetSpec, make_cell_datasets, run_cell
+from aurelab.experiments import (DatasetSpec, load_spec, make_cell_datasets,
+                                 run_cell)
 from aurelab.target_branch import TargetBranch
 from aurelab.trainer import (Checkpoint, TrainConfig, evaluate,
                              load_checkpoint, ramp_weights, save_checkpoint,
@@ -31,7 +33,7 @@ from oracles import (nearest_prototype_accuracy, scalar_correction_figures,
 FAST = TrainConfig(epochs=4, batch_size=32, warmup_epochs=2, ramp_pivot=2,
                    hidden_dim=16, feat_dim=8, node_dim=4, gcn_channels=8,
                    lr_initial=0.05, lr_drops=((3, 5e-3),), lr_aux=0.01,
-                   seed=0)
+                   momentum=0.0, seed=0)
 
 
 def tiny_ds(seed=3, n=90, corruption=0.2):
@@ -313,12 +315,10 @@ class TestTrainLoop:
         # hold.
         code = """if True:
             import json, math, resource
-            from dataclasses import replace
-            from aurelab.experiments import (EXPERIMENT_TRAIN_DEFAULTS,
-                                             DatasetSpec, make_cell_datasets)
-            from aurelab.trainer import train
+            from aurelab.experiments import DatasetSpec, make_cell_datasets
+            from aurelab.trainer import TrainConfig, train
             train_ds, test_ds = make_cell_datasets(DatasetSpec(n=500), 0.2, 0)
-            cfg = replace(EXPERIMENT_TRAIN_DEFAULTS, epochs=4)
+            cfg = TrainConfig(epochs=4)
             steps = cfg.epochs * math.ceil(train_ds.n / cfg.batch_size)
             train(train_ds, cfg, eval_dataset=test_ds)
             faults = []
@@ -339,7 +339,8 @@ class TestTrainLoop:
         assert min(faults) < steps, (faults, steps)
 
     def test_lr_schedule(self):
-        cfg = TrainConfig()
+        cfg = TrainConfig(lr_initial=0.01, lr_drops=((10, 1e-3), (20, 1e-4)),
+                          lr_aux=0.005, lr_aux_decay=0.95)
         assert cfg.lr_target(1) == 0.01
         assert cfg.lr_target(9) == 0.01
         assert cfg.lr_target(10) == 1e-3
@@ -485,16 +486,19 @@ class TestCheckpointing:
         assert np.array_equal(back.observed_labels, ckpt.observed_labels)
 
     def test_float_fields_read_json_integers(self, tmp_path):
-        ckpt = train(tiny_ds(), replace(FAST, epochs=1)).checkpoint
+        ckpt = train(tiny_ds(), replace(FAST, epochs=1, momentum=0.5,
+                                        lr_drops=((3, 5e-3),))).checkpoint
         path = tmp_path / "ck.json"
         save_checkpoint(ckpt, path)
         doc = json.loads(path.read_text())
-        assert doc["config"]["momentum"] == 0.0
+        assert doc["config"]["momentum"] == 0.5
+        assert doc["config"]["lr_drops"] == [[3, 5e-3]]
         doc["config"]["momentum"] = 0
         doc["config"]["lr_drops"] = [[3, 1]]
         path.write_text(json.dumps(doc))
         config = load_checkpoint(path).config
-        assert config == replace(ckpt.config, lr_drops=((3, 1.0),))
+        assert config == replace(ckpt.config, momentum=0.0,
+                                 lr_drops=((3, 1.0),))
         assert type(config.momentum) is float
         assert type(config.lr_drops[0][1]) is float
 
@@ -594,13 +598,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             replace(TrainConfig(), **{field: value}).validate()
 
-    def test_defaults_follow_reference_settings(self):
-        cfg = TrainConfig()
-        assert cfg.high_fraction == 0.8
-        assert cfg.rank_margin == 0.15
-        assert cfg.batch_size == 512
-        assert cfg.lr_initial == 0.01
-        assert cfg.lr_aux == 0.005
-        assert cfg.warmup_epochs == 10
-        assert cfg.gcn_channels == 64
-        assert cfg.momentum == 0.0
+    def test_reference_spec_loads_the_reference_settings(self):
+        path = Path(__file__).resolve().parents[1] / "scripts" / "specs" / \
+            "reference.spec"
+        assert load_spec(path).train == TrainConfig(
+            batch_size=512, lr_initial=0.01,
+            lr_drops=((10, 1e-3), (20, 1e-4)), lr_aux=0.005, momentum=0.0,
+            warmup_epochs=10, hidden_dim=64, feat_dim=32)
