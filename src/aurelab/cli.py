@@ -178,13 +178,13 @@ def cmd_eval(args) -> int:
     ds = data.load(args.data)
     model = restore_model(load_checkpoint(args.checkpoint), ds)
     report = evaluate(model, ds)
-    print(f"accuracy {report.accuracy:.4f} on {report.n} samples")
-    for c, acc in enumerate(report.per_class_accuracy):
-        print(f"class {c}: {acc:.4f}")
-    if args.out:
+    if args.out:   # before the report, so a failed write prints no report
         data.write_csv(args.out, [
             ("class", "accuracy"), *enumerate(report.per_class_accuracy),
             ("confusion",), *report.confusion])
+    print(f"accuracy {report.accuracy:.4f} on {report.n} samples")
+    for c, acc in enumerate(report.per_class_accuracy):
+        print(f"class {c}: {acc:.4f}")
     return EXIT_OK
 
 

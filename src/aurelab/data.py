@@ -420,32 +420,6 @@ def _read_header(lines: Iterator[str]) -> dict:
     return header
 
 
-def _parse_row(line: str, i: int, lineno: int, n_units: int, dim: int,
-               n_classes: int):
-    """(observed, true, bits, values) of row ``i``, checked in this order:
-    field count, parse, sample id, label range, unit bits."""
-    fields = line.split(",")
-    if len(fields) != 3 + n_units + dim:
-        raise DatasetValidationError(
-            f"line {lineno}: expected {3 + n_units + dim} fields "
-            f"(3 + M={n_units} + D={dim}), got {len(fields)}")
-    try:
-        sid = int(fields[0])
-        obs, tru = int(fields[1]), int(fields[2])
-        bits = list(map(int, fields[3:3 + n_units]))
-        vals = list(map(float, fields[3 + n_units:]))
-    except ValueError:
-        raise DatasetFormatError(f"line {lineno}: unparseable field") from None
-    if sid != i:
-        raise DatasetValidationError(
-            f"line {lineno}: sample id {sid} out of order (expected {i})")
-    if not (0 <= obs < n_classes and 0 <= tru < n_classes):
-        raise DatasetValidationError(f"line {lineno}: label out of range")
-    if any(b not in (0, 1) for b in bits):
-        raise DatasetValidationError(f"line {lineno}: unit bits must be 0/1")
-    return obs, tru, bits, vals
-
-
 def _rows(lines: Iterator[str]) -> Iterator[str]:
     """The body's rows: blank lines before a row are rows of one empty
     field, blank lines at the end are not rows."""
@@ -469,33 +443,47 @@ def _parse_block(block: list[str], start: int, lineno: int, n_units: int,
     One ``np.loadtxt`` call parses the block once every row has the
     header's field count, so nothing is sized from a header the rows do
     not bear out; array operations then check the ids, labels and bits.
-    A block that numpy rejects or that fails a check is parsed again by
-    :func:`_parse_row`, which raises the first row's fault and accepts
-    what ``int`` and ``float`` accept but numpy does not (``1_0.5``,
-    non-ASCII digits).  Both parsers round correctly, and both refuse an
-    integer field written as a float (``1.0``, ``0.9``).
+    numpy is the one parser: it refuses an underscore, a non-ASCII digit,
+    an integer beyond int64 and an integer field written as a float
+    (``1.0``, ``0.9``).  A block that fails is read again a row at a time
+    by the same code, which raises the first faulty row's fault, checked
+    in this order: field count, parse, sample id, label range, unit bits.
     """
-    commas = 2 + n_units + dim
-    if all(line.count(",") == commas for line in block):
-        try:
-            table = np.loadtxt(block, delimiter=",", comments=None, ndmin=1,
-                               dtype=[("i", np.int64, (3 + n_units,)),
-                                      ("f", np.float64, (dim,))])
-        except ValueError:
-            pass
-        else:
-            ints = table["i"]
-            labels, bits = ints[:, 1:3], ints[:, 3:]
-            if (np.array_equal(ints[:, 0], np.arange(start, start + len(block)))
-                    and (labels >= 0).all() and (labels < n_classes).all()
-                    and ((bits == 0) | (bits == 1)).all()):
-                return ints, table["f"]
-    rows = [_parse_row(line, start + k, lineno + k, n_units, dim, n_classes)
-            for k, line in enumerate(block)]
-    ints = np.array([[start + k, obs, tru, *bits]
-                     for k, (obs, tru, bits, _) in enumerate(rows)],
-                    dtype=np.int64)
-    return ints, np.array([vals for *_, vals in rows], dtype=np.float64)
+    try:
+        return _parse_rows(block, start, lineno, n_units, dim, n_classes)
+    except (DatasetFormatError, DatasetValidationError) as exc:
+        fault = exc
+    for k, line in enumerate(block):
+        _parse_rows([line], start + k, lineno + k, n_units, dim, n_classes)
+    raise fault   # not reached: a block fails only where one of its rows does
+
+
+def _parse_rows(rows: list[str], start: int, lineno: int, n_units: int,
+                dim: int, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_parse_block`'s one pass over ``rows``; the error it raises
+    names the first row, so it is that row's own only for a single row."""
+    fields = 3 + n_units + dim
+    for line in rows:
+        if line.count(",") != fields - 1:
+            raise DatasetValidationError(
+                f"line {lineno}: expected {fields} fields "
+                f"(3 + M={n_units} + D={dim}), got {line.count(',') + 1}")
+    try:
+        table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=1,
+                           dtype=[("i", np.int64, (3 + n_units,)),
+                                  ("f", np.float64, (dim,))])
+    except ValueError:
+        raise DatasetFormatError(f"line {lineno}: unparseable field") from None
+    ints = table["i"]
+    labels, bits = ints[:, 1:3], ints[:, 3:]
+    if not np.array_equal(ints[:, 0], np.arange(start, start + len(rows))):
+        raise DatasetValidationError(f"line {lineno}: sample id {ints[0, 0]} "
+                                     f"out of order (expected {start})")
+    if not ((labels >= 0).all() and (labels < n_classes).all()):
+        raise DatasetValidationError(f"line {lineno}: label out of range")
+    if not ((bits == 0) | (bits == 1)).all():
+        raise DatasetValidationError(f"line {lineno}: unit bits must be 0/1")
+    return ints, table["f"]
 
 
 def load(path) -> Dataset:

@@ -71,10 +71,16 @@ def _row_by_row(line, i, lineno, n_units, dim, n_classes):
             f"line {lineno}: expected {3 + n_units + dim} fields "
             f"(3 + M={n_units} + D={dim}), got {len(fields)}")
     try:
+        # the format is numpy's: no underscore, no non-ASCII digit
+        if any("_" in f or not f.strip().isascii() for f in fields):
+            raise ValueError
         sid = int(fields[0])
         obs, tru = int(fields[1]), int(fields[2])
         bits = list(map(int, fields[3:3 + n_units]))
         vals = list(map(float, fields[3 + n_units:]))
+        # and no integer beyond int64
+        if not all(-2**63 <= v < 2**63 for v in (sid, obs, tru, *bits)):
+            raise ValueError
     except ValueError:
         raise DatasetFormatError(f"line {lineno}: unparseable field") from None
     if sid != i:
@@ -90,8 +96,8 @@ def _row_by_row(line, i, lineno, n_units, dim, n_classes):
 def load_row_at_a_time(path):
     """``data.load`` as it was before it parsed blocks through numpy: every
     field goes through ``int`` or ``float``, one row at a time, into arrays
-    that double as rows arrive.  The header and line readers are the
-    library's."""
+    that double as rows arrive, and only the fields numpy reads are
+    accepted.  The header and line readers are the library's."""
     first = len(data._HEADER_KEYS)
     with open(path) as fh:
         lines = data._lines(fh)

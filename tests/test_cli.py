@@ -319,6 +319,14 @@ class TestEvalAndInspect:
         assert rc == 0
         assert "accuracy" in capsys.readouterr().out
 
+    def test_eval_out_that_cannot_be_written_prints_no_report(
+            self, dataset_files, run_dir, tmp_path, capsys):
+        rc = main(["eval", "--checkpoint", str(run_dir / "checkpoint.json"),
+                   "--data", str(dataset_files[1]), "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert rc == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
     def test_inspect_graph_prints_row_sums(self, run_dir, capsys):
         rc = main(["inspect", "graph",
                    str(run_dir / "au_adjacency_normalized.csv")])
@@ -558,6 +566,25 @@ class TestBrokenInputs:
         path.write_text("\n".join(edit(lines)) + "\n")
         _assert_error(main(["inspect", "dataset", str(path)]), capsys,
                       message)
+
+    # fields that int() and float() read but numpy does not
+    @pytest.mark.parametrize("field,text", [
+        (9, "1_0.5"), (3, "\u0661"), (1, str(10**19))],
+        ids=["underscore-feature", "non-ASCII-bit", "20-digit-label"])
+    @pytest.mark.parametrize("command", ["inspect dataset", "train"])
+    def test_field_numpy_refuses(self, dataset_files, tmp_path, capsys,
+                                 field, text, command):
+        lines = dataset_files[0].read_text().splitlines()
+        fields = lines[8].split(",")
+        fields[field] = text
+        lines[8] = ",".join(fields)
+        path = tmp_path / "ds.txt"
+        path.write_text("\n".join(lines) + "\n")
+        argv = (["inspect", "dataset", str(path)] if command != "train" else
+                ["train", "--data", str(path), "--out", str(tmp_path / "run")]
+                + TRAIN_SPEED_ARGS)
+        _assert_error(main(argv), capsys, "line 9: unparseable field")
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("command,source", [
         ("inspect dataset", "train.txt"), ("train --data", "train.txt"),

@@ -382,6 +382,12 @@ def _mutate(lines: list[str], row: int, kind: str, pick: int) -> None:
         fields[pick % 9] = f"{fields[pick % 9]}.0" if pick % 2 else "0.9"
     elif kind == "underscore":
         fields[value] = "1_0.5"
+    elif kind == "underscore in int":
+        # an id, a label or a unit bit whose value int() reads unchanged
+        fields[pick % 9] = f"0_{fields[pick % 9]}"
+    elif kind == "big int":
+        # a 20-digit id, label or unit bit, beyond int64
+        fields[pick % 9] = f"{'-' if pick % 2 else ''}{10**19 + pick}"
     elif kind == "non-ASCII digit":
         # the same digits in Arabic-Indic or fullwidth
         digits = "\u0660\u0661" if pick % 2 else "\uff10\uff11"
@@ -408,7 +414,8 @@ def _mutate(lines: list[str], row: int, kind: str, pick: int) -> None:
 @hypothesis.given(mutations=st.lists(st.tuples(
     st.sampled_from([0, 1, 100, 254, 255, 256, 257, 258, 420, 598, 599]),
     st.sampled_from(["drop", "extra", "garble int", "garble float",
-                     "int as float", "underscore", "non-ASCII digit", "spaces",
+                     "int as float", "underscore", "underscore in int",
+                     "big int", "non-ASCII digit", "spaces",
                      "label out of range", "bit of 2", "swap ids",
                      "blank line", "CR"]),
     st.integers(0, 10**6)), min_size=1, max_size=3))
