@@ -37,9 +37,11 @@ class Tensor:
 
     Leaves come from :func:`parameter` (tracked for gradients) or
     :func:`constant` (plain data).  Interior nodes are produced by the
-    primitives below.  ``data`` is owned by the node and must not be
-    mutated while a graph referencing it is still alive, except for the
-    in-place parameter updates an optimizer performs between steps.
+    primitives below.  ``data`` must not be mutated while a graph
+    referencing it is still alive, except for the in-place parameter
+    updates an optimizer performs between steps.  A trained parameter's
+    ``data`` is a view of its branch's flat buffer, which the trainer
+    updates in place: it is written only in place, never rebound.
     """
 
     __slots__ = ("data", "requires_grad", "name", "_parents", "_vjp")

@@ -2,13 +2,14 @@
 
 Each class keeps a template: the confidence-weighted mean of the semantic
 features of that class's members in the most recent batch's high-confidence
-group.  ``propose_corrections`` takes a batch's low-confidence samples in
-sample-id order, compares them against all valid templates by cosine
-distance in one matrix, and moves each to the closest other class only when
-that class is strictly closer than its current one.  ``write_audit`` and
-``read_audit`` write and read ``relabel_audit.csv``, a row per correction.
-``correction_figures`` scores the moves between two label snapshots against
-the hidden true labels, for one epoch or a whole run.
+group.  Once an epoch's steps have run, ``epoch_corrections`` takes each
+step's low-confidence samples in sample-id order, compares them against the
+valid templates of that step by cosine distance, and moves each to the
+closest other class only when that class is strictly closer than its
+current one.  ``write_audit`` and ``read_audit`` write and read
+``relabel_audit.csv``, a row per correction.  ``correction_figures`` scores
+the moves between two label snapshots against the hidden true labels, for
+one epoch or a whole run.
 """
 
 from __future__ import annotations
@@ -41,29 +42,39 @@ class SemanticTemplates:
         return len(self.vectors)
 
     def update(self, semantics: np.ndarray, confidence: np.ndarray,
-               labels: np.ndarray, epoch: int) -> None:
+               labels: np.ndarray, epoch: int, steps=None
+               ) -> "SemanticTemplates":
         """Replace each class's template with the confidence-weighted mean of
-        its members among the given (high-confidence) samples.
-
-        Classes with no members keep their previous template and validity.
-        """
-        semantics = np.asarray(semantics, dtype=np.float64)
-        confidence = np.asarray(confidence, dtype=np.float64).ravel()
-        labels = np.asarray(labels)
+        its members among the given (high-confidence) samples, step by step:
+        ``steps`` numbers each sample's step, non-decreasing (by default all
+        are one step).  Classes with no members in a step keep their
+        previous template and validity.  Returns the templates as they
+        stood after each step, stacked on a first axis."""
+        steps = np.zeros(len(labels), np.int64) if steps is None else steps
+        shape = (int(np.max(steps, initial=0)) + 1, *self.vectors.shape)
         # np.add.at adds the rows to a zero sum one by one in sample order,
         # as a per-class ``sum(axis=0)`` does for two or more units, so the
         # templates match it bit for bit (np.add.reduceat does not).
-        sums = np.zeros_like(self.vectors)
-        np.add.at(sums, labels, confidence[:, None] * semantics)
-        counts = np.bincount(labels, minlength=self.n_classes)
-        present = counts > 0
-        self.vectors[present] = sums[present] / counts[present, None]
-        self.valid[present] = True
-        self.last_update_epoch[present] = epoch
+        sums, counts = np.zeros(shape), np.zeros(shape[:2], np.int64)
+        np.add.at(sums, (steps, labels), np.reshape(confidence, (-1, 1))
+                  * np.asarray(semantics, dtype=np.float64))
+        np.add.at(counts, (steps, labels), 1)
+        # each class's latest step with members, by each step; -1 before it
+        latest = np.maximum.accumulate(
+            np.where(counts > 0, np.arange(shape[0])[:, None], -1))
+        seen, at = latest >= 0, (np.maximum(latest, 0), np.arange(shape[1]))
+        history = SemanticTemplates(
+            np.where(seen[..., None],
+                     sums[at] / np.maximum(counts[at], 1)[..., None],
+                     self.vectors),
+            self.valid | seen, np.where(seen, epoch, self.last_update_epoch))
+        for name, arr in vars(history).items():
+            getattr(self, name)[...] = arr[-1]
+        return history
 
     def usable(self) -> np.ndarray:
         """Valid templates with a nonzero norm: those that have a direction."""
-        return self.valid & (np.linalg.norm(self.vectors, axis=1) != 0.0)
+        return self.valid & (np.linalg.norm(self.vectors, axis=-1) != 0.0)
 
     def copy(self) -> "SemanticTemplates":
         return SemanticTemplates(self.vectors.copy(), self.valid.copy(),
@@ -83,30 +94,31 @@ class RelabelRecord:
 def semantic_distances(semantics: np.ndarray, templates: SemanticTemplates
                        ) -> np.ndarray:
     """Cosine distances (1 - cosine similarity, in [0, 2]) of a batch of
-    semantic vectors (k, M) to every template: (k, C).
+    semantic vectors (k, M) to every template: (k, C).  A stack of batches
+    (S, k, M) against a stack of templates (S, C, M) gives (S, k, C), each
+    batch from its own product.
 
     Templates that are not usable give NaN columns; a zero-norm sample gives
     an all-NaN row.
     """
     rows = np.asarray(semantics, dtype=np.float64)
-    k, width = rows.shape
-    if width != templates.vectors.shape[1]:
+    k, width = rows.shape[-2:]
+    if width != templates.vectors.shape[-1]:
         raise ShapeError(f"semantics have {width} units, templates "
-                         f"{templates.vectors.shape[1]}")
+                         f"{templates.vectors.shape[-1]}")
     # One product gives every dot product and squared norm.  Its right
     # operand is a copy so numpy calls gemm, not syrk: for vectors shorter
     # than 16, OpenBLAS's gemm sums agree bit for bit with np.dot on each
     # pair (and so with np.linalg.norm), syrk's do not for some batch sizes,
     # and a one-ulp difference can flip a tie in decide_relabel.
-    both = np.concatenate([rows, templates.vectors])
-    gram = both @ np.ascontiguousarray(both.T)
-    norms = np.sqrt(np.diag(gram))
+    both = np.concatenate([rows, templates.vectors], axis=-2)
+    gram = both @ np.ascontiguousarray(np.swapaxes(both, -1, -2))
+    norms = np.sqrt(np.diagonal(gram, axis1=-2, axis2=-1))
     with np.errstate(divide="ignore", invalid="ignore"):
-        cosine = gram[:k, k:] / (norms[k:] * norms[:k, None])
-    out = 1.0 - np.clip(cosine, -1.0, 1.0)
-    out[:, ~templates.usable()] = np.nan
-    out[norms[:k] == 0.0] = np.nan
-    return out
+        cosine = gram[..., :k, k:] / (norms[..., None, k:]
+                                      * norms[..., :k, None])
+    usable = templates.usable()[..., None, :] & (norms[..., :k, None] != 0.0)
+    return np.where(usable, 1.0 - np.clip(cosine, -1.0, 1.0), np.nan)
 
 
 def decide_relabel(distances: np.ndarray, originals) -> np.ndarray:
@@ -129,20 +141,44 @@ def decide_relabel(distances: np.ndarray, originals) -> np.ndarray:
     return np.where(enough & (d_org - others[at, best] > 0.0), best, org)
 
 
-def propose_corrections(templates: SemanticTemplates, semantics: np.ndarray,
-                        labels: np.ndarray, sample_ids: np.ndarray,
-                        epoch: int) -> list[RelabelRecord]:
-    """The moves ``decide_relabel`` makes in a batch's low-confidence group,
-    given in any order (semantics (k, M), labels, sample ids), in sample-id
-    order; a zero-norm sample stays, with a warning if a template is usable."""
-    order = np.argsort(sample_ids)
-    semantics, labels, ids = semantics[order], labels[order], sample_ids[order]
-    dists = semantic_distances(semantics, templates)
-    zero = np.linalg.norm(semantics, axis=1) == 0.0
-    if zero.any() and templates.usable().any():
-        for sid in ids[zero]:
-            warnings.warn(f"skipping relabel of sample "
-                          f"{int(sid)}: zero-norm semantics")
+def epoch_corrections(templates: SemanticTemplates, steps: list[tuple],
+                      epoch: int, propose: bool) -> list[RelabelRecord]:
+    """An epoch's template updates and, when ``propose``, its corrections,
+    from each step's (semantics (n, M), confidence (n,), labels, sample ids,
+    high, low), the last two the batch positions of its confidence split.
+    Each step's high group updates the templates; its low group, in
+    sample-id order, gets the moves ``decide_relabel`` makes against the
+    templates as they stood then.  Records follow the steps.  A zero-norm
+    sample stays, with a warning if one of its step's templates is usable."""
+    sem, conf, labels, ids, highs, lows = zip(*steps)
+    starts = np.cumsum([0, *map(len, ids[:-1])])
+    sem, conf, labels, ids = map(np.concatenate, (sem, conf, labels, ids))
+    (high, high_step), (low, low_step) = (
+        (np.concatenate([p + s for p, s in zip(part, starts)]),
+         np.repeat(np.arange(len(steps)), list(map(len, part))))
+        for part in (highs, lows))
+    history = templates.update(sem[high], conf[high], labels[high], epoch,
+                               high_step)
+    if not propose:
+        return []
+    low = low[np.lexsort((ids[low], low_step))]
+    sem, labels, ids = sem[low], labels[low], ids[low]
+    # One stack per low-group size: each step's product is the gemm call it
+    # makes alone, and one product over many steps' rows differs by an ulp.
+    # (np.unique would import numpy.ma, about 1.7 MB of peak memory.)
+    dists = np.empty((len(low), templates.n_classes))
+    sizes = np.bincount(low_step, minlength=len(steps))
+    for k in sorted(set(sizes.tolist()) - {0}):
+        at = np.flatnonzero(sizes == k)
+        rows = np.isin(low_step, at)
+        dists[rows] = semantic_distances(
+            sem[rows].reshape(len(at), k, -1),
+            SemanticTemplates(*(arr[at] for arr in vars(history).values()))
+        ).reshape(-1, dists.shape[1])
+    zero = np.linalg.norm(sem, axis=1) == 0.0
+    for sid in ids[zero & history.usable().any(axis=1)[low_step]]:
+        warnings.warn(f"skipping relabel of sample "
+                      f"{int(sid)}: zero-norm semantics")
     new = decide_relabel(dists, labels)
     return [RelabelRecord(int(ids[j]), int(labels[j]), int(new[j]),
                           dists[j].copy(), epoch)

@@ -3,16 +3,16 @@ maintenance, deferred label correction, evaluation, and checkpointing.
 
 Per epoch, each shuffled batch runs: backbone forward, confidence scores,
 class weights, high/low split, detection branch forward, loss composition,
-one SGD step with per-branch learning rates, template update from the high
-group, and (after the warmup) ``relabel.propose_corrections`` on the low
-group.  Each step is a scope, ``_train_step``: its tape lives only in that
-function's locals and is freed when it returns, so only one step's tape is
-alive at a time and none during evaluation.
-Corrections collected during an epoch are applied to the stored labels
-between epochs, and then the epoch is evaluated; a caller that reads only
-the last epoch's figures (an experiment cell) evaluates only that one.
-The detection branch never participates in evaluation: predictions are
-the plain argmax of the classifier logits.
+and one SGD update per branch on the flat buffer its trained parameters are
+views of.  Each step is a scope, ``_train_step``: its tape lives only in
+that function's locals and is freed when it returns, so only one step's
+tape is alive at a time and none during evaluation.  At the epoch's end
+``relabel.epoch_corrections`` updates the templates from each step's high
+group and (after the warmup) corrects its low group; the corrections are
+applied to the stored labels, and then the epoch is evaluated; a caller
+that reads only the last epoch's figures (an experiment cell) evaluates
+only that one.  The detection branch never participates in evaluation:
+predictions are the plain argmax of the classifier logits.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .data import Dataset, _csv_rows, batches, write_atomic, write_csv
 from .errors import (CheckpointError, ConfigError, DatasetValidationError,
                      TrainingDivergedError)
 from .relabel import (RelabelRecord, SemanticTemplates, apply_corrections,
-                      correction_figures, propose_corrections)
+                      correction_figures, epoch_corrections)
 from .target_branch import (TargetBranch, class_weights, confidence_split,
                             rank_regularization, weighted_cross_entropy)
 
@@ -155,12 +155,17 @@ def total_loss(loss_wce: ad.Tensor, loss_rank: ad.Tensor, loss_au: ad.Tensor,
 
 @dataclass(eq=False)
 class Model:
-    """Both branches plus the frozen unit graph and the template store."""
+    """Both branches, the frozen unit graph, the template store and each
+    parameter's SGD velocity.  ``trained`` holds, for each branch a step
+    moves (the target branch first), its trained parameters, and the flat
+    buffers their data and velocities are views of."""
     target: TargetBranch
     aux: AuxiliaryBranch
     graph: AUGraph
     templates: SemanticTemplates
     config: TrainConfig
+    velocities: dict[str, np.ndarray]
+    trained: list[tuple[dict[str, ad.Tensor], np.ndarray, np.ndarray]]
 
     def parameters(self) -> dict[str, ad.Tensor]:
         return {**self.target.parameters(), **self.aux.parameters()}
@@ -171,22 +176,6 @@ class Model:
         x = ad.constant(np.asarray(features, dtype=np.float64))
         feats = self.target.features(x)
         return np.argmax(self.target.logits(feats).data, axis=1)
-
-
-def trained_parameters(model: Model, config: TrainConfig
-                       ) -> dict[str, ad.Tensor]:
-    """The parameters a step under ``config`` can move.
-
-    No loss reads the detection branch when it is off, nor the confidence
-    head when the target branch is off; their gradients and velocities stay
-    zero all run long, so leaving them out of the update changes no number.
-    """
-    params = model.target.parameters()
-    if not config.use_target_branch:
-        del params[model.target.confidence_w.name]
-    if config.use_aux_branch:
-        params.update(model.aux.parameters())
-    return params
 
 
 def init_model(dataset: Dataset, config: TrainConfig) -> Model:
@@ -205,11 +194,31 @@ def init_model(dataset: Dataset, config: TrainConfig) -> Model:
             graph = random_au_graph(m, rng)
         else:
             graph = build_au_graph(dataset.au_labels)
-        templates = SemanticTemplates.empty(c, m)
+        model = Model(target, aux, graph, SemanticTemplates.empty(c, m),
+                      config, {}, [])
+        model.velocities = {name: np.zeros_like(t.data)
+                            for name, t in model.parameters().items()}
+        # No loss reads the detection branch when it is off, nor the
+        # confidence head when the target branch is off; their gradients and
+        # velocities stay zero all run long, so they are left out.
+        branches = [target.parameters()]
+        if not config.use_target_branch:
+            del branches[0][target.confidence_w.name]
+        if config.use_aux_branch:
+            branches.append(aux.parameters())
+        for params in branches:
+            sizes = [t.data.size for t in params.values()]
+            flat = np.zeros((2, sum(sizes)))   # data, velocities
+            for (name, t), end in zip(params.items(), np.cumsum(sizes)):
+                data, model.velocities[name] = flat[
+                    :, end - t.data.size:end].reshape(2, *t.data.shape)
+                data[...] = t.data
+                t.data = data
+            model.trained.append((params, *flat))
     except MemoryError as exc:
         raise ConfigError(f"a model for C={c}, M={m}, D={d} is too large to "
                           f"allocate: {exc}") from None
-    return Model(target, aux, graph, templates, config)
+    return model
 
 
 @dataclass
@@ -391,9 +400,10 @@ def load_checkpoint(path) -> Checkpoint:
 
 def restore_model(ckpt: Checkpoint, dataset: Dataset,
                   config: TrainConfig | None = None) -> Model:
-    """Rebuild a checkpointed model on ``dataset`` under ``config`` (by
-    default the checkpoint's own), with the unit graph exactly as in
-    training; raises CheckpointError when a stored shape does not fit."""
+    """Rebuild a checkpointed model, velocities included, on ``dataset``
+    under ``config`` (by default the checkpoint's own), with the unit graph
+    exactly as in training, writing every stored array in place; raises
+    CheckpointError when a stored shape does not fit."""
     model = init_model(dataset, config or ckpt.config)
     stored = [(f"{kind} {name}", store.get(name), t.data.shape)
               for kind, store in (("parameter", ckpt.params),
@@ -408,6 +418,7 @@ def restore_model(ckpt: Checkpoint, dataset: Dataset,
                 f"{getattr(arr, 'shape', None)}, expected {shape}")
     for name, tensor in model.parameters().items():
         tensor.data[...] = ckpt.params[name]
+        model.velocities[name][...] = ckpt.velocities[name]
     model.templates = ckpt.templates.copy()
     return model
 
@@ -443,16 +454,19 @@ def _keep_heap_between_steps() -> None:
 
 
 def _train_step(model: Model, config: TrainConfig, ds: Dataset,
-                idx: np.ndarray, params: dict[str, ad.Tensor],
-                velocities: dict[str, np.ndarray], lrs: dict[str, float],
-                weights: tuple[float, float], epoch: int, batch_no: int
-                ) -> tuple[dict[str, float], list[RelabelRecord]]:
-    """One SGD step on the samples ``idx``: the step's four loss components
-    and the corrections it decided.
+                idx: np.ndarray, params: list[ad.Tensor],
+                lrs: tuple[float, float], weights: tuple[float, float],
+                epoch: int, batch_no: int
+                ) -> tuple[dict[str, float], tuple | None]:
+    """One SGD step on the samples ``idx``, one update per branch of
+    ``model.trained`` (``params`` lists their parameters in order): the
+    step's four loss components and, with the detection branch on, its
+    semantics, confidences, labels, sample ids and split, for
+    ``relabel.epoch_corrections``.
 
     The step's tape is held only by locals of this function, so it is freed
     on return, before the next step builds its own tape or the epoch's
-    evaluation runs; floats and records are all that leave.
+    evaluation runs; floats and plain arrays are all that leave.
     """
     n = len(idx)
     batch_labels = ds.observed_labels[idx]
@@ -490,24 +504,19 @@ def _train_step(model: Model, config: TrainConfig, ds: Dataset,
             f"{components}", epoch=epoch, batch=batch_no,
             components=components)
 
-    grads = ad.gradients(loss, list(params.values()))
-    for (name, tensor), g in zip(params.items(), grads):
+    grads = np.concatenate([g.ravel() for g in ad.gradients(loss, params)])
+    for (_, flat, velocity), lr in zip(model.trained, lrs):
+        g, grads = grads[:flat.size], grads[flat.size:]
         if config.momentum > 0.0:
-            v = velocities[name]
-            v *= config.momentum
-            v += g
-            g = v
-        tensor.data -= lrs[name] * g
+            velocity *= config.momentum
+            velocity += g
+            g = velocity
+        flat -= lr * g
 
-    records: list[RelabelRecord] = []
-    if config.use_aux_branch:
-        sem_vals = semantics.data
-        model.templates.update(sem_vals[high], conf.data[high, 0],
-                               batch_labels[high], epoch)
-        if epoch > config.warmup_epochs:
-            records = propose_corrections(model.templates, sem_vals[low],
-                                          batch_labels[low], idx[low], epoch)
-    return components, records
+    if not config.use_aux_branch:
+        return components, None
+    return components, (semantics.data, conf.data[:, 0], batch_labels, idx,
+                        high, low)
 
 
 def train(dataset: Dataset, config: TrainConfig,
@@ -561,11 +570,7 @@ def train(dataset: Dataset, config: TrainConfig,
         ds.observed_labels[...] = labels
         start_epoch = resume.epoch + 1
 
-    velocities = {name: resume.velocities[name].copy() if resume
-                  else np.zeros_like(t.data)
-                  for name, t in model.parameters().items()}
-    params = trained_parameters(model, config)
-    target_names = set(model.target.parameters())
+    params = [t for branch, *_ in model.trained for t in branch.values()]
     metrics: list[EpochMetrics] = []
     all_records: list[RelabelRecord] = []
 
@@ -578,21 +583,23 @@ def train(dataset: Dataset, config: TrainConfig,
             weights = 2.0, 0.0
         else:
             weights = ramp_weights(epoch, config.ramp_pivot)
-        lr_t = config.lr_target(epoch)
-        lr_a = config.lr_aux_at(epoch)
-        lrs = {name: lr_t if name in target_names else lr_a
-               for name in params}
-        epoch_records: list[RelabelRecord] = []
+        # the target branch's rate, then the detection branch's
+        lrs = config.lr_target(epoch), config.lr_aux_at(epoch)
+        steps = []
         sums = {"wce": 0.0, "rank": 0.0, "au": 0.0, "total": 0.0}
 
         for batch_no, idx in enumerate(
                 batches(ds, batch_size, config.seed * 1_000_003 + epoch)):
-            components, records = _train_step(
-                model, config, ds, idx, params, velocities, lrs, weights,
-                epoch, batch_no)
+            components, step = _train_step(
+                model, config, ds, idx, params, lrs, weights, epoch,
+                batch_no)
             for key, v in components.items():
                 sums[key] += v * len(idx)
-            epoch_records.extend(records)
+            steps.append(step)
+
+        epoch_records = epoch_corrections(
+            model.templates, steps, epoch, epoch > config.warmup_epochs
+        ) if config.use_aux_branch else []
 
         start_labels = ds.observed_labels.copy()
         apply_corrections(ds, epoch_records)
@@ -621,7 +628,7 @@ def train(dataset: Dataset, config: TrainConfig,
         epoch=config.epochs,
         config=config, dataset_hash=ds.fingerprint(),
         params={k: t.data.copy() for k, t in model.parameters().items()},
-        velocities={k: v.copy() for k, v in velocities.items()},
+        velocities={k: v.copy() for k, v in model.velocities.items()},
         templates=model.templates.copy(),
         observed_labels=ds.observed_labels.copy())
     return TrainResult(model, metrics, all_records, ds, ckpt)

@@ -9,11 +9,13 @@ gradients must equal these compositions bit for bit.
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 
 from aurelab import autodiff as ad
 from aurelab import data
+from aurelab.relabel import RelabelRecord, decide_relabel, semantic_distances
 from aurelab.errors import DatasetFormatError, DatasetValidationError
 
 import tape_kit as tk
@@ -234,6 +236,52 @@ def per_class_template_update(vectors, valid, last_update_epoch, semantics,
         vectors[c] = weighted.sum(axis=0) / members.sum()
         valid[c] = True
         last_update_epoch[c] = epoch
+
+
+def propose_corrections(templates, semantics, labels, sample_ids, epoch):
+    """The moves ``decide_relabel`` makes in one batch's low-confidence
+    group, given in any order (semantics (k, M), labels, sample ids), in
+    sample-id order; a zero-norm sample stays, with a warning if a template
+    is usable.  The per-batch reference for ``relabel.epoch_corrections``,
+    which takes an epoch's steps at once."""
+    order = np.argsort(sample_ids)
+    semantics, labels, ids = semantics[order], labels[order], sample_ids[order]
+    dists = semantic_distances(semantics, templates)
+    zero = np.linalg.norm(semantics, axis=1) == 0.0
+    if zero.any() and templates.usable().any():
+        for sid in ids[zero]:
+            warnings.warn(f"skipping relabel of sample "
+                          f"{int(sid)}: zero-norm semantics")
+    new = decide_relabel(dists, labels)
+    return [RelabelRecord(int(ids[j]), int(labels[j]), int(new[j]),
+                          dists[j].copy(), epoch)
+            for j in np.flatnonzero(new != labels)]
+
+
+def one_step_at_a_time(templates, steps, epoch, propose):
+    """The per-step sequence that ``relabel.epoch_corrections`` does at
+    once: each step's template update by the per-class loop, then, when
+    ``propose``, its corrections by ``propose_corrections``."""
+    records = []
+    for sem, conf, labels, ids, high, low in steps:
+        per_class_template_update(templates.vectors, templates.valid,
+                                  templates.last_update_epoch, sem[high],
+                                  conf[high], labels[high], epoch)
+        if propose:
+            records += propose_corrections(templates, sem[low], labels[low],
+                                           ids[low], epoch)
+    return records
+
+
+def per_parameter_sgd(params, velocities, grads, lrs, momentum) -> None:
+    """Momentum SGD one named parameter at a time: v <- momentum * v + g
+    and p <- p - lr * v, or p <- p - lr * g with v untouched at momentum 0.
+    Rebinds the entries of ``params`` and ``velocities``."""
+    for name, g in grads.items():
+        if momentum > 0.0:
+            velocities[name] = momentum * velocities[name] + g
+            g = velocities[name]
+        params[name] = params[name] - lrs[name] * g
 
 
 def composed_weighted_cross_entropy(features, classifier_w, confidence,

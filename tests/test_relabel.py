@@ -1,17 +1,22 @@
 import math
+import warnings
 
 import hypothesis
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 
+from aurelab import autodiff as ad
+from aurelab import relabel
 from aurelab.data import generate
 from aurelab.errors import IntegrityError
 from aurelab.relabel import (AUDIT_HEADER, RelabelRecord, SemanticTemplates,
                              apply_corrections, correction_figures,
-                             decide_relabel, propose_corrections, read_audit,
+                             decide_relabel, epoch_corrections, read_audit,
                              semantic_distances, write_audit)
-from oracles import (per_class_template_update, scalar_correction_figures,
+from aurelab.target_branch import confidence_split
+from oracles import (one_step_at_a_time, per_class_template_update,
+                     propose_corrections, scalar_correction_figures,
                      scalar_cosine_distance, scalar_relabel)
 
 
@@ -327,6 +332,138 @@ class TestProposeCorrections:
         assert [(r.sample_id, r.original, r.corrected)
                 for r in records] == want
         assert all(r.epoch == 3 for r in records)
+
+
+def epoch_steps(rng, n, batch, classes, units, absent=None, zero_every=0):
+    """One epoch's steps as the trainer hands them over: a shuffled
+    partition of ``n`` samples into batches of ``batch`` (the last one short
+    unless ``batch`` divides ``n``), each with random semantics, confidences
+    and labels and its confidence split.  No high group holds class
+    ``absent``; every ``zero_every``-th row of a batch has zero semantics."""
+    perm = rng.permutation(n)
+    steps = []
+    for start in range(0, n, batch):
+        ids = perm[start:start + batch]
+        k = len(ids)
+        sem = rng.standard_normal((k, units)) * 10.0 ** rng.integers(
+            -2, 3, size=(k, 1))
+        if zero_every:
+            sem[::zero_every] = 0.0
+        conf = rng.random(k)
+        labels = rng.integers(0, classes, k)
+        high, low = confidence_split(ad.constant(conf[:, None]), ids, 0.8)
+        if absent is not None:
+            labels[high[labels[high] == absent]] = (absent + 1) % classes
+        steps.append((sem, conf, labels, ids, high, low))
+    return steps
+
+
+class TestEpochCorrections:
+    """``epoch_corrections`` against the per-step sequence, bit for bit:
+    records, distances, templates, validity, age and warnings."""
+
+    @staticmethod
+    def _run(rng, epochs, warmup, classes, units, n, batch, **kw):
+        got = SemanticTemplates.empty(classes, units)
+        want = got.copy()
+        records, messages = [], []
+        for epoch in range(1, epochs + 1):
+            steps = epoch_steps(rng, n, batch, classes, units, **kw)
+            propose = epoch > warmup
+            with warnings.catch_warnings(record=True) as got_w:
+                warnings.simplefilter("always")
+                got_r = epoch_corrections(got, steps, epoch, propose)
+            with warnings.catch_warnings(record=True) as want_w:
+                warnings.simplefilter("always")
+                want_r = one_step_at_a_time(want, steps, epoch, propose)
+            assert ([str(w.message) for w in got_w]
+                    == [str(w.message) for w in want_w])
+            assert ([(r.sample_id, r.original, r.corrected, r.epoch)
+                     for r in got_r] ==
+                    [(r.sample_id, r.original, r.corrected, r.epoch)
+                     for r in want_r])
+            for g, w in zip(got_r, want_r):
+                assert g.distances.tobytes() == w.distances.tobytes()
+            for name, arr in vars(want).items():
+                assert getattr(got, name).tobytes() == arr.tobytes(), name
+            records += got_r
+            messages += [str(w.message) for w in got_w]
+        return got, records, messages
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_epochs_with_a_short_last_batch(self, seed):
+        rng = np.random.default_rng(seed)
+        batch = int(rng.integers(4, 60))
+        n = batch * int(rng.integers(2, 12)) + int(rng.integers(1, batch))
+        _, records, _ = self._run(rng, 3, 1, int(rng.integers(2, 8)),
+                                  int(rng.integers(2, 16)), n, batch)
+        assert records
+
+    def test_one_sample_last_batch_has_no_low_group(self):
+        rng = np.random.default_rng(20)
+        _, records, _ = self._run(rng, 2, 0, 5, 10, 48 * 6 + 1, 48)
+        assert records
+
+    def test_class_absent_from_every_high_group(self):
+        rng = np.random.default_rng(21)
+        templates, records, _ = self._run(rng, 3, 1, 4, 8, 250, 32,
+                                          absent=2)
+        assert not templates.valid[2]
+        assert records and all(r.corrected != 2 for r in records)
+        assert all(math.isnan(r.distances[2]) for r in records)
+
+    def test_invalid_templates_at_epoch_one(self):
+        rng = np.random.default_rng(22)
+        _, records, _ = self._run(rng, 1, 0, 6, 10, 200, 16)
+        assert records and all(r.epoch == 1 for r in records)
+
+    def test_zero_norm_rows_before_any_usable_template_stay_silent(self):
+        # the first step's templates all have zero norm, so its zero-norm
+        # low-confidence samples stay without a warning; later ones warn
+        rng = np.random.default_rng(25)
+        steps = epoch_steps(rng, 200, 16, 6, 10, zero_every=4)
+        steps[0][0][...] = 0.0
+        want = SemanticTemplates.empty(6, 10)
+        with pytest.warns(UserWarning, match="zero-norm semantics") as got_w:
+            got_r = epoch_corrections(SemanticTemplates.empty(6, 10), steps,
+                                      1, True)
+        with pytest.warns(UserWarning, match="zero-norm semantics") as want_w:
+            want_r = one_step_at_a_time(want, steps, 1, True)
+        assert ([str(w.message) for w in got_w]
+                == [str(w.message) for w in want_w])
+        assert [r.sample_id for r in got_r] == [r.sample_id for r in want_r]
+        warned = {int(str(w.message).split()[4].rstrip(":")) for w in got_w}
+        assert warned and not warned & set(steps[0][3][steps[0][5]].tolist())
+
+    def test_pre_warmup_epoch_updates_templates_only(self, monkeypatch):
+        def no_distances(*args):
+            raise AssertionError("distances taken before the warmup ended")
+
+        monkeypatch.setattr(relabel, "semantic_distances", no_distances)
+        rng = np.random.default_rng(23)
+        templates, records, _ = self._run(rng, 2, 2, 5, 10, 300, 48,
+                                          zero_every=4)
+        assert records == [] and templates.valid.all()
+        assert (templates.last_update_epoch == 2).all()
+
+    def test_zero_norm_rows_warn_in_the_same_order(self):
+        rng = np.random.default_rng(24)
+        steps = epoch_steps(rng, 230, 48, 5, 10)
+        templates = SemanticTemplates.empty(5, 10)
+        one_step_at_a_time(templates, steps, 1, False)
+        steps = epoch_steps(rng, 230, 48, 5, 10, zero_every=3)
+        want = templates.copy()
+        with pytest.warns(UserWarning, match="zero-norm semantics") as got_w:
+            got_r = epoch_corrections(templates, steps, 2, True)
+        with pytest.warns(UserWarning, match="zero-norm semantics") as want_w:
+            want_r = one_step_at_a_time(want, steps, 2, True)
+        assert len(got_w) > 1
+        assert ([str(w.message) for w in got_w]
+                == [str(w.message) for w in want_w])
+        assert [r.sample_id for r in got_r] == [r.sample_id for r in want_r]
+        zero = {int(i) for sem, _, _, ids, _, low in steps
+                for i in ids[low][~sem[low].any(axis=1)]}
+        assert not zero & {r.sample_id for r in got_r}
 
 
 class TestAudit:

@@ -25,9 +25,10 @@ from aurelab.experiments import (DatasetSpec, load_spec, make_cell_datasets,
 from aurelab.target_branch import TargetBranch
 from aurelab.trainer import (Checkpoint, TrainConfig, evaluate,
                              load_checkpoint, ramp_weights, save_checkpoint,
-                             total_loss, train, trained_parameters)
+                             total_loss, train)
 import tape_kit as tk
-from oracles import (nearest_prototype_accuracy, scalar_correction_figures,
+from oracles import (nearest_prototype_accuracy, one_step_at_a_time,
+                     per_parameter_sgd, scalar_correction_figures,
                      scalar_ramp_weights)
 
 FAST = TrainConfig(epochs=4, batch_size=32, warmup_epochs=2, ramp_pivot=2,
@@ -188,6 +189,32 @@ class TestTrainLoop:
         assert result.records
         assert not zeroed & {r.sample_id for r in result.records}
 
+    def test_epoch_pass_matches_one_step_at_a_time_on_the_protocol(
+            self, monkeypatch):
+        # The protocol's own semantics: a single 2-D product over an epoch's
+        # rows differs from the per-step products by an ulp in epoch 16.
+        train_ds, _ = make_cell_datasets(DatasetSpec(), 0.2, 0)
+        cfg = TrainConfig(epochs=17)
+        real = trainer.epoch_corrections
+        compared = []
+
+        def checked(templates, steps, epoch, propose):
+            want_t = templates.copy()
+            want = one_step_at_a_time(want_t, steps, epoch, propose)
+            got = real(templates, steps, epoch, propose)
+            assert ([(r.sample_id, r.original, r.corrected,
+                      r.distances.tobytes()) for r in got] ==
+                    [(r.sample_id, r.original, r.corrected,
+                      r.distances.tobytes()) for r in want]), epoch
+            for name, arr in vars(want_t).items():
+                assert getattr(templates, name).tobytes() == arr.tobytes()
+            compared.append(len(got))
+            return got
+
+        monkeypatch.setattr(trainer, "epoch_corrections", checked)
+        train(train_ds, cfg)
+        assert len(compared) == 17 and sum(compared[15:]) > 0
+
     @pytest.mark.parametrize("use_target,use_aux", [
         (False, False), (True, False), (False, True), (True, True)])
     def test_one_sample_batch_in_every_configuration(self, use_target,
@@ -260,7 +287,8 @@ class TestTrainLoop:
         monkeypatch.setattr(trainer.ad, "gradients", recording_gradients)
         result = train(ds, cfg)
         monkeypatch.undo()
-        trained = set(trained_parameters(result.model, cfg))
+        trained = {name for params, *_ in result.model.trained
+                   for name in params}
         assert moved and moved <= trained
         init = train(ds, replace(cfg, epochs=0)).model.parameters()
         assert init.keys() - trained == (
@@ -355,6 +383,82 @@ class TestTrainLoop:
             ds.observed_noise_rate())
         final = result.final_dataset.observed_noise_rate()
         assert result.metrics[-1].noise_rate == pytest.approx(final)
+
+
+class TestFlatUpdate:
+    """Each trained branch's parameters are views of one flat buffer, which
+    one update per step moves as momentum SGD would move each parameter."""
+
+    @pytest.mark.parametrize("momentum,use_target", [
+        (0.0, True), (0.8, True), (0.8, False)])
+    def test_branch_update_matches_per_parameter_sgd(self, monkeypatch,
+                                                     momentum, use_target):
+        ds = tiny_ds()
+        cfg = replace(FAST, momentum=momentum, use_target_branch=use_target)
+        recorded = []
+        real_gradients = ad.gradients
+
+        def recording_gradients(loss, params):
+            grads = real_gradients(loss, params)
+            recorded.append({t.name: g.copy() for t, g in zip(params, grads)})
+            return grads
+
+        monkeypatch.setattr(trainer.ad, "gradients", recording_gradients)
+        result = train(ds, cfg)
+        monkeypatch.undo()
+        start = trainer.init_model(ds, cfg).parameters()
+        params = {name: t.data.copy() for name, t in start.items()}
+        velocities = {name: np.zeros_like(p) for name, p in params.items()}
+        per_epoch = math.ceil(ds.n / cfg.batch_size)
+        assert len(recorded) == cfg.epochs * per_epoch
+        for step, grads in enumerate(recorded):
+            epoch = step // per_epoch + 1
+            lrs = {name: cfg.lr_target(epoch) if name.startswith("target.")
+                   else cfg.lr_aux_at(epoch) for name in grads}
+            per_parameter_sgd(params, velocities, grads, lrs, momentum)
+        ckpt = result.checkpoint
+        for got, want in ((ckpt.params, params),
+                          (ckpt.velocities, velocities)):
+            assert got.keys() == want.keys()
+            for name in want:
+                assert got[name].tobytes() == want[name].tobytes(), name
+        assert any(ckpt.velocities[n].any() for n in recorded[0]) == (
+            momentum > 0.0)
+
+    @staticmethod
+    def _assert_views(model):
+        assert len(model.trained) == 2
+        for params, flat, velocity in model.trained:
+            for name, tensor in params.items():
+                assert np.shares_memory(tensor.data, flat), name
+                assert np.shares_memory(model.velocities[name], velocity)
+            for buffer, arrays in (
+                    (flat, [t.data for t in params.values()]),
+                    (velocity, [model.velocities[n] for n in params])):
+                assert buffer.tobytes() == b"".join(a.tobytes()
+                                                    for a in arrays)
+
+    def test_parameters_stay_views_of_their_branch_buffer(self, tmp_path):
+        ds = tiny_ds()
+        cfg = replace(FAST, momentum=0.8)
+        self._assert_views(trainer.init_model(ds, cfg))
+        first = train(ds, replace(cfg, epochs=2))
+        self._assert_views(first.model)
+        save_checkpoint(first.checkpoint, tmp_path / "ckpt.json")
+        ckpt = load_checkpoint(tmp_path / "ckpt.json")
+        restored = trainer.restore_model(ckpt, ds)
+        self._assert_views(restored)
+        assert all(t.data.tobytes() == ckpt.params[name].tobytes()
+                   for name, t in restored.parameters().items())
+        assert all(restored.velocities[name].tobytes()
+                   == ckpt.velocities[name].tobytes() for name in ckpt.params)
+        resumed = train(ds, cfg, resume=ckpt)
+        self._assert_views(resumed.model)
+        whole = train(ds, cfg).checkpoint
+        for store in ("params", "velocities"):
+            got, want = (getattr(c, store) for c in (resumed.checkpoint,
+                                                     whole))
+            assert all(got[n].tobytes() == want[n].tobytes() for n in want)
 
 
 class TestEvaluate:
