@@ -14,8 +14,8 @@ unless ``--seeds`` names others.  A digest covers the checkpoint's parameters, v
 final labels, every relabel record with its distances, the per-epoch
 losses, and the four figures a table reads of the cell (accuracy, final
 noise rate, relabel precision and recall).  A cell evaluates its held-out
-split only after its last epoch, so held-out accuracy enters through the
-cell's own figure.  The last line combines all of them.
+split once, after training, so held-out accuracy enters through the cell's
+own figure.  The last line combines all of them.
 """
 
 import argparse

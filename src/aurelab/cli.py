@@ -24,10 +24,10 @@ reads a file with the reader beside its writer (``relabel.read_audit``,
 Every CSV a command writes, ``eval --out``'s included, goes through
 ``data.write_csv``.
 
-Exit codes: 0 success, 2 usage or configuration error (a dataset too large
-to generate included), 3 missing, unreadable (not UTF-8 text included) or
-malformed file, 4 numeric failure during training.  An error is one
-``error:`` line on stderr, and each warning shown one ``warning:`` line.
+Exit codes: 0 success, 2 ``ConfigError`` (usage or configuration), 3
+``InputError``, ``OSError`` or ``UnicodeDecodeError`` (a missing,
+unreadable or malformed file), 4 ``TrainingDivergedError``.  An error is
+one ``error:`` line on stderr, and each warning shown one ``warning:`` line.
 """
 
 from __future__ import annotations
@@ -43,9 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data, experiments, relabel
-from .errors import (ArtifactFormatError, CheckpointError, ConfigError,
-                     DatasetFormatError, DatasetValidationError,
-                     IntegrityError, TrainingDivergedError)
+from .errors import ConfigError, InputError, TrainingDivergedError
 from .trainer import (TrainConfig, evaluate, load_checkpoint, read_metrics,
                       restore_model, save_checkpoint, train, write_metrics_csv)
 
@@ -150,7 +148,8 @@ def cmd_train(args) -> int:
     eval_ds = data.load(args.test_data) if args.test_data else None
     resume = load_checkpoint(args.resume) if args.resume else None
     cfg = replace(resume.config if resume else TrainConfig(), **flags)
-    result = train(ds, cfg, eval_dataset=eval_ds, resume=resume)
+    result = train(ds, cfg, eval_dataset=eval_ds or replace(
+        ds, observed_labels=ds.true_labels), resume=resume)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     write_metrics_csv(result.metrics, ds.n_classes, out_dir / "metrics.csv")
@@ -239,20 +238,18 @@ def _graph_rows(path: Path) -> list[np.ndarray]:
         try:
             rows.append(np.array([float(v) for v in line.split(",")]))
         except ValueError:
-            raise ArtifactFormatError(f"{path}, line {lineno}: expected "
-                                      f"comma-separated numbers") from None
+            raise InputError(f"{path}, line {lineno}: expected "
+                             f"comma-separated numbers") from None
         if not np.isfinite(rows[-1]).all():
-            raise ArtifactFormatError(f"{path}, line {lineno}: expected "
-                                      f"finite numbers")
+            raise InputError(f"{path}, line {lineno}: expected finite numbers")
         if len(rows[-1]) != len(rows[0]):
-            raise ArtifactFormatError(f"{path}, line {lineno}: "
-                                      f"{len(rows[-1])} values, expected "
-                                      f"{len(rows[0])}")
+            raise InputError(f"{path}, line {lineno}: {len(rows[-1])} "
+                             f"values, expected {len(rows[0])}")
     width = len(rows[0]) if rows else 0
     if not rows or len(rows) != width:
-        raise ArtifactFormatError(f"{path}, line {len(lines) + 1}: "
-                                  f"{len(rows)} rows of {width} values, "
-                                  f"expected a non-empty square matrix")
+        raise InputError(f"{path}, line {len(lines) + 1}: "
+                         f"{len(rows)} rows of {width} values, "
+                         f"expected a non-empty square matrix")
     return rows
 
 
@@ -365,9 +362,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, UnicodeDecodeError, ArtifactFormatError,
-            CheckpointError, DatasetFormatError, DatasetValidationError,
-            IntegrityError) as exc:
+    except (OSError, UnicodeDecodeError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FILE
     except TrainingDivergedError as exc:

@@ -20,8 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (ArtifactFormatError, ConfigError, DatasetFormatError,
-                     DatasetValidationError)
+from .errors import ConfigError, InputError
 
 # Columns of the default table, by action-unit number:
 # AU1 inner brow raiser, AU2 outer brow raiser, AU4 brow lowerer,
@@ -189,21 +188,21 @@ class Dataset:
     def validate(self) -> None:
         n = self.n
         if self.features.shape != (n, self.dim):
-            raise DatasetValidationError(
+            raise InputError(
                 f"features shape {self.features.shape} != ({n}, {self.dim})")
         if self.au_labels.shape != (n, self.n_units):
-            raise DatasetValidationError(
+            raise InputError(
                 f"au_labels shape {self.au_labels.shape} != ({n}, {self.n_units})")
         for name, labels in (("observed", self.observed_labels),
                              ("true", self.true_labels)):
             if labels.shape != (n,):
-                raise DatasetValidationError(f"{name} labels shape {labels.shape}")
+                raise InputError(f"{name} labels shape {labels.shape}")
             if n and (labels.min() < 0 or labels.max() >= self.n_classes):
-                raise DatasetValidationError(f"{name} labels out of range")
+                raise InputError(f"{name} labels out of range")
         if not np.isin(self.au_labels, (0, 1)).all():
-            raise DatasetValidationError("au_labels must be 0/1 bits")
+            raise InputError("au_labels must be 0/1 bits")
         if not np.isfinite(self.features).all():
-            raise DatasetValidationError("non-finite feature values")
+            raise InputError("non-finite feature values")
 
 
 @dataclass(frozen=True)
@@ -312,7 +311,10 @@ def corrupt_labels(ds: Dataset, rate: float, seed: int) -> Dataset:
 # file format: key=value header, then one CSV row per sample of
 #   id (the row position), observed, true, <n_units bits>, <dim feature values>
 
-_HEADER_KEYS = ("C", "M", "D", "n", "corruption_rate", "seed")
+# each header key's least and greatest value: counts index int64 arrays,
+# and labels below C are stored in them
+_HEADER_KEYS = dict.fromkeys("CMDn", (1, 2**63 - 1, "[1, 2**63)")) | {
+    "corruption_rate": (0.0, 1.0, "[0, 1]"), "seed": (0, np.inf, "[0, inf)")}
 _BLOCK_ROWS = 256   # rows that ``load`` parses with one np.loadtxt call
 
 
@@ -360,15 +362,15 @@ def _csv_rows(path, header_ok, expected: str
     lines = Path(path).read_text().splitlines()
     header = lines[0].split(",") if lines else []
     if not header_ok(header):
-        raise ArtifactFormatError(f"{path}, line 1: expected {expected}")
+        raise InputError(f"{path}, line 1: expected {expected}")
     rows = []
     for lineno, line in enumerate(lines[1:], 2):
         if not line:
             continue
         fields = line.split(",")
         if len(fields) != len(header):
-            raise ArtifactFormatError(f"{path}, line {lineno}: {len(fields)} "
-                                      f"fields, expected {len(header)}")
+            raise InputError(f"{path}, line {lineno}: {len(fields)} "
+                             f"fields, expected {len(header)}")
         rows.append((lineno, dict(zip(header, fields))))
     return rows
 
@@ -398,25 +400,28 @@ def _lines(fh) -> Iterator[str]:
 
 def _read_header(lines: Iterator[str]) -> dict:
     header = {}
-    for lineno, key in enumerate(_HEADER_KEYS, start=1):
+    for lineno, (key, (low, high, interval)) in enumerate(
+            _HEADER_KEYS.items(), start=1):
         line = next(lines, None)
         if line is None:
-            raise DatasetFormatError(f"line {lineno}: missing header line '{key}='")
+            raise InputError(f"line {lineno}: missing header line '{key}='")
         if "=" not in line:
-            raise DatasetFormatError(f"line {lineno}: expected '{key}=<value>'")
+            raise InputError(f"line {lineno}: expected '{key}=<value>'")
         got_key, _, value = line.partition("=")
         if got_key != key:
-            raise DatasetFormatError(
+            raise InputError(
                 f"line {lineno}: expected header key '{key}', got '{got_key}'")
         try:
+            # the body's rule: no underscore and no non-ASCII digit
+            if "_" in value or not value.strip().isascii():
+                raise ValueError
             header[key] = float(value) if key == "corruption_rate" else int(value)
         except ValueError:
-            raise DatasetFormatError(
+            raise InputError(
                 f"line {lineno}: cannot parse value for '{key}': {value!r}") from None
-        # counts index int64 arrays, and labels below C are stored in them
-        if key in ("C", "M", "D", "n") and not 1 <= header[key] < 2**63:
-            raise DatasetFormatError(f"line {lineno}: '{key}' must lie in "
-                                     f"[1, 2**63), got {header[key]}")
+        if not low <= header[key] <= high:   # NaN included
+            raise InputError(f"line {lineno}: '{key}' must lie in "
+                             f"{interval}, got {header[key]}")
     return header
 
 
@@ -451,7 +456,7 @@ def _parse_block(block: list[str], start: int, lineno: int, n_units: int,
     """
     try:
         return _parse_rows(block, start, lineno, n_units, dim, n_classes)
-    except (DatasetFormatError, DatasetValidationError) as exc:
+    except InputError as exc:
         fault = exc
     for k, line in enumerate(block):
         _parse_rows([line], start + k, lineno + k, n_units, dim, n_classes)
@@ -465,7 +470,7 @@ def _parse_rows(rows: list[str], start: int, lineno: int, n_units: int,
     fields = 3 + n_units + dim
     for line in rows:
         if line.count(",") != fields - 1:
-            raise DatasetValidationError(
+            raise InputError(
                 f"line {lineno}: expected {fields} fields "
                 f"(3 + M={n_units} + D={dim}), got {line.count(',') + 1}")
     try:
@@ -473,16 +478,16 @@ def _parse_rows(rows: list[str], start: int, lineno: int, n_units: int,
                            dtype=[("i", np.int64, (3 + n_units,)),
                                   ("f", np.float64, (dim,))])
     except ValueError:
-        raise DatasetFormatError(f"line {lineno}: unparseable field") from None
+        raise InputError(f"line {lineno}: unparseable field") from None
     ints = table["i"]
     labels, bits = ints[:, 1:3], ints[:, 3:]
     if not np.array_equal(ints[:, 0], np.arange(start, start + len(rows))):
-        raise DatasetValidationError(f"line {lineno}: sample id {ints[0, 0]} "
-                                     f"out of order (expected {start})")
+        raise InputError(f"line {lineno}: sample id {ints[0, 0]} "
+                         f"out of order (expected {start})")
     if not ((labels >= 0).all() and (labels < n_classes).all()):
-        raise DatasetValidationError(f"line {lineno}: label out of range")
+        raise InputError(f"line {lineno}: label out of range")
     if not ((bits == 0) | (bits == 1)).all():
-        raise DatasetValidationError(f"line {lineno}: unit bits must be 0/1")
+        raise InputError(f"line {lineno}: unit bits must be 0/1")
     return ints, table["f"]
 
 
@@ -496,55 +501,60 @@ def load(path) -> Dataset:
     holds more than twice the rows read, however large the header's
     values.  Blank lines at the end are not rows.  After the first
     faulty row the rest are only counted, because a wrong row count is
-    reported first; otherwise that row's fault is.
+    reported first; otherwise that row's fault is.  Each fault names the
+    file: ``<path>, line N: ...``, or ``<path>: ...`` without a line.
     """
     first = len(_HEADER_KEYS)
-    with open(path) as fh:
-        lines = _lines(fh)
-        header = _read_header(lines)
-        n_classes, n_units = header["C"], header["M"]
-        dim, n = header["D"], header["n"]
-        features = np.empty((0, dim))
-        observed = np.empty(0, dtype=np.int64)
-        true = np.empty(0, dtype=np.int64)
-        au = np.empty((0, n_units), dtype=np.int64)
-        texts = _rows(lines)
-        fault = None
-        rows = 0
-        while fault is None and rows < n:
-            block = list(islice(texts, min(_BLOCK_ROWS, n - rows)))
-            if not block:
-                break
-            try:
-                ints, values = _parse_block(block, rows, first + 1 + rows,
-                                            n_units, dim, n_classes)
-            except (DatasetFormatError, DatasetValidationError) as exc:
-                fault = exc
-            else:
-                end = rows + len(block)
-                if end > len(observed):
-                    # no view of these arrays exists to be left dangling
-                    cap = min(max(2 * len(observed), end), n)
-                    features.resize((cap, dim), refcheck=False)
-                    au.resize((cap, n_units), refcheck=False)
-                    observed.resize(cap, refcheck=False)
-                    true.resize(cap, refcheck=False)
-                observed[rows:end], true[rows:end] = ints[:, 1], ints[:, 2]
-                au[rows:end] = ints[:, 3:]
-                features[rows:end] = values
-                del ints, values
-            rows += len(block)
-            del block   # freed before the next block is read
-        rows += sum(1 for _ in texts)
-    if rows != n:
-        raise DatasetFormatError(
-            f"line {first + rows + 1}: header declares n={n} "
-            f"samples but file has {rows}")
-    if fault is not None:
-        raise fault
-    ds = Dataset(features, observed, true, au, n_classes, n_units, dim,
-                 header["corruption_rate"], header["seed"])
-    ds.validate()
+    try:
+        with open(path) as fh:
+            lines = _lines(fh)
+            header = _read_header(lines)
+            n_classes, n_units = header["C"], header["M"]
+            dim, n = header["D"], header["n"]
+            features = np.empty((0, dim))
+            observed = np.empty(0, dtype=np.int64)
+            true = np.empty(0, dtype=np.int64)
+            au = np.empty((0, n_units), dtype=np.int64)
+            texts = _rows(lines)
+            fault = None
+            rows = 0
+            while fault is None and rows < n:
+                block = list(islice(texts, min(_BLOCK_ROWS, n - rows)))
+                if not block:
+                    break
+                try:
+                    ints, values = _parse_block(block, rows, first + 1 + rows,
+                                                n_units, dim, n_classes)
+                except InputError as exc:
+                    fault = exc
+                else:
+                    end = rows + len(block)
+                    if end > len(observed):
+                        # no view of these arrays exists to be left dangling
+                        cap = min(max(2 * len(observed), end), n)
+                        features.resize((cap, dim), refcheck=False)
+                        au.resize((cap, n_units), refcheck=False)
+                        observed.resize(cap, refcheck=False)
+                        true.resize(cap, refcheck=False)
+                    observed[rows:end], true[rows:end] = ints[:, 1], ints[:, 2]
+                    au[rows:end] = ints[:, 3:]
+                    features[rows:end] = values
+                    del ints, values
+                rows += len(block)
+                del block   # freed before the next block is read
+            rows += sum(1 for _ in texts)
+        if rows != n:
+            raise InputError(
+                f"line {first + rows + 1}: header declares n={n} "
+                f"samples but file has {rows}")
+        if fault is not None:
+            raise fault
+        ds = Dataset(features, observed, true, au, n_classes, n_units, dim,
+                     header["corruption_rate"], header["seed"])
+        ds.validate()
+    except InputError as exc:
+        where = ", " if str(exc).startswith("line ") else ": "
+        raise InputError(f"{path}{where}{exc}") from None
     return ds
 
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types: one per exit code of the CLI, and ShapeError."""
 
 
 class ShapeError(ValueError):
@@ -9,24 +9,9 @@ class ConfigError(ValueError):
     """A configuration or generator argument is out of its valid range."""
 
 
-class DatasetFormatError(ValueError):
-    """A dataset file is structurally malformed (carries a line number)."""
-
-
-class DatasetValidationError(ValueError):
-    """A dataset file parsed but its body contradicts its header."""
-
-
-class ArtifactFormatError(ValueError):
-    """A unit-graph or relabel-audit CSV is malformed (names file and line)."""
-
-
-class CheckpointError(ValueError):
-    """A checkpoint file is malformed, outdated, or does not fit the dataset."""
-
-
-class IntegrityError(ValueError):
-    """A record refers to a sample id that does not exist."""
+class InputError(ValueError):
+    """An input file or dataset is malformed, outdated, or does not fit the
+    run."""
 
 
 class TrainingDivergedError(RuntimeError):

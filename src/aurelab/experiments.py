@@ -25,7 +25,7 @@ from .data import (Dataset, DatasetSpec, check_corruption_rate,
                    write_csv)
 from .errors import ConfigError
 from .relabel import correction_figures
-from .trainer import TrainConfig, TrainResult, train
+from .trainer import TrainConfig, TrainResult, evaluate, train
 
 
 # Kept only because the benchmark harness (perfbench/workloads.py) imports
@@ -105,19 +105,17 @@ def cell_config(train_cfg: TrainConfig, seed: int, use_target: bool = True,
 def run_cell(dataset_spec: DatasetSpec, train_cfg: TrainConfig, rate: float,
              seed: int, use_target: bool = True, use_aux: bool = True,
              random_edges: bool = False) -> CellResult:
-    """Train one cell; its figures are those of the last epoch on the
-    held-out split, and the label corrections over the whole run.  Only
-    the last epoch is evaluated, since no other epoch's accuracy is read."""
+    """Train one cell; its figures are the trained model's accuracy on the
+    held-out split, evaluated once after training, and the label
+    corrections over the whole run."""
     train_ds, test_ds = make_cell_datasets(dataset_spec, rate, seed)
     cfg = cell_config(train_cfg, seed, use_target, use_aux, random_edges)
-    result = train(train_ds, cfg, eval_dataset=test_ds,
-                   evaluate_each_epoch=False)
-    last = result.metrics[-1]
+    result = train(train_ds, cfg)
     precision, recall = correction_figures(
         train_ds.observed_labels, result.final_dataset.observed_labels,
         train_ds.true_labels)
-    return CellResult(seed, last.accuracy, last.noise_rate, precision,
-                      recall, result)
+    return CellResult(seed, evaluate(result.model, test_ds).accuracy,
+                      result.metrics[-1].noise_rate, precision, recall, result)
 
 
 # Every cell trained in this process, without its run, keyed by value: the

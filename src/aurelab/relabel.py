@@ -21,7 +21,7 @@ from itertools import chain
 import numpy as np
 
 from .data import Dataset, _csv_rows, write_csv
-from .errors import ArtifactFormatError, IntegrityError, ShapeError
+from .errors import InputError, ShapeError
 
 
 @dataclass
@@ -189,8 +189,8 @@ def apply_corrections(ds: Dataset, records: list[RelabelRecord]) -> None:
     """Overwrite the observed label of every referenced sample."""
     for rec in records:
         if not 0 <= rec.sample_id < ds.n:
-            raise IntegrityError(f"relabel record references unknown sample id "
-                                 f"{rec.sample_id}")
+            raise InputError(f"relabel record references unknown sample id "
+                             f"{rec.sample_id}")
         ds.observed_labels[rec.sample_id] = rec.corrected
 
 
@@ -228,7 +228,7 @@ def read_audit(path) -> dict[str, np.ndarray]:
     """The columns of a relabel audit CSV: int64 ``epoch``, ``sample_id``,
     ``original`` and ``corrected``, float64 ``dist_original`` and
     ``dist_corrected``.  A field that does not parse, or an integer beyond
-    int64, raises ArtifactFormatError naming its line and column."""
+    int64, raises InputError naming its line and column."""
     columns = {name: [] for name in AUDIT_COLUMNS}
     for lineno, row in _csv_rows(path, lambda h: h == list(AUDIT_COLUMNS),
                                  f"the audit header '{AUDIT_HEADER}'"):
@@ -238,12 +238,11 @@ def read_audit(path) -> dict[str, np.ndarray]:
                 value = parse(text)
             except ValueError:
                 expected = "an integer" if parse is int else "a number"
-                raise ArtifactFormatError(f"{path}, line {lineno}: {name} "
-                                          f"'{text}' is not {expected}"
-                                          ) from None
+                raise InputError(f"{path}, line {lineno}: {name} "
+                                 f"'{text}' is not {expected}") from None
             if parse is int and not -2**63 <= value < 2**63:
-                raise ArtifactFormatError(f"{path}, line {lineno}: {name} "
-                                          f"'{text}' does not fit in int64")
+                raise InputError(f"{path}, line {lineno}: {name} "
+                                 f"'{text}' does not fit in int64")
             columns[name].append(value)
     return {name: np.array(columns[name], dtype=np.int64 if parse is int
                            else np.float64)

@@ -9,10 +9,9 @@ that function's locals and is freed when it returns, so only one step's
 tape is alive at a time and none during evaluation.  At the epoch's end
 ``relabel.epoch_corrections`` updates the templates from each step's high
 group and (after the warmup) corrects its low group; the corrections are
-applied to the stored labels, and then the epoch is evaluated; a caller
-that reads only the last epoch's figures (an experiment cell) evaluates
-only that one.  The detection branch never participates in evaluation:
-predictions are the plain argmax of the classifier logits.
+applied to the stored labels, and then the epoch is evaluated on the
+held-out set, if one is given.  The detection branch never participates in
+evaluation: predictions are the plain argmax of the classifier logits.
 """
 
 from __future__ import annotations
@@ -29,8 +28,7 @@ from . import autodiff as ad
 from .aux_branch import (AUGraph, AuxiliaryBranch, au_detection_loss,
                          build_au_graph, random_au_graph)
 from .data import Dataset, _csv_rows, batches, write_atomic, write_csv
-from .errors import (CheckpointError, ConfigError, DatasetValidationError,
-                     TrainingDivergedError)
+from .errors import ConfigError, InputError, TrainingDivergedError
 from .relabel import (RelabelRecord, SemanticTemplates, apply_corrections,
                       correction_figures, epoch_corrections)
 from .target_branch import (TargetBranch, class_weights, confidence_split,
@@ -288,13 +286,13 @@ def read_metrics(path) -> list[dict[str, str]]:
 # Decoders of a checkpoint's JSON values; each raises AttributeError,
 # KeyError, OverflowError, TypeError or ValueError on a malformed value.
 
-_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float)}
+_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
 
 
 def _json_value(value, kind: type, name: str):
     """``value`` as ``kind`` when its JSON type fits: true or false for a
-    bool, an integer for an int, any number for a float, and a list of
-    [integer, number] pairs for a tuple (``lr_drops``)."""
+    bool, an integer for an int, any number for a float, a string for a
+    str, and a list of [integer, number] pairs for a tuple (``lr_drops``)."""
     if kind is tuple:
         return tuple((_json_value(e, int, name), _json_value(r, float, name))
                      for e, r in value)
@@ -304,8 +302,23 @@ def _json_value(value, kind: type, name: str):
     return kind(value)
 
 
+def _json_array(value, kind: type, ndim: int, name: str) -> np.ndarray:
+    """``value``, a JSON list ``ndim`` deep with rows of equal length, as
+    an array of ``kind``: each leaf by the rule of ``_json_value``, finite."""
+    leaves = np.asarray(value, dtype=object)   # each leaf as JSON read it
+    if type(value) is not list or leaves.ndim != ndim:
+        raise TypeError(f"{name} must be a {ndim}-dimensional list")
+    if not set(map(type, leaves.flat)) <= set(_JSON_TYPES[kind]):
+        for leaf in leaves.flat:
+            _json_value(leaf, kind, name)
+    arr = leaves.astype(np.int64 if kind is int else kind)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} holds a non-finite value")
+    return arr
+
+
 def _named_arrays(value) -> dict[str, np.ndarray]:
-    return {name: np.asarray(v, dtype=np.float64) for name, v in value.items()}
+    return {name: _json_array(v, float, 2, name) for name, v in value.items()}
 
 
 def _config(value) -> TrainConfig:
@@ -329,19 +342,11 @@ def _epoch(value) -> int:
     return epoch
 
 
-def _json_list(value, kind: type, name: str) -> np.ndarray:
-    """A JSON list of ``kind`` values, each checked by ``_json_value``."""
-    if type(value) is not list:
-        raise TypeError(f"{name} must be a list, got {value!r}")
-    return np.array([_json_value(v, kind, name) for v in value],
-                    dtype=np.int64 if kind is int else kind)
-
-
 def _templates(value) -> SemanticTemplates:
     return SemanticTemplates(
-        np.asarray(value["vectors"], dtype=np.float64),
-        _json_list(value["valid"], bool, "valid"),
-        _json_list(value["last_update_epoch"], int, "last_update_epoch"))
+        _json_array(value["vectors"], float, 2, "vectors"),
+        _json_array(value["valid"], bool, 1, "valid"),
+        _json_array(value["last_update_epoch"], int, 1, "last_update_epoch"))
 
 
 def _stored(decode):
@@ -356,12 +361,12 @@ class Checkpoint:
     """
     epoch: int = _stored(_epoch)
     config: TrainConfig = _stored(_config)
-    dataset_hash: str = _stored(str)
+    dataset_hash: str = _stored(lambda v: _json_value(v, str, "dataset_hash"))
     params: dict[str, np.ndarray] = _stored(_named_arrays)
     velocities: dict[str, np.ndarray] = _stored(_named_arrays)
     templates: SemanticTemplates = _stored(_templates)
     observed_labels: np.ndarray = _stored(
-        lambda value: _json_list(value, int, "observed_labels"))
+        lambda v: _json_array(v, int, 1, "observed_labels"))
 
 
 CHECKPOINT_FORMAT = "aurelab-checkpoint-v2"
@@ -375,26 +380,26 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint file; anything but a well-formed v2 checkpoint
-    raises CheckpointError."""
+    raises InputError."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except ValueError as exc:
-        raise CheckpointError(f"{path}: not a JSON file ({exc})") from None
+        raise InputError(f"{path}: not a JSON file ({exc})") from None
     fmt = doc.get("format") if isinstance(doc, dict) else None
     if fmt == "aurelab-checkpoint-v1":
-        raise CheckpointError(f"{path}: v1 checkpoints are no longer read; "
-                              f"retrain to write {CHECKPOINT_FORMAT}")
+        raise InputError(f"{path}: v1 checkpoints are no longer read; "
+                         f"retrain to write {CHECKPOINT_FORMAT}")
     if fmt != CHECKPOINT_FORMAT:
-        raise CheckpointError(f"{path}: not an {CHECKPOINT_FORMAT} file")
+        raise InputError(f"{path}: not an {CHECKPOINT_FORMAT} file")
     values = {}
     for f in fields(Checkpoint):
         try:
             values[f.name] = f.metadata["decode"](doc[f.name])
         except (AttributeError, KeyError, OverflowError, TypeError,
                 ValueError) as exc:
-            raise CheckpointError(f"{path}: field '{f.name}' is missing or "
-                                  f"malformed ({exc})") from None
+            raise InputError(f"{path}: field '{f.name}' is missing or "
+                             f"malformed ({exc})") from None
     return Checkpoint(**values)
 
 
@@ -403,7 +408,7 @@ def restore_model(ckpt: Checkpoint, dataset: Dataset,
     """Rebuild a checkpointed model, velocities included, on ``dataset``
     under ``config`` (by default the checkpoint's own), with the unit graph
     exactly as in training, writing every stored array in place; raises
-    CheckpointError when a stored shape does not fit."""
+    InputError when a stored shape does not fit."""
     model = init_model(dataset, config or ckpt.config)
     stored = [(f"{kind} {name}", store.get(name), t.data.shape)
               for kind, store in (("parameter", ckpt.params),
@@ -413,7 +418,7 @@ def restore_model(ckpt: Checkpoint, dataset: Dataset,
                for name, arr in vars(model.templates).items()]
     for what, arr, shape in stored:
         if getattr(arr, "shape", None) != shape:
-            raise CheckpointError(
+            raise InputError(
                 f"checkpoint does not fit this dataset: {what} has shape "
                 f"{getattr(arr, 'shape', None)}, expected {shape}")
     for name, tensor in model.parameters().items():
@@ -521,22 +526,18 @@ def _train_step(model: Model, config: TrainConfig, ds: Dataset,
 
 def train(dataset: Dataset, config: TrainConfig,
           eval_dataset: Dataset | None = None,
-          resume: Checkpoint | None = None, *,
-          evaluate_each_epoch: bool = True) -> TrainResult:
+          resume: Checkpoint | None = None) -> TrainResult:
     """Run the full training loop; the input dataset is never mutated.
 
     Only its observed labels are copied, since label correction rewrites
     them; the features, unit bits and true labels are shared read-only, and
     the result's ``final_dataset`` shares them too.
 
-    When ``eval_dataset`` is given, per-epoch accuracy/confusion come from it;
-    otherwise they are measured on the training samples against their hidden
-    true labels.  With ``evaluate_each_epoch`` false only epoch
-    ``config.epochs`` is evaluated; every earlier epoch records the figures
-    of an evaluation of no sample (NaN accuracies, an all-zero confusion),
-    and its other fields as usual.  ``resume`` continues a checkpointed run
-    up to ``config.epochs`` total epochs, which may not be fewer than the
-    checkpoint's.
+    When ``eval_dataset`` is given, each epoch's accuracy and confusion
+    come from it; otherwise each epoch records the figures of an evaluation
+    of no sample (NaN accuracies, an all-zero confusion).  ``resume``
+    continues a checkpointed run up to ``config.epochs`` total epochs, which
+    may not be fewer than the checkpoint's.
     """
     config.validate()
     dataset.validate()
@@ -544,8 +545,8 @@ def train(dataset: Dataset, config: TrainConfig,
         held_out, training = (f"C={d.n_classes} M={d.n_units} D={d.dim}"
                               for d in (eval_dataset, dataset))
         if held_out != training:
-            raise DatasetValidationError(f"held-out set has {held_out} but "
-                                         f"the training set has {training}")
+            raise InputError(f"held-out set has {held_out} but "
+                             f"the training set has {training}")
     _keep_heap_between_steps()
     ds = replace(dataset, observed_labels=dataset.observed_labels.copy())
     batch_size = min(config.batch_size, ds.n)
@@ -562,11 +563,11 @@ def train(dataset: Dataset, config: TrainConfig,
                               f"the {config.epochs} total epochs asked for")
         model = restore_model(resume, ds, config)
         if resume.dataset_hash != ds.fingerprint():
-            raise CheckpointError("checkpoint was trained on a different "
-                                  "dataset; resume needs the same training set")
+            raise InputError("checkpoint was trained on a different "
+                             "dataset; resume needs the same training set")
         labels = resume.observed_labels
         if labels.shape != (ds.n,) or np.any((labels < 0) | (labels >= ds.n_classes)):
-            raise CheckpointError("checkpoint labels do not fit the dataset")
+            raise InputError("checkpoint labels do not fit the dataset")
         ds.observed_labels[...] = labels
         start_epoch = resume.epoch + 1
 
@@ -606,12 +607,9 @@ def train(dataset: Dataset, config: TrainConfig,
         all_records.extend(epoch_records)
         precision, recall = correction_figures(
             start_labels, ds.observed_labels, ds.true_labels)
-        if evaluate_each_epoch or epoch == config.epochs:
-            report = evaluate(model, eval_dataset if eval_dataset is not None
-                              else replace(ds, observed_labels=ds.true_labels))
-        else:
-            report = EvalReport(math.nan, np.full(ds.n_classes, math.nan),
-                                np.zeros((ds.n_classes,) * 2, np.int64), 0)
+        report = (evaluate(model, eval_dataset) if eval_dataset is not None
+                  else EvalReport(math.nan, np.full(ds.n_classes, math.nan),
+                                  np.zeros((ds.n_classes,) * 2, np.int64), 0))
 
         metrics.append(EpochMetrics(
             epoch=epoch, target_weight=weights[0], aux_weight=weights[1],

@@ -16,7 +16,7 @@ import numpy as np
 from aurelab import autodiff as ad
 from aurelab import data
 from aurelab.relabel import RelabelRecord, decide_relabel, semantic_distances
-from aurelab.errors import DatasetFormatError, DatasetValidationError
+from aurelab.errors import InputError
 
 import tape_kit as tk
 
@@ -69,7 +69,7 @@ def au_table_by_combination_scan(n_classes, n_units):
 def _row_by_row(line, i, lineno, n_units, dim, n_classes):
     fields = line.split(",")
     if len(fields) != 3 + n_units + dim:
-        raise DatasetValidationError(
+        raise InputError(
             f"line {lineno}: expected {3 + n_units + dim} fields "
             f"(3 + M={n_units} + D={dim}), got {len(fields)}")
     try:
@@ -84,14 +84,14 @@ def _row_by_row(line, i, lineno, n_units, dim, n_classes):
         if not all(-2**63 <= v < 2**63 for v in (sid, obs, tru, *bits)):
             raise ValueError
     except ValueError:
-        raise DatasetFormatError(f"line {lineno}: unparseable field") from None
+        raise InputError(f"line {lineno}: unparseable field") from None
     if sid != i:
-        raise DatasetValidationError(
+        raise InputError(
             f"line {lineno}: sample id {sid} out of order (expected {i})")
     if not (0 <= obs < n_classes and 0 <= tru < n_classes):
-        raise DatasetValidationError(f"line {lineno}: label out of range")
+        raise InputError(f"line {lineno}: label out of range")
     if any(b not in (0, 1) for b in bits):
-        raise DatasetValidationError(f"line {lineno}: unit bits must be 0/1")
+        raise InputError(f"line {lineno}: unit bits must be 0/1")
     return obs, tru, bits, vals
 
 
@@ -99,52 +99,57 @@ def load_row_at_a_time(path):
     """``data.load`` as it was before it parsed blocks through numpy: every
     field goes through ``int`` or ``float``, one row at a time, into arrays
     that double as rows arrive, and only the fields numpy reads are
-    accepted.  The header and line readers are the library's."""
+    accepted.  The header and line readers are the library's, and a fault
+    names the file as the library's does."""
     first = len(data._HEADER_KEYS)
-    with open(path) as fh:
-        lines = data._lines(fh)
-        header = data._read_header(lines)
-        n_classes, n_units = header["C"], header["M"]
-        dim, n = header["D"], header["n"]
-        features = np.empty((0, dim))
-        observed = np.empty(0, dtype=np.int64)
-        true = np.empty(0, dtype=np.int64)
-        au = np.empty((0, n_units), dtype=np.int64)
-        fault = None
-        rows = blanks = 0
-        for line in lines:
-            if not line:
-                blanks += 1
-                continue
-            for text in [""] * blanks + [line]:
-                if fault is None and rows < n:
-                    try:
-                        obs, tru, bits, vals = _row_by_row(
-                            text, rows, first + 1 + rows, n_units, dim,
-                            n_classes)
-                    except (DatasetFormatError, DatasetValidationError) as exc:
-                        fault = exc
-                    else:
-                        if rows == len(observed):
-                            cap = min(2 * rows or 1, n)
-                            features.resize((cap, dim), refcheck=False)
-                            au.resize((cap, n_units), refcheck=False)
-                            observed.resize(cap, refcheck=False)
-                            true.resize(cap, refcheck=False)
-                        observed[rows], true[rows] = obs, tru
-                        au[rows] = bits
-                        features[rows] = vals
-                rows += 1
-            blanks = 0
-    if rows != n:
-        raise DatasetFormatError(
-            f"line {first + rows + 1}: header declares n={n} "
-            f"samples but file has {rows}")
-    if fault is not None:
-        raise fault
-    ds = data.Dataset(features, observed, true, au, n_classes, n_units, dim,
-                      header["corruption_rate"], header["seed"])
-    ds.validate()
+    try:
+        with open(path) as fh:
+            lines = data._lines(fh)
+            header = data._read_header(lines)
+            n_classes, n_units = header["C"], header["M"]
+            dim, n = header["D"], header["n"]
+            features = np.empty((0, dim))
+            observed = np.empty(0, dtype=np.int64)
+            true = np.empty(0, dtype=np.int64)
+            au = np.empty((0, n_units), dtype=np.int64)
+            fault = None
+            rows = blanks = 0
+            for line in lines:
+                if not line:
+                    blanks += 1
+                    continue
+                for text in [""] * blanks + [line]:
+                    if fault is None and rows < n:
+                        try:
+                            obs, tru, bits, vals = _row_by_row(
+                                text, rows, first + 1 + rows, n_units, dim,
+                                n_classes)
+                        except InputError as exc:
+                            fault = exc
+                        else:
+                            if rows == len(observed):
+                                cap = min(2 * rows or 1, n)
+                                features.resize((cap, dim), refcheck=False)
+                                au.resize((cap, n_units), refcheck=False)
+                                observed.resize(cap, refcheck=False)
+                                true.resize(cap, refcheck=False)
+                            observed[rows], true[rows] = obs, tru
+                            au[rows] = bits
+                            features[rows] = vals
+                    rows += 1
+                blanks = 0
+        if rows != n:
+            raise InputError(
+                f"line {first + rows + 1}: header declares n={n} "
+                f"samples but file has {rows}")
+        if fault is not None:
+            raise fault
+        ds = data.Dataset(features, observed, true, au, n_classes, n_units, dim,
+                          header["corruption_rate"], header["seed"])
+        ds.validate()
+    except InputError as exc:
+        where = ", " if str(exc).startswith("line ") else ": "
+        raise InputError(f"{path}{where}{exc}") from None
     return ds
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import aurelab
-from aurelab import cli, data, experiments
+from aurelab import cli, data, errors, experiments
 from aurelab.cli import main
 from aurelab.relabel import AUDIT_HEADER
 from aurelab.trainer import TrainConfig, load_checkpoint
@@ -403,10 +404,23 @@ def _damaged(text, damage):
         *parents, last = path.split(".")
         owner = doc
         for key in parents:
-            owner = owner[key]
+            owner = owner[int(key) if isinstance(owner, list) else key]
         owner[int(last) if isinstance(owner, list) else last] = \
             json.loads(value)
     return json.dumps(doc)
+
+
+def _checkpoint_argv(command, path, dataset_files, tmp_path):
+    """The arguments of ``command`` (eval, inspect or resume) reading the
+    checkpoint ``path``; a resumed run writes under ``tmp_path / "run"``."""
+    train_path, test_path = dataset_files
+    if command == "eval":
+        return ["eval", "--checkpoint", str(path), "--data", str(test_path)]
+    if command == "resume":
+        return (["train", "--data", str(train_path), "--out",
+                 str(tmp_path / "run"), "--resume", str(path)]
+                + TRAIN_SPEED_ARGS)
+    return ["inspect", "checkpoint", str(path)]
 
 
 class TestBrokenInputs:
@@ -445,23 +459,59 @@ class TestBrokenInputs:
         ("observed_labels.0=1180591620717411303424", "'observed_labels'"),
         ('templates.valid.0="no"', "valid must be of type bool"),
         ("templates.last_update_epoch.0=1.7",
-         "last_update_epoch must be of type int")])
+         "last_update_epoch must be of type int"),
+        ("templates.vectors.0.0=null", "vectors must be of type float, "
+         "got None"),
+        ("templates.vectors.1.0=true", "vectors must be of type float, "
+         "got True"),
+        ("templates.vectors.0.0=NaN", "vectors holds a non-finite value"),
+        ("templates.vectors.0=[0.5]", "vectors must be a 2-dimensional list"),
+        ("templates.valid=[[true]]", "valid must be a 1-dimensional list"),
+        ("templates.valid.0=1", "valid must be of type bool, got 1"),
+        ("dataset_hash=5", "dataset_hash must be of type str, got 5"),
+        ("dataset_hash=null", "dataset_hash must be of type str")])
     @pytest.mark.parametrize("command", ["eval", "inspect", "resume"])
     def test_damaged_checkpoint(self, dataset_files, runs, tmp_path, capsys,
                                 damage, message, command):
         text = (runs / "three_run" / "checkpoint.json").read_text()
         path = tmp_path / "checkpoint.json"
         path.write_text(_damaged(text, damage))
-        train_path, test_path = dataset_files
-        if command == "eval":
-            argv = ["eval", "--checkpoint", str(path), "--data", str(test_path)]
-        elif command == "resume":
-            argv = (["train", "--data", str(train_path), "--out",
-                     str(tmp_path / "run"), "--resume", str(path)]
-                    + TRAIN_SPEED_ARGS)
-        else:
-            argv = ["inspect", "checkpoint", str(path)]
-        _assert_error(main(argv), capsys, message)
+        _assert_error(main(_checkpoint_argv(command, path, dataset_files,
+                                            tmp_path)), capsys, message)
+        assert not (tmp_path / "run").exists()
+
+    # parameter names hold dots, which the paths above cannot reach
+    @pytest.mark.parametrize("store,name,row,leaf,message", [
+        ("params", "target.classifier_w", 3, None,
+         "target.classifier_w must be of type float, got None"),
+        ("params", "target.classifier_w", 3, True,
+         "target.classifier_w must be of type float, got True"),
+        ("params", "target.classifier_w", 0, "0.5",
+         "target.classifier_w must be of type float, got '0.5'"),
+        ("params", "target.classifier_w", 3, math.nan,
+         "target.classifier_w holds a non-finite value"),
+        ("params", "target.classifier_w", 3, math.inf,
+         "target.classifier_w holds a non-finite value"),
+        ("params", "target.layer1_b", 0, -math.inf,
+         "target.layer1_b holds a non-finite value"),
+        ("velocities", "target.layer2_w", 5, math.nan,
+         "target.layer2_w holds a non-finite value"),
+        ("velocities", "aux.head_w", 2, [0.5],
+         "aux.head_w must be of type float, got [0.5]")],
+        ids=["null", "true", "string", "NaN", "Infinity", "-Infinity",
+             "velocity-NaN", "velocity-list"])
+    @pytest.mark.parametrize("command", ["eval", "inspect", "resume"])
+    def test_damaged_checkpoint_array(self, dataset_files, runs, tmp_path,
+                                      capsys, store, name, row, leaf,
+                                      message, command):
+        doc = json.loads((runs / "three_run" / "checkpoint.json").read_text())
+        doc[store][name][row][-1] = leaf
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps(doc))   # NaN and Infinity as JSON reads them
+        _assert_error(main(_checkpoint_argv(command, path, dataset_files,
+                                            tmp_path)), capsys,
+                      f"{path}: field '{store}' is missing or malformed "
+                      f"({message})")
         assert not (tmp_path / "run").exists()
 
     def test_resume_with_a_label_out_of_range(self, dataset_files, runs,
@@ -566,6 +616,85 @@ class TestBrokenInputs:
         path.write_text("\n".join(edit(lines)) + "\n")
         _assert_error(main(["inspect", "dataset", str(path)]), capsys,
                       message)
+
+    # header values the body's rule refuses, or out of their range
+    @pytest.mark.parametrize("line,text,message", [
+        (4, "n=1_60", "cannot parse value for 'n': '1_60'"),
+        (1, "C=\uff15", "cannot parse value for 'C': '\uff15'"),
+        (3, "D=\u0668", "cannot parse value for 'D': '\u0668'"),
+        (5, "corruption_rate=0_.2", "cannot parse value for "
+         "'corruption_rate': '0_.2'"),
+        (6, "seed=1_0", "cannot parse value for 'seed': '1_0'"),
+        (5, "corruption_rate=nan", "'corruption_rate' must lie in [0, 1], "
+         "got nan"),
+        (5, "corruption_rate=inf", "'corruption_rate' must lie in [0, 1], "
+         "got inf"),
+        (5, "corruption_rate=1.5", "'corruption_rate' must lie in [0, 1], "
+         "got 1.5"),
+        (5, "corruption_rate=-0.1", "'corruption_rate' must lie in [0, 1], "
+         "got -0.1"),
+        (6, "seed=-4", "'seed' must lie in [0, inf), got -4")],
+        ids=["underscore-n", "fullwidth-C", "arabic-indic-D",
+             "underscore-rate", "underscore-seed", "nan-rate", "inf-rate",
+             "rate-above-1", "negative-rate", "negative-seed"])
+    @pytest.mark.parametrize("command", ["inspect dataset", "train"])
+    def test_header_value_the_body_rule_refuses(
+            self, dataset_files, tmp_path, capsys, line, text, message,
+            command):
+        lines = dataset_files[0].read_text().splitlines()
+        lines[line - 1] = text
+        path = tmp_path / "ds.txt"
+        path.write_text("\n".join(lines) + "\n")
+        argv = (["inspect", "dataset", str(path)] if command != "train" else
+                ["train", "--data", str(path), "--out", str(tmp_path / "run")]
+                + TRAIN_SPEED_ARGS)
+        rc = main(argv)
+        assert capsys.readouterr().err == \
+            f"error: {path}, line {line}: {message}\n"
+        assert rc == 3
+        assert not (tmp_path / "run").exists()
+
+    def test_header_values_at_their_bounds_load(self, dataset_files,
+                                                tmp_path):
+        lines = dataset_files[0].read_text().splitlines()
+        path = tmp_path / "ds.txt"
+        for rate, seed in (("1.0", "0"), ("0", str(2**70)), (" 0.5\t", "+7")):
+            lines[4:6] = [f"corruption_rate={rate}", f"seed={seed}"]
+            path.write_text("\n".join(lines) + "\n")
+            ds = data.load(path)
+            assert (ds.corruption_rate, ds.seed) == (float(rate), int(seed))
+
+    # a fault in either dataset file names that file
+    @pytest.mark.parametrize("flag", ["--data", "--test-data"])
+    def test_dataset_fault_names_its_file(self, dataset_files, tmp_path,
+                                          capsys, flag):
+        train_path, test_path = dataset_files
+        source = train_path if flag == "--data" else test_path
+        lines = source.read_text().splitlines()
+        fields = lines[8].split(",")
+        fields[1] = "3"   # C=3
+        lines[8] = ",".join(fields)
+        bad = tmp_path / "bad.test"
+        bad.write_text("\n".join(lines) + "\n")
+        files = {"--data": train_path, "--test-data": test_path, flag: bad}
+        rc = main(["train", "--data", str(files["--data"]), "--test-data",
+                   str(files["--test-data"]), "--out", str(tmp_path / "run")]
+                  + TRAIN_SPEED_ARGS)
+        assert capsys.readouterr().err == \
+            f"error: {bad}, line 9: label out of range\n"
+        assert rc == 3
+        assert not (tmp_path / "run").exists()
+
+    def test_dataset_fault_without_a_line_names_its_file(
+            self, dataset_files, tmp_path, capsys):
+        lines = dataset_files[0].read_text().splitlines()
+        lines[6] = lines[6].rsplit(",", 1)[0] + ",inf"
+        path = tmp_path / "ds.txt"
+        path.write_text("\n".join(lines) + "\n")
+        rc = main(["inspect", "dataset", str(path)])
+        assert capsys.readouterr().err == \
+            f"error: {path}: non-finite feature values\n"
+        assert rc == 3
 
     # fields that int() and float() read but numpy does not
     @pytest.mark.parametrize("field,text", [
@@ -1124,3 +1253,29 @@ class TestStderr:
                           if not line.startswith("warning: ")], lines
         assert len(errors) == 1 and "non-finite loss" in errors[0]
         assert "Traceback" not in proc.stderr
+
+
+# The exit code of each error type, as the CLI's docstring gives it.
+# ShapeError, a fault of the calling code, never reaches the command line.
+DOCUMENTED_EXIT_CODES = {"ConfigError": 2, "InputError": 3,
+                         "TrainingDivergedError": 4}
+ERROR_TYPES = sorted(
+    name for name, obj in vars(errors).items() if isinstance(obj, type)
+    and issubclass(obj, Exception) and obj.__module__ == errors.__name__)
+
+
+def test_errors_defines_one_type_per_exit_code():
+    assert ERROR_TYPES == sorted([*DOCUMENTED_EXIT_CODES, "ShapeError"])
+
+
+@pytest.mark.parametrize(
+    "name", [name for name in ERROR_TYPES if name != "ShapeError"])
+def test_every_error_type_exits_with_its_documented_code(monkeypatch,
+                                                         capsys, name):
+    def failing_command(args):
+        raise getattr(errors, name)("stub failure")
+
+    monkeypatch.setattr(cli, "cmd_inspect", failing_command)
+    rc = main(["inspect", "dataset", "unused.txt"])
+    assert capsys.readouterr().err == "error: stub failure\n"
+    assert rc == DOCUMENTED_EXIT_CODES[name]

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import tempfile
 import threading
 import tracemalloc
@@ -10,8 +11,7 @@ import numpy as np
 import pytest
 
 from aurelab import data
-from aurelab.errors import (ConfigError, DatasetFormatError,
-                            DatasetValidationError)
+from aurelab.errors import ConfigError, InputError
 from oracles import (au_table_by_combination_scan, load_row_at_a_time,
                      nearest_prototype_accuracy)
 
@@ -163,7 +163,7 @@ class TestSaveLoad:
         data.save(ds, path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-10]) + "\n")
-        with pytest.raises(DatasetFormatError, match=r"line \d+"):
+        with pytest.raises(InputError, match=r"line \d+"):
             data.load(path)
 
     def test_header_body_mismatch_is_validation_error(self, tmp_path):
@@ -173,13 +173,13 @@ class TestSaveLoad:
         lines = path.read_text().splitlines()
         lines[2] = "D=99"   # declared dimension disagrees with the rows
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DatasetValidationError, match="line 7"):
+        with pytest.raises(InputError, match="line 7"):
             data.load(path)
 
     def test_garbled_header_is_parse_error(self, tmp_path):
         path = tmp_path / "ds.txt"
         path.write_text("C=3\nM=6\nnot a header\n")
-        with pytest.raises(DatasetFormatError, match="line 3"):
+        with pytest.raises(InputError, match="line 3"):
             data.load(path)
 
     def test_bad_label_is_validation_error(self, tmp_path):
@@ -191,7 +191,7 @@ class TestSaveLoad:
         fields[1] = "17"
         lines[6] = ",".join(fields)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DatasetValidationError, match="line 7"):
+        with pytest.raises(InputError, match="line 7"):
             data.load(path)
 
     def test_rows_out_of_order_are_validation_error(self, tmp_path):
@@ -200,9 +200,14 @@ class TestSaveLoad:
         lines = path.read_text().splitlines()
         lines[6], lines[7] = lines[7], lines[6]
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DatasetValidationError,
+        with pytest.raises(InputError,
                            match=r"line 7: sample id 1 out of order"):
             data.load(path)
+
+
+def at(path, pattern: str) -> str:
+    """A load fault's pattern: ``pattern`` after the file's name."""
+    return rf"^{re.escape(str(path))}, {pattern}"
 
 
 class TestStreamedFormat:
@@ -258,9 +263,9 @@ class TestStreamedFormat:
         _, path, lines = saved
         lines[6 + row] = ""
         self.write(path, lines)
-        with pytest.raises(DatasetValidationError,
-                           match=rf"^line {7 + row}: expected 25 fields "
-                                 r"\(3 \+ M=6 \+ D=16\), got 1$"):
+        with pytest.raises(InputError,
+                           match=at(path, rf"line {7 + row}: expected 25 "
+                                    r"fields \(3 \+ M=6 \+ D=16\), got 1$")):
             data.load(path)
 
     def test_blank_line_inside_the_body_is_its_own_row(self, saved):
@@ -284,8 +289,8 @@ class TestStreamedFormat:
         lines[7] = lines[7].rsplit(",", 1)[0]       # a field short
         lines[8] = "x" + lines[8]                   # unparseable
         self.write(path, lines)
-        with pytest.raises(DatasetFormatError, match=r"^line 307: header "
-                           r"declares n=301 samples but file has 300$"):
+        with pytest.raises(InputError, match=at(path, r"line 307: header "
+                           r"declares n=301 samples but file has 300$")):
             data.load(path)
 
     def first_bad_row_wins(self, saved, short):
@@ -293,8 +298,8 @@ class TestStreamedFormat:
         lines[8] = "x" + lines[8]                   # unparseable, line 9
         lines[short] = lines[short].rsplit(",", 1)[0]   # a field short
         self.write(path, lines)
-        with pytest.raises(DatasetFormatError,
-                           match=r"^line 9: unparseable field$"):
+        with pytest.raises(InputError,
+                           match=at(path, r"line 9: unparseable field$")):
             data.load(path)
 
     def test_first_bad_row_wins_over_a_later_field_count(self, saved):
@@ -312,8 +317,8 @@ class TestStreamedFormat:
         fields[1] = "3"                             # C=3: out of range
         lines[6 + 256] = ",".join(fields)
         self.write(path, lines)
-        with pytest.raises(DatasetValidationError,
-                           match=r"^line 263: label out of range$"):
+        with pytest.raises(InputError,
+                           match=at(path, r"line 263: label out of range$")):
             data.load(path)
 
     # numpy would size its rows from a header of M=10**5 before it found
@@ -326,9 +331,10 @@ class TestStreamedFormat:
         self.write(path, lines)
         tracemalloc.start()
         try:
-            with pytest.raises(DatasetValidationError,
-                               match=rf"^line 7: expected {3 + m + d} fields "
-                                     rf"\(3 \+ M={m} \+ D={d}\), got 25$"):
+            with pytest.raises(InputError,
+                               match=at(path, rf"line 7: expected {3 + m + d} "
+                                        rf"fields \(3 \+ M={m} \+ D={d}\), "
+                                        r"got 25$")):
                 data.load(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -344,8 +350,8 @@ class TestStreamedFormat:
         ds, path, lines = saved
         head, _, tail = lines[12].partition(",")
         self.write(path, lines[:12] + [f"{head},{char}{tail}"] + lines[13:])
-        with pytest.raises(DatasetFormatError, match=r"^line 308: header "
-                           r"declares n=300 samples but file has 301$"):
+        with pytest.raises(InputError, match=at(path, r"line 308: header "
+                           r"declares n=300 samples but file has 301$")):
             data.load(path)
         # at the end of the last row it only adds a trailing blank line
         self.write(path, lines[:-1] + [lines[-1] + char])
@@ -431,7 +437,7 @@ def test_block_parse_matches_the_row_by_row_reference(mutations):
         for load in (data.load, load_row_at_a_time):
             try:
                 ds = load(path)
-            except (DatasetFormatError, DatasetValidationError) as exc:
+            except InputError as exc:
                 outcomes.append((type(exc), str(exc)))
             else:
                 outcomes.append(tuple(

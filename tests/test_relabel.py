@@ -9,7 +9,7 @@ import pytest
 from aurelab import autodiff as ad
 from aurelab import relabel
 from aurelab.data import generate
-from aurelab.errors import IntegrityError
+from aurelab.errors import InputError
 from aurelab.relabel import (AUDIT_HEADER, RelabelRecord, SemanticTemplates,
                              apply_corrections, correction_figures,
                              decide_relabel, epoch_corrections, read_audit,
@@ -284,7 +284,7 @@ class TestApplyCorrections:
 
     def test_unknown_id_is_integrity_error(self):
         ds = self._ds()
-        with pytest.raises(IntegrityError):
+        with pytest.raises(InputError):
             apply_corrections(ds, [self._rec(999, 0, 1)])
 
 
