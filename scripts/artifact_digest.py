@@ -26,9 +26,11 @@ stdout of ``inspect`` on each kind of the first ``train`` run's files
 ``dataset`` it trained on), which covers the readers of those files.  The
 last line combines them.
 Paths are relative to the temporary directory, so the lines do not depend
-on where it is.
+on where it is.  ``--expect FILE`` compares each line with the recorded
+one (``digest_expect.py``).
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -37,6 +39,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import digest_expect
 from aurelab import cli
 
 GEN = ["gen", "--classes", "3", "--aus", "6", "--dim", "8", "--size", "300",
@@ -147,8 +150,10 @@ def write_artifacts() -> int:
     return 0
 
 
-def main() -> int:
-    combined = hashlib.sha256()
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    digest_expect.add_flag(parser)
+    args = parser.parse_args(argv)
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as root:
         os.chdir(root)
@@ -162,12 +167,14 @@ def main() -> int:
             os.chdir(cwd)
     if rc != 0:
         return rc
+    lines = []
+    combined = hashlib.sha256()
     for name, output in outputs:
         digest = hashlib.sha256(output).hexdigest()
         combined.update(digest.encode())
-        print(f"{name:<36} {digest}")
-    print(f"combined {combined.hexdigest()}")
-    return 0
+        lines.append(f"{name:<36} {digest}")
+    lines.append(f"combined {combined.hexdigest()}")
+    return digest_expect.emit(lines, args.expect, "artifact_digest.py")
 
 
 if __name__ == "__main__":

@@ -15,7 +15,8 @@ final labels, every relabel record with its distances, the per-epoch
 losses, and the four figures a table reads of the cell (accuracy, final
 noise rate, relabel precision and recall).  A cell evaluates its held-out
 split once, after training, so held-out accuracy enters through the cell's
-own figure.  The last line combines all of them.
+own figure.  The last line combines all of them.  ``--expect FILE``
+compares each line with the recorded one (``digest_expect.py``).
 """
 
 import argparse
@@ -24,6 +25,7 @@ import sys
 
 import numpy as np
 
+import digest_expect
 from aurelab.experiments import DatasetSpec, run_cell
 from aurelab.trainer import TrainConfig
 
@@ -67,19 +69,25 @@ def cell_digest(seed: int, use_target: bool, use_aux: bool,
     return h.hexdigest()
 
 
+def digest_lines(seeds):
+    """Each cell's line as it is trained, then the combined digest's."""
+    combined = hashlib.sha256()
+    for seed in seeds:
+        for name, switches in CONFIGURATIONS.items():
+            digest = cell_digest(seed, *switches)
+            combined.update(digest.encode())
+            yield f"seed {seed} {name:<12} {digest}"
+    yield f"combined {combined.hexdigest()}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=range(8),
                         help="cell seeds (default 0-7)")
+    digest_expect.add_flag(parser)
     args = parser.parse_args(argv)
-    combined = hashlib.sha256()
-    for seed in args.seeds:
-        for name, switches in CONFIGURATIONS.items():
-            digest = cell_digest(seed, *switches)
-            combined.update(digest.encode())
-            print(f"seed {seed} {name:<12} {digest}", flush=True)
-    print(f"combined {combined.hexdigest()}")
-    return 0
+    return digest_expect.emit(digest_lines(args.seeds), args.expect,
+                              "train_digest.py")
 
 
 if __name__ == "__main__":

@@ -21,13 +21,15 @@ does not parse is the same ``[train] epochs = '1.5': expected an
 integer`` line, exit 2, whichever command it is given to.  ``inspect``
 reads a file with the reader beside its writer (``relabel.read_audit``,
 ``trainer.read_metrics``); only the unit-graph CSVs are this module's.
-Every CSV a command writes, ``eval --out``'s included, goes through
+Every file a command reads is opened and decoded as UTF-8 by
+``data.read_lines`` alone, which names a bad byte by file and offset, and
+every CSV a command writes, ``eval --out``'s included, goes through
 ``data.write_csv``.
 
 Exit codes: 0 success, 2 ``ConfigError`` (usage or configuration), 3
-``InputError``, ``OSError`` or ``UnicodeDecodeError`` (a missing,
-unreadable or malformed file), 4 ``TrainingDivergedError``.  An error is
-one ``error:`` line on stderr, and each warning shown one ``warning:`` line.
+``InputError`` or ``OSError`` (a missing, unreadable or malformed file),
+4 ``TrainingDivergedError``.  An error is one ``error:`` line on stderr,
+and each warning shown one ``warning:`` line.
 """
 
 from __future__ import annotations
@@ -230,8 +232,7 @@ def cmd_sweep(args) -> int:
 def _graph_rows(path: Path) -> list[np.ndarray]:
     """The rows of a unit-graph CSV: a non-empty square matrix of finite
     numbers."""
-    rows = []
-    lines = path.read_text().splitlines()
+    rows, lines = [], list(data.read_lines(path))
     for lineno, line in enumerate(lines, 1):
         if not line.strip():
             continue
@@ -255,8 +256,6 @@ def _graph_rows(path: Path) -> list[np.ndarray]:
 
 def cmd_inspect(args) -> int:
     kind, path = args.kind, Path(args.path)
-    if not path.exists():
-        raise FileNotFoundError(f"no such file: {path}")
     if kind == "graph":
         for row in _graph_rows(path):
             print(",".join(f"{v:.4f}" for v in row) + f"  | sum {row.sum():.6f}")
@@ -279,15 +278,13 @@ def cmd_inspect(args) -> int:
             print(f"epoch {row['epoch']}: accuracy {row['accuracy']}, "
                   f"noise_rate {row['noise_rate']}, "
                   f"corrections {row['relabel_count']}")
-    elif kind == "dataset":
+    else:   # "dataset": argparse allows no other kind
         ds = data.load(path)
         corrupted = int(np.sum(ds.observed_labels != ds.true_labels))
         print(f"n={ds.n} classes={ds.n_classes} units={ds.n_units} "
               f"dim={ds.dim} seed={ds.seed}")
         print(_label_histogram(ds))
         print(f"observed != true: {corrupted} ({corrupted / ds.n:.1%})")
-    else:
-        raise ConfigError(f"unknown artifact kind '{kind}'")
     return EXIT_OK
 
 
@@ -362,7 +359,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, UnicodeDecodeError, InputError) as exc:
+    except (OSError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FILE
     except TrainingDivergedError as exc:

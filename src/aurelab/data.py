@@ -1,8 +1,8 @@
 """Synthetic expression datasets: clustered features, action-unit bit labels,
 controllable label corruption, a diff-able text file format, and batching.
 ``DatasetSpec`` holds the generator's arguments and is their one check.
-``write_atomic`` writes every artifact, and ``write_csv`` is where every
-CSV artifact's values become text.
+``write_atomic`` writes every artifact as UTF-8, ``write_csv`` makes every
+CSV artifact's values text, and ``read_lines`` alone opens a file to read.
 
 Each sample carries the label used for training (``observed``), the hidden
 generation label (``true``, kept for auditing only), and a bit-vector of
@@ -15,8 +15,7 @@ import hashlib
 import os
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
-from itertools import islice
-from pathlib import Path
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -113,10 +112,10 @@ def emotion_au_table(n_classes: int, n_units: int) -> np.ndarray:
     if n_units < 4:
         raise ConfigError(f"need at least 4 action units, got {n_units}")
     # Allocated before the search, so a table too large for memory fails
-    # at once.
+    # at once; numpy refuses one beyond the address space with ValueError.
     try:
         table = np.zeros((n_classes, n_units), dtype=np.int64)
-    except MemoryError as exc:
+    except (MemoryError, ValueError) as exc:
         raise ConfigError(f"a {n_classes}x{n_units} unit table is too large "
                           f"to allocate: {exc}") from None
     if (n_classes, n_units) == (7, 12):
@@ -319,12 +318,12 @@ _BLOCK_ROWS = 256   # rows that ``load`` parses with one np.loadtxt call
 
 
 def write_atomic(path, pieces: Iterable[str]) -> None:
-    """Write the strings of ``pieces`` one after another to a temporary file
-    beside ``path``, then move it into place with ``os.replace``: a failed
-    write leaves the old file whole.  The text is never held whole."""
+    """Write ``pieces`` one by one as UTF-8 (an argument's undecodable bytes
+    as given) to a temporary file beside ``path``, then ``os.replace`` it:
+    a failed write leaves the old file whole; the text is never held whole."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w") as fh:
+        with open(tmp, "w", encoding="utf-8", errors="surrogateescape") as fh:
             fh.writelines(pieces)
         os.replace(tmp, path)
     except OSError as exc:
@@ -354,12 +353,26 @@ def write_csv(path, rows: Iterable[Iterable]) -> None:
                         for row in rows))
 
 
+def read_lines(path) -> Iterator[str]:
+    """The lines of file ``path`` as ``str.splitlines`` cuts them, decoded
+    as UTF-8 a line at a time; a bad byte is named by file and offset."""
+    offset = 0
+    with open(path, "rb") as fh:
+        for raw in fh:
+            try:
+                yield from raw.decode().splitlines()
+            except UnicodeDecodeError as exc:
+                raise InputError(f"{path}: not UTF-8 text "
+                                 f"(byte {offset + exc.start})") from None
+            offset += len(raw)
+
+
 def _csv_rows(path, header_ok, expected: str
               ) -> list[tuple[int, dict[str, str]]]:
     """The line number and the fields, keyed by column, of every row of a
     CSV artifact whose header passes ``header_ok``; every row must have as
     many fields as the header."""
-    lines = Path(path).read_text().splitlines()
+    lines = list(read_lines(path))
     header = lines[0].split(",") if lines else []
     if not header_ok(header):
         raise InputError(f"{path}, line 1: expected {expected}")
@@ -389,13 +402,6 @@ def _dataset_lines(ds: Dataset) -> Iterator[str]:
 def save(ds: Dataset, path) -> None:
     """Write ``ds`` in the text format, a row at a time."""
     write_atomic(path, _dataset_lines(ds))
-
-
-def _lines(fh) -> Iterator[str]:
-    """The lines of a text file as ``str.splitlines`` cuts them, read a file
-    line at a time."""
-    for line in fh:
-        yield from line.splitlines()
 
 
 def _read_header(lines: Iterator[str]) -> dict:
@@ -433,8 +439,7 @@ def _rows(lines: Iterator[str]) -> Iterator[str]:
         if not line:
             blanks += 1
             continue
-        for _ in range(blanks):
-            yield ""
+        yield from repeat("", blanks)
         blanks = 0
         yield line
 
@@ -492,8 +497,8 @@ def _parse_rows(rows: list[str], start: int, lineno: int, n_units: int,
 
 
 def load(path) -> Dataset:
-    """Read a dataset file in one pass, a block of ``_BLOCK_ROWS`` rows at
-    a time.
+    """Read a dataset file in one pass through :func:`read_lines`, a block
+    of ``_BLOCK_ROWS`` rows at a time.
 
     Each block is parsed by :func:`_parse_block`, through numpy, and stored
     in arrays that double as blocks arrive, never past the header's ``n``.
@@ -506,43 +511,41 @@ def load(path) -> Dataset:
     """
     first = len(_HEADER_KEYS)
     try:
-        with open(path) as fh:
-            lines = _lines(fh)
-            header = _read_header(lines)
-            n_classes, n_units = header["C"], header["M"]
-            dim, n = header["D"], header["n"]
-            features = np.empty((0, dim))
-            observed = np.empty(0, dtype=np.int64)
-            true = np.empty(0, dtype=np.int64)
-            au = np.empty((0, n_units), dtype=np.int64)
-            texts = _rows(lines)
-            fault = None
-            rows = 0
-            while fault is None and rows < n:
-                block = list(islice(texts, min(_BLOCK_ROWS, n - rows)))
-                if not block:
-                    break
-                try:
-                    ints, values = _parse_block(block, rows, first + 1 + rows,
-                                                n_units, dim, n_classes)
-                except InputError as exc:
-                    fault = exc
-                else:
-                    end = rows + len(block)
-                    if end > len(observed):
-                        # no view of these arrays exists to be left dangling
-                        cap = min(max(2 * len(observed), end), n)
-                        features.resize((cap, dim), refcheck=False)
-                        au.resize((cap, n_units), refcheck=False)
-                        observed.resize(cap, refcheck=False)
-                        true.resize(cap, refcheck=False)
-                    observed[rows:end], true[rows:end] = ints[:, 1], ints[:, 2]
-                    au[rows:end] = ints[:, 3:]
-                    features[rows:end] = values
-                    del ints, values
-                rows += len(block)
-                del block   # freed before the next block is read
-            rows += sum(1 for _ in texts)
+        lines = read_lines(path)
+        header = _read_header(lines)
+        n_classes, n_units, dim, n = (header[key] for key in "CMDn")
+        features = np.empty((0, dim))
+        observed = np.empty(0, dtype=np.int64)
+        true = np.empty(0, dtype=np.int64)
+        au = np.empty((0, n_units), dtype=np.int64)
+        texts = _rows(lines)
+        fault = None
+        rows = 0
+        while fault is None and rows < n:
+            block = list(islice(texts, min(_BLOCK_ROWS, n - rows)))
+            if not block:
+                break
+            try:
+                ints, values = _parse_block(block, rows, first + 1 + rows,
+                                            n_units, dim, n_classes)
+            except InputError as exc:
+                fault = exc
+            else:
+                end = rows + len(block)
+                if end > len(observed):
+                    # no view of these arrays exists to be left dangling
+                    cap = min(max(2 * len(observed), end), n)
+                    features.resize((cap, dim), refcheck=False)
+                    au.resize((cap, n_units), refcheck=False)
+                    observed.resize(cap, refcheck=False)
+                    true.resize(cap, refcheck=False)
+                observed[rows:end], true[rows:end] = ints[:, 1], ints[:, 2]
+                au[rows:end] = ints[:, 3:]
+                features[rows:end] = values
+                del ints, values
+            rows += len(block)
+            del block   # freed before the next block is read
+        rows += sum(1 for _ in texts)
         if rows != n:
             raise InputError(
                 f"line {first + rows + 1}: header declares n={n} "
@@ -553,6 +556,8 @@ def load(path) -> Dataset:
                      header["corruption_rate"], header["seed"])
         ds.validate()
     except InputError as exc:
+        if str(exc).startswith(f"{path}: "):   # the reader names the file
+            raise
         where = ", " if str(exc).startswith("line ") else ": "
         raise InputError(f"{path}{where}{exc}") from None
     return ds

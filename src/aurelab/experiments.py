@@ -21,8 +21,8 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .data import (Dataset, DatasetSpec, check_corruption_rate,
-                   corrupt_labels, generate, train_test_split, write_atomic,
-                   write_csv)
+                   corrupt_labels, generate, read_lines, train_test_split,
+                   write_atomic, write_csv)
 from .errors import ConfigError
 from .relabel import correction_figures
 from .trainer import TrainConfig, TrainResult, evaluate, train
@@ -228,12 +228,10 @@ def write_table(rows: list[GridRow], path) -> None:
 
 
 def _parse_bool(value: str) -> bool:
-    v = value.strip().lower()
-    if v in ("1", "true", "yes", "on"):
-        return True
-    if v in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(value)
+    try:   # 1/0, true/false, yes/no, on/off
+        return configparser.ConfigParser.BOOLEAN_STATES[value.strip().lower()]
+    except KeyError:
+        raise ValueError(value) from None
 
 
 def _parse_lr_drops(value: str) -> tuple[tuple[int, float], ...]:
@@ -314,12 +312,10 @@ def load_spec(path=None, overrides=None, tables=EXPERIMENT_KINDS
     parser = configparser.ConfigParser(interpolation=None)
     if path is not None:
         try:
-            read = parser.read(path)
+            parser.read_string("\n".join(read_lines(path)), source=str(path))
         except configparser.Error as exc:
             # duplicate keys, a missing section header, a line without '='
             raise ConfigError(" ".join(str(exc).split())) from None
-        if not read:
-            raise FileNotFoundError(f"spec file not found: {path}")
     parser.read_dict(overrides or {})
     unknown_sections = set(parser.sections()) - set(_SPEC_KEYS)
     if unknown_sections:

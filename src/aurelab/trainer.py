@@ -27,7 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from .aux_branch import (AUGraph, AuxiliaryBranch, au_detection_loss,
                          build_au_graph, random_au_graph)
-from .data import Dataset, _csv_rows, batches, write_atomic, write_csv
+from .data import Dataset, _csv_rows, batches, read_lines, write_atomic, write_csv
 from .errors import ConfigError, InputError, TrainingDivergedError
 from .relabel import (RelabelRecord, SemanticTemplates, apply_corrections,
                       correction_figures, epoch_corrections)
@@ -381,9 +381,11 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint file; anything but a well-formed v2 checkpoint
     raises InputError."""
+    text = "\n".join(read_lines(path))
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        doc = json.loads(text)
+    except RecursionError:
+        raise InputError(f"{path}: not a JSON file (nested too deeply)") from None
     except ValueError as exc:
         raise InputError(f"{path}: not a JSON file ({exc})") from None
     fmt = doc.get("format") if isinstance(doc, dict) else None

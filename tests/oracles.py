@@ -103,41 +103,39 @@ def load_row_at_a_time(path):
     names the file as the library's does."""
     first = len(data._HEADER_KEYS)
     try:
-        with open(path) as fh:
-            lines = data._lines(fh)
-            header = data._read_header(lines)
-            n_classes, n_units = header["C"], header["M"]
-            dim, n = header["D"], header["n"]
-            features = np.empty((0, dim))
-            observed = np.empty(0, dtype=np.int64)
-            true = np.empty(0, dtype=np.int64)
-            au = np.empty((0, n_units), dtype=np.int64)
-            fault = None
-            rows = blanks = 0
-            for line in lines:
-                if not line:
-                    blanks += 1
-                    continue
-                for text in [""] * blanks + [line]:
-                    if fault is None and rows < n:
-                        try:
-                            obs, tru, bits, vals = _row_by_row(
-                                text, rows, first + 1 + rows, n_units, dim,
-                                n_classes)
-                        except InputError as exc:
-                            fault = exc
-                        else:
-                            if rows == len(observed):
-                                cap = min(2 * rows or 1, n)
-                                features.resize((cap, dim), refcheck=False)
-                                au.resize((cap, n_units), refcheck=False)
-                                observed.resize(cap, refcheck=False)
-                                true.resize(cap, refcheck=False)
-                            observed[rows], true[rows] = obs, tru
-                            au[rows] = bits
-                            features[rows] = vals
-                    rows += 1
-                blanks = 0
+        lines = data.read_lines(path)
+        header = data._read_header(lines)
+        n_classes, n_units, dim, n = (header[key] for key in "CMDn")
+        features = np.empty((0, dim))
+        observed = np.empty(0, dtype=np.int64)
+        true = np.empty(0, dtype=np.int64)
+        au = np.empty((0, n_units), dtype=np.int64)
+        fault = None
+        rows = blanks = 0
+        for line in lines:
+            if not line:
+                blanks += 1
+                continue
+            for text in [""] * blanks + [line]:
+                if fault is None and rows < n:
+                    try:
+                        obs, tru, bits, vals = _row_by_row(
+                            text, rows, first + 1 + rows, n_units, dim,
+                            n_classes)
+                    except InputError as exc:
+                        fault = exc
+                    else:
+                        if rows == len(observed):
+                            cap = min(2 * rows or 1, n)
+                            features.resize((cap, dim), refcheck=False)
+                            au.resize((cap, n_units), refcheck=False)
+                            observed.resize(cap, refcheck=False)
+                            true.resize(cap, refcheck=False)
+                        observed[rows], true[rows] = obs, tru
+                        au[rows] = bits
+                        features[rows] = vals
+                rows += 1
+            blanks = 0
         if rows != n:
             raise InputError(
                 f"line {first + rows + 1}: header declares n={n} "
@@ -148,6 +146,8 @@ def load_row_at_a_time(path):
                           header["corruption_rate"], header["seed"])
         ds.validate()
     except InputError as exc:
+        if str(exc).startswith(f"{path}: "):   # the reader names the file
+            raise
         where = ", " if str(exc).startswith("line ") else ": "
         raise InputError(f"{path}{where}{exc}") from None
     return ds

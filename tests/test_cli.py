@@ -73,6 +73,23 @@ class TestGen:
         _assert_error(rc, capsys, "Unable to allocate", code=2)
         assert not (tmp_path / "x.txt").exists()
 
+    # numpy refuses these unit tables with ValueError, not MemoryError
+    @pytest.mark.parametrize("aus", [10**18, 2**63])
+    @pytest.mark.parametrize("command", ["gen", "ablate"])
+    def test_unit_table_beyond_the_address_space_is_usage_error(
+            self, tmp_path, capsys, aus, command):
+        if command == "gen":
+            argv = ["gen", "--aus", str(aus), "--out", str(tmp_path / "x.txt")]
+        else:
+            spec = tmp_path / "spec.ini"
+            spec.write_text(f"[dataset]\nn_units = {aus}\n")
+            argv = ["ablate", "--spec", str(spec),
+                    "--out", str(tmp_path / "out")]
+        _assert_error(main(argv), capsys, f"a 5x{aus} unit table is too "
+                                          f"large to allocate", code=2)
+        assert not (tmp_path / "x.txt").exists()
+        assert not (tmp_path / "out").exists()
+
     def test_memory_error_elsewhere_is_not_a_usage_error(self, tmp_path,
                                                          monkeypatch):
         path = tmp_path / "x.txt"
@@ -721,7 +738,10 @@ class TestBrokenInputs:
         ("ablate --spec", "spec"), ("sweep --spec", "spec"),
         ("inspect graph", "three_run/au_adjacency.csv"),
         ("inspect audit", "three_run/relabel_audit.csv"),
-        ("inspect metrics", "three_run/metrics.csv")])
+        ("inspect metrics", "three_run/metrics.csv"),
+        ("inspect checkpoint", "three_run/checkpoint.json"),
+        ("eval --checkpoint", "three_run/checkpoint.json"),
+        ("train --resume", "three_run/checkpoint.json")])
     def test_file_that_is_not_utf8(self, dataset_files, runs, tmp_path,
                                    capsys, command, source):
         if source == "spec":
@@ -734,14 +754,48 @@ class TestBrokenInputs:
         path = tmp_path / "file"
         path.write_bytes(text[:1].encode() + b"\xff" + text[1:].encode())
         argv = command.split() + [str(path)]
-        if command == "train --data":
+        if command == "eval --checkpoint":
+            argv += ["--data", str(dataset_files[1])]
+        elif command.startswith("train"):
+            if command != "train --data":
+                argv += ["--data", str(dataset_files[0])]
             argv += ["--out", str(tmp_path / "run")]
-        elif command == "train --test-data":
-            argv += ["--data", str(dataset_files[0]),
-                     "--out", str(tmp_path / "run")]
-        _assert_error(main(argv), capsys, "can't decode byte 0xff")
+        rc = main(argv)
+        assert capsys.readouterr().err == \
+            f"error: {path}: not UTF-8 text (byte 1)\n"
+        assert rc == 3
         assert not (tmp_path / "run").exists()
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["inspect dataset", "train --data",
+                                         "train --test-data"])
+    def test_dataset_byte_that_is_not_utf8_is_named_by_its_offset(
+            self, dataset_files, tmp_path, capsys, command):
+        raw = dataset_files[0].read_bytes()
+        assert len(raw) > 9000
+        path = tmp_path / "ds.txt"
+        path.write_bytes(raw[:9000] + b"\xff" + raw[9000:])
+        argv = command.split() + [str(path)]
+        if command == "train --test-data":
+            argv += ["--data", str(dataset_files[0])]
+        if command.startswith("train"):
+            argv += ["--out", str(tmp_path / "run")]
+        rc = main(argv)
+        assert capsys.readouterr().err == \
+            f"error: {path}: not UTF-8 text (byte 9000)\n"
+        assert rc == 3
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "inspect", "resume"])
+    def test_checkpoint_nested_too_deeply(self, dataset_files, tmp_path,
+                                          capsys, command):
+        path = tmp_path / "checkpoint.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        rc = main(_checkpoint_argv(command, path, dataset_files, tmp_path))
+        assert capsys.readouterr().err == \
+            f"error: {path}: not a JSON file (nested too deeply)\n"
+        assert rc == 3
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("line,key", [(2, "M"), (3, "D")])
     def test_header_size_beyond_memory_that_the_rows_contradict(
@@ -1216,12 +1270,39 @@ class TestCellMemo:
         assert shared == fresh
 
 
-def run_aurelab(*argv, cwd) -> subprocess.CompletedProcess:
-    """``python -m aurelab argv`` in a fresh interpreter: what a user sees."""
+def run_aurelab(*argv, cwd, env=()) -> subprocess.CompletedProcess:
+    """``python -m aurelab argv`` in a fresh interpreter, with the variables
+    ``env`` laid over this one's environment: what a user sees."""
     src = Path(aurelab.__file__).resolve().parents[1]
     return subprocess.run([sys.executable, "-m", "aurelab", *argv], cwd=cwd,
-                          env={**os.environ, "PYTHONPATH": str(src)},
+                          env={**os.environ, **dict(env),
+                               "PYTHONPATH": str(src)},
                           capture_output=True, text=True, timeout=300)
+
+
+# the C locale, whose text encoding is ASCII, without Python's UTF-8 mode
+C_LOCALE = {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+
+
+class TestLocale:
+    """Files are written and read as UTF-8 whatever the locale."""
+
+    def test_spec_under_a_non_ascii_path_reads_back(self, tmp_path):
+        out = tmp_path / "out\u00e9"
+        proc = run_aurelab("ablate", "--out", str(out), "--epochs", "1",
+                           "--seeds", "0", "--size", "100", cwd=tmp_path,
+                           env=C_LOCALE)
+        assert proc.returncode == 0, proc.stderr
+        assert experiments.load_spec(out / "spec.resolved").out == str(out)
+
+    def test_utf8_spec_loads(self, tmp_path):
+        spec = tmp_path / "spec.ini"
+        spec.write_bytes(("# r\u00e9glage\n" + _tiny_spec_text(
+            "ablation", "out", seeds="0")).encode())
+        proc = run_aurelab("ablate", "--spec", str(spec), "--epochs", "1",
+                           cwd=tmp_path, env=C_LOCALE)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "out" / "ablation.csv").exists()
 
 
 class TestStderr:

@@ -1,9 +1,11 @@
+import ast
 import hashlib
 import os
 import re
 import tempfile
 import threading
 import tracemalloc
+from pathlib import Path
 
 import hypothesis
 import hypothesis.strategies as st
@@ -208,6 +210,67 @@ class TestSaveLoad:
 def at(path, pattern: str) -> str:
     """A load fault's pattern: ``pattern`` after the file's name."""
     return rf"^{re.escape(str(path))}, {pattern}"
+
+
+# text with every line end ``str.splitlines`` knows, and a non-ASCII letter
+LINE_TEXT = st.lists(st.sampled_from(["a", "7,", "\n", "\r", "\r\n", "\x0c",
+                                      "\x85", "\u2028", "\u00e9"]),
+                     max_size=40).map("".join)
+
+
+class TestReadLines:
+    """``read_lines`` is the one way a file is read: UTF-8 whatever the
+    locale, a line at a time, a bad byte named by file and offset."""
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(text=LINE_TEXT)
+    def test_lines_match_text_mode(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "f")
+            with open(path, "wb") as fh:
+                fh.write(text.encode())
+            with open(path, encoding="utf-8") as fh:
+                expected = [piece for line in fh
+                            for piece in line.splitlines()]
+            assert list(data.read_lines(path)) == expected
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(before=LINE_TEXT, after=LINE_TEXT,
+                      bad=st.sampled_from([b"\xff", b"\xc3", b"\x80",
+                                           b"\xed\xa0\x80"]))
+    def test_bad_byte_is_named_by_its_offset_in_the_file(self, before,
+                                                        after, bad):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "f")
+            with open(path, "wb") as fh:
+                fh.write(before.encode() + bad + after.encode())
+            with pytest.raises(InputError) as info:
+                list(data.read_lines(path))
+        assert str(info.value) == \
+            f"{path}: not UTF-8 text (byte {len(before.encode())})"
+
+    def test_only_read_lines_opens_a_file_to_read(self):
+        # (module, function, call) of every call that opens or reads a file
+        calls = []
+        for path in sorted(Path(data.__file__).parent.glob("*.py")):
+            for fn in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                for node in ast.walk(fn):
+                    if not isinstance(node, ast.Call):
+                        continue
+                    call = ast.unparse(node)
+                    name = ast.unparse(node.func).rsplit(".", 1)[-1]
+                    if name in ("open", "read_text", "read_bytes", "read",
+                                "read_file", "fromfile") or \
+                            call.startswith(("json.load(", "np.load(")):
+                        calls.append((path.name, fn.name, call))
+        assert calls == [
+            ("data.py", "write_atomic",
+             "open(tmp, 'w', encoding='utf-8', errors='surrogateescape')"),
+            ("data.py", "read_lines", "open(path, 'rb')")]
 
 
 class TestStreamedFormat:

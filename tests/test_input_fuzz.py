@@ -1,0 +1,132 @@
+"""Every reader of a user's file, fed arbitrary bytes or a valid file with a
+few bytes changed, inserted or deleted, fails only as a malformed input
+does: ``InputError``, ``ConfigError`` or ``OSError``, never another
+exception.  Inputs stay under 4 KiB and the runs are derandomized, so the
+same examples run every time."""
+
+import contextlib
+import io
+
+import hypothesis
+import hypothesis.strategies as st
+import pytest
+
+from aurelab import cli, data, experiments, relabel, trainer
+from aurelab.errors import ConfigError, InputError
+from aurelab.relabel import AUDIT_HEADER
+
+# a reader's name, and the call that reads the file at a path
+READERS = {
+    "dataset": data.load,
+    "audit": relabel.read_audit,
+    "metrics": trainer.read_metrics,
+    "checkpoint": trainer.load_checkpoint,
+    "spec": experiments.load_spec,
+}
+
+SPEC = """[experiment]
+name = ablation
+seeds = 0,1
+rate = 0.2
+out = out
+
+[dataset]
+n_classes = 3
+n_units = 6
+dim = 8
+n = 160
+test_fraction = 0.25
+
+[train]
+epochs = 3
+lr_drops = 2:0.005
+use_aux_branch = false
+"""
+
+
+@pytest.fixture(scope="module")
+def valid(tmp_path_factory):
+    """The bytes of one valid file of each kind, each under 4 KiB."""
+    root = tmp_path_factory.mktemp("valid")
+    ds = data.corrupt_labels(data.generate(2, 4, 1, 6, 4.0, 1.0, seed=0),
+                             0.5, seed=0)
+    cfg = trainer.TrainConfig(hidden_dim=1, feat_dim=1, node_dim=1,
+                              gcn_channels=1, epochs=1, batch_size=3,
+                              warmup_epochs=1, ramp_pivot=1, lr_drops=())
+    result = trainer.train(ds, cfg, eval_dataset=ds)
+    data.save(ds, root / "dataset")
+    trainer.save_checkpoint(result.checkpoint, root / "checkpoint")
+    trainer.write_metrics_csv(result.metrics, ds.n_classes, root / "metrics")
+    cli._write_graph_files(result.model.graph, root)
+    (root / "audit").write_text(f"{AUDIT_HEADER}\n3,0,1,0,0.75,0.25\n"
+                                f"3,4,0,1,1.5,0.125\n")
+    (root / "spec").write_text(SPEC)
+    files = {kind: (root / kind).read_bytes() for kind in READERS}
+    files["graph"] = (root / "au_adjacency_normalized.csv").read_bytes()
+    assert all(len(raw) < 4096 for raw in files.values())
+    return files
+
+
+# (offset, edit, byte): the byte at the offset is set to the byte, or the
+# byte is inserted there, or the byte there is deleted
+EDITS = st.lists(st.tuples(st.integers(0, 4095),
+                           st.sampled_from(["set", "insert", "delete"]),
+                           st.integers(0, 255)), min_size=1, max_size=6)
+
+
+def edited(raw: bytes, edits) -> bytes:
+    buf = bytearray(raw)
+    for at, edit, byte in edits:
+        at %= len(buf) + 1
+        if edit == "insert":
+            buf.insert(at, byte)
+        elif at < len(buf):
+            if edit == "set":
+                buf[at] = byte
+            else:
+                del buf[at]
+    return bytes(buf)
+
+
+SETTINGS = hypothesis.settings(max_examples=120, deadline=None,
+                               derandomize=True, database=None)
+# arbitrary bytes, or the edits to make to a valid file
+SOURCES = st.one_of(st.binary(max_size=4095), EDITS)
+
+
+def _bytes(valid_raw: bytes, source) -> bytes:
+    return source if isinstance(source, bytes) else edited(valid_raw, source)
+
+
+@pytest.mark.parametrize("kind", list(READERS))
+def test_reader_raises_only_input_errors(valid, tmp_path, kind):
+    path = tmp_path / kind
+
+    @SETTINGS
+    @hypothesis.given(source=SOURCES)
+    def read(source):
+        path.write_bytes(_bytes(valid[kind], source))
+        try:
+            READERS[kind](path)
+        except (InputError, ConfigError, OSError):
+            pass
+
+    read()
+
+
+def test_inspect_graph_exits_0_or_3_with_one_error_line(valid, tmp_path):
+    path = tmp_path / "graph.csv"
+
+    @SETTINGS
+    @hypothesis.given(source=SOURCES)
+    def inspect(source):
+        path.write_bytes(_bytes(valid["graph"], source))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(["inspect", "graph", str(path)])
+        assert rc in (0, 3)
+        if rc == 3:
+            assert err.getvalue().startswith(f"error: {path}")
+            assert err.getvalue().count("\n") == 1
+
+    inspect()
