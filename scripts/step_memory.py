@@ -1,5 +1,6 @@
 """Print the tracemalloc peak of one protocol cell's training steps and of
-its evaluations, above the memory its datasets hold.
+its evaluations, above the memory its datasets hold, and the peaks of
+writing and reading back its checkpoint.
 
     PYTHONPATH=src python scripts/step_memory.py --seed 0
     PYTHONPATH=/path/to/other/tree/src python scripts/step_memory.py --seed 0
@@ -13,11 +14,17 @@ first evaluation, or between two evaluations, is a training-step peak (the
 model's set-up before the first step falls there too), and the peak inside
 an evaluation an evaluation peak.  The checkpoint built after the last
 evaluation counts toward neither.  Both lines give the highest such peak in
-MB of 2**20 bytes, the unit of the benchmark's ``peak_rss_mb``.
+MB of 2**20 bytes, the unit of the benchmark's ``peak_rss_mb``.  Two more
+lines give, in the same unit, the peak of ``trainer.save_checkpoint``
+writing that checkpoint to a temporary file and of
+``trainer.load_checkpoint`` reading it back, each traced on its own, with
+the file's size.
 """
 
 import argparse
+import os
 import sys
+import tempfile
 import tracemalloc
 from dataclasses import replace
 
@@ -27,8 +34,20 @@ from aurelab.experiments import DatasetSpec, cell_config, make_cell_datasets
 MB = 2**20
 
 
-def phase_peaks(seed: int, batch_size: int | None) -> tuple[float, float]:
-    """(training-step peak, evaluation peak) in bytes above the datasets."""
+def traced_peak(call) -> int:
+    """The tracemalloc peak of ``call()`` in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def phase_peaks(seed: int, batch_size: int | None
+                ) -> tuple[int, int, trainer.Checkpoint]:
+    """(training-step peak, evaluation peak) in bytes above the datasets,
+    and the cell's checkpoint."""
     train_ds, test_ds = make_cell_datasets(DatasetSpec(), 0.2, seed)
     cfg = cell_config(trainer.TrainConfig(), seed)
     if batch_size is not None:
@@ -49,11 +68,20 @@ def phase_peaks(seed: int, batch_size: int | None) -> tuple[float, float]:
     trainer.evaluate = evaluate
     tracemalloc.start()
     try:
-        trainer.train(train_ds, cfg, eval_dataset=test_ds)
+        result = trainer.train(train_ds, cfg, eval_dataset=test_ds)
     finally:
         tracemalloc.stop()
         trainer.evaluate = real_evaluate
-    return peaks["steps"], peaks["evaluations"]
+    return peaks["steps"], peaks["evaluations"], result.checkpoint
+
+
+def checkpoint_peaks(ckpt: trainer.Checkpoint) -> tuple[int, int, int]:
+    """(save peak, load peak, file size) in bytes of ``ckpt``'s file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "checkpoint.json")
+        save = traced_peak(lambda: trainer.save_checkpoint(ckpt, path))
+        load = traced_peak(lambda: trainer.load_checkpoint(path))
+        return save, load, os.path.getsize(path)
 
 
 def main(argv=None) -> int:
@@ -62,9 +90,14 @@ def main(argv=None) -> int:
     parser.add_argument("--batch-size", type=int, default=None,
                         help="training batch size (default: the protocol's)")
     args = parser.parse_args(argv)
-    steps, evaluations = phase_peaks(args.seed, args.batch_size)
+    steps, evaluations, ckpt = phase_peaks(args.seed, args.batch_size)
     print(f"training steps: peak {steps / MB:.2f} MB above the datasets")
     print(f"evaluations:    peak {evaluations / MB:.2f} MB above the datasets")
+    save, load, size = checkpoint_peaks(ckpt)
+    print(f"save_checkpoint: peak {save / MB:.2f} MB for a "
+          f"{size / MB:.2f} MB file")
+    print(f"load_checkpoint: peak {load / MB:.2f} MB for a "
+          f"{size / MB:.2f} MB file")
     return 0
 
 

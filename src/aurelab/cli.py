@@ -29,7 +29,8 @@ every CSV a command writes, ``eval --out``'s included, goes through
 Exit codes: 0 success, 2 ``ConfigError`` (usage or configuration), 3
 ``InputError`` or ``OSError`` (a missing, unreadable or malformed file),
 4 ``TrainingDivergedError``.  An error is one ``error:`` line on stderr,
-and each warning shown one ``warning:`` line.
+and each warning shown one ``warning:`` line; numpy's floating-point
+warnings are not shown.
 """
 
 from __future__ import annotations
@@ -355,7 +356,10 @@ def main(argv=None) -> int:
     formatwarning = warnings.formatwarning
     warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
-        return args.func(args)
+        # numpy's overflow and invalid-value warnings would only precede
+        # the non-finite-loss error (exit 4) that a diverging run ends in
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -11,8 +11,10 @@ active action units drawn from its true class's prototype pattern.
 
 from __future__ import annotations
 
+import codecs
 import hashlib
 import os
+import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from itertools import islice, repeat
@@ -232,6 +234,12 @@ class DatasetSpec:
                                   f"{getattr(self, name)}")
         # the class and unit minimums and the search budget
         emotion_au_table(self.n_classes, self.n_units)
+        # numpy refuses an array past the address space with ValueError, so
+        # the features and unit bits, 8 bytes a value, are checked here
+        if self.n * max(self.dim, self.n_units) * 8 > sys.maxsize:
+            raise ConfigError(f"a dataset of n={self.n}, dim={self.dim}, "
+                              f"C={self.n_classes}, M={self.n_units} is too "
+                              f"large to allocate")
 
 
 @np.errstate(over="raise", invalid="raise")
@@ -355,10 +363,13 @@ def write_csv(path, rows: Iterable[Iterable]) -> None:
 
 def read_lines(path) -> Iterator[str]:
     """The lines of file ``path`` as ``str.splitlines`` cuts them, decoded
-    as UTF-8 a line at a time; a bad byte is named by file and offset."""
+    as UTF-8 a line at a time, without a byte-order mark at byte 0; a bad
+    byte is named by file and by its offset from byte 0."""
     offset = 0
     with open(path, "rb") as fh:
         for raw in fh:
+            if not offset and raw.startswith(codecs.BOM_UTF8):
+                raw, offset = raw[len(codecs.BOM_UTF8):], len(codecs.BOM_UTF8)
             try:
                 yield from raw.decode().splitlines()
             except UnicodeDecodeError as exc:

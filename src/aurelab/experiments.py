@@ -16,6 +16,7 @@ share trains once per process, and the memo holds it without its run.
 from __future__ import annotations
 
 import configparser
+import os
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -242,6 +243,14 @@ def _parse_lr_drops(value: str) -> tuple[tuple[int, float], ...]:
                  (part.partition(":") for part in value.split(",")))
 
 
+def _parse_path(value: str) -> str:
+    """The file-system path that ``value``'s UTF-8 bytes name, so that a
+    spec's text names the path the same text given as a flag names.  Under
+    a UTF-8 or an ASCII (the C locale's) file-system encoding, flag text
+    comes back unchanged."""
+    return os.fsdecode(value.strip().encode("utf-8", "surrogateescape"))
+
+
 def _list_kind(parse, expected: str):
     """The kind of a comma-separated list of ``parse`` values."""
     return (lambda v: tuple(parse(s) for s in v.split(",")),
@@ -270,7 +279,7 @@ _SPEC_KEYS = {
         "name": _KINDS[str],
         "seeds": _list_kind(int, "comma-separated integers"),
         "rates": _list_kind(float, "comma-separated numbers"),
-        "rate": _KINDS[float], "out": _KINDS[str],
+        "rate": _KINDS[float], "out": (_parse_path, str, "text"),
     },
     "dataset": _field_keys(DatasetSpec()),
     "train": _field_keys(TrainConfig()),

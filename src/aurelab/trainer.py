@@ -19,7 +19,8 @@ from __future__ import annotations
 import ctypes
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from collections.abc import Iterator
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cache
 
 import numpy as np
@@ -85,6 +86,8 @@ class TrainConfig:
             raise ConfigError(f"ramp_pivot must be >= 1, got {self.ramp_pivot}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+        if self.epochs >= 2**63:   # templates and audits hold epochs as int64
+            raise ConfigError(f"epochs must be < 2**63, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         rates = [("lr_initial", self.lr_initial), ("lr_aux", self.lr_aux)]
@@ -372,10 +375,33 @@ class Checkpoint:
 CHECKPOINT_FORMAT = "aurelab-checkpoint-v2"
 
 
+def _json_pieces(value) -> Iterator[str]:
+    """The JSON text of ``value`` in pieces no larger than one matrix row: a
+    dict, or a dataclass by its fields, key by key, a 2-D array row by row,
+    anything else, an array as its list, in one ``json.dumps``.  The pieces
+    join to the text one ``json.dumps`` of the whole gives, since the same
+    encoder writes every number."""
+    if is_dataclass(value):
+        value = vars(value)
+    if isinstance(value, dict):
+        yield "{"
+        for i, (key, item) in enumerate(value.items()):
+            yield f"{', ' if i else ''}{json.dumps(key)}: "
+            yield from _json_pieces(item)
+        yield "}"
+    elif isinstance(value, np.ndarray) and value.ndim == 2:
+        yield "["
+        for i, row in enumerate(value):
+            yield f"{', ' if i else ''}{json.dumps(row.tolist())}"
+        yield "]"
+    else:
+        yield json.dumps(value.tolist() if isinstance(value, np.ndarray)
+                         else value)
+
+
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    doc = {"format": CHECKPOINT_FORMAT, **vars(ckpt)}
-    write_atomic(path, [json.dumps(doc, default=lambda obj: (
-        obj.tolist() if isinstance(obj, np.ndarray) else vars(obj)))])
+    """Write ``ckpt`` as a v2 checkpoint file, a matrix row at a time."""
+    write_atomic(path, _json_pieces({"format": CHECKPOINT_FORMAT, **vars(ckpt)}))
 
 
 def load_checkpoint(path) -> Checkpoint:

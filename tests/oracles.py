@@ -8,6 +8,7 @@ gradients must equal these compositions bit for bit.
 """
 
 import itertools
+import json
 import math
 import warnings
 
@@ -17,6 +18,7 @@ from aurelab import autodiff as ad
 from aurelab import data
 from aurelab.relabel import RelabelRecord, decide_relabel, semantic_distances
 from aurelab.errors import InputError
+from aurelab.trainer import CHECKPOINT_FORMAT
 
 import tape_kit as tk
 
@@ -151,6 +153,14 @@ def load_row_at_a_time(path):
         where = ", " if str(exc).startswith("line ") else ": "
         raise InputError(f"{path}{where}{exc}") from None
     return ds
+
+
+def one_shot_checkpoint_text(ckpt) -> str:
+    """A checkpoint file's text as ``save_checkpoint`` wrote it before it
+    wrote a matrix row at a time: the whole document in one ``json.dumps``."""
+    return json.dumps({"format": CHECKPOINT_FORMAT, **vars(ckpt)},
+                      default=lambda obj: obj.tolist()
+                      if isinstance(obj, np.ndarray) else vars(obj))
 
 
 def scalar_class_weights(labels, n_classes) -> list:

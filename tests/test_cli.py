@@ -1304,6 +1304,20 @@ class TestLocale:
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "out" / "ablation.csv").exists()
 
+    @pytest.mark.parametrize("command,name", [("ablate", "ablation"),
+                                              ("sweep", "noise_sweep")])
+    def test_spec_out_names_the_path_the_flag_does(self, tmp_path, command,
+                                                   name):
+        spec = tmp_path / "spec.ini"
+        spec.write_bytes(_tiny_spec_text(name, "out\u00e9", seeds="0",
+                                         rates="0.2").encode())
+        proc = run_aurelab(command, "--spec", str(spec), "--epochs", "1",
+                           "--size", "100", cwd=tmp_path, env=C_LOCALE)
+        assert proc.returncode == 0, proc.stderr
+        out = tmp_path / "out\u00e9"   # the path ``--out out\u00e9`` names
+        assert (out / experiments.TABLE_FILES[name]).exists()
+        assert experiments.load_spec(out / "spec.resolved").out == "out\u00e9"
+
 
 class TestStderr:
     """Every warning a command raises is one ``warning:`` line on stderr,

@@ -1,4 +1,5 @@
 import ast
+import codecs
 import hashlib
 import os
 import re
@@ -250,6 +251,23 @@ class TestReadLines:
                 list(data.read_lines(path))
         assert str(info.value) == \
             f"{path}: not UTF-8 text (byte {len(before.encode())})"
+
+    def test_byte_order_mark_is_dropped_at_byte_0_only(self, tmp_path):
+        path = tmp_path / "f"
+        path.write_bytes(codecs.BOM_UTF8 + b"a\n" + codecs.BOM_UTF8 + b"b\n")
+        assert list(data.read_lines(path)) == ["a", "\ufeffb"]
+        path.write_bytes(codecs.BOM_UTF8)
+        assert list(data.read_lines(path)) == []
+
+    def test_bad_byte_after_a_byte_order_mark_is_named_from_byte_0(
+            self, tmp_path):
+        path = tmp_path / "f"
+        path.write_bytes(codecs.BOM_UTF8 + b"ab\n\xff")
+        with pytest.raises(InputError, match=r"\(byte 6\)$"):
+            list(data.read_lines(path))
+        path.write_bytes(codecs.BOM_UTF8 + b"a\xff")
+        with pytest.raises(InputError, match=r"\(byte 4\)$"):
+            list(data.read_lines(path))
 
     def test_only_read_lines_opens_a_file_to_read(self):
         # (module, function, call) of every call that opens or reads a file

@@ -2,10 +2,18 @@
 few bytes changed, inserted or deleted, fails only as a malformed input
 does: ``InputError``, ``ConfigError`` or ``OSError``, never another
 exception.  Inputs stay under 4 KiB and the runs are derandomized, so the
-same examples run every time."""
+same examples run every time.
 
+Every command that takes a number, given an extreme or malformed value for
+one numeric flag on tiny data, exits 0, 2, 3 or 4 with no traceback and no
+numpy floating-point warning, and a failure prints one ``error:`` line."""
+
+import codecs
 import contextlib
 import io
+import pickle
+import tempfile
+import warnings
 
 import hypothesis
 import hypothesis.strategies as st
@@ -130,3 +138,115 @@ def test_inspect_graph_exits_0_or_3_with_one_error_line(valid, tmp_path):
             assert err.getvalue().count("\n") == 1
 
     inspect()
+
+
+@pytest.mark.parametrize("kind", list(READERS))
+def test_byte_order_mark_reads_as_the_file_without_it(valid, tmp_path, kind):
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_bytes(valid[kind])
+    marked.write_bytes(codecs.BOM_UTF8 + valid[kind])
+    assert pickle.dumps(READERS[kind](marked)) == \
+        pickle.dumps(READERS[kind](plain))
+
+
+def test_inspect_graph_reads_a_byte_order_mark_as_without_it(valid, tmp_path,
+                                                             capsys):
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_bytes(valid["graph"])
+    marked.write_bytes(codecs.BOM_UTF8 + valid["graph"])
+    assert cli.main(["inspect", "graph", str(plain)]) == 0
+    printed = capsys.readouterr().out
+    assert cli.main(["inspect", "graph", str(marked)]) == 0
+    assert capsys.readouterr().out == printed
+
+
+TINY_SPEC = """[dataset]
+n_classes = 3
+n_units = 6
+dim = 4
+n = 40
+
+[train]
+hidden_dim = 4
+feat_dim = 4
+node_dim = 2
+gcn_channels = 2
+batch_size = 16
+warmup_epochs = 0
+ramp_pivot = 1
+lr_drops =
+"""
+
+# each command's tiny run, and the flags of it that take a number; {out} is
+# a fresh output directory and {inputs} the tiny dataset's and spec's
+TINY_RUNS = {
+    "gen": (["--out", "{out}/ds.txt", "--size", "40", "--dim", "4",
+             "--classes", "3", "--aus", "6", "--test-fraction", "0.25"],
+            ["--classes", "--aus", "--dim", "--size", "--spread", "--noise",
+             "--au-noise", "--corruption", "--test-fraction", "--seed"]),
+    "train": (["--data", "{inputs}/ds.txt", "--test-data", "{inputs}/ds.txt.test",
+               "--out", "{out}", "--epochs", "2", "--batch-size", "16"],
+              ["--epochs", "--batch-size", "--high-fraction", "--rank-margin",
+               "--ramp-pivot", "--warmup-epochs", "--lr", "--lr-aux",
+               "--momentum", "--seed"]),
+    "ablate": (["--spec", "{inputs}/tiny.spec", "--out", "{out}", "--epochs", "1",
+                "--seeds", "0"], ["--seeds", "--epochs", "--size", "--rate"]),
+    "sweep": (["--spec", "{inputs}/tiny.spec", "--out", "{out}", "--epochs", "1",
+               "--seeds", "0", "--rates", "0.2"],
+              ["--seeds", "--epochs", "--size", "--rates"]),
+}
+NUMERIC_FLAGS = [(command, flag) for command, (_, flags) in TINY_RUNS.items()
+                 for flag in flags]
+FLAG_VALUES = ["nan", "inf", "-inf", "1e308", "-1", "0", str(10**20), "abc",
+               ""]
+
+
+@pytest.fixture(scope="module")
+def tiny_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tiny")
+    argv, _ = TINY_RUNS["gen"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["gen", *(a.format(out=root) for a in argv)]) == 0
+    (root / "tiny.spec").write_text(TINY_SPEC)
+    return root
+
+
+def test_numeric_flag_value_exits_with_a_documented_code(tiny_inputs,
+                                                         tmp_path):
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(command_flag=st.sampled_from(NUMERIC_FLAGS),
+                      value=st.sampled_from(FLAG_VALUES))
+    # what a scan of every flag and value found: a run that never ended,
+    # a ValueError traceback, and numpy's overflow warnings
+    @hypothesis.example(command_flag=("train", "--epochs"), value=str(10**20))
+    @hypothesis.example(command_flag=("gen", "--dim"), value=str(10**20))
+    @hypothesis.example(command_flag=("sweep", "--size"), value=str(10**20))
+    @hypothesis.example(command_flag=("train", "--lr"), value="1e308")
+    @hypothesis.example(command_flag=("train", "--lr-aux"), value="1e308")
+    def run(command_flag, value):
+        command, flag = command_flag
+        out = tempfile.mkdtemp(dir=tmp_path)
+        argv = [a.format(out=out, inputs=tiny_inputs)
+                for a in TINY_RUNS[command][0]]
+        if flag in argv:
+            argv[argv.index(flag) + 1] = value
+        else:
+            argv += [flag, value]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                rc = cli.main([command, *argv])
+            except SystemExit as exc:   # argparse refuses the value
+                rc = exc.code
+        assert rc in (0, 2, 3, 4)
+        assert "Traceback" not in stderr.getvalue()
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        if rc:
+            assert sum("error: " in line for line in
+                       stderr.getvalue().splitlines()) == 1, stderr.getvalue()
+
+    run()

@@ -5,6 +5,7 @@ import platform
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import weakref
 from dataclasses import fields, replace
@@ -27,9 +28,9 @@ from aurelab.trainer import (Checkpoint, TrainConfig, evaluate,
                              load_checkpoint, ramp_weights, save_checkpoint,
                              total_loss, train)
 import tape_kit as tk
-from oracles import (nearest_prototype_accuracy, one_step_at_a_time,
-                     per_parameter_sgd, scalar_correction_figures,
-                     scalar_ramp_weights)
+from oracles import (nearest_prototype_accuracy, one_shot_checkpoint_text,
+                     one_step_at_a_time, per_parameter_sgd,
+                     scalar_correction_figures, scalar_ramp_weights)
 
 FAST = TrainConfig(epochs=4, batch_size=32, warmup_epochs=2, ramp_pivot=2,
                    hidden_dim=16, feat_dim=8, node_dim=4, gcn_channels=8,
@@ -692,12 +693,42 @@ class TestCheckpointing:
         assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]
 
 
+class TestCheckpointWriter:
+    """``save_checkpoint`` writes the text a one-shot ``json.dumps`` of the
+    document gives, a matrix row at a time."""
+
+    @pytest.mark.parametrize("lr_drops", [(), ((3, 5e-3),)])
+    @pytest.mark.parametrize("use_target,use_aux", [
+        (True, True), (True, False), (False, True), (False, False)])
+    def test_file_equals_the_one_shot_encoding(self, tmp_path, use_target,
+                                               use_aux, lr_drops):
+        ckpt = train(tiny_ds(), replace(
+            FAST, epochs=2, momentum=0.5, lr_drops=lr_drops,
+            use_target_branch=use_target, use_aux_branch=use_aux)).checkpoint
+        path = tmp_path / "ck.json"
+        save_checkpoint(ckpt, path)
+        assert path.read_bytes() == one_shot_checkpoint_text(ckpt).encode()
+
+    def test_peak_memory_is_a_fraction_of_the_file(self, tmp_path):
+        ds = generate(5, 10, 128, 256, 4.0, 1.0, seed=0)
+        ckpt = train(ds, TrainConfig(epochs=1, batch_size=128)).checkpoint
+        path = tmp_path / "ck.json"
+        tracemalloc.start()
+        try:
+            save_checkpoint(ckpt, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * path.stat().st_size
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize("field,value", [
         ("high_fraction", 0.0), ("high_fraction", 1.0),
         ("rank_margin", -0.1), ("ramp_pivot", 0), ("batch_size", 0),
         ("lr_initial", 0.0), ("lr_aux_decay", 0.0), ("momentum", 1.0),
-        ("leaky_slope", 0.0), ("epochs", -1), ("seed", -1),
+        ("leaky_slope", 0.0), ("epochs", -1), ("epochs", 2**63),
+        ("seed", -1),
         ("lr_initial", math.nan), ("lr_initial", math.inf),
         ("lr_aux", math.nan), ("lr_aux", math.inf),
         ("rank_margin", math.inf), ("rank_margin", math.nan),
