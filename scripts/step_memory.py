@@ -18,7 +18,7 @@ MB of 2**20 bytes, the unit of the benchmark's ``peak_rss_mb``.  Two more
 lines give, in the same unit, the peak of ``trainer.save_checkpoint``
 writing that checkpoint to a temporary file and of
 ``trainer.load_checkpoint`` reading it back, each traced on its own, with
-the file's size.
+the file's size and the peak as a multiple of it.
 """
 
 import argparse
@@ -94,10 +94,9 @@ def main(argv=None) -> int:
     print(f"training steps: peak {steps / MB:.2f} MB above the datasets")
     print(f"evaluations:    peak {evaluations / MB:.2f} MB above the datasets")
     save, load, size = checkpoint_peaks(ckpt)
-    print(f"save_checkpoint: peak {save / MB:.2f} MB for a "
-          f"{size / MB:.2f} MB file")
-    print(f"load_checkpoint: peak {load / MB:.2f} MB for a "
-          f"{size / MB:.2f} MB file")
+    for name, peak in (("save_checkpoint", save), ("load_checkpoint", load)):
+        print(f"{name}: peak {peak / MB:.2f} MB for a {size / MB:.2f} MB "
+              f"file ({peak / size:.2f}× the file)")
     return 0
 
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 import argparse
 import errno
 import os
+import re
 import sys
 import warnings
 from dataclasses import replace
@@ -349,9 +350,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the start of a negative number; argparse reads one that is not an integer
+# or a plain decimal (``-inf``, ``-1e3``) as an option, not a flag's value
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d|-inf|-nan", re.IGNORECASE)
+
+
+def _negative_values_joined(argv: list[str]) -> list[str]:
+    """``argv`` with each negative number that follows a long option joined
+    to it, ``--lr -inf`` as ``--lr=-inf``."""
+    args = []
+    for i, arg in enumerate(argv):
+        if arg == "--":   # the rest are positional
+            return args + argv[i:]
+        if (args and args[-1].startswith("--") and "=" not in args[-1]
+                and _NEGATIVE_NUMBER.match(arg)):
+            args[-1] += f"={arg}"
+        else:
+            args.append(arg)
+    return args
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_negative_values_joined(
+        sys.argv[1:] if argv is None else list(argv)))
     # a warning shown on stderr is one line, as an error is
     formatwarning = warnings.formatwarning
     warnings.formatwarning = lambda message, *_: f"warning: {message}\n"

@@ -286,8 +286,8 @@ def read_metrics(path) -> list[dict[str, str]]:
         f"a metrics header starting '{','.join(fixed)}'")]
 
 
-# Decoders of a checkpoint's JSON values; each raises AttributeError,
-# KeyError, OverflowError, TypeError or ValueError on a malformed value.
+# Decoders of a checkpoint's JSON values raise one of these on a bad value.
+_MALFORMED = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
 
 _JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
 
@@ -404,10 +404,67 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     write_atomic(path, _json_pieces({"format": CHECKPOINT_FORMAT, **vars(ckpt)}))
 
 
+_scan = json.JSONDecoder().raw_decode
+_MATRIX_FIELDS = ("params", "velocities")
+
+
+def _walk_checkpoint(text: str) -> Checkpoint:
+    """The checkpoint of ``text``, one JSON object with ``save_checkpoint``'s
+    separators (``", "`` and ``": "``) between its keys, values and matrix
+    rows, each parameter and velocity decoded a row at a time straight into
+    float64: every leaf a JSON float, every row of one length, every value
+    finite.  Keys may come in any order, and a later duplicate replaces the
+    value, as in ``json.loads``.  Any other text raises one of
+    ``_MALFORMED`` or RecursionError, also where ``json.loads`` would read
+    it (an integer leaf, a parameter with no row, other white space)."""
+
+    def skip(pos: int, literal: str) -> int:
+        if not text.startswith(literal, pos):
+            raise ValueError(f"expected {literal!r} at character {pos}")
+        return pos + len(literal)
+
+    def walk_object(pos: int, value_at) -> tuple[dict, int]:
+        obj = {}
+        pos = skip(pos, "{")
+        while not text.startswith("}", pos):
+            key, pos = _scan(text, skip(pos, ", ") if obj else pos)
+            if type(key) is not str:
+                raise TypeError(f"key {key!r} is not a string")
+            obj[key], pos = value_at(key, skip(pos, ": "))
+        return obj, pos + 1
+
+    def matrix(_, pos: int) -> tuple[np.ndarray, int]:
+        rows = []
+        pos = skip(pos, "[")
+        while not text.startswith("]", pos):
+            row, pos = _scan(text, skip(pos, ", ") if rows else pos)
+            if set(map(type, row)) != {float}:   # TypeError if not a list
+                raise TypeError("not a row of JSON floats")
+            rows.append(np.fromiter(row, float, len(row)))
+        arr = np.stack(rows)   # ValueError without rows of one length
+        if not np.isfinite(arr).all():
+            raise ValueError("a non-finite value")
+        return arr, pos + 1
+
+    doc, end = walk_object(0, lambda key, pos: walk_object(pos, matrix)
+                           if key in _MATRIX_FIELDS else _scan(text, pos))
+    if end != len(text) or doc["format"] != CHECKPOINT_FORMAT:
+        raise ValueError(f"not an {CHECKPOINT_FORMAT} document alone")
+    return Checkpoint(**{f.name: doc[f.name] if f.name in _MATRIX_FIELDS
+                         else f.metadata["decode"](doc[f.name])
+                         for f in fields(Checkpoint)})
+
+
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint file; anything but a well-formed v2 checkpoint
-    raises InputError."""
+    raises InputError.  The file is walked a matrix row at a time by
+    ``_walk_checkpoint``; a text that walk does not accept is decoded again
+    as one document, which gives its one result or message."""
     text = "\n".join(read_lines(path))
+    try:
+        return _walk_checkpoint(text)
+    except (*_MALFORMED, RecursionError):
+        pass
     try:
         doc = json.loads(text)
     except RecursionError:
@@ -424,8 +481,7 @@ def load_checkpoint(path) -> Checkpoint:
     for f in fields(Checkpoint):
         try:
             values[f.name] = f.metadata["decode"](doc[f.name])
-        except (AttributeError, KeyError, OverflowError, TypeError,
-                ValueError) as exc:
+        except _MALFORMED as exc:
             raise InputError(f"{path}: field '{f.name}' is missing or "
                              f"malformed ({exc})") from None
     return Checkpoint(**values)

@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 import warnings
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from aurelab import autodiff as ad
 from aurelab import data
 from aurelab.relabel import RelabelRecord, decide_relabel, semantic_distances
 from aurelab.errors import InputError
-from aurelab.trainer import CHECKPOINT_FORMAT
+from aurelab.trainer import CHECKPOINT_FORMAT, Checkpoint
 
 import tape_kit as tk
 
@@ -161,6 +162,58 @@ def one_shot_checkpoint_text(ckpt) -> str:
     return json.dumps({"format": CHECKPOINT_FORMAT, **vars(ckpt)},
                       default=lambda obj: obj.tolist()
                       if isinstance(obj, np.ndarray) else vars(obj))
+
+
+def one_shot_load_checkpoint(path) -> Checkpoint:
+    """A checkpoint file as ``load_checkpoint`` read it before it walked
+    the file a matrix row at a time: the whole document in one
+    ``json.loads``, then each field through its decoder."""
+    text = "\n".join(data.read_lines(path))
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise InputError(f"{path}: not a JSON file (nested too deeply)") from None
+    except ValueError as exc:
+        raise InputError(f"{path}: not a JSON file ({exc})") from None
+    fmt = doc.get("format") if isinstance(doc, dict) else None
+    if fmt == "aurelab-checkpoint-v1":
+        raise InputError(f"{path}: v1 checkpoints are no longer read; "
+                         f"retrain to write {CHECKPOINT_FORMAT}")
+    if fmt != CHECKPOINT_FORMAT:
+        raise InputError(f"{path}: not an {CHECKPOINT_FORMAT} file")
+    values = {}
+    for f in fields(Checkpoint):
+        try:
+            values[f.name] = f.metadata["decode"](doc[f.name])
+        except (AttributeError, KeyError, OverflowError, TypeError,
+                ValueError) as exc:
+            raise InputError(f"{path}: field '{f.name}' is missing or "
+                             f"malformed ({exc})") from None
+    return Checkpoint(**values)
+
+
+def bits(value):
+    """``value`` as plain data that is equal only for the same types and
+    bits: an array as its dtype, shape and bytes, a dataclass or dict as
+    its items in order, anything else with its type."""
+    if isinstance(value, np.ndarray):
+        return "array", value.dtype.str, value.shape, value.tobytes()
+    if is_dataclass(value):
+        return type(value).__name__, bits(vars(value))
+    if isinstance(value, dict):
+        return "dict", [(key, bits(item)) for key, item in value.items()]
+    if isinstance(value, tuple):
+        return "tuple", [bits(item) for item in value]
+    return type(value).__name__, repr(value)
+
+
+def checkpoint_outcome(load, path):
+    """``load(path)``'s checkpoint as ``bits``, or the text of the
+    InputError it raises."""
+    try:
+        return bits(load(path))
+    except InputError as exc:
+        return "InputError", str(exc)
 
 
 def scalar_class_weights(labels, n_classes) -> list:

@@ -1,12 +1,15 @@
 """Every reader of a user's file, fed arbitrary bytes or a valid file with a
 few bytes changed, inserted or deleted, fails only as a malformed input
 does: ``InputError``, ``ConfigError`` or ``OSError``, never another
-exception.  Inputs stay under 4 KiB and the runs are derandomized, so the
-same examples run every time.
+exception; the checkpoint reader returns what the one-shot reader of the
+whole document returns, or raises its message.  Inputs stay under 4 KiB
+and the runs are derandomized, so the same examples run every time.
 
 Every command that takes a number, given an extreme or malformed value for
 one numeric flag on tiny data, exits 0, 2, 3 or 4 with no traceback and no
-numpy floating-point warning, and a failure prints one ``error:`` line."""
+numpy floating-point warning, and a failure prints one ``error:`` line; a
+negative value given as its own argument reads as the same value joined
+to its flag with ``=``."""
 
 import codecs
 import contextlib
@@ -22,6 +25,7 @@ import pytest
 from aurelab import cli, data, experiments, relabel, trainer
 from aurelab.errors import ConfigError, InputError
 from aurelab.relabel import AUDIT_HEADER
+from oracles import checkpoint_outcome, one_shot_load_checkpoint
 
 # a reader's name, and the call that reads the file at a path
 READERS = {
@@ -118,6 +122,29 @@ def test_reader_raises_only_input_errors(valid, tmp_path, kind):
             READERS[kind](path)
         except (InputError, ConfigError, OSError):
             pass
+
+    read()
+
+
+def test_checkpoint_reads_as_the_one_shot_reader(valid, tmp_path):
+    """A checkpoint with a few bytes edited, or cut short at any byte, gives
+    the one-shot reader's checkpoint or exactly its message."""
+    path = tmp_path / "checkpoint"
+    raw = valid["checkpoint"]
+    # digits set to other digits: files the row-at-a-time walk often reads
+    digits = [at for at, byte in enumerate(raw) if byte in b"0123456789"]
+    digit_sets = st.lists(st.tuples(st.sampled_from(digits), st.just("set"),
+                                    st.sampled_from(b"0123456789")),
+                          min_size=1, max_size=3)
+
+    @hypothesis.settings(SETTINGS, max_examples=200)
+    @hypothesis.given(source=st.one_of(EDITS, digit_sets,
+                                       st.integers(0, len(raw))))
+    def read(source):
+        path.write_bytes(raw[:source] if isinstance(source, int)
+                         else edited(raw, source))
+        assert checkpoint_outcome(trainer.load_checkpoint, path) == \
+            checkpoint_outcome(one_shot_load_checkpoint, path)
 
     read()
 
@@ -227,26 +254,53 @@ def test_numeric_flag_value_exits_with_a_documented_code(tiny_inputs,
     def run(command_flag, value):
         command, flag = command_flag
         out = tempfile.mkdtemp(dir=tmp_path)
-        argv = [a.format(out=out, inputs=tiny_inputs)
-                for a in TINY_RUNS[command][0]]
-        if flag in argv:
-            argv[argv.index(flag) + 1] = value
-        else:
-            argv += [flag, value]
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), \
-                contextlib.redirect_stderr(stderr), \
-                warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                rc = cli.main([command, *argv])
-            except SystemExit as exc:   # argparse refuses the value
-                rc = exc.code
+        rc, _, stderr, caught = run_main(
+            tiny_argv(command, flag, out, tiny_inputs, flag, value))
         assert rc in (0, 2, 3, 4)
-        assert "Traceback" not in stderr.getvalue()
+        assert "Traceback" not in stderr
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         if rc:
             assert sum("error: " in line for line in
-                       stderr.getvalue().splitlines()) == 1, stderr.getvalue()
+                       stderr.splitlines()) == 1, stderr
 
     run()
+
+
+@pytest.mark.parametrize("value", ["-inf", "-1e3"])
+@pytest.mark.parametrize("command,flag", NUMERIC_FLAGS)
+def test_negative_value_on_its_own_reads_as_joined_to_its_flag(
+        tiny_inputs, tmp_path, command, flag, value):
+    """``--lr -inf`` is ``--lr=-inf``: the flag's own check refuses it in
+    one ``error:`` line, where argparse took ``-inf`` for an option."""
+    apart, joined = (run_main(tiny_argv(command, flag, tmp_path, tiny_inputs,
+                                        *given))[:3]
+                     for given in ([flag, value], [f"{flag}={value}"]))
+    assert apart == joined
+    rc, _, stderr = apart
+    assert rc == 2
+    if (command, flag) != ("gen", "--seed"):   # argparse's int, not a key
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1, \
+            stderr
+
+
+def tiny_argv(command: str, flag: str, out, inputs, *given: str) -> list[str]:
+    """``command``'s tiny run with ``flag`` and its value there, if any,
+    replaced by the arguments ``given``."""
+    argv = [a.format(out=out, inputs=inputs) for a in TINY_RUNS[command][0]]
+    if flag in argv:
+        del argv[argv.index(flag):argv.index(flag) + 2]
+    return [command, *argv, *given]
+
+
+def run_main(argv: list[str]) -> tuple[int, str, str, list]:
+    """(exit code, stdout, stderr, warnings raised) of ``cli.main(argv)``."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:   # argparse refuses the arguments
+            rc = exc.code
+    return rc, stdout.getvalue(), stderr.getvalue(), caught

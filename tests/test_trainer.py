@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -28,7 +29,8 @@ from aurelab.trainer import (Checkpoint, TrainConfig, evaluate,
                              load_checkpoint, ramp_weights, save_checkpoint,
                              total_loss, train)
 import tape_kit as tk
-from oracles import (nearest_prototype_accuracy, one_shot_checkpoint_text,
+from oracles import (bits, checkpoint_outcome, nearest_prototype_accuracy,
+                     one_shot_checkpoint_text, one_shot_load_checkpoint,
                      one_step_at_a_time, per_parameter_sgd,
                      scalar_correction_figures, scalar_ramp_weights)
 
@@ -693,6 +695,14 @@ class TestCheckpointing:
         assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]
 
 
+@pytest.fixture(scope="module")
+def wide_checkpoint():
+    """A 128-dim model's checkpoint after one epoch at batch 128: a file of
+    about 1.8 MB, nearly all parameter and velocity rows."""
+    ds = generate(5, 10, 128, 256, 4.0, 1.0, seed=0)
+    return train(ds, TrainConfig(epochs=1, batch_size=128)).checkpoint
+
+
 class TestCheckpointWriter:
     """``save_checkpoint`` writes the text a one-shot ``json.dumps`` of the
     document gives, a matrix row at a time."""
@@ -709,17 +719,129 @@ class TestCheckpointWriter:
         save_checkpoint(ckpt, path)
         assert path.read_bytes() == one_shot_checkpoint_text(ckpt).encode()
 
-    def test_peak_memory_is_a_fraction_of_the_file(self, tmp_path):
-        ds = generate(5, 10, 128, 256, 4.0, 1.0, seed=0)
-        ckpt = train(ds, TrainConfig(epochs=1, batch_size=128)).checkpoint
+    def test_peak_memory_is_a_fraction_of_the_file(self, tmp_path,
+                                                   wide_checkpoint):
         path = tmp_path / "ck.json"
         tracemalloc.start()
         try:
-            save_checkpoint(ckpt, path)
+            save_checkpoint(wide_checkpoint, path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * path.stat().st_size
+
+
+def _first_leaf_set(doc: dict, field: str, value) -> dict:
+    """``doc`` with the first entry of the first matrix of ``field`` set."""
+    doc = copy.deepcopy(doc)
+    next(iter(doc[field].values()))[0][0] = value
+    return doc
+
+
+def _with(doc: dict, **items) -> dict:
+    """``doc`` with ``items`` set, or deleted where an item is None."""
+    doc = {**doc, **items}
+    return {key: value for key, value in doc.items() if value is not None}
+
+
+# re-encodings of a checkpoint's document that read back as the one-shot
+# reader reads them, whether the row-at-a-time walk or the whole-document
+# decoding reads them; -0.0 keeps its sign bit
+SAME_DOCUMENT = {
+    "indented": lambda doc: json.dumps(doc, indent=1),
+    "reordered keys": lambda doc: json.dumps(dict(reversed(doc.items()))),
+    "integer leaf": lambda doc: json.dumps(_first_leaf_set(doc, "params", 1)),
+    "duplicated key": lambda doc: json.dumps(doc)[:-1] + ', "epoch": 1}',
+    "duplicated parameter": lambda doc: json.dumps(doc).replace(
+        '"params": {', f'"params": {{"{next(iter(doc["params"]))}": [[0.5]], ',
+        1),
+    "extra key": lambda doc: json.dumps(_with(doc, rng_state=[1, 2])),
+    "trailing space": lambda doc: json.dumps(doc) + " ",
+    # a 1 x 0 matrix reads; restore_model refuses its shape
+    "empty row": lambda doc: json.dumps(_with(doc, params={"w": [[]]})),
+    "negative zero": lambda doc: json.dumps(
+        _first_leaf_set(doc, "velocities", -0.0)),
+}
+# texts that neither reader accepts; both raise the same message
+FAULTY_DOCUMENT = {
+    "NaN leaf": lambda doc: json.dumps(
+        _first_leaf_set(doc, "params", math.nan)),
+    "infinite leaf": lambda doc: json.dumps(
+        _first_leaf_set(doc, "velocities", 1e400)),
+    "true leaf": lambda doc: json.dumps(_first_leaf_set(doc, "params", True)),
+    "string leaf": lambda doc: json.dumps(
+        _first_leaf_set(doc, "params", "0.5")),
+    "null leaf": lambda doc: json.dumps(_first_leaf_set(doc, "params", None)),
+    "nested leaf": lambda doc: json.dumps(
+        _first_leaf_set(doc, "params", [0.5])),
+    "ragged rows": lambda doc: json.dumps(
+        _with(doc, params={"w": [[0.5, 0.5], [0.5]]})),
+    "empty matrix": lambda doc: json.dumps(_with(doc, velocities={"w": []})),
+    "missing key": lambda doc: json.dumps(_with(doc, templates=None)),
+    "key that is not a string": lambda doc: json.dumps(doc).replace(
+        '"epoch": ', '1: 2, "epoch": ', 1),
+    "v1": lambda doc: json.dumps(_with(doc, format="aurelab-checkpoint-v1")),
+    "syntax fault": lambda doc: json.dumps(doc)[:-1],
+    "text past the closing brace": lambda doc: json.dumps(doc) + " x",
+    "nested too deeply": lambda doc: json.dumps(doc).replace(
+        '"epoch": ', '"epoch": ' + "[" * 100000, 1),
+}
+
+
+class TestCheckpointReader:
+    """``load_checkpoint`` walks a matrix row at a time to the checkpoint
+    the one-shot reader of the whole document returns, or to its message."""
+
+    @pytest.fixture(scope="class")
+    def doc(self, tmp_path_factory):
+        """The document of a small checkpoint, as ``json.loads`` reads it."""
+        path = tmp_path_factory.mktemp("reader") / "ck.json"
+        save_checkpoint(train(tiny_ds(), replace(FAST, epochs=2)).checkpoint,
+                        path)
+        return json.loads(path.read_text())
+
+    @pytest.mark.parametrize("lr_drops", [(), ((3, 5e-3),)])
+    @pytest.mark.parametrize("use_target,use_aux", [
+        (True, True), (True, False), (False, True), (False, False)])
+    def test_every_field_equals_the_one_shot_reader(self, tmp_path, use_target,
+                                                    use_aux, lr_drops):
+        ckpt = train(tiny_ds(), replace(
+            FAST, epochs=2, momentum=0.5, lr_drops=lr_drops,
+            use_target_branch=use_target, use_aux_branch=use_aux)).checkpoint
+        path = tmp_path / "ck.json"
+        save_checkpoint(ckpt, path)
+        assert checkpoint_outcome(load_checkpoint, path) == \
+            checkpoint_outcome(one_shot_load_checkpoint, path) == bits(ckpt)
+
+    @pytest.mark.parametrize("encoding", list(SAME_DOCUMENT))
+    def test_another_encoding_reads_as_the_one_shot_reader(self, tmp_path, doc,
+                                                           encoding):
+        path = tmp_path / "ck.json"
+        path.write_text(SAME_DOCUMENT[encoding](doc))
+        expected = checkpoint_outcome(one_shot_load_checkpoint, path)
+        assert expected[0] == "Checkpoint"
+        assert checkpoint_outcome(load_checkpoint, path) == expected
+
+    @pytest.mark.parametrize("fault", list(FAULTY_DOCUMENT))
+    def test_a_fault_raises_the_one_shot_readers_message(self, tmp_path, doc,
+                                                         fault):
+        path = tmp_path / "ck.json"
+        path.write_text(FAULTY_DOCUMENT[fault](doc))
+        expected = checkpoint_outcome(one_shot_load_checkpoint, path)
+        assert expected[0] == "InputError"
+        assert checkpoint_outcome(load_checkpoint, path) == expected
+
+    def test_peak_memory_is_under_2_4_times_the_file(self, tmp_path,
+                                                     wide_checkpoint):
+        path = tmp_path / "ck.json"
+        save_checkpoint(wide_checkpoint, path)
+        tracemalloc.start()
+        try:
+            load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.4 * path.stat().st_size
 
 
 class TestConfigValidation:
