@@ -4,11 +4,14 @@ writing and reading back its checkpoint.
 
     PYTHONPATH=src python scripts/step_memory.py --seed 0
     PYTHONPATH=/path/to/other/tree/src python scripts/step_memory.py --seed 0
+    PYTHONPATH=src python scripts/step_memory.py --seed 0 --dim 128 --batch-size 128
 
 The cell is ``experiments.run_cell``'s with both branches on: the README's
 protocol datasets at 20% corruption and the default ``TrainConfig``, with
-``--batch-size`` in place of its batch of 48 when given.  Tracing starts
-once the datasets exist, so their arrays are not counted.  While ``train``
+``--dim`` features in place of the protocol's 16 and ``--batch-size`` in
+place of its batch of 48 when given (the last line above is the benchmark's
+``file_pipeline`` step).  Tracing starts once the datasets exist, so their
+arrays are not counted.  While ``train``
 runs, ``trainer.evaluate`` is wrapped: the peak between the start and the
 first evaluation, or between two evaluations, is a training-step peak (the
 model's set-up before the first step falls there too), and the peak inside
@@ -44,11 +47,11 @@ def traced_peak(call) -> int:
         tracemalloc.stop()
 
 
-def phase_peaks(seed: int, batch_size: int | None
+def phase_peaks(seed: int, dim: int, batch_size: int | None
                 ) -> tuple[int, int, trainer.Checkpoint]:
     """(training-step peak, evaluation peak) in bytes above the datasets,
     and the cell's checkpoint."""
-    train_ds, test_ds = make_cell_datasets(DatasetSpec(), 0.2, seed)
+    train_ds, test_ds = make_cell_datasets(DatasetSpec(dim=dim), 0.2, seed)
     cfg = cell_config(trainer.TrainConfig(), seed)
     if batch_size is not None:
         cfg = replace(cfg, batch_size=batch_size)
@@ -87,10 +90,13 @@ def checkpoint_peaks(ckpt: trainer.Checkpoint) -> tuple[int, int, int]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, required=True, help="cell seed")
+    parser.add_argument("--dim", type=int, default=DatasetSpec().dim,
+                        help="feature dimension (default: the protocol's)")
     parser.add_argument("--batch-size", type=int, default=None,
                         help="training batch size (default: the protocol's)")
     args = parser.parse_args(argv)
-    steps, evaluations, ckpt = phase_peaks(args.seed, args.batch_size)
+    steps, evaluations, ckpt = phase_peaks(args.seed, args.dim,
+                                           args.batch_size)
     print(f"training steps: peak {steps / MB:.2f} MB above the datasets")
     print(f"evaluations:    peak {evaluations / MB:.2f} MB above the datasets")
     save, load, size = checkpoint_peaks(ckpt)

@@ -1,13 +1,14 @@
 """Dense float64 matrices with reverse-mode gradients.
 
 Every value is a two dimensional float64 matrix wrapped in a :class:`Tensor`.
-Applying a primitive records the operation on the result node (operands plus
-a vector-Jacobian callback), so the graph doubles as the gradient tape:
-:func:`gradients` replays it backward from a scalar loss and returns exactly
-one shape-matched gradient per requested parameter.  :func:`node` builds an
-interior node from a result and a hand-written vector-Jacobian product; the
-primitives below use it, and so do the training losses, each of which is a
-single node.
+Applying a primitive gives the result a tape entry: its parents' entries and
+a vector-Jacobian callback, but no values.  :func:`gradients` replays the
+entries backward from a scalar loss and returns exactly one shape-matched
+gradient per requested parameter.  A value lives only as long as a caller or
+a vjp closure holds it, so an interior matrix no vjp reads is freed while the
+loss built on it is still alive.  :func:`node` builds an interior node from a
+result and a hand-written vector-Jacobian product; the primitives below use
+it, and so do the training losses, each of which is a single node.
 
 Shapes are strict.  Elementwise primitives require identical shapes; the only
 sanctioned mismatches are the named primitives ``add_row`` (row-vector bias),
@@ -32,26 +33,41 @@ def _as_matrix(data) -> Array:
     return arr
 
 
+class _Tape:
+    """A node's entry on the gradient tape: its parents' entries, ``None``
+    for a parent that needs no gradient, and its vjp.  A tracked leaf's
+    entry has no parents and no vjp."""
+
+    __slots__ = ("parents", "vjp")
+
+    def __init__(self, parents: tuple, vjp: Callable[[Array], tuple] | None):
+        self.parents = parents
+        self.vjp = vjp
+
+
 class Tensor:
     """A float64 matrix node in the computation graph.
 
     Leaves come from :func:`parameter` (tracked for gradients) or
     :func:`constant` (plain data).  Interior nodes are produced by the
-    primitives below.  ``data`` must not be mutated while a graph
-    referencing it is still alive, except for the in-place parameter
-    updates an optimizer performs between steps.  A trained parameter's
-    ``data`` is a view of its branch's flat buffer, which the trainer
-    updates in place: it is written only in place, never rebound.
+    primitives below.  A node that needs a gradient has a tape entry; a
+    constant has none.  ``data`` must not be mutated while a vjp that
+    reads it is still alive, except for the in-place parameter updates an
+    optimizer performs between steps.  A trained parameter's ``data`` is a
+    view of its branch's flat buffer, which the trainer updates in place:
+    it is written only in place, never rebound.
     """
 
-    __slots__ = ("data", "requires_grad", "name", "_parents", "_vjp")
+    __slots__ = ("data", "name", "_tape")
 
     def __init__(self, data, requires_grad: bool = False, name: str = ""):
         self.data = _as_matrix(data)
-        self.requires_grad = bool(requires_grad)
         self.name = name
-        self._parents: tuple[Tensor, ...] = ()
-        self._vjp: Callable[[Array], tuple] | None = None
+        self._tape = _Tape((), None) if requires_grad else None
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._tape is not None
 
     @property
     def rows(self) -> int:
@@ -94,21 +110,16 @@ def node(data: Array, parents: tuple[Tensor, ...], vjp) -> Tensor:
     ``vjp(g)`` receives the upstream gradient (an array shaped like
     ``data``) and returns one entry per parent, in parent order: that
     parent's gradient contribution, or ``None`` when the parent needs no
-    gradient.  A node none of whose parents needs a gradient is a constant
-    and keeps neither parents nor ``vjp``.  ``data`` is taken as it is; only
-    the leaves convert and check their input.
+    gradient.  The node's tape entry keeps the parents' entries and ``vjp``,
+    not the parents; a node none of whose parents needs a gradient is a
+    constant and gets no entry.  ``data`` is taken as it is; only the
+    leaves convert and check their input.
     """
     out = Tensor.__new__(Tensor)
     out.data = data
     out.name = ""
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._vjp = vjp
-    else:
-        out.requires_grad = False
-        out._parents = ()
-        out._vjp = None
+    entries = tuple([p._tape for p in parents])
+    out._tape = _Tape(entries, vjp) if any(entries) else None
     return out
 
 
@@ -212,15 +223,15 @@ def block_matmul(left: Array, x: Tensor, block_rows: int) -> Tensor:
         raise ShapeError(f"left must be {block_rows}x{block_rows}, got {left.shape}")
     if x.rows % block_rows != 0:
         raise ShapeError(f"{x.rows} rows do not divide into blocks of {block_rows}")
-    n_blocks = x.rows // block_rows
-    cols = x.cols
+    rows, cols = x.shape
+    n_blocks = rows // block_rows
     blocks = x.data.reshape(n_blocks, block_rows, cols)
-    out = np.matmul(left, blocks).reshape(x.rows, cols)
+    out = np.matmul(left, blocks).reshape(rows, cols)
     left_t = left.T
 
     def vjp(g: Array):
         gb = g.reshape(n_blocks, block_rows, cols)
-        return (np.matmul(left_t, gb).reshape(x.rows, cols),)
+        return (np.matmul(left_t, gb).reshape(rows, cols),)
 
     return node(out, (x,), vjp)
 
@@ -235,10 +246,10 @@ def block_row_dot(x: Tensor, w: Tensor) -> Tensor:
     if x.cols != cols or x.rows % block_rows != 0:
         raise ShapeError(f"{x.shape} does not stack into blocks of {w.shape}")
     x3 = x.data.reshape(-1, block_rows, cols)
-    wd = w.data
+    wd, shape = w.data, x.shape
 
     def vjp(g: Array):
-        return (np.einsum("bm,mc->bmc", g, wd).reshape(x.shape),
+        return (np.einsum("bm,mc->bmc", g, wd).reshape(shape),
                 np.einsum("bm,bmc->mc", g, x3))
 
     return node((x3 * wd).sum(axis=2), (x, w), vjp)
@@ -248,16 +259,17 @@ def block_row_dot(x: Tensor, w: Tensor) -> Tensor:
 # backward pass
 
 
-def _topo_order(root: Tensor) -> list[Tensor]:
-    """Depth-first post-order of the nodes that need a gradient.
+def _topo_order(root: _Tape) -> list[_Tape]:
+    """Depth-first post-order of the tape entries below ``root``.
 
-    The order fixes the order in which a node's gradient contributions are
-    summed, so it decides the gradient's last bits.  Nodes are keyed by
-    identity (``Tensor`` keeps the default hash).
+    The tape holds parents' entries and vjps, not values, and entries
+    stand one for one for the nodes that need a gradient.  The order fixes
+    the order in which a node's gradient contributions are summed, so it
+    decides the gradient's last bits.  Entries are keyed by identity.
     """
-    order: list[Tensor] = []
-    seen: set[Tensor] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    order: list[_Tape] = []
+    seen: set[_Tape] = set()
+    stack: list[tuple[_Tape, bool]] = [(root, False)]
     pop, push, visit = stack.pop, stack.append, seen.add
     while stack:
         t, expanded = pop()
@@ -268,8 +280,8 @@ def _topo_order(root: Tensor) -> list[Tensor]:
             continue
         visit(t)
         push((t, True))
-        for p in t._parents:
-            if p.requires_grad and p not in seen:
+        for p in t.parents:
+            if p is not None and p not in seen:
                 push((p, False))
     return order
 
@@ -278,22 +290,23 @@ def gradients(loss: Tensor, params: Sequence[Tensor]) -> list[Array]:
     """Gradient of a 1x1 ``loss`` with respect to each tensor in ``params``.
 
     Returns one array per parameter, shape-matched; parameters the loss does
-    not depend on get zeros.
+    not depend on get zeros.  The tape is left as it was, so a second call
+    on the same loss gives the same arrays.
     """
     if loss.shape != (1, 1):
         raise ShapeError(f"loss must be 1x1, got {loss.shape}")
-    grads: dict[Tensor, Array] = {loss: np.ones((1, 1))}
-    for t in reversed(_topo_order(loss)):
-        if t._vjp is None:
+    root = loss._tape or _Tape((), None)   # an untracked loss reaches none
+    grads: dict[_Tape, Array] = {root: np.ones((1, 1))}
+    for t in reversed(_topo_order(root)):
+        if t.vjp is None:
             continue
         g = grads.pop(t, None)
         if g is None:
             continue
-        for p, pg in zip(t._parents, t._vjp(g)):
-            if pg is None or not p.requires_grad:
+        for p, pg in zip(t.parents, t.vjp(g)):
+            if pg is None or p is None:
                 continue
             acc = grads.get(p)
             grads[p] = pg if acc is None else acc + pg
-    return [g if (g := grads.get(p)) is not None
+    return [g if (g := grads.get(p._tape)) is not None
             else np.zeros_like(p.data) for p in params]
-

@@ -15,10 +15,11 @@ Each of ``gen``'s flags but ``--seed`` and ``--out`` is a spec key too: a
 ``[dataset]`` key (``--classes`` is ``n_classes``, ``--spread``
 ``class_spread``), or ``[experiment] rate`` for ``--corruption``, laid
 over ``DatasetSpec`` and checked by ``DatasetSpec.validate`` before
-anything is generated.  Every such flag's text goes through
-``experiments.parse_value``, the parser of spec files, so a value that
-does not parse is the same ``[train] epochs = '1.5': expected an
-integer`` line, exit 2, whichever command it is given to.  ``inspect``
+anything is generated; ``--seed`` is read as ``[train] seed`` is.  Every
+numeric flag's text goes through ``experiments.parse_value``, the parser
+of spec files, so a value that does not parse is the same ``[train]
+epochs = '1.5': expected an integer`` line, exit 2, whichever command it
+is given to.  ``inspect``
 reads a file with the reader beside its writer (``relabel.read_audit``,
 ``trainer.read_metrics``); only the unit-graph CSVs are this module's.
 Every file a command reads is opened and decoded as UTF-8 by
@@ -105,17 +106,17 @@ def _label_histogram(ds: data.Dataset) -> str:
 
 
 def cmd_gen(args) -> int:
+    seed = experiments.parse_value("train", "seed", args.seed)
     rate = _flag_values(args, "experiment")["rate"]
     d = data.DatasetSpec(**_flag_values(args, "dataset"))
     data.check_corruption_rate(rate)
     d.validate()
     ds = data.generate(d.n_classes, d.n_units, d.dim, d.n, d.class_spread,
-                       d.within_noise, args.seed, au_noise=d.au_noise)
+                       d.within_noise, seed, au_noise=d.au_noise)
     test_ds = None
     if d.test_fraction > 0:
-        ds, test_ds = data.train_test_split(ds, d.test_fraction,
-                                            seed=args.seed)
-    ds = data.corrupt_labels(ds, rate, seed=args.seed)
+        ds, test_ds = data.train_test_split(ds, d.test_fraction, seed=seed)
+    ds = data.corrupt_labels(ds, rate, seed=seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     data.save(ds, out)
@@ -308,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corruption", dest="experiment.rate", default="0")
     p.add_argument("--test-fraction", dest="dataset.test_fraction",
                    default="0", help="also write a clean held-out <out>.test")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default="0")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("train", help="train on a dataset file")

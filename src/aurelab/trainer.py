@@ -173,10 +173,15 @@ class Model:
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Class predictions from the classifier logits alone; the detection
-        branch and the confidence scale play no part."""
-        x = ad.constant(np.asarray(features, dtype=np.float64))
-        feats = self.target.features(x)
-        return np.argmax(self.target.logits(feats).data, axis=1)
+        branch and the confidence scale play no part.  The forward runs a
+        training batch of rows at a time, so no activation is wider."""
+        x = np.asarray(features, dtype=np.float64)
+        step = self.config.batch_size
+        preds = []
+        for start in range(0, max(len(x), 1), step):  # no rows: one slice
+            feats = self.target.features(ad.constant(x[start:start + step]))
+            preds.append(np.argmax(self.target.logits(feats).data, axis=1))
+        return np.concatenate(preds)
 
 
 def init_model(dataset: Dataset, config: TrainConfig) -> Model:

@@ -352,6 +352,13 @@ def per_parameter_sgd(params, velocities, grads, lrs, momentum) -> None:
         params[name] = params[name] - lrs[name] * g
 
 
+def whole_set_predict(model, features) -> np.ndarray:
+    """``Model.predict`` in one forward over every row at once."""
+    x = ad.constant(np.asarray(features, dtype=np.float64))
+    feats = model.target.features(x)
+    return np.argmax(model.target.logits(feats).data, axis=1)
+
+
 def composed_weighted_cross_entropy(features, classifier_w, confidence,
                                     class_wts, labels):
     """Confidence- and class-scaled softmax cross-entropy, one primitive per

@@ -1,5 +1,6 @@
 import ast
 import math
+import weakref
 import zlib
 from pathlib import Path
 
@@ -129,7 +130,7 @@ class TestGradients:
         w = ad.parameter(rand(rng, 10, 64))
         g = rand(rng, 48, 10)
         out = ad.block_row_dot(x, w)
-        gx, gw = out._vjp(g)
+        gx, gw = out._tape.vjp(g)
         want_x, want_w = broadcast_block_row_dot_grads(
             g, x.data.reshape(48, 10, 64), w.data)
         assert gx.tobytes() == want_x.reshape(x.shape).tobytes()
@@ -152,7 +153,8 @@ class TestGradients:
 
         def loss_fn():
             s = ad.sigmoid(x)
-            node = ad.node(s.data, (x,), lambda g: (factor * s._vjp(g)[0],))
+            node = ad.node(s.data, (x,),
+                           lambda g: (factor * s._tape.vjp(g)[0],))
             return ad.total_sum(tk.mul(node, probe))
 
         report = tk.check_gradients(loss_fn, [x])
@@ -301,6 +303,75 @@ class TestGradients:
         a = tk.softmax_row(ad.sigmoid(ad.constant(x))).data
         b = tk.softmax_row(ad.sigmoid(ad.constant(x.copy()))).data
         assert a.tobytes() == b.tobytes()
+
+
+class TestTape:
+    """The tape keeps parents' entries and vjps, not values: a value that
+    no vjp reads is freed while a loss built on it is alive, and replaying
+    the tape leaves it as it was."""
+
+    def test_matmul_output_under_add_row_is_freed(self):
+        rng = np.random.default_rng(0)
+        x = ad.constant(rand(rng, 6, 3))
+        w, b = ad.parameter(rand(rng, 3, 4)), ad.parameter(rand(rng, 1, 4))
+        probe = ad.constant(rand(rng, 6, 4))
+        product = ad.matmul(x, w)
+        freed = weakref.ref(product.data)
+        loss = ad.total_sum(tk.mul(ad.add_row(product, b), probe))
+        del product
+        assert freed() is None
+        kept = ad.matmul(x, w)
+        want = ad.gradients(
+            ad.total_sum(tk.mul(ad.add_row(kept, b), probe)), [w, b])
+        for got, expected in zip(ad.gradients(loss, [w, b]), want):
+            assert got.tobytes() == expected.tobytes()
+
+    def test_leaky_relu_output_under_block_matmul_is_freed(self):
+        # the shape of the first graph convolution's output feeding the
+        # second's propagation
+        rng = np.random.default_rng(1)
+        nodes = ad.parameter(rand(rng, 12, 4))
+        w = ad.parameter(rand(rng, 4, 5))
+        left = rng.random((3, 3))
+        hidden = ad.leaky_relu(nodes, 0.01)
+        freed = weakref.ref(hidden.data)
+        loss = ad.total_sum(ad.matmul(ad.block_matmul(left, hidden, 3), w))
+        del hidden
+        assert freed() is None
+        report = tk.check_gradients(lambda: ad.total_sum(ad.matmul(
+            ad.block_matmul(left, ad.leaky_relu(nodes, 0.01), 3), w)),
+            [nodes, w])
+        assert report.max_rel_error < 1e-6
+        kept = ad.leaky_relu(nodes, 0.01)
+        want = ad.gradients(
+            ad.total_sum(ad.matmul(ad.block_matmul(left, kept, 3), w)),
+            [nodes, w])
+        for got, expected in zip(ad.gradients(loss, [nodes, w]), want):
+            assert got.tobytes() == expected.tobytes()
+
+    def test_a_second_replay_gives_the_same_bits(self):
+        rng = np.random.default_rng(2)
+        w1, w2 = ad.parameter(rand(rng, 3, 4)), ad.parameter(rand(rng, 4, 2))
+        x = ad.constant(rand(rng, 6, 3))
+        h = ad.leaky_relu(ad.matmul(x, w1), 0.01)
+        z = ad.matmul(h, w2)
+        # z feeds three nodes, so its contributions are summed
+        loss = tk.add(ad.total_sum(ad.sigmoid(z)),
+                      tk.add(ad.total_sum(ad.log_softmax_row(z)),
+                             ad.total_sum(ad.row_sum(z))))
+        first = ad.gradients(loss, [w1, w2])
+        second = ad.gradients(loss, [w1, w2])
+        assert [g.tobytes() for g in first] == [g.tobytes() for g in second]
+        assert all(g.any() for g in first)
+
+    def test_a_loss_with_no_tracked_parent_gives_zeros(self):
+        rng = np.random.default_rng(3)
+        w = ad.parameter(rand(rng, 3, 4))
+        loss = ad.total_sum(ad.matmul(ad.constant(rand(rng, 2, 3)),
+                                      ad.constant(w.data.copy())))
+        assert not loss.requires_grad
+        (g,) = ad.gradients(loss, [w])
+        assert g.shape == w.shape and not g.any()
 
 
 def test_every_public_autodiff_name_has_a_caller():

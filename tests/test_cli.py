@@ -120,7 +120,8 @@ class TestGen:
                                   f"{aus} units found within", code=2)
         assert not (tmp_path / "x.txt").exists()
 
-    # every flag that is a spec key, the key, and whether it reads integers
+    # every numeric flag, the spec key it is read as, and whether it reads
+    # integers
     FLAG_KEYS = {"--classes": ("[dataset] n_classes", True),
                  "--aus": ("[dataset] n_units", True),
                  "--dim": ("[dataset] dim", True),
@@ -129,7 +130,8 @@ class TestGen:
                  "--noise": ("[dataset] within_noise", False),
                  "--au-noise": ("[dataset] au_noise", False),
                  "--test-fraction": ("[dataset] test_fraction", False),
-                 "--corruption": ("[experiment] rate", False)}
+                 "--corruption": ("[experiment] rate", False),
+                 "--seed": ("[train] seed", True)}
 
     @pytest.mark.parametrize("value", ["x", "nan", "inf", "-1", "1e300"])
     @pytest.mark.parametrize("flag", list(FLAG_KEYS))

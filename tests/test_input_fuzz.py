@@ -278,9 +278,7 @@ def test_negative_value_on_its_own_reads_as_joined_to_its_flag(
     assert apart == joined
     rc, _, stderr = apart
     assert rc == 2
-    if (command, flag) != ("gen", "--seed"):   # argparse's int, not a key
-        assert stderr.startswith("error: ") and stderr.count("\n") == 1, \
-            stderr
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1, stderr
 
 
 def tiny_argv(command: str, flag: str, out, inputs, *given: str) -> list[str]:

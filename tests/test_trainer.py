@@ -32,7 +32,8 @@ import tape_kit as tk
 from oracles import (bits, checkpoint_outcome, nearest_prototype_accuracy,
                      one_shot_checkpoint_text, one_shot_load_checkpoint,
                      one_step_at_a_time, per_parameter_sgd,
-                     scalar_correction_figures, scalar_ramp_weights)
+                     scalar_correction_figures, scalar_ramp_weights,
+                     whole_set_predict)
 
 FAST = TrainConfig(epochs=4, batch_size=32, warmup_epochs=2, ramp_pivot=2,
                    hidden_dim=16, feat_dim=8, node_dim=4, gcn_channels=8,
@@ -334,6 +335,27 @@ class TestTrainLoop:
         assert all(ref() is None for ref in losses)
         assert bool(result.records) == both
 
+    def test_a_wide_step_keeps_only_what_backward_reads(self, monkeypatch):
+        # file_pipeline's shape: 128 features and a batch of 128, so one
+        # step's node matrices are 1280 x 64.  Values no vjp reads are freed
+        # as the forward goes (7.06 MB when the tape held every value).
+        ds = generate(5, 10, 128, 128, 4.0, 1.0, seed=0)
+        peaks = []
+        real_step = trainer._train_step
+
+        def traced_step(*args):
+            tracemalloc.start()
+            try:
+                return real_step(*args)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+
+        monkeypatch.setattr(trainer, "_train_step", traced_step)
+        train(ds, TrainConfig(epochs=1, batch_size=128))
+        assert len(peaks) == 1
+        assert peaks[0] < 6.2 * 2**20, f"{peaks[0] / 2**20:.2f} MB"
+
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="the heap setting is glibc's")
     def test_repeated_training_keeps_the_heap(self):
@@ -465,7 +487,22 @@ class TestFlatUpdate:
             assert all(got[n].tobytes() == want[n].tobytes() for n in want)
 
 
+@pytest.fixture(scope="module")
+def fast_model():
+    return train(tiny_ds(corruption=0), FAST).model
+
+
 class TestEvaluate:
+    @pytest.mark.parametrize("rows", [1, FAST.batch_size - 1,
+                                      FAST.batch_size, FAST.batch_size + 1,
+                                      400])
+    def test_predict_equals_the_whole_set_forward(self, fast_model, rows):
+        features = generate(3, 6, 8, 400, 4.0, 1.0, seed=11).features[:rows]
+        got = fast_model.predict(features)
+        want = whole_set_predict(fast_model, features)
+        assert got.dtype == want.dtype and got.shape == want.shape == (rows,)
+        assert got.tobytes() == want.tobytes()
+
     def test_confusion_trace_equals_accuracy(self):
         ds = tiny_ds(corruption=0)
         result = train(ds, FAST)
