@@ -21,7 +21,11 @@ MB of 2**20 bytes, the unit of the benchmark's ``peak_rss_mb``.  Two more
 lines give, in the same unit, the peak of ``trainer.save_checkpoint``
 writing that checkpoint to a temporary file and of
 ``trainer.load_checkpoint`` reading it back, each traced on its own, with
-the file's size and the peak as a multiple of it.
+the file's size and the peak as a multiple of it.  The last line gives
+``load_checkpoint``'s peak on the same checkpoint with its velocities
+zeroed, the file a momentum-0 or epoch-0 run writes.  Its velocity rows
+are short, so a reader that held a whole velocities object's floats at
+once, not a row's, would peak at a larger multiple of this file.
 """
 
 import argparse
@@ -30,6 +34,8 @@ import sys
 import tempfile
 import tracemalloc
 from dataclasses import replace
+
+import numpy as np
 
 from aurelab import trainer
 from aurelab.experiments import DatasetSpec, cell_config, make_cell_datasets
@@ -100,7 +106,12 @@ def main(argv=None) -> int:
     print(f"training steps: peak {steps / MB:.2f} MB above the datasets")
     print(f"evaluations:    peak {evaluations / MB:.2f} MB above the datasets")
     save, load, size = checkpoint_peaks(ckpt)
-    for name, peak in (("save_checkpoint", save), ("load_checkpoint", load)):
+    zeroed = replace(ckpt, velocities={name: np.zeros_like(v) for name, v
+                                       in ckpt.velocities.items()})
+    _, zeroed_load, zeroed_size = checkpoint_peaks(zeroed)
+    for name, peak, size in (
+            ("save_checkpoint", save, size), ("load_checkpoint", load, size),
+            ("load_checkpoint, zero velocities", zeroed_load, zeroed_size)):
         print(f"{name}: peak {peak / MB:.2f} MB for a {size / MB:.2f} MB "
               f"file ({peak / size:.2f}× the file)")
     return 0

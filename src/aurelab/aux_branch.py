@@ -45,8 +45,6 @@ def build_au_graph(au_labels: np.ndarray) -> AUGraph:
     z = np.asarray(au_labels, dtype=np.float64)
     if z.ndim != 2 or z.shape[0] < 1:
         raise ConfigError(f"au_labels must be (n, M) with n >= 1, got {z.shape}")
-    if not np.isin(z, (0.0, 1.0)).all():
-        raise ConfigError("au_labels must contain only 0/1 bits")
     occurrence = z.sum(axis=0)
     pair = z.T @ z
     denom = np.where(occurrence > 0, occurrence, 1.0)[None, :]
@@ -67,8 +65,6 @@ class AuxiliaryBranch:
     def __init__(self, feat_dim: int, n_units: int, node_dim: int,
                  channels: int, leaky_slope: float = 0.01, *,
                  rng: np.random.Generator):
-        if node_dim < 1:
-            raise ConfigError(f"node_dim must be >= 1, got {node_dim}")
         self.n_units = n_units
         self.node_dim = node_dim
         self.leaky_slope = leaky_slope

@@ -29,7 +29,8 @@ every CSV a command writes, ``eval --out``'s included, goes through
 
 Exit codes: 0 success, 2 ``ConfigError`` (usage or configuration), 3
 ``InputError`` or ``OSError`` (a missing, unreadable or malformed file),
-4 ``TrainingDivergedError``.  An error is one ``error:`` line on stderr,
+4 ``TrainingDivergedError``; an exit 3 for files that do not fit each
+other names them all.  An error is one ``error:`` line on stderr,
 and each warning shown one ``warning:`` line; numpy's floating-point
 warnings are not shown.
 """
@@ -135,6 +136,15 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _naming(call, *files: tuple[str, str | None]):
+    """``call()``, naming each given ``(role, path)`` in an InputError."""
+    try:
+        return call()
+    except InputError as exc:
+        named = ", ".join(f"{role} {path}" for role, path in files if path)
+        raise InputError(f"{named}: {exc}") from None
+
+
 def _write_graph_files(graph, out_dir: Path) -> None:
     for name, matrix in (("au_adjacency.csv", graph.conditional),
                          ("au_adjacency_normalized.csv", graph.normalized)):
@@ -153,8 +163,10 @@ def cmd_train(args) -> int:
     eval_ds = data.load(args.test_data) if args.test_data else None
     resume = load_checkpoint(args.resume) if args.resume else None
     cfg = replace(resume.config if resume else TrainConfig(), **flags)
-    result = train(ds, cfg, eval_dataset=eval_ds or replace(
-        ds, observed_labels=ds.true_labels), resume=resume)
+    result = _naming(lambda: train(ds, cfg, eval_dataset=eval_ds or replace(
+        ds, observed_labels=ds.true_labels), resume=resume),
+        ("checkpoint", args.resume), ("training set", args.data),
+        ("held-out set", args.test_data))
 
     out_dir.mkdir(parents=True, exist_ok=True)
     write_metrics_csv(result.metrics, ds.n_classes, out_dir / "metrics.csv")
@@ -180,7 +192,9 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     ds = data.load(args.data)
-    model = restore_model(load_checkpoint(args.checkpoint), ds)
+    ckpt = load_checkpoint(args.checkpoint)
+    model = _naming(lambda: restore_model(ckpt, ds),
+                    ("checkpoint", args.checkpoint), ("dataset", args.data))
     report = evaluate(model, ds)
     if args.out:   # before the report, so a failed write prints no report
         data.write_csv(args.out, [

@@ -61,8 +61,6 @@ class TargetBranch:
 def class_weights(labels: np.ndarray, n_classes: int) -> np.ndarray:
     """Per-class weights 1 - count/N over a batch; absent classes get 1."""
     labels = np.asarray(labels)
-    if labels.size == 0:
-        raise ConfigError("class_weights needs a non-empty batch")
     counts = np.bincount(labels, minlength=n_classes).astype(np.float64)
     return 1.0 - counts / labels.size
 
@@ -129,10 +127,8 @@ def confidence_split(confidence: Tensor, sample_ids: np.ndarray,
     Samples are ranked by confidence descending (ties broken by ascending
     sample id); the top round(high_fraction * N) form the high group, clamped
     so both groups stay non-empty.  A batch of fewer than 2 samples is all
-    high.
+    high.  ``TrainConfig.validate`` keeps high_fraction in (0, 1).
     """
-    if not 0.0 < high_fraction < 1.0:
-        raise ConfigError(f"high_fraction must lie in (0, 1), got {high_fraction}")
     n = confidence.rows
     if n < 2:
         return np.arange(n), np.arange(0)
@@ -148,8 +144,6 @@ def rank_regularization(confidence: Tensor, high: np.ndarray,
     ``low`` batch positions (as ``confidence_split`` gives them):
     max(0, margin - (avg_high - avg_low)), differentiable through both means.
     """
-    if margin < 0.0:
-        raise ConfigError(f"margin must be >= 0, got {margin}")
     n = confidence.rows
     if len(low) == 0:
         warnings.warn("rank regularization skipped: batch has fewer than 2 samples")

@@ -125,16 +125,12 @@ class TrainConfig:
 
 
 def ramp_weights(epoch: int, pivot: int) -> tuple[float, float]:
-    """Epoch-dependent loss weights (classifier side, detection side).
+    """Loss weights (classifier side, detection side) at epoch, pivot >= 1.
 
     The classifier weight ramps up as exp(-(1 - epoch/pivot)^2) until the
     pivot then stays 1; the detection weight is 1 until the pivot then decays
     as exp(-(1 - pivot/epoch)^2).  Both are 1 exactly at the pivot.
     """
-    if epoch < 1:
-        raise ConfigError(f"epoch must be >= 1, got {epoch}")
-    if pivot < 1:
-        raise ConfigError(f"ramp pivot must be >= 1, got {pivot}")
     e, b = float(epoch), float(pivot)
     if e <= b:
         return math.exp(-((1.0 - e / b) ** 2)), 1.0
@@ -313,13 +309,15 @@ def _json_value(value, kind: type, name: str):
 def _json_array(value, kind: type, ndim: int, name: str) -> np.ndarray:
     """``value``, a JSON list ``ndim`` deep with rows of equal length, as
     an array of ``kind``: each leaf by the rule of ``_json_value``, finite."""
-    leaves = np.asarray(value, dtype=object)   # each leaf as JSON read it
-    if type(value) is not list or leaves.ndim != ndim:
-        raise TypeError(f"{name} must be a {ndim}-dimensional list")
-    if not set(map(type, leaves.flat)) <= set(_JSON_TYPES[kind]):
-        for leaf in leaves.flat:
-            _json_value(leaf, kind, name)
-    arr = leaves.astype(np.int64 if kind is int else kind)
+    arr = value   # a matrix _walk_checkpoint read is a float64 array already
+    if type(value) is not np.ndarray:
+        leaves = np.asarray(value, dtype=object)   # each leaf as JSON read it
+        if type(value) is not list or leaves.ndim != ndim:
+            raise TypeError(f"{name} must be a {ndim}-dimensional list")
+        if not set(map(type, leaves.flat)) <= set(_JSON_TYPES[kind]):
+            for leaf in leaves.flat:
+                _json_value(leaf, kind, name)
+        arr = leaves.astype(np.int64 if kind is int else kind)
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} holds a non-finite value")
     return arr
@@ -410,18 +408,17 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 _scan = json.JSONDecoder().raw_decode
-_MATRIX_FIELDS = ("params", "velocities")
 
 
-def _walk_checkpoint(text: str) -> Checkpoint:
-    """The checkpoint of ``text``, one JSON object with ``save_checkpoint``'s
-    separators (``", "`` and ``": "``) between its keys, values and matrix
-    rows, each parameter and velocity decoded a row at a time straight into
-    float64: every leaf a JSON float, every row of one length, every value
-    finite.  Keys may come in any order, and a later duplicate replaces the
-    value, as in ``json.loads``.  Any other text raises one of
-    ``_MALFORMED`` or RecursionError, also where ``json.loads`` would read
-    it (an integer leaf, a parameter with no row, other white space)."""
+def _walk_checkpoint(text: str) -> dict:
+    """The document ``json.loads`` reads from ``text``, for the layout of
+    ``save_checkpoint`` alone: each parameter and velocity matrix is read a
+    row at a time straight into a float64 array (every leaf a JSON float,
+    every row of one length); ``load_checkpoint`` checks the rest.  Keys
+    may come in any order, and a later duplicate replaces the value.  Any
+    other text, also one ``json.loads`` reads (an integer leaf, a matrix
+    with no row, other white space than ``", "`` and ``": "``), raises one
+    of ``_MALFORMED`` or RecursionError."""
 
     def skip(pos: int, literal: str) -> int:
         if not text.startswith(literal, pos):
@@ -446,36 +443,31 @@ def _walk_checkpoint(text: str) -> Checkpoint:
             if set(map(type, row)) != {float}:   # TypeError if not a list
                 raise TypeError("not a row of JSON floats")
             rows.append(np.fromiter(row, float, len(row)))
-        arr = np.stack(rows)   # ValueError without rows of one length
-        if not np.isfinite(arr).all():
-            raise ValueError("a non-finite value")
-        return arr, pos + 1
+        return np.stack(rows), pos + 1   # ValueError if rows differ in length
 
     doc, end = walk_object(0, lambda key, pos: walk_object(pos, matrix)
-                           if key in _MATRIX_FIELDS else _scan(text, pos))
-    if end != len(text) or doc["format"] != CHECKPOINT_FORMAT:
-        raise ValueError(f"not an {CHECKPOINT_FORMAT} document alone")
-    return Checkpoint(**{f.name: doc[f.name] if f.name in _MATRIX_FIELDS
-                         else f.metadata["decode"](doc[f.name])
-                         for f in fields(Checkpoint)})
+                           if key in ("params", "velocities")
+                           else _scan(text, pos))
+    if end != len(text):
+        raise ValueError(f"text after the document at character {end}")
+    return doc
 
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint file; anything but a well-formed v2 checkpoint
-    raises InputError.  The file is walked a matrix row at a time by
-    ``_walk_checkpoint``; a text that walk does not accept is decoded again
-    as one document, which gives its one result or message."""
+    raises InputError.  The text is read by ``_walk_checkpoint``, a matrix
+    row at a time, or by ``json.loads`` where the walk does not read it;
+    either document then has one check: its format, and each field's
+    decoder, whose fault the message names."""
     text = "\n".join(read_lines(path))
     try:
-        return _walk_checkpoint(text)
+        doc = _walk_checkpoint(text)
     except (*_MALFORMED, RecursionError):
-        pass
-    try:
-        doc = json.loads(text)
-    except RecursionError:
-        raise InputError(f"{path}: not a JSON file (nested too deeply)") from None
-    except ValueError as exc:
-        raise InputError(f"{path}: not a JSON file ({exc})") from None
+        try:
+            doc = json.loads(text)
+        except (RecursionError, ValueError) as exc:
+            why = "nested too deeply" if type(exc) is RecursionError else exc
+            raise InputError(f"{path}: not a JSON file ({why})") from None
     fmt = doc.get("format") if isinstance(doc, dict) else None
     if fmt == "aurelab-checkpoint-v1":
         raise InputError(f"{path}: v1 checkpoints are no longer read; "
@@ -644,9 +636,12 @@ def train(dataset: Dataset, config: TrainConfig,
         model = init_model(ds, config)
         start_epoch = 1
     else:
-        if replace(resume.config, epochs=config.epochs) != config:
-            raise ConfigError("checkpoint configuration does not match; "
-                              "only the total epoch count may change on resume")
+        was, given = vars(resume.config), vars(config)
+        if differ := [f"{k}: {v} in the checkpoint, {given[k]} given" for k, v
+                      in was.items() if k != "epochs" and v != given[k]]:
+            raise ConfigError("checkpoint configuration does not match; only "
+                              "the total epoch count may change on resume: "
+                              + "; ".join(differ))
         if resume.epoch > config.epochs:
             raise ConfigError(f"checkpoint is at epoch {resume.epoch}, past "
                               f"the {config.epochs} total epochs asked for")

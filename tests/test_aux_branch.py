@@ -9,7 +9,6 @@ from aurelab import autodiff as ad
 from aurelab.aux_branch import (AuxiliaryBranch, au_detection_loss,
                                 build_au_graph, random_au_graph)
 from aurelab.data import corrupt_labels, generate
-from aurelab.errors import ConfigError
 import tape_kit as tk
 from oracles import cooccurrence_by_double_loop
 
@@ -64,10 +63,6 @@ class TestBuildGraph:
         bits = (rng.random((20, 6)) < rng.random()).astype(int)
         g = build_au_graph(bits)
         np.testing.assert_allclose(g.normalized.sum(axis=1), 1.0, atol=1e-12)
-
-    def test_input_validation(self):
-        with pytest.raises(ConfigError):
-            build_au_graph(np.array([[0, 2]]))
 
     def test_random_graph_row_stochastic_and_seeded(self):
         a = random_au_graph(6, np.random.default_rng(3))

@@ -541,7 +541,9 @@ class TestBrokenInputs:
         rc = main(["train", "--data", str(dataset_files[0]), "--out",
                    str(tmp_path / "run"), "--resume", str(path)]
                   + TRAIN_SPEED_ARGS)
-        _assert_error(rc, capsys, "checkpoint labels do not fit the dataset")
+        _assert_error(rc, capsys, f"checkpoint {path}, training set "
+                                  f"{dataset_files[0]}: checkpoint labels do "
+                                  f"not fit the dataset")
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("command", ["eval", "resume"])
@@ -551,11 +553,14 @@ class TestBrokenInputs:
         ckpt = str(runs / "five_run" / "checkpoint.json")
         if command == "eval":
             argv = ["eval", "--checkpoint", ckpt, "--data", str(test_path)]
+            names = f"checkpoint {ckpt}, dataset {test_path}"
         else:
             argv = (["train", "--data", str(train_path), "--out",
                      str(tmp_path / "run"), "--resume", ckpt]
                     + TRAIN_SPEED_ARGS)
-        _assert_error(main(argv), capsys, "does not fit this dataset")
+            names = f"checkpoint {ckpt}, training set {train_path}"
+        _assert_error(main(argv), capsys,
+                      f"{names}: checkpoint does not fit this dataset")
 
     @pytest.mark.parametrize("command", ["train", "resume", "eval"])
     def test_class_count_beyond_memory(self, dataset_files, runs, tmp_path,
@@ -587,11 +592,25 @@ class TestBrokenInputs:
                                      "--out", str(other)]) == 0
         assert data.load(other).n == data.load(train_path).n
         capsys.readouterr()
+        ckpt = runs / "three_run" / "checkpoint.json"
         rc = main(["train", "--data", str(other), "--out",
-                   str(tmp_path / "run"), "--resume",
-                   str(runs / "three_run" / "checkpoint.json")]
+                   str(tmp_path / "run"), "--resume", str(ckpt)]
                   + TRAIN_SPEED_ARGS)
-        _assert_error(rc, capsys, "different dataset")
+        _assert_error(rc, capsys, f"checkpoint {ckpt}, training set {other}: "
+                                  f"checkpoint was trained on a different "
+                                  f"dataset")
+        assert not (tmp_path / "run").exists()
+
+    def test_resume_with_flags_that_contradict_the_checkpoint(
+            self, dataset_files, runs, tmp_path, capsys):
+        rc = main(["train", "--data", str(dataset_files[0]), "--out",
+                   str(tmp_path / "run"), "--resume",
+                   str(runs / "three_run" / "checkpoint.json"),
+                   "--epochs", "3", "--lr", "0.1", "--seed", "5"])
+        _assert_error(rc, capsys, "only the total epoch count may change on "
+                                  "resume: lr_initial: 0.05 in the checkpoint, "
+                                  "0.1 given; seed: 0 in the checkpoint, 5 "
+                                  "given\n", code=2)
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("line,key,value", [
@@ -842,8 +861,10 @@ class TestBrokenInputs:
         rc = main(["train", "--data", str(dataset_files[0]), "--test-data",
                    f"{other}.test", "--out", str(tmp_path / "run")]
                   + TRAIN_SPEED_ARGS)
-        _assert_error(rc, capsys, f"held-out set has {shape} but the "
-                                  f"training set has C=3 M=6 D=8")
+        _assert_error(rc, capsys, f"training set {dataset_files[0]}, "
+                                  f"held-out set {other}.test: held-out set "
+                                  f"has {shape} but the training set has "
+                                  f"C=3 M=6 D=8")
         assert not (tmp_path / "run").exists()
 
     def test_checkpoint_path_is_a_directory(self, dataset_files, runs,
@@ -872,6 +893,12 @@ class TestBrokenInputs:
         path.write_text(text)
         _assert_error(main(["inspect", "graph", str(path)]), capsys,
                       f"{path}, {message}")
+
+    def test_graph_with_a_short_row(self, tmp_path, capsys):
+        path = tmp_path / "graph.csv"
+        path.write_text("0.5,0.5\n1\n")
+        _assert_error(main(["inspect", "graph", str(path)]), capsys,
+                      f"{path}, line 2: 1 values, expected 2")
 
     @pytest.mark.parametrize("out", ["file", "file/run"])
     def test_train_out_that_is_a_file_trains_nothing(
@@ -1226,6 +1253,15 @@ def test_ablate_without_epochs_is_usage_error(tmp_path, capsys):
     _assert_error(rc, capsys, "an experiment cell needs at least one epoch",
                   code=2)
     assert not (tmp_path / "out" / "ablation.csv").exists()
+
+
+def test_ablate_spec_with_no_node_dim_makes_no_directory(tmp_path, capsys):
+    spec_path = tmp_path / "ab.ini"
+    spec_path.write_text(_tiny_spec_text("ablation", tmp_path / "out")
+                         + "node_dim = 0\n")
+    rc = main(["ablate", "--spec", str(spec_path)])
+    _assert_error(rc, capsys, "node_dim must be >= 1", code=2)
+    assert not (tmp_path / "out").exists()
 
 
 class TestCellMemo:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from aurelab import autodiff as ad
-from aurelab.errors import ConfigError
 from aurelab.target_branch import (TargetBranch, class_weights,
                                    confidence_split, rank_regularization,
                                    weighted_cross_entropy)
@@ -70,10 +69,6 @@ class TestClassWeights:
         got = class_weights(np.array([1, 1, 1]), 3)
         assert got[1] == 0.0
         assert got[0] == got[2] == 1.0
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ConfigError):
-            class_weights(np.array([], dtype=int), 3)
 
     @hypothesis.settings(max_examples=60, deadline=None)
     @hypothesis.given(st.lists(st.integers(min_value=0, max_value=6),
@@ -240,7 +235,3 @@ class TestRankRegularization:
         arr = np.asarray(values)
         if len(low):
             assert arr[high].min() >= arr[low].max()
-
-    def test_split_alone_rejects_bad_fraction(self):
-        with pytest.raises(ConfigError):
-            confidence_split(self._conf([0.4, 0.6]), np.arange(2), 1.0)

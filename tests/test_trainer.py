@@ -21,7 +21,7 @@ from aurelab import autodiff as ad
 from aurelab import experiments, trainer
 from aurelab.aux_branch import AuxiliaryBranch
 from aurelab.data import corrupt_labels, generate, train_test_split
-from aurelab.errors import ConfigError, TrainingDivergedError
+from aurelab.errors import ConfigError, InputError, TrainingDivergedError
 from aurelab.experiments import (DatasetSpec, load_spec, make_cell_datasets,
                                  run_cell)
 from aurelab.target_branch import TargetBranch
@@ -62,12 +62,6 @@ class TestRampWeights:
         t, a = ramp_weights(20, 10)
         assert t == 1.0
         assert a == pytest.approx(math.exp(-0.25), abs=1e-12)
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ConfigError):
-            ramp_weights(0, 10)
-        with pytest.raises(ConfigError):
-            ramp_weights(1, 0)
 
     @hypothesis.settings(max_examples=80, deadline=None)
     @hypothesis.given(st.integers(min_value=1, max_value=200),
@@ -696,7 +690,8 @@ class TestCheckpointing:
     def test_resume_rejects_mismatched_config(self, tmp_path):
         ds = tiny_ds()
         half = train(ds, replace(FAST, epochs=2))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="high_fraction: 0.8 in the "
+                           "checkpoint, 0.7 given$"):
             train(ds, replace(FAST, epochs=4, high_fraction=0.7),
                   resume=half.checkpoint)
 
@@ -870,15 +865,57 @@ class TestCheckpointReader:
 
     def test_peak_memory_is_under_2_4_times_the_file(self, tmp_path,
                                                      wide_checkpoint):
-        path = tmp_path / "ck.json"
-        save_checkpoint(wide_checkpoint, path)
-        tracemalloc.start()
-        try:
-            load_checkpoint(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.4 * path.stat().st_size
+        # zero velocities, as a momentum-0 or epoch-0 run writes them: a
+        # reader that held a whole velocities object's floats at once would
+        # peak at over 2.6 times this smaller file
+        zeroed = replace(wide_checkpoint, velocities={
+            name: np.zeros_like(v)
+            for name, v in wide_checkpoint.velocities.items()})
+        for ckpt in (wide_checkpoint, zeroed):
+            path = tmp_path / "ck.json"
+            save_checkpoint(ckpt, path)
+            tracemalloc.start()
+            try:
+                load_checkpoint(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2.4 * path.stat().st_size
+
+    @pytest.fixture(scope="class")
+    def small_checkpoint(self):
+        return train(tiny_ds(), replace(FAST, epochs=1)).checkpoint
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(data=st.data())
+    def test_walk_reads_the_document_json_loads_reads(
+            self, tmp_path_factory, small_checkpoint, data):
+        leaves = st.one_of(
+            st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308]),
+            st.floats(allow_nan=False, allow_infinity=False))
+
+        def matrices(shapes):
+            return {name: np.array(data.draw(st.lists(
+                leaves, min_size=r * c, max_size=r * c))).reshape(r, c)
+                for name, (r, c) in shapes.items()}
+
+        shapes = data.draw(st.dictionaries(
+            st.text(max_size=6), st.tuples(st.integers(1, 6),
+                                           st.integers(1, 6)),
+            min_size=1, max_size=3))
+        ckpt = replace(small_checkpoint, params=matrices(shapes),
+                       velocities=matrices(shapes))
+        path = tmp_path_factory.mktemp("walk") / "ck.json"
+        save_checkpoint(ckpt, path)
+        text = path.read_text()
+        walked, loaded = trainer._walk_checkpoint(text), json.loads(text)
+        for key in ("params", "velocities"):
+            assert bits(walked.pop(key)) == bits(getattr(ckpt, key)) == bits(
+                {name: np.array(rows, dtype=np.float64)
+                 for name, rows in loaded.pop(key).items()})
+        assert walked == loaded
+        assert checkpoint_outcome(load_checkpoint, path) == \
+            checkpoint_outcome(one_shot_load_checkpoint, path) == bits(ckpt)
 
 
 class TestConfigValidation:
@@ -896,6 +933,8 @@ class TestConfigValidation:
         ("lr_drops", ((20, 1e-3), (10, 1e-4))),
         ("lr_drops", ((10, 1e-3), (10, 1e-4))),
         ("epochs", 2**63),
+        ("hidden_dim", 0), ("feat_dim", 0), ("node_dim", 0),
+        ("gcn_channels", 0),
     ])
     def test_rejects_out_of_range(self, field, value):
         with pytest.raises(ConfigError):
@@ -908,3 +947,28 @@ class TestConfigValidation:
             batch_size=512, lr_initial=0.01,
             lr_drops=((10, 1e-3), (20, 1e-4)), lr_aux=0.005, momentum=0.0,
             warmup_epochs=10, hidden_dim=64, feat_dim=32)
+
+
+class TestTrainChecksItsDataset:
+    """``Dataset.validate`` is the one check of a dataset's shapes, labels
+    and bits: a dataset built in code, not read by ``data.load``, meets it
+    when ``train`` starts."""
+
+    @pytest.mark.parametrize("damage,message", [
+        (lambda ds: replace(ds, dim=7), r"features shape \(90, 8\) != "
+         r"\(90, 7\)"),
+        (lambda ds: replace(ds, n_units=5), r"au_labels shape \(90, 6\) != "
+         r"\(90, 5\)"),
+        (lambda ds: replace(ds, observed_labels=ds.observed_labels[1:]),
+         r"observed labels shape \(89,\)"),
+        (lambda ds: replace(ds, true_labels=ds.true_labels + 3),
+         "true labels out of range"),
+        (lambda ds: replace(ds, au_labels=ds.au_labels * 2),
+         "au_labels must be 0/1 bits"),
+        (lambda ds: replace(ds, features=np.full_like(ds.features, np.nan)),
+         "non-finite feature values")],
+        ids=["features-shape", "units-shape", "labels-shape", "labels-range",
+             "bits", "non-finite"])
+    def test_a_dataset_that_breaks_a_rule(self, damage, message):
+        with pytest.raises(InputError, match=message):
+            train(damage(tiny_ds()), replace(FAST, epochs=1))
