@@ -1,6 +1,7 @@
 """Print the tracemalloc peak of one protocol cell's training steps and of
-its evaluations, above the memory its datasets hold, and the peaks of
-writing and reading back its checkpoint.
+its evaluations, above the memory its datasets hold, the peaks of
+writing and reading back its checkpoint, and the peaks of loading its
+saved training set.
 
     PYTHONPATH=src python scripts/step_memory.py --seed 0
     PYTHONPATH=/path/to/other/tree/src python scripts/step_memory.py --seed 0
@@ -25,7 +26,11 @@ the file's size and the peak as a multiple of it.  The last line gives
 ``load_checkpoint``'s peak on the same checkpoint with its velocities
 zeroed, the file a momentum-0 or epoch-0 run writes.  Its velocity rows
 are short, so a reader that held a whole velocities object's floats at
-once, not a row's, would peak at a larger multiple of this file.
+once, not a row's, would peak at a larger multiple of this file.  The
+very last line gives ``data.load``'s peak on the cell's training set,
+saved to a temporary file: first with the sidecar that ``data.save``
+leaves (a hit, which parses nothing), then with the sidecar deleted (a
+parse of the text), in MB and as multiples of the features' bytes.
 """
 
 import argparse
@@ -37,7 +42,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from aurelab import trainer
+from aurelab import data, trainer
 from aurelab.experiments import DatasetSpec, cell_config, make_cell_datasets
 
 MB = 2**20
@@ -53,11 +58,11 @@ def traced_peak(call) -> int:
         tracemalloc.stop()
 
 
-def phase_peaks(seed: int, dim: int, batch_size: int | None
+def phase_peaks(train_ds: data.Dataset, test_ds: data.Dataset, seed: int,
+                batch_size: int | None
                 ) -> tuple[int, int, trainer.Checkpoint]:
     """(training-step peak, evaluation peak) in bytes above the datasets,
     and the cell's checkpoint."""
-    train_ds, test_ds = make_cell_datasets(DatasetSpec(dim=dim), 0.2, seed)
     cfg = cell_config(trainer.TrainConfig(), seed)
     if batch_size is not None:
         cfg = replace(cfg, batch_size=batch_size)
@@ -93,6 +98,17 @@ def checkpoint_peaks(ckpt: trainer.Checkpoint) -> tuple[int, int, int]:
         return save, load, os.path.getsize(path)
 
 
+def load_peaks(ds: data.Dataset) -> tuple[int, int]:
+    """(peak with the sidecar, peak without it) in bytes of ``data.load``
+    on ``ds``'s file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "train.txt")
+        data.save(ds, path)
+        hit = traced_peak(lambda: data.load(path))
+        os.unlink(f"{path}.cache")
+        return hit, traced_peak(lambda: data.load(path))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, required=True, help="cell seed")
@@ -101,7 +117,9 @@ def main(argv=None) -> int:
     parser.add_argument("--batch-size", type=int, default=None,
                         help="training batch size (default: the protocol's)")
     args = parser.parse_args(argv)
-    steps, evaluations, ckpt = phase_peaks(args.seed, args.dim,
+    train_ds, test_ds = make_cell_datasets(DatasetSpec(dim=args.dim), 0.2,
+                                           args.seed)
+    steps, evaluations, ckpt = phase_peaks(train_ds, test_ds, args.seed,
                                            args.batch_size)
     print(f"training steps: peak {steps / MB:.2f} MB above the datasets")
     print(f"evaluations:    peak {evaluations / MB:.2f} MB above the datasets")
@@ -114,6 +132,11 @@ def main(argv=None) -> int:
             ("load_checkpoint, zero velocities", zeroed_load, zeroed_size)):
         print(f"{name}: peak {peak / MB:.2f} MB for a {size / MB:.2f} MB "
               f"file ({peak / size:.2f}× the file)")
+    hit, parse = load_peaks(train_ds)
+    size = train_ds.features.nbytes
+    print(f"data.load: peak {hit / MB:.2f} MB with the sidecar, "
+          f"{parse / MB:.2f} MB by the parse ({hit / size:.2f}× and "
+          f"{parse / size:.2f}× the {size / MB:.2f} MB of features)")
     return 0
 
 

@@ -2,7 +2,9 @@
 controllable label corruption, a diff-able text file format, and batching.
 ``DatasetSpec`` holds the generator's arguments and is their one check.
 ``write_atomic`` writes every artifact as UTF-8, ``write_csv`` makes every
-CSV artifact's values text, and ``read_lines`` alone opens a file to read.
+CSV artifact's values text, and ``read_lines`` alone reads a file's lines.
+``save`` leaves a sidecar beside a dataset's text, which ``load`` returns
+in place of parsing the text while the text is unchanged.
 
 Each sample carries the label used for training (``observed``), the hidden
 generation label (``true``, kept for auditing only), and a bit-vector of
@@ -12,7 +14,10 @@ active action units drawn from its true class's prototype pattern.
 from __future__ import annotations
 
 import codecs
+import contextlib
+import functools
 import hashlib
+import io
 import os
 import sys
 from collections.abc import Iterable, Iterator
@@ -250,7 +255,8 @@ def generate(n_classes: int, n_units: int, dim: int, n: int,
 
     Each class gets a random unit-norm prototype scaled by ``class_spread``
     (resampled on the improbable collision); sample i belongs to class
-    ``i % n_classes`` and is its prototype plus N(0, within_noise^2) noise.
+    ``i % n_classes`` and is its prototype plus N(0, within_noise^2) noise,
+    added in place to the scaled draws, a class's rows at a time.
     Unit bits copy the class's table row with per-bit flip chance au_noise.
     Observed and true labels start identical; see :func:`corrupt_labels`.
     Float overflow raises, so features too large for float64 are refused.
@@ -278,7 +284,10 @@ def generate(n_classes: int, n_units: int, dim: int, n: int,
                               f"prototypes in {dim} dimensions")
 
         true = np.arange(n, dtype=np.int64) % n_classes
-        features = cand[true] + within_noise * rng.standard_normal((n, dim))
+        features = rng.standard_normal((n, dim))
+        features *= within_noise
+        for c in range(n_classes):
+            features[c::n_classes] += cand[c]
         flips = rng.random((n, n_units)) < au_noise
         au = np.where(flips, 1 - table[true], table[true]).astype(np.int64)
         return Dataset(features, true.copy(), true, au,
@@ -325,14 +334,15 @@ _HEADER_KEYS = dict.fromkeys("CMDn", (1, 2**63 - 1, "[1, 2**63)")) | {
 _BLOCK_ROWS = 256   # rows that ``load`` parses with one np.loadtxt call
 
 
-def write_atomic(path, pieces: Iterable[str]) -> None:
-    """Write ``pieces`` one by one as UTF-8 (an argument's undecodable bytes
-    as given) to a temporary file beside ``path``, then ``os.replace`` it:
-    a failed write leaves the old file whole; the text is never held whole."""
+@contextlib.contextmanager
+def _replacing(path, mode: str, **kwargs):
+    """A file opened with ``mode`` that replaces ``path`` when the block
+    ends: it is a temporary file beside ``path`` until ``os.replace`` moves
+    it there, so a failed write leaves the old file whole."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8", errors="surrogateescape") as fh:
-            fh.writelines(pieces)
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
         os.replace(tmp, path)
     except OSError as exc:
         if exc.filename != tmp:
@@ -342,6 +352,15 @@ def write_atomic(path, pieces: Iterable[str]) -> None:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def write_atomic(path, pieces: Iterable[str]) -> None:
+    """Write ``pieces`` one by one as UTF-8 (an argument's undecodable bytes
+    as given) in place of ``path``, atomically; the text is never held
+    whole."""
+    with _replacing(path, "w", encoding="utf-8",
+                    errors="surrogateescape") as fh:
+        fh.writelines(pieces)
 
 
 def _csv_field(value) -> str:
@@ -399,10 +418,15 @@ def _csv_rows(path, header_ok, expected: str
     return rows
 
 
+def _header_text(ds: Dataset) -> str:
+    """The header lines of ``ds``'s file."""
+    return (f"C={ds.n_classes}\nM={ds.n_units}\nD={ds.dim}\nn={ds.n}\n"
+            f"corruption_rate={ds.corruption_rate!r}\nseed={ds.seed}\n")
+
+
 def _dataset_lines(ds: Dataset) -> Iterator[str]:
     """The lines of ``ds``'s file, each row formatted as it is asked for."""
-    yield (f"C={ds.n_classes}\nM={ds.n_units}\nD={ds.dim}\nn={ds.n}\n"
-           f"corruption_rate={ds.corruption_rate!r}\nseed={ds.seed}\n")
+    yield _header_text(ds)
     for i, (bits, values) in enumerate(zip(ds.au_labels, ds.features)):
         yield ",".join([str(i), str(int(ds.observed_labels[i])),
                         str(int(ds.true_labels[i])),
@@ -411,8 +435,20 @@ def _dataset_lines(ds: Dataset) -> Iterator[str]:
 
 
 def save(ds: Dataset, path) -> None:
-    """Write ``ds`` in the text format, a row at a time."""
-    write_atomic(path, _dataset_lines(ds))
+    """Write ``ds`` in the text format, a row at a time, then its sidecar
+    (:func:`_write_sidecar`), keyed by the text's bytes as they are written.
+    The text is whole by then, so an ``OSError`` while writing the sidecar
+    is ignored: ``load`` parses a text that has no matching sidecar."""
+    key = _key_hash()
+
+    def hashed(pieces: Iterator[str]) -> Iterator[str]:
+        for piece in pieces:
+            key.update(piece.encode("utf-8", "surrogateescape"))
+            yield piece
+
+    write_atomic(path, hashed(_dataset_lines(ds)))
+    with contextlib.suppress(OSError):
+        _write_sidecar(ds, path, key.digest())
 
 
 def _read_header(lines: Iterator[str]) -> dict:
@@ -507,7 +543,134 @@ def _parse_rows(rows: list[str], start: int, lineno: int, n_units: int,
     return ints, table["f"]
 
 
+# ---------------------------------------------------------------------------
+# sidecar: ``<path>.cache``, a stream of ``.npy`` records: the key, the
+# header lines' UTF-8 bytes, features, observed labels, true labels and unit
+# bits.  The key record holds 64 bytes: the text's key (:func:`_key_hash`),
+# then a sha256 over the text's key and every byte after the key record.
+# The second half finds any damage to the records; the first half a text
+# that is not the one they were written with, or a parser that may read
+# that text otherwise.
+
+_SIDECAR_FORMAT = b"aurelab-dataset-sidecar-v1\0"
+# the dtype of each record after the key: those of the arrays ``load`` parses
+_SIDECAR_DTYPES = (np.uint8, np.float64, np.int64, np.int64, np.int64)
+
+
+@functools.cache
+def _source_digest() -> bytes:
+    """The sha256 of this module's source, taken when first asked for."""
+    with open(__file__, "rb") as fh:
+        return hashlib.file_digest(fh, "sha256").digest()
+
+
+def _key_hash():
+    """A sha256 fed the sidecar format, this module's source and numpy's
+    version; fed a text's bytes as well, it gives the text's key, so a
+    sidecar that another parser wrote never matches."""
+    return hashlib.sha256(_SIDECAR_FORMAT + _source_digest() +
+                          np.__version__.encode() + b"\0")
+
+
+def _records_digest(text_key: bytes, fh) -> bytes:
+    """A sha256 over ``text_key`` and the bytes of ``fh`` from its position
+    to its end."""
+    return hashlib.file_digest(fh, lambda: hashlib.sha256(text_key)).digest()
+
+
+def _write_record(fh, record: np.ndarray) -> None:
+    np.lib.format.write_array(fh, record, allow_pickle=False)
+
+
+def _key_record(key: bytes) -> bytes:
+    """The key record's bytes: its ``.npy`` header, then the 64 key bytes.
+    ``load`` compares the header's bytes and does not parse them, so
+    numpy parses only records that the key's digest has vouched for."""
+    fh = io.BytesIO()
+    _write_record(fh, np.frombuffer(key, np.uint8))
+    return fh.getvalue()
+
+
+def _write_sidecar(ds: Dataset, path, text_key: bytes) -> None:
+    """Write ``ds``'s sidecar in place of ``<path>.cache``, atomically,
+    unless an array's dtype is not the one ``load`` parses.  The file is
+    unbuffered, so numpy writes each array from its own memory; the records
+    are then read back to be hashed, and the key written in front of
+    them."""
+    records = [np.frombuffer(_header_text(ds).encode("utf-8",
+                                                      "surrogateescape"),
+                             np.uint8),
+               *map(np.ascontiguousarray, (ds.features, ds.observed_labels,
+                                           ds.true_labels, ds.au_labels))]
+    if any(r.dtype != dtype for r, dtype in zip(records, _SIDECAR_DTYPES)):
+        return
+    with _replacing(f"{path}.cache", "w+b", buffering=0) as fh:
+        fh.write(_key_record(bytes(64)))   # the key's place
+        start = fh.tell()
+        for record in records:
+            _write_record(fh, record)
+        fh.seek(start)
+        key = text_key + _records_digest(text_key, fh)
+        fh.seek(0)
+        fh.write(_key_record(key))
+
+
+def _cached(path) -> Dataset | None:
+    """The dataset that ``path``'s sidecar holds, or None, and ``load``
+    parses the text.  It is None unless ``path`` and the sidecar are
+    regular files (``stat.S_ISREG``), so a pipe is never hashed, and the sidecar's key
+    matches the text and its records; those records are then what ``save``
+    wrote.  It is None too unless each record has the dtype and shape the
+    header gives and the dataset is valid: a sidecar never changes what
+    ``load`` returns or the error it raises."""
+    cache = f"{path}.cache"
+    try:
+        if not (os.path.isfile(path) and os.path.isfile(cache)):
+            return None
+        with open(cache, "rb") as fh:
+            blank = _key_record(bytes(64))
+            key = fh.read(len(blank))
+            if len(key) != len(blank) or not key.startswith(blank[:-64]):
+                return None
+            text_key, digest = key[-64:-32], key[-32:]
+            with open(path, "rb") as text:
+                if hashlib.file_digest(text, _key_hash).digest() != text_key:
+                    return None
+            start = fh.tell()
+            if _records_digest(text_key, fh) != digest:
+                return None
+            fh.seek(start)
+            head, *arrays = (np.lib.format.read_array(fh, allow_pickle=False)
+                             for _ in _SIDECAR_DTYPES)
+        if head.dtype != np.uint8:
+            return None
+        lines = head.tobytes().decode().splitlines()
+        if len(lines) != len(_HEADER_KEYS):
+            return None
+        # the text's own header lines, read by the text's reader
+        header = _read_header(iter(lines))
+        n_classes, n_units, dim, n = (header[k] for k in "CMDn")
+        shapes = ((n, dim), (n,), (n,), (n, n_units))
+        if any(a.dtype != dtype or a.shape != shape for a, dtype, shape
+               in zip(arrays, _SIDECAR_DTYPES[1:], shapes)):
+            return None
+        ds = Dataset(*arrays, n_classes, n_units, dim,
+                     header["corruption_rate"], header["seed"])
+        ds.validate()
+        return ds
+    except (OSError, ValueError):   # InputError is a ValueError
+        return None
+
+
 def load(path) -> Dataset:
+    """The dataset in file ``path``: its sidecar's arrays when it has one
+    that matches the text (:func:`_cached`), otherwise the text parsed by
+    :func:`_parse`, with the same result.  ``load`` writes no file."""
+    ds = _cached(path)
+    return _parse(path) if ds is None else ds
+
+
+def _parse(path) -> Dataset:
     """Read a dataset file in one pass through :func:`read_lines`, a block
     of ``_BLOCK_ROWS`` rows at a time.
 

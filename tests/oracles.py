@@ -36,6 +36,25 @@ def nearest_prototype_accuracy(ds) -> float:
     return hits / ds.n
 
 
+def gathered_features(n_classes, dim, n, class_spread, within_noise, seed):
+    """``data.generate``'s features as it once built them: the prototypes
+    gathered per sample, plus the scaled draws, a new array for each of the
+    three steps."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    for _ in range(100):
+        cand = rng.standard_normal((n_classes, dim))
+        norms = np.linalg.norm(cand, axis=1, keepdims=True)
+        if np.any(norms == 0):
+            continue
+        cand = cand / norms * class_spread
+        dists = np.linalg.norm(cand[:, None, :] - cand[None, :, :], axis=2)
+        np.fill_diagonal(dists, np.inf)
+        if dists.min() > 1e-9:
+            break
+    true = np.arange(n, dtype=np.int64) % n_classes
+    return cand[true] + within_noise * rng.standard_normal((n, dim))
+
+
 def cooccurrence_by_double_loop(bits) -> np.ndarray:
     """Conditional co-occurrence matrix by explicit pairwise counting."""
     bits = np.asarray(bits)

@@ -1,12 +1,16 @@
 import ast
 import codecs
 import hashlib
+import io
 import os
 import re
 import tempfile
 import threading
 import tracemalloc
+import warnings
+from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import hypothesis
 import hypothesis.strategies as st
@@ -15,8 +19,8 @@ import pytest
 
 from aurelab import data
 from aurelab.errors import ConfigError, InputError
-from oracles import (au_table_by_combination_scan, load_row_at_a_time,
-                     nearest_prototype_accuracy)
+from oracles import (au_table_by_combination_scan, gathered_features,
+                     load_row_at_a_time, nearest_prototype_accuracy)
 
 
 def small_ds(seed=7, **kw):
@@ -197,6 +201,27 @@ class TestSaveLoad:
         with pytest.raises(InputError, match="line 7"):
             data.load(path)
 
+    # n % C != 0 on most rows, and a noise scale whose products are
+    # subnormal
+    @pytest.mark.parametrize("c,n,dim,noise", [
+        (2, 5, 1, 1.0), (5, 101, 16, 0.5), (7, 2000, 128, 1e-300),
+        (3, 6, 3, 3.9), (5, 6000, 128, 1.0)])
+    def test_features_are_those_of_the_gather(self, c, n, dim, noise):
+        for seed in (0, 9):
+            got = data.generate(c, 12, dim, n, 4.0, noise, seed).features
+            want = gathered_features(c, dim, n, 4.0, noise, seed)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_features_are_built_in_place(self):
+        tracemalloc.start()
+        try:
+            ds = data.generate(5, 10, 128, 6000, 4.0, 1.0, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * ds.features.nbytes
+
     def test_rows_out_of_order_are_validation_error(self, tmp_path):
         path = tmp_path / "ds.txt"
         data.save(small_ds(), path)
@@ -270,7 +295,10 @@ class TestReadLines:
             list(data.read_lines(path))
 
     def test_only_read_lines_opens_a_file_to_read(self):
-        # (module, function, call) of every call that opens or reads a file
+        # (module, function, call) of every call that opens or reads a file:
+        # read_lines reads every text input; the others write atomically,
+        # hash this module's source and a dataset's text, and read and
+        # hash a dataset's sidecar
         calls = []
         for path in sorted(Path(data.__file__).parent.glob("*.py")):
             for fn in ast.walk(ast.parse(path.read_text())):
@@ -282,13 +310,24 @@ class TestReadLines:
                     call = ast.unparse(node)
                     name = ast.unparse(node.func).rsplit(".", 1)[-1]
                     if name in ("open", "read_text", "read_bytes", "read",
-                                "read_file", "fromfile") or \
+                                "read_file", "fromfile", "read_array",
+                                "readinto", "file_digest") or \
                             call.startswith(("json.load(", "np.load(")):
                         calls.append((path.name, fn.name, call))
         assert calls == [
-            ("data.py", "write_atomic",
-             "open(tmp, 'w', encoding='utf-8', errors='surrogateescape')"),
-            ("data.py", "read_lines", "open(path, 'rb')")]
+            ("data.py", "_replacing", "open(tmp, mode, **kwargs)"),
+            ("data.py", "read_lines", "open(path, 'rb')"),
+            ("data.py", "_source_digest", "open(__file__, 'rb')"),
+            ("data.py", "_source_digest",
+             "hashlib.file_digest(fh, 'sha256')"),
+            ("data.py", "_records_digest",
+             "hashlib.file_digest(fh, lambda: hashlib.sha256(text_key))"),
+            ("data.py", "_cached", "open(cache, 'rb')"),
+            ("data.py", "_cached", "fh.read(len(blank))"),
+            ("data.py", "_cached", "open(path, 'rb')"),
+            ("data.py", "_cached",
+             "np.lib.format.read_array(fh, allow_pickle=False)"),
+            ("data.py", "_cached", "hashlib.file_digest(text, _key_hash)")]
 
 
 class TestStreamedFormat:
@@ -310,8 +349,11 @@ class TestStreamedFormat:
     def test_peak_memory_is_a_fraction_of_the_features(self, tmp_path):
         ds = data.generate(5, 10, 64, 2000, 4.0, 1.0, seed=3)
         path = tmp_path / "ds.txt"
+        cache = tmp_path / "ds.txt.cache"
+        # save, load through the sidecar, then load by the parse
         for step, bound in ((lambda: data.save(ds, path), 0.5),
-                            (lambda: data.load(path), 2.0)):
+                            (lambda: data.load(path), 2.0),
+                            (lambda: cache.unlink() or data.load(path), 2.0)):
             tracemalloc.start()
             try:
                 step()
@@ -324,14 +366,22 @@ class TestStreamedFormat:
     def test_reads_from_a_pipe(self, saved, tmp_path):
         ds, path, _ = saved
         fifo = tmp_path / "ds.fifo"
+        # another text's sidecar is beside the pipe: a load that hashed the
+        # pipe to check the key would then wait to parse it, with no writer
+        # left, so the load runs in a thread that is given a deadline
+        data.save(small_ds(seed=8), fifo)
+        fifo.unlink()
         os.mkfifo(fifo)
-        writer = threading.Thread(
-            target=lambda: fifo.write_bytes(path.read_bytes()))
-        writer.start()
-        try:
-            back = data.load(fifo)
-        finally:
-            writer.join()
+        loaded = []
+        threads = [threading.Thread(target=call, daemon=True) for call in (
+            lambda: fifo.write_bytes(path.read_bytes()),
+            lambda: loaded.append(data.load(fifo)))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive(), "the pipe was not read once"
+        back, = loaded
         assert back.fingerprint() == ds.fingerprint()
         assert np.array_equal(back.observed_labels, ds.observed_labels)
 
@@ -599,3 +649,215 @@ def test_file_checksum_stable_for_same_seed(tmp_path):
     data.save(small_ds(), p2)
     h = lambda p: hashlib.sha256(p.read_bytes()).hexdigest()
     assert h(p1) == h(p2)
+
+
+def _outcome(path):
+    """Everything ``data.load(path)`` gives: each array's dtype, shape and
+    bytes and each header field with its type, or its error's type and
+    text."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            ds = data.load(path)
+        except InputError as exc:
+            return type(exc), str(exc)
+    return (tuple((a.dtype, a.shape, a.tobytes())
+                  for a in (ds.features, ds.observed_labels, ds.true_labels,
+                            ds.au_labels)),
+            tuple((type(v), v) for v in (ds.n_classes, ds.n_units, ds.dim,
+                                         ds.corruption_rate, ds.seed)))
+
+
+def _records(blob: bytes) -> list[bytes]:
+    """A sidecar's ``.npy`` records, each with its header."""
+    fh, cuts = io.BytesIO(blob), [0]
+    while fh.tell() < len(blob):
+        np.lib.format.read_array(fh, allow_pickle=False)
+        cuts.append(fh.tell())
+    return [blob[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+class TestSidecar:
+    """``save`` leaves ``<path>.cache``; ``load`` returns its arrays while
+    the text is unchanged, and otherwise parses the text.  Either way the
+    result is the parse's, bit for bit, or its error."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """The paths ``load`` has parsed, in order."""
+        parsed = []
+        parse = data._parse
+
+        def counting(path):
+            parsed.append(path)
+            return parse(path)
+
+        monkeypatch.setattr(data, "_parse", counting)
+        return parsed
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        ds = data.corrupt_labels(small_ds(n=7, dim=3, n_units=4), 0.3, seed=2)
+        path = tmp_path / "ds.txt"
+        data.save(ds, path)
+        cache = tmp_path / "ds.txt.cache"
+        blob = cache.read_bytes()
+        cache.unlink()
+        parsed = _outcome(path)
+        cache.write_bytes(blob)
+        return path, cache, blob, parsed
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(
+        shape=st.tuples(st.integers(2, 4), st.integers(4, 6),
+                        st.integers(1, 4), st.integers(1, 6)),
+        draw=st.data(),
+        rate=st.sampled_from([0.0, 0.3, float(np.nextafter(1.0, 0.0))]),
+        seed=st.integers(0, 2**70))
+    def test_a_hit_equals_the_parse(self, shape, draw, rate, seed):
+        c, m, d, n = shape
+        value = st.one_of(st.sampled_from([-0.0, 5e-324,
+                                           1.7976931348623157e308]),
+                          st.floats(allow_nan=False, allow_infinity=False))
+        features = np.array(draw.draw(st.lists(value, min_size=n * d,
+                                               max_size=n * d)),
+                            dtype=np.float64).reshape(n, d)
+        labels = st.lists(st.integers(0, c - 1), min_size=n, max_size=n)
+        observed = np.array(draw.draw(labels), dtype=np.int64)
+        true = np.array(draw.draw(labels), dtype=np.int64)
+        bits = np.array(draw.draw(st.lists(st.integers(0, 1), min_size=n * m,
+                                           max_size=n * m)),
+                        dtype=np.int64).reshape(n, m)
+        ds = data.Dataset(features, observed, true, bits, c, m, d, rate, seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ds.txt"
+            data.save(ds, path)
+            files = sorted(os.listdir(tmp))
+            assert files == ["ds.txt", "ds.txt.cache"]
+            with mock.patch.object(data, "_parse",
+                                   side_effect=AssertionError("parsed")):
+                hit = _outcome(path)
+            assert sorted(os.listdir(tmp)) == files   # load writes no file
+            (Path(tmp) / "ds.txt.cache").unlink()
+            assert _outcome(path) == hit
+
+    def test_one_byte_edits_give_the_parse(self, saved, parses):
+        path, cache, blob, parsed = saved
+        for at in range(len(blob)):
+            for flip in (0x01, 0xff):
+                edited = bytearray(blob)
+                edited[at] ^= flip
+                cache.write_bytes(bytes(edited))
+                assert _outcome(path) == parsed, (at, flip)
+        assert len(parses) == 2 * len(blob)
+
+    def test_truncations_give_the_parse(self, saved, parses):
+        path, cache, blob, parsed = saved
+        for size in range(len(blob)):
+            cache.write_bytes(blob[:size])
+            assert _outcome(path) == parsed, size
+        assert len(parses) == len(blob)
+        cache.write_bytes(blob)
+        assert _outcome(path) == parsed
+        assert len(parses) == len(blob)   # the whole sidecar hits
+
+    def test_swapped_or_dropped_records_give_the_parse(self, saved, parses):
+        path, cache, blob, parsed = saved
+        records = _records(blob)
+        assert len(records) == 6
+        for i in range(6):
+            for j in range(i + 1, 6):
+                swapped = list(records)
+                swapped[i], swapped[j] = swapped[j], swapped[i]
+                cache.write_bytes(b"".join(swapped))
+                assert _outcome(path) == parsed, (i, j)
+            cache.write_bytes(b"".join(records[:i] + records[i + 1:]))
+            assert _outcome(path) == parsed, i
+        assert len(parses) == 15 + 6
+
+    def test_forged_records_give_the_parse(self, saved, parses):
+        path, cache, blob, parsed = saved
+        key, head, *arrays = _records(blob)
+        features = np.lib.format.read_array(io.BytesIO(arrays[0]))
+        forged = []
+        for record in (features.astype(object), np.asfortranarray(features),
+                       features.astype(np.float32), features[:, :1]):
+            fh = io.BytesIO()
+            np.lib.format.write_array(fh, record)
+            forged.append(fh.getvalue())
+        # a header that claims far more data than the file holds
+        forged.append(arrays[0].replace(b"(7, 3)", b"(10000000000000, 3)"))
+        forged.append(arrays[0].replace(b"(7, 3)", b"(" + b"9" * 30 + b", 3)"))
+        for record in forged:
+            cache.write_bytes(b"".join([key, head, record, *arrays[1:]]))
+            assert _outcome(path) == parsed
+        assert len(parses) == len(forged)
+
+    def test_one_byte_edits_of_the_text_give_the_parse(self, saved, parses):
+        path, cache, blob, _ = saved
+        text = path.read_bytes()
+        edits = [text[:at] + byte + text[at + 1:] for at in range(len(text))
+                 for byte in (b"0", b"9", b",", b"\n", b"\xff")
+                 if byte != text[at:at + 1]]
+        for edited in edits:
+            path.write_bytes(edited)
+            with_sidecar = _outcome(path)
+            cache.unlink()
+            assert with_sidecar == _outcome(path), edited
+            cache.write_bytes(blob)
+        assert len(parses) == 2 * len(edits)
+
+    @pytest.mark.parametrize("encode", [
+        lambda text: text.replace(b"\n", b"\r\n"),
+        lambda text: codecs.BOM_UTF8 + text])
+    def test_crlf_or_bom_text_loads_by_the_parse(self, saved, parses,
+                                                  encode):
+        path, _, _, parsed = saved
+        path.write_bytes(encode(path.read_bytes()))
+        assert _outcome(path) == parsed
+        assert parses == [path]
+
+    def test_a_sidecar_of_another_parser_is_not_read(self, saved, parses,
+                                                      monkeypatch):
+        path, _, _, parsed = saved
+        assert _outcome(path) == parsed and parses == []
+        for module, name, value in ((np, "__version__", "0.0.0"),
+                                    (data, "_source_digest",
+                                     lambda: bytes(32))):
+            with monkeypatch.context() as patched:
+                patched.setattr(module, name, value)
+                assert _outcome(path) == parsed
+        assert parses == [path, path]
+
+    def test_arrays_of_other_dtypes_leave_no_sidecar(self, tmp_path, parses):
+        ds = small_ds(n=7, dim=3, n_units=4)
+        path = tmp_path / "ds.txt"
+        data.save(replace(ds, features=ds.features.astype(np.float32),
+                          observed_labels=ds.observed_labels.astype(np.int32)),
+                  path)
+        assert [p.name for p in tmp_path.iterdir()] == ["ds.txt"]
+        back = data.load(path)
+        assert parses == [path]
+        assert back.features.dtype == np.float64
+        assert back.observed_labels.dtype == np.int64
+
+    def test_a_sidecar_that_cannot_be_written_is_left_out(self, tmp_path,
+                                                           parses):
+        ds = small_ds(n=7, dim=3, n_units=4)
+        path = tmp_path / "ds.txt"
+        (tmp_path / "ds.txt.cache").mkdir()
+        data.save(ds, path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["ds.txt", "ds.txt.cache"]
+        assert data.load(path).fingerprint() == ds.fingerprint()
+        assert parses == [path]
+
+    def test_save_replaces_the_sidecar_with_the_text(self, saved, parses):
+        path, cache, _, _ = saved
+        ds = data.corrupt_labels(small_ds(n=9, dim=2, n_units=4), 0.5, seed=4)
+        data.save(ds, path)
+        back = data.load(path)
+        assert parses == []
+        assert back.fingerprint() == ds.fingerprint()
+        assert np.array_equal(back.observed_labels, ds.observed_labels)
