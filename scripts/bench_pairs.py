@@ -28,16 +28,23 @@ line and makes the exit code 1.  A run whose last line is not a JSON result
 ends the script with one ``error:`` line naming its pair and side, and
 exit code 1.  The script reads ``BENCHMARK.json`` and
 runs ``perfbench/run.py`` as they are; each run writes only the result file
-in its tree's git-ignored ``perfbench/out/``.
+in its tree's git-ignored ``perfbench/out/``.  Each run gets its own
+empty ``PYTHONPYCACHEPREFIX``, with bytecode writing on whatever
+``PYTHONDONTWRITEBYTECODE`` says, so both trees start from the same cache
+state: a stale ``__pycache__`` in either tree is never read, a run's first
+round compiles every module it imports, and its later rounds read that
+bytecode.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -67,11 +74,16 @@ def summarize(metric: dict, parent: list[float], change: list[float]) -> dict:
 
 def run_once(tree: Path, workload: str, args, where: str) -> dict:
     """The last line of one ``perfbench/run.py`` run of ``workload`` from
-    ``tree``; ``where`` names the run in an error."""
+    ``tree``, under a fresh, empty ``PYTHONPYCACHEPREFIX`` that it may
+    write; ``where`` names the run in an error."""
     cmd = [sys.executable, str(tree / "perfbench" / "run.py"),
            "--workload", workload, "--seed", str(args.seed),
            "--seconds", str(args.seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, capture_output=True, text=True, cwd=tree)
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": ""}
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        env["PYTHONPYCACHEPREFIX"] = cache
+        proc = subprocess.run(cmd, capture_output=True, text=True, cwd=tree,
+                              env=env)
     lines = proc.stdout.strip().splitlines()
     if not lines:
         raise SystemExit(f"error: {where}: {' '.join(cmd)} exited "

@@ -18,7 +18,11 @@ first evaluation, or between two evaluations, is a training-step peak (the
 model's set-up before the first step falls there too), and the peak inside
 an evaluation an evaluation peak.  The checkpoint built after the last
 evaluation counts toward neither.  Both lines give the highest such peak in
-MB of 2**20 bytes, the unit of the benchmark's ``peak_rss_mb``.  Two more
+MB of 2**20 bytes, the unit of the benchmark's ``peak_rss_mb``.  The third
+gives the training-step peak of one more epoch resumed from the cell's
+checkpoint file as ``train --resume`` resumes it: the checkpoint is loaded
+under tracing, so its arrays count for as long as anything holds them, but
+the peak of the load itself does not.  Two more
 lines give, in the same unit, the peak of ``trainer.save_checkpoint``
 writing that checkpoint to a temporary file and of
 ``trainer.load_checkpoint`` reading it back, each traced on its own, with
@@ -58,14 +62,12 @@ def traced_peak(call) -> int:
         tracemalloc.stop()
 
 
-def phase_peaks(train_ds: data.Dataset, test_ds: data.Dataset, seed: int,
-                batch_size: int | None
+def phase_peaks(train_ds: data.Dataset, test_ds: data.Dataset,
+                cfg: trainer.TrainConfig, resume: str | None = None
                 ) -> tuple[int, int, trainer.Checkpoint]:
     """(training-step peak, evaluation peak) in bytes above the datasets,
-    and the cell's checkpoint."""
-    cfg = cell_config(trainer.TrainConfig(), seed)
-    if batch_size is not None:
-        cfg = replace(cfg, batch_size=batch_size)
+    and the checkpoint of a run under ``cfg``, which resumes the checkpoint
+    file ``resume`` when given."""
     peaks = {"steps": 0, "evaluations": 0}
     real_evaluate = trainer.evaluate
 
@@ -82,11 +84,26 @@ def phase_peaks(train_ds: data.Dataset, test_ds: data.Dataset, seed: int,
     trainer.evaluate = evaluate
     tracemalloc.start()
     try:
-        result = trainer.train(train_ds, cfg, eval_dataset=test_ds)
+        # held as cli.cmd_train holds it, so train() gets the only reference
+        loaded = [trainer.load_checkpoint(resume)] if resume else []
+        tracemalloc.reset_peak()
+        result = trainer.train(train_ds, cfg, eval_dataset=test_ds,
+                               resume=loaded.pop() if loaded else None)
     finally:
         tracemalloc.stop()
         trainer.evaluate = real_evaluate
     return peaks["steps"], peaks["evaluations"], result.checkpoint
+
+
+def resumed_step_peak(train_ds: data.Dataset, test_ds: data.Dataset,
+                      ckpt: trainer.Checkpoint) -> int:
+    """The training-step peak in bytes above the datasets of one more epoch
+    resumed from ``ckpt``'s file, the loaded checkpoint included."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "checkpoint.json")
+        trainer.save_checkpoint(ckpt, path)
+        cfg = replace(ckpt.config, epochs=ckpt.epoch + 1)
+        return phase_peaks(train_ds, test_ds, cfg, path)[0]
 
 
 def checkpoint_peaks(ckpt: trainer.Checkpoint) -> tuple[int, int, int]:
@@ -119,10 +136,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     train_ds, test_ds = make_cell_datasets(DatasetSpec(dim=args.dim), 0.2,
                                            args.seed)
-    steps, evaluations, ckpt = phase_peaks(train_ds, test_ds, args.seed,
-                                           args.batch_size)
+    cfg = cell_config(trainer.TrainConfig(), args.seed)
+    if args.batch_size is not None:
+        cfg = replace(cfg, batch_size=args.batch_size)
+    steps, evaluations, ckpt = phase_peaks(train_ds, test_ds, cfg)
+    resumed = resumed_step_peak(train_ds, test_ds, ckpt)
     print(f"training steps: peak {steps / MB:.2f} MB above the datasets")
     print(f"evaluations:    peak {evaluations / MB:.2f} MB above the datasets")
+    print(f"resumed steps:  peak {resumed / MB:.2f} MB above the datasets")
     save, load, size = checkpoint_peaks(ckpt)
     zeroed = replace(ckpt, velocities={name: np.zeros_like(v) for name, v
                                        in ckpt.velocities.items()})

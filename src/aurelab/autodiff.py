@@ -164,8 +164,18 @@ def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
     if not 0.0 < s < 1.0:
         raise ValueError(f"leaky_relu slope must lie in (0, 1), got {s}")
     xd = x.data
-    factor = np.maximum(xd > 0, s)   # 1.0 where x > 0, else slope (NaN too)
-    return node(xd * factor, (x,), lambda g: (g * factor,))
+    # x * s > x exactly where x < 0, and at +-0 and NaN max gives x * s's
+    # bits; the vjp keeps a bool mask, an eighth of a float factor's bytes
+    mask = xd > 0
+    out = xd * s
+    np.maximum(xd, out, out=out)
+
+    def vjp(g):
+        factor = np.maximum(mask, s)   # 1.0 where x > 0, else slope
+        factor *= g
+        return (factor,)
+
+    return node(out, (x,), vjp)
 
 
 def log_softmax_row(x: Tensor) -> Tensor:

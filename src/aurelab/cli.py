@@ -43,6 +43,7 @@ import os
 import re
 import sys
 import warnings
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -136,10 +137,11 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _naming(call, *files: tuple[str, str | None]):
-    """``call()``, naming each given ``(role, path)`` in an InputError."""
+@contextmanager
+def _naming(*files: tuple[str, str | None]):
+    """Name each given ``(role, path)`` in an InputError raised inside."""
     try:
-        return call()
+        yield
     except InputError as exc:
         named = ", ".join(f"{role} {path}" for role, path in files if path)
         raise InputError(f"{named}: {exc}") from None
@@ -161,12 +163,15 @@ def cmd_train(args) -> int:
                                  str(nearest))
     ds = data.load(args.data)
     eval_ds = data.load(args.test_data) if args.test_data else None
-    resume = load_checkpoint(args.resume) if args.resume else None
-    cfg = replace(resume.config if resume else TrainConfig(), **flags)
-    result = _naming(lambda: train(ds, cfg, eval_dataset=eval_ds or replace(
-        ds, observed_labels=ds.true_labels), resume=resume),
-        ("checkpoint", args.resume), ("training set", args.data),
-        ("held-out set", args.test_data))
+    # a list, not a name, holds the checkpoint, so that train() is given the
+    # only reference and frees it once the model is restored
+    loaded = [load_checkpoint(args.resume)] if args.resume else []
+    cfg = replace(loaded[0].config if loaded else TrainConfig(), **flags)
+    with _naming(("checkpoint", args.resume), ("training set", args.data),
+                 ("held-out set", args.test_data)):
+        result = train(ds, cfg, eval_dataset=eval_ds or replace(
+            ds, observed_labels=ds.true_labels),
+            resume=loaded.pop() if loaded else None)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     write_metrics_csv(result.metrics, ds.n_classes, out_dir / "metrics.csv")
@@ -181,9 +186,9 @@ def cmd_train(args) -> int:
               f"final {where} accuracy {last.accuracy:.4f}")
         print(f"final stored-label noise rate {last.noise_rate:.4f}; "
               f"{sum(m.relabel_count for m in result.metrics)} corrections")
-    elif resume is not None:
-        print(f"no epochs trained; wrote the resumed epoch-{resume.epoch} "
-              f"checkpoint again")
+    elif args.resume:
+        print(f"no epochs trained; wrote the resumed "
+              f"epoch-{result.checkpoint.epoch} checkpoint again")
     else:
         print("no epochs trained; wrote initialization checkpoint")
     print(f"artifacts under {out_dir}")
@@ -193,8 +198,9 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     ds = data.load(args.data)
     ckpt = load_checkpoint(args.checkpoint)
-    model = _naming(lambda: restore_model(ckpt, ds),
-                    ("checkpoint", args.checkpoint), ("dataset", args.data))
+    with _naming(("checkpoint", args.checkpoint), ("dataset", args.data)):
+        model = restore_model(ckpt, ds)
+    del ckpt   # the model holds copies of every array
     report = evaluate(model, ds)
     if args.out:   # before the report, so a failed write prints no report
         data.write_csv(args.out, [

@@ -618,7 +618,8 @@ def train(dataset: Dataset, config: TrainConfig,
     come from it; otherwise each epoch records the figures of an evaluation
     of no sample (NaN accuracies, an all-zero confusion).  ``resume``
     continues a checkpointed run up to ``config.epochs`` total epochs, which
-    may not be fewer than the checkpoint's.
+    may not be fewer than the checkpoint's; no reference to it is kept once
+    the model and labels are restored from it.
     """
     config.validate()
     dataset.validate()
@@ -654,6 +655,9 @@ def train(dataset: Dataset, config: TrainConfig,
             raise InputError("checkpoint labels do not fit the dataset")
         ds.observed_labels[...] = labels
         start_epoch = resume.epoch + 1
+        # the model and labels are copies: a caller that handed over its
+        # last reference to the checkpoint has it freed here
+        del resume, labels
 
     params = [t for branch, *_ in model.trained for t in branch.values()]
     metrics: list[EpochMetrics] = []

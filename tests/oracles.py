@@ -290,6 +290,13 @@ def two_where_leaky_relu(x, slope):
     return np.where(x > 0, x, slope * x), factor
 
 
+def factor_leaky_relu(x, slope, g):
+    """Leaky ReLU output and vjp of ``g`` through one float factor, 1.0
+    where x > 0 and the slope elsewhere (NaN included)."""
+    factor = np.maximum(x > 0, slope)
+    return x * factor, g * factor
+
+
 def masked_sigmoid(x):
     """Logistic function with each branch evaluated on its own entries."""
     out = np.empty_like(x)

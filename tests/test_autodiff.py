@@ -12,8 +12,8 @@ import pytest
 from aurelab import autodiff as ad
 from aurelab.errors import ShapeError
 import tape_kit as tk
-from oracles import (broadcast_block_row_dot_grads, masked_sigmoid,
-                     two_where_leaky_relu)
+from oracles import (broadcast_block_row_dot_grads, factor_leaky_relu,
+                     masked_sigmoid, two_where_leaky_relu)
 
 
 def rand(rng, r, c):
@@ -67,6 +67,24 @@ class TestForwardValues:
         assert out.data.tobytes() == want_out.tobytes()
         assert grad.tobytes() == want_grad.tobytes()
         assert grad[0, 0] == grad[0, 1] == slope   # subgradient at +-0
+
+    @pytest.mark.parametrize("slope", [0.01, 0.25, 0.999])
+    def test_leaky_relu_bits_match_the_factor_composition(self, slope):
+        # a GCN layer's shape at the benchmark's batch, with every edge value
+        tiny = np.nextafter(0.0, 1.0)
+        edges = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, tiny, -tiny,
+                 1e-310, -1e-310, 1.7976931348623157e308, -1e308]
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((480, 64))
+        x.flat[:len(edges)] = edges
+        g = rng.standard_normal(x.shape)
+        g.flat[len(edges):2 * len(edges)] = edges
+        node = ad.parameter(x)
+        out = ad.leaky_relu(node, slope)
+        (grad,) = out._tape.vjp(g)
+        want_out, want_grad = factor_leaky_relu(x, slope, g)
+        assert out.data.tobytes() == want_out.tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
 
     def test_sigmoid_bits_match_masked_oracle(self):
         tiny = np.nextafter(0.0, 1.0)

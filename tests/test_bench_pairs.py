@@ -7,6 +7,7 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -127,3 +128,27 @@ def test_repeated_workloads_print_a_table_each(tmp_path, monkeypatch, capsys):
         assert f"{workload} pair 2: run_s 1 -> 1" in out
     assert out.count("run_s (s): 1 [1, 1] -> 1 [1, 1]; change wins 0/2; "
                      "within bound") == 2
+
+
+def test_each_run_compiles_under_its_own_empty_cache_prefix(
+        tmp_path, monkeypatch):
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    tree = _fake_tree(tmp_path / "tree", "")
+    (tree / "perfbench" / "probe.py").write_text("")
+    (tree / "perfbench" / "run.py").write_text(
+        "import importlib.util, json, os, sys\n"
+        "pyc = importlib.util.cache_from_source(\n"
+        "    os.path.join(os.path.dirname(__file__), 'probe.py'))\n"
+        "fresh = not os.path.exists(pyc)\n"
+        "import probe\n"
+        "print(json.dumps({'prefix': sys.pycache_prefix, 'fresh': fresh,"
+        " 'cached': probe.__cached__,"
+        " 'written': os.path.exists(probe.__cached__)}))\n")
+    args = SimpleNamespace(seed=1, seconds=1)
+    runs = [bench_pairs.run_once(tree, "a", args, f"run {i}")
+            for i in range(2)]
+    assert runs[0]["prefix"] != runs[1]["prefix"]
+    for run in runs:
+        assert run["fresh"] and run["written"]
+        assert run["cached"].startswith(run["prefix"])
+        assert not Path(run["prefix"]).exists()

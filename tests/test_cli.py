@@ -7,6 +7,7 @@ import sys
 import time
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import aurelab
-from aurelab import cli, data, errors, experiments
+from aurelab import cli, data, errors, experiments, trainer
 from aurelab.cli import main
 from aurelab.relabel import AUDIT_HEADER
 from aurelab.trainer import TrainConfig, load_checkpoint
@@ -321,6 +322,61 @@ class TestTrain:
             assert ("no epochs trained; wrote the resumed epoch-2 checkpoint "
                     "again\n" in capsys.readouterr().out)
             assert (out / "checkpoint.json").read_bytes() == ckpt.read_bytes()
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason=(
+        "before CPython 3.11 the caller's stack holds a call's arguments "
+        "until it returns"))
+    def test_resume_frees_the_loaded_checkpoint_before_training(
+            self, dataset_files, tmp_path, capsys, monkeypatch):
+        train_path, _ = dataset_files
+        ckpt = tmp_path / "two" / "checkpoint.json"
+        assert main(["train", "--data", str(train_path), "--out",
+                     str(ckpt.parent)] + TRAIN_SPEED_ARGS
+                    + ["--epochs", "2"]) == 0
+        refs, alive_at_steps = [], []
+
+        def load(path):
+            loaded = load_checkpoint(path)
+            refs.append(weakref.ref(loaded.velocities["aux.gcn1_w"]))
+            return loaded
+
+        def step(*args):
+            alive_at_steps.append(refs[0]() is not None)
+            return real_step(*args)
+
+        real_step = trainer._train_step
+        monkeypatch.setattr(cli, "load_checkpoint", load)
+        monkeypatch.setattr(trainer, "_train_step", step)
+        assert main(["train", "--data", str(train_path), "--out",
+                     str(tmp_path / "resumed"), "--resume", str(ckpt),
+                     "--epochs", "3"]) == 0
+        assert "trained 1 epochs" in capsys.readouterr().out
+        assert alive_at_steps and not any(alive_at_steps)
+
+    def test_eval_frees_the_loaded_checkpoint_before_evaluating(
+            self, dataset_files, tmp_path, capsys, monkeypatch):
+        train_path, test_path = dataset_files
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(train_path), "--out", str(out)]
+                    + TRAIN_SPEED_ARGS + ["--epochs", "1"]) == 0
+        refs, alive = [], []
+
+        def load(path):
+            loaded = load_checkpoint(path)
+            refs.append(weakref.ref(loaded.params["target.layer1_w"]))
+            return loaded
+
+        def evaluate(*args):
+            alive.append(refs[0]() is not None)
+            return real_evaluate(*args)
+
+        real_evaluate = cli.evaluate
+        monkeypatch.setattr(cli, "load_checkpoint", load)
+        monkeypatch.setattr(cli, "evaluate", evaluate)
+        assert main(["eval", "--checkpoint", str(out / "checkpoint.json"),
+                     "--data", str(test_path)]) == 0
+        assert "accuracy " in capsys.readouterr().out
+        assert alive == [False]
 
 
 class TestEvalAndInspect:

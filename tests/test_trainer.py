@@ -710,6 +710,28 @@ class TestCheckpointing:
                            "past the 1 total epochs"):
             train(ds, replace(FAST, epochs=1), resume=half.checkpoint)
 
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason=(
+        "before CPython 3.11 the caller's stack holds a call's arguments "
+        "until it returns"))
+    def test_resume_frees_the_checkpoint_before_its_first_step(
+            self, tmp_path, monkeypatch):
+        ds = tiny_ds()
+        path = tmp_path / "ck.json"
+        save_checkpoint(train(ds, replace(FAST, epochs=2)).checkpoint, path)
+        loaded = [load_checkpoint(path)]
+        freed = weakref.ref(loaded[0].params["target.classifier_w"])
+        alive_at_steps = []
+        real_step = trainer._train_step
+
+        def step(*args):
+            alive_at_steps.append(freed() is not None)
+            return real_step(*args)
+
+        monkeypatch.setattr(trainer, "_train_step", step)
+        resumed = train(ds, replace(FAST, epochs=3), resume=loaded.pop())
+        assert [m.epoch for m in resumed.metrics] == [3]
+        assert alive_at_steps and not any(alive_at_steps)
+
     def test_interrupted_write_keeps_previous_file(self, tmp_path,
                                                    monkeypatch):
         ckpt = train(tiny_ds(), replace(FAST, epochs=1)).checkpoint
