@@ -17,7 +17,6 @@ import codecs
 import contextlib
 import functools
 import hashlib
-import io
 import os
 import sys
 from collections.abc import Iterable, Iterator
@@ -544,16 +543,16 @@ def _parse_rows(rows: list[str], start: int, lineno: int, n_units: int,
 
 
 # ---------------------------------------------------------------------------
-# sidecar: ``<path>.cache``, a stream of ``.npy`` records: the key, the
-# header lines' UTF-8 bytes, features, observed labels, true labels and unit
-# bits.  The key record holds 64 bytes: the text's key (:func:`_key_hash`),
-# then a sha256 over the text's key and every byte after the key record.
-# The second half finds any damage to the records; the first half a text
-# that is not the one they were written with, or a parser that may read
-# that text otherwise.
+# sidecar: ``<path>.cache``, 64 key bytes, then a stream of ``.npy`` records:
+# the header lines' UTF-8 bytes, features, observed labels, true labels and
+# unit bits.  The key is the text's key (:func:`_key_hash`), then a sha256
+# over the text's key and every byte after the key, so numpy parses only
+# records that the key has vouched for.  The second half finds any damage
+# to the records; the first half a text that is not the one they were
+# written with, or a parser that may read that text otherwise.
 
-_SIDECAR_FORMAT = b"aurelab-dataset-sidecar-v1\0"
-# the dtype of each record after the key: those of the arrays ``load`` parses
+_SIDECAR_FORMAT = b"aurelab-dataset-sidecar-v2\0"
+# the dtype of each record: those of the arrays ``load`` parses
 _SIDECAR_DTYPES = (np.uint8, np.float64, np.int64, np.int64, np.int64)
 
 
@@ -578,19 +577,6 @@ def _records_digest(text_key: bytes, fh) -> bytes:
     return hashlib.file_digest(fh, lambda: hashlib.sha256(text_key)).digest()
 
 
-def _write_record(fh, record: np.ndarray) -> None:
-    np.lib.format.write_array(fh, record, allow_pickle=False)
-
-
-def _key_record(key: bytes) -> bytes:
-    """The key record's bytes: its ``.npy`` header, then the 64 key bytes.
-    ``load`` compares the header's bytes and does not parse them, so
-    numpy parses only records that the key's digest has vouched for."""
-    fh = io.BytesIO()
-    _write_record(fh, np.frombuffer(key, np.uint8))
-    return fh.getvalue()
-
-
 def _write_sidecar(ds: Dataset, path, text_key: bytes) -> None:
     """Write ``ds``'s sidecar in place of ``<path>.cache``, atomically,
     unless an array's dtype is not the one ``load`` parses.  The file is
@@ -605,14 +591,13 @@ def _write_sidecar(ds: Dataset, path, text_key: bytes) -> None:
     if any(r.dtype != dtype for r, dtype in zip(records, _SIDECAR_DTYPES)):
         return
     with _replacing(f"{path}.cache", "w+b", buffering=0) as fh:
-        fh.write(_key_record(bytes(64)))   # the key's place
-        start = fh.tell()
+        fh.write(bytes(64))   # the key's place
         for record in records:
-            _write_record(fh, record)
-        fh.seek(start)
+            np.lib.format.write_array(fh, record, allow_pickle=False)
+        fh.seek(64)
         key = text_key + _records_digest(text_key, fh)
         fh.seek(0)
-        fh.write(_key_record(key))
+        fh.write(key)
 
 
 def _cached(path) -> Dataset | None:
@@ -628,18 +613,16 @@ def _cached(path) -> Dataset | None:
         if not (os.path.isfile(path) and os.path.isfile(cache)):
             return None
         with open(cache, "rb") as fh:
-            blank = _key_record(bytes(64))
-            key = fh.read(len(blank))
-            if len(key) != len(blank) or not key.startswith(blank[:-64]):
+            key = fh.read(64)
+            if len(key) != 64:
                 return None
-            text_key, digest = key[-64:-32], key[-32:]
+            text_key, digest = key[:32], key[32:]
             with open(path, "rb") as text:
                 if hashlib.file_digest(text, _key_hash).digest() != text_key:
                     return None
-            start = fh.tell()
             if _records_digest(text_key, fh) != digest:
                 return None
-            fh.seek(start)
+            fh.seek(64)
             head, *arrays = (np.lib.format.read_array(fh, allow_pickle=False)
                              for _ in _SIDECAR_DTYPES)
         if head.dtype != np.uint8:

@@ -323,9 +323,6 @@ class TestTrain:
                     "again\n" in capsys.readouterr().out)
             assert (out / "checkpoint.json").read_bytes() == ckpt.read_bytes()
 
-    @pytest.mark.skipif(sys.version_info < (3, 11), reason=(
-        "before CPython 3.11 the caller's stack holds a call's arguments "
-        "until it returns"))
     def test_resume_frees_the_loaded_checkpoint_before_training(
             self, dataset_files, tmp_path, capsys, monkeypatch):
         train_path, _ = dataset_files

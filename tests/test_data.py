@@ -323,7 +323,7 @@ class TestReadLines:
             ("data.py", "_records_digest",
              "hashlib.file_digest(fh, lambda: hashlib.sha256(text_key))"),
             ("data.py", "_cached", "open(cache, 'rb')"),
-            ("data.py", "_cached", "fh.read(len(blank))"),
+            ("data.py", "_cached", "fh.read(64)"),
             ("data.py", "_cached", "open(path, 'rb')"),
             ("data.py", "_cached",
              "np.lib.format.read_array(fh, allow_pickle=False)"),
@@ -669,8 +669,10 @@ def _outcome(path):
 
 
 def _records(blob: bytes) -> list[bytes]:
-    """A sidecar's ``.npy`` records, each with its header."""
-    fh, cuts = io.BytesIO(blob), [0]
+    """A sidecar's 64 key bytes, then its ``.npy`` records, each with its
+    header."""
+    fh, cuts = io.BytesIO(blob), [0, 64]
+    fh.seek(64)
     while fh.tell() < len(blob):
         np.lib.format.read_array(fh, allow_pickle=False)
         cuts.append(fh.tell())

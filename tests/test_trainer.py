@@ -710,9 +710,6 @@ class TestCheckpointing:
                            "past the 1 total epochs"):
             train(ds, replace(FAST, epochs=1), resume=half.checkpoint)
 
-    @pytest.mark.skipif(sys.version_info < (3, 11), reason=(
-        "before CPython 3.11 the caller's stack holds a call's arguments "
-        "until it returns"))
     def test_resume_frees_the_checkpoint_before_its_first_step(
             self, tmp_path, monkeypatch):
         ds = tiny_ds()
