@@ -23,8 +23,9 @@ tables and each table's ``spec.resolved``; the ``checkpoint.json`` (which
 stores every training value) and ``metrics.csv`` of each flag run; and the
 stdout of ``inspect`` on each kind of the first ``train`` run's files
 (``audit``, ``metrics``, ``checkpoint``, both ``graph`` CSVs and the
-``dataset`` it trained on), which covers the readers of those files.  The
-last line combines them.
+``dataset`` it trained on), which covers the readers of those files, and
+of ``inspect dataset`` on a copy of that dataset's text without its
+sidecar, which ``load`` then parses.  The last line combines them.
 Paths are relative to the temporary directory, so the lines do not depend
 on where it is.  ``--expect FILE`` compares each line with the recorded
 one (``digest_expect.py``).
@@ -35,6 +36,7 @@ import contextlib
 import hashlib
 import io
 import os
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -119,7 +121,7 @@ INSPECTED = [("audit", "run/relabel_audit.csv"), ("metrics", "run/metrics.csv"),
              ("checkpoint", "run/checkpoint.json"),
              ("graph", "run/au_adjacency.csv"),
              ("graph", "run/au_adjacency_normalized.csv"),
-             ("dataset", "ds.txt")]
+             ("dataset", "ds.txt"), ("dataset", "parsed.txt")]
 
 
 def inspect_stdout(kind: str, path: str) -> bytes:
@@ -147,6 +149,7 @@ def write_artifacts() -> int:
         if rc != 0:
             print(f"aurelab {' '.join(step)} exited {rc}", file=sys.stderr)
             return rc
+    shutil.copyfile("ds.txt", "parsed.txt")   # the text, not its sidecar
     return 0
 
 

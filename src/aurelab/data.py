@@ -417,15 +417,10 @@ def _csv_rows(path, header_ok, expected: str
     return rows
 
 
-def _header_text(ds: Dataset) -> str:
-    """The header lines of ``ds``'s file."""
-    return (f"C={ds.n_classes}\nM={ds.n_units}\nD={ds.dim}\nn={ds.n}\n"
-            f"corruption_rate={ds.corruption_rate!r}\nseed={ds.seed}\n")
-
-
 def _dataset_lines(ds: Dataset) -> Iterator[str]:
     """The lines of ``ds``'s file, each row formatted as it is asked for."""
-    yield _header_text(ds)
+    yield (f"C={ds.n_classes}\nM={ds.n_units}\nD={ds.dim}\nn={ds.n}\n"
+           f"corruption_rate={ds.corruption_rate!r}\nseed={ds.seed}\n")
     for i, (bits, values) in enumerate(zip(ds.au_labels, ds.features)):
         yield ",".join([str(i), str(int(ds.observed_labels[i])),
                         str(int(ds.true_labels[i])),
@@ -503,7 +498,8 @@ def _parse_block(block: list[str], start: int, lineno: int, n_units: int,
     an integer beyond int64 and an integer field written as a float
     (``1.0``, ``0.9``).  A block that fails is read again a row at a time
     by the same code, which raises the first faulty row's fault, checked
-    in this order: field count, parse, sample id, label range, unit bits.
+    in this order: field count, parse, sample id, label range, unit bits,
+    finite features.
     """
     try:
         return _parse_rows(block, start, lineno, n_units, dim, n_classes)
@@ -539,21 +535,22 @@ def _parse_rows(rows: list[str], start: int, lineno: int, n_units: int,
         raise InputError(f"line {lineno}: label out of range")
     if not ((bits == 0) | (bits == 1)).all():
         raise InputError(f"line {lineno}: unit bits must be 0/1")
-    return ints, table["f"]
+    values = table["f"]
+    if not np.isfinite(values).all():
+        raise InputError(f"line {lineno}: non-finite feature value")
+    return ints, values
 
 
 # ---------------------------------------------------------------------------
-# sidecar: ``<path>.cache``, 64 key bytes, then a stream of ``.npy`` records:
-# the header lines' UTF-8 bytes, features, observed labels, true labels and
-# unit bits.  The key is the text's key (:func:`_key_hash`), then a sha256
-# over the text's key and every byte after the key, so numpy parses only
-# records that the key has vouched for.  The second half finds any damage
-# to the records; the first half a text that is not the one they were
-# written with, or a parser that may read that text otherwise.
+# sidecar: ``<path>.cache``, a 32-byte digest, then four ``.npy`` records:
+# features, observed labels, true labels and unit bits.  The digest is a
+# sha256 over the text's key (:func:`_key_hash`) and every byte after it,
+# so one comparison finds an edited text, another parser and any damage to
+# the records, and numpy parses only records it has vouched for.  The
+# header is the text's own.
 
-_SIDECAR_FORMAT = b"aurelab-dataset-sidecar-v2\0"
 # the dtype of each record: those of the arrays ``load`` parses
-_SIDECAR_DTYPES = (np.uint8, np.float64, np.int64, np.int64, np.int64)
+_SIDECAR_DTYPES = (np.float64, np.int64, np.int64, np.int64)
 
 
 @functools.cache
@@ -564,11 +561,10 @@ def _source_digest() -> bytes:
 
 
 def _key_hash():
-    """A sha256 fed the sidecar format, this module's source and numpy's
-    version; fed a text's bytes as well, it gives the text's key, so a
-    sidecar that another parser wrote never matches."""
-    return hashlib.sha256(_SIDECAR_FORMAT + _source_digest() +
-                          np.__version__.encode() + b"\0")
+    """A sha256 fed this module's source and numpy's version; fed a text's
+    bytes as well, it gives the text's key, so a sidecar that another
+    parser wrote never matches."""
+    return hashlib.sha256(_source_digest() + np.__version__.encode() + b"\0")
 
 
 def _records_digest(text_key: bytes, fh) -> bytes:
@@ -581,61 +577,49 @@ def _write_sidecar(ds: Dataset, path, text_key: bytes) -> None:
     """Write ``ds``'s sidecar in place of ``<path>.cache``, atomically,
     unless an array's dtype is not the one ``load`` parses.  The file is
     unbuffered, so numpy writes each array from its own memory; the records
-    are then read back to be hashed, and the key written in front of
+    are then read back to be hashed, and the digest written in front of
     them."""
-    records = [np.frombuffer(_header_text(ds).encode("utf-8",
-                                                      "surrogateescape"),
-                             np.uint8),
-               *map(np.ascontiguousarray, (ds.features, ds.observed_labels,
-                                           ds.true_labels, ds.au_labels))]
+    records = [np.ascontiguousarray(a) for a in (
+        ds.features, ds.observed_labels, ds.true_labels, ds.au_labels)]
     if any(r.dtype != dtype for r, dtype in zip(records, _SIDECAR_DTYPES)):
         return
     with _replacing(f"{path}.cache", "w+b", buffering=0) as fh:
-        fh.write(bytes(64))   # the key's place
+        fh.write(bytes(32))   # the digest's place
         for record in records:
             np.lib.format.write_array(fh, record, allow_pickle=False)
-        fh.seek(64)
-        key = text_key + _records_digest(text_key, fh)
+        fh.seek(32)
+        digest = _records_digest(text_key, fh)
         fh.seek(0)
-        fh.write(key)
+        fh.write(digest)
 
 
 def _cached(path) -> Dataset | None:
     """The dataset that ``path``'s sidecar holds, or None, and ``load``
     parses the text.  It is None unless ``path`` and the sidecar are
-    regular files (``stat.S_ISREG``), so a pipe is never hashed, and the sidecar's key
+    regular files, so a pipe is never hashed, and the sidecar's digest
     matches the text and its records; those records are then what ``save``
-    wrote.  It is None too unless each record has the dtype and shape the
-    header gives and the dataset is valid: a sidecar never changes what
-    ``load`` returns or the error it raises."""
+    wrote.  It is None too unless the text's header parses, each record
+    has the dtype and shape that header gives and the dataset is valid: a
+    sidecar never changes what ``load`` returns or the error it raises."""
     cache = f"{path}.cache"
     try:
         if not (os.path.isfile(path) and os.path.isfile(cache)):
             return None
+        with open(path, "rb") as text:
+            text_key = hashlib.file_digest(text, _key_hash).digest()
         with open(cache, "rb") as fh:
-            key = fh.read(64)
-            if len(key) != 64:
-                return None
-            text_key, digest = key[:32], key[32:]
-            with open(path, "rb") as text:
-                if hashlib.file_digest(text, _key_hash).digest() != text_key:
-                    return None
+            digest = fh.read(32)
             if _records_digest(text_key, fh) != digest:
                 return None
-            fh.seek(64)
-            head, *arrays = (np.lib.format.read_array(fh, allow_pickle=False)
-                             for _ in _SIDECAR_DTYPES)
-        if head.dtype != np.uint8:
-            return None
-        lines = head.tobytes().decode().splitlines()
-        if len(lines) != len(_HEADER_KEYS):
-            return None
-        # the text's own header lines, read by the text's reader
-        header = _read_header(iter(lines))
+            fh.seek(32)
+            arrays = [np.lib.format.read_array(fh, allow_pickle=False)
+                      for _ in _SIDECAR_DTYPES]
+        with contextlib.closing(read_lines(path)) as lines:
+            header = _read_header(lines)
         n_classes, n_units, dim, n = (header[k] for k in "CMDn")
         shapes = ((n, dim), (n,), (n,), (n, n_units))
         if any(a.dtype != dtype or a.shape != shape for a, dtype, shape
-               in zip(arrays, _SIDECAR_DTYPES[1:], shapes)):
+               in zip(arrays, _SIDECAR_DTYPES, shapes)):
             return None
         ds = Dataset(*arrays, n_classes, n_units, dim,
                      header["corruption_rate"], header["seed"])
@@ -664,7 +648,8 @@ def _parse(path) -> Dataset:
     values.  Blank lines at the end are not rows.  After the first
     faulty row the rest are only counted, because a wrong row count is
     reported first; otherwise that row's fault is.  Each fault names the
-    file: ``<path>, line N: ...``, or ``<path>: ...`` without a line.
+    file and line, ``<path>, line N: ...``, but a byte that is not UTF-8,
+    which :func:`read_lines` names by its offset.
     """
     first = len(_HEADER_KEYS)
     try:
@@ -709,15 +694,12 @@ def _parse(path) -> Dataset:
                 f"samples but file has {rows}")
         if fault is not None:
             raise fault
-        ds = Dataset(features, observed, true, au, n_classes, n_units, dim,
-                     header["corruption_rate"], header["seed"])
-        ds.validate()
     except InputError as exc:
         if str(exc).startswith(f"{path}: "):   # the reader names the file
             raise
-        where = ", " if str(exc).startswith("line ") else ": "
-        raise InputError(f"{path}{where}{exc}") from None
-    return ds
+        raise InputError(f"{path}, {exc}") from None
+    return Dataset(features, observed, true, au, n_classes, n_units, dim,
+                   header["corruption_rate"], header["seed"])
 
 
 # ---------------------------------------------------------------------------

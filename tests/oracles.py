@@ -114,6 +114,8 @@ def _row_by_row(line, i, lineno, n_units, dim, n_classes):
         raise InputError(f"line {lineno}: label out of range")
     if any(b not in (0, 1) for b in bits):
         raise InputError(f"line {lineno}: unit bits must be 0/1")
+    if not all(map(math.isfinite, vals)):
+        raise InputError(f"line {lineno}: non-finite feature value")
     return obs, tru, bits, vals
 
 
@@ -164,15 +166,12 @@ def load_row_at_a_time(path):
                 f"samples but file has {rows}")
         if fault is not None:
             raise fault
-        ds = data.Dataset(features, observed, true, au, n_classes, n_units, dim,
-                          header["corruption_rate"], header["seed"])
-        ds.validate()
     except InputError as exc:
         if str(exc).startswith(f"{path}: "):   # the reader names the file
             raise
-        where = ", " if str(exc).startswith("line ") else ": "
-        raise InputError(f"{path}{where}{exc}") from None
-    return ds
+        raise InputError(f"{path}, {exc}") from None
+    return data.Dataset(features, observed, true, au, n_classes, n_units, dim,
+                        header["corruption_rate"], header["seed"])
 
 
 def one_shot_checkpoint_text(ckpt) -> str:

@@ -449,6 +449,34 @@ class TestEvalAndInspect:
     def test_inspect_missing_file_is_file_error(self, tmp_path):
         assert main(["inspect", "graph", str(tmp_path / "nope.csv")]) == 3
 
+    @pytest.mark.parametrize("kind,name", [("audit", "relabel_audit.csv"),
+                                           ("metrics", "metrics.csv")])
+    def test_inspect_skips_blank_lines_between_csv_rows(
+            self, run_dir, tmp_path, capsys, kind, name):
+        header, *rows = (run_dir / name).read_text().splitlines()
+        assert len(rows) >= 2
+        spaced = tmp_path / name
+        spaced.write_text(header + "\n" + "".join(f"\n{row}\n\n"
+                                                  for row in rows))
+        outs = []
+        for path in (run_dir / name, spaced):
+            assert main(["inspect", kind, str(path)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
+    def test_double_dash_ends_the_options(self, dataset_files, tmp_path,
+                                          monkeypatch, capsys):
+        # "-1.txt" reads as a flag, so only "--" lets it name a file
+        monkeypatch.chdir(tmp_path)
+        Path("-1.txt").write_bytes(dataset_files[0].read_bytes())
+        assert main(["inspect", "dataset", str(dataset_files[0])]) == 0
+        want = capsys.readouterr().out
+        assert main(["inspect", "dataset", "--", "-1.txt"]) == 0
+        assert capsys.readouterr().out == want
+        with pytest.raises(SystemExit) as exc:
+            main(["inspect", "dataset", "-1.txt"])
+        assert exc.value.code == 2
+
 
 def _assert_error(rc, capsys, message, code=3):
     err = capsys.readouterr().err
@@ -698,7 +726,7 @@ class TestBrokenInputs:
         (lambda lines: ["C=abc", *lines[1:]],
          "line 1: cannot parse value for 'C'"),
         (lambda lines: [*lines[:6], lines[6].rsplit(",", 1)[0] + ",nan",
-                        *lines[7:]], "non-finite feature values")],
+                        *lines[7:]], "line 7: non-finite feature value")],
         ids=["short-header", "wrong-key", "value-not-parsing", "nan-feature"])
     def test_malformed_dataset(self, dataset_files, tmp_path, capsys, edit,
                                message):
@@ -776,7 +804,7 @@ class TestBrokenInputs:
         assert rc == 3
         assert not (tmp_path / "run").exists()
 
-    def test_dataset_fault_without_a_line_names_its_file(
+    def test_non_finite_feature_names_its_file_and_line(
             self, dataset_files, tmp_path, capsys):
         lines = dataset_files[0].read_text().splitlines()
         lines[6] = lines[6].rsplit(",", 1)[0] + ",inf"
@@ -784,7 +812,7 @@ class TestBrokenInputs:
         path.write_text("\n".join(lines) + "\n")
         rc = main(["inspect", "dataset", str(path)])
         assert capsys.readouterr().err == \
-            f"error: {path}: non-finite feature values\n"
+            f"error: {path}, line 7: non-finite feature value\n"
         assert rc == 3
 
     # fields that int() and float() read but numpy does not

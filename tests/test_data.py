@@ -322,9 +322,9 @@ class TestReadLines:
              "hashlib.file_digest(fh, 'sha256')"),
             ("data.py", "_records_digest",
              "hashlib.file_digest(fh, lambda: hashlib.sha256(text_key))"),
-            ("data.py", "_cached", "open(cache, 'rb')"),
-            ("data.py", "_cached", "fh.read(64)"),
             ("data.py", "_cached", "open(path, 'rb')"),
+            ("data.py", "_cached", "open(cache, 'rb')"),
+            ("data.py", "_cached", "fh.read(32)"),
             ("data.py", "_cached",
              "np.lib.format.read_array(fh, allow_pickle=False)"),
             ("data.py", "_cached", "hashlib.file_digest(text, _key_hash)")]
@@ -500,11 +500,14 @@ def _saved_lines(ds) -> list[str]:
 
 
 _BODY = _saved_lines(data.corrupt_labels(small_ds(n=600), 0.2, seed=9))
+_FIELDS = _BODY[6].count(",") + 1
 
 
 def _mutate(lines: list[str], row: int, kind: str, pick: int) -> None:
     at = 6 + row
     fields = lines[at].split(",")
+    if len(fields) < _FIELDS:
+        return   # a blank or shortened row: its field count is its fault
     bit, value = 3 + pick % 6, 9 + pick % 16     # a unit bit, a feature
     if kind == "drop":
         del fields[pick % len(fields)]
@@ -535,6 +538,8 @@ def _mutate(lines: list[str], row: int, kind: str, pick: int) -> None:
         fields[1 + pick % 2] = "3" if pick % 4 < 2 else "-1"
     elif kind == "bit of 2":
         fields[bit] = "2"
+    elif kind == "non-finite feature":
+        fields[value] = ("nan", "inf", "-inf")[pick % 3]
     elif kind == "swap ids":
         other = at - 1 if row == 599 else at + 1
         lines[at], lines[other] = lines[other], lines[at]
@@ -553,8 +558,8 @@ def _mutate(lines: list[str], row: int, kind: str, pick: int) -> None:
     st.sampled_from(["drop", "extra", "garble int", "garble float",
                      "int as float", "underscore", "underscore in int",
                      "big int", "non-ASCII digit", "spaces",
-                     "label out of range", "bit of 2", "swap ids",
-                     "blank line", "CR"]),
+                     "label out of range", "bit of 2", "non-finite feature",
+                     "swap ids", "blank line", "CR"]),
     st.integers(0, 10**6)), min_size=1, max_size=3))
 def test_block_parse_matches_the_row_by_row_reference(mutations):
     lines = list(_BODY)
@@ -669,10 +674,10 @@ def _outcome(path):
 
 
 def _records(blob: bytes) -> list[bytes]:
-    """A sidecar's 64 key bytes, then its ``.npy`` records, each with its
-    header."""
-    fh, cuts = io.BytesIO(blob), [0, 64]
-    fh.seek(64)
+    """A sidecar's 32 digest bytes, then its ``.npy`` records, each with
+    its header."""
+    fh, cuts = io.BytesIO(blob), [0, 32]
+    fh.seek(32)
     while fh.tell() < len(blob):
         np.lib.format.read_array(fh, allow_pickle=False)
         cuts.append(fh.tell())
@@ -767,20 +772,20 @@ class TestSidecar:
     def test_swapped_or_dropped_records_give_the_parse(self, saved, parses):
         path, cache, blob, parsed = saved
         records = _records(blob)
-        assert len(records) == 6
-        for i in range(6):
-            for j in range(i + 1, 6):
+        assert len(records) == 5
+        for i in range(5):
+            for j in range(i + 1, 5):
                 swapped = list(records)
                 swapped[i], swapped[j] = swapped[j], swapped[i]
                 cache.write_bytes(b"".join(swapped))
                 assert _outcome(path) == parsed, (i, j)
             cache.write_bytes(b"".join(records[:i] + records[i + 1:]))
             assert _outcome(path) == parsed, i
-        assert len(parses) == 15 + 6
+        assert len(parses) == 10 + 5
 
     def test_forged_records_give_the_parse(self, saved, parses):
         path, cache, blob, parsed = saved
-        key, head, *arrays = _records(blob)
+        digest, *arrays = _records(blob)
         features = np.lib.format.read_array(io.BytesIO(arrays[0]))
         forged = []
         for record in (features.astype(object), np.asfortranarray(features),
@@ -792,7 +797,7 @@ class TestSidecar:
         forged.append(arrays[0].replace(b"(7, 3)", b"(10000000000000, 3)"))
         forged.append(arrays[0].replace(b"(7, 3)", b"(" + b"9" * 30 + b", 3)"))
         for record in forged:
-            cache.write_bytes(b"".join([key, head, record, *arrays[1:]]))
+            cache.write_bytes(b"".join([digest, record, *arrays[1:]]))
             assert _outcome(path) == parsed
         assert len(parses) == len(forged)
 
@@ -854,6 +859,26 @@ class TestSidecar:
             ["ds.txt", "ds.txt.cache"]
         assert data.load(path).fingerprint() == ds.fingerprint()
         assert parses == [path]
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("observed_labels", 3, "label out of range"),
+        ("au_labels", 2, "unit bits must be 0/1"),
+        ("features", np.nan, "non-finite feature value")])
+    def test_a_sidecar_beside_a_refused_text_is_never_read(
+            self, tmp_path, parses, field, value, message):
+        ds = small_ds(n=7, dim=3, n_units=4)
+        bad = getattr(ds, field).copy()
+        bad[2] = value   # row 2, on line 9
+        path = tmp_path / "ds.txt"
+        data.save(replace(ds, **{field: bad}), path)
+        cache = tmp_path / "ds.txt.cache"
+        assert cache.is_file()
+        for _ in range(2):
+            with pytest.raises(InputError) as exc:
+                data.load(path)
+            assert str(exc.value) == f"{path}, line 9: {message}"
+            cache.unlink(missing_ok=True)
+        assert parses == [path, path]
 
     def test_save_replaces_the_sidecar_with_the_text(self, saved, parses):
         path, cache, _, _ = saved
