@@ -163,20 +163,28 @@ class Dataset:
     Only label correction writes to a dataset, and only to
     ``observed_labels``: ``corrupt_labels`` and ``train`` copy that array
     alone and share the features, unit bits and true labels with their
-    input, so none of those may be written to in place."""
+    input, so none of those may be written to in place.  The sample count
+    and widths are read from the arrays; the class count is stored, since a
+    file's header may declare more classes than its labels use."""
     features: np.ndarray          # (n, dim) float64
     observed_labels: np.ndarray   # (n,) int64
     true_labels: np.ndarray       # (n,) int64, hidden from training
     au_labels: np.ndarray         # (n, n_units) int64 bits
     n_classes: int
-    n_units: int
-    dim: int
     corruption_rate: float
     seed: int
 
     @property
     def n(self) -> int:
         return len(self.features)
+
+    @property
+    def n_units(self) -> int:
+        return self.au_labels.shape[1]
+
+    @property
+    def dim(self) -> int:
+        return self.features.shape[1]
 
     def observed_noise_rate(self) -> float:
         return float(np.mean(self.observed_labels != self.true_labels))
@@ -191,20 +199,20 @@ class Dataset:
         return h.hexdigest()
 
     def validate(self) -> None:
+        if self.features.ndim != 2:
+            raise InputError(
+                f"features shape {self.features.shape} is not (n, dim)")
         n = self.n
-        if self.features.shape != (n, self.dim):
-            raise InputError(
-                f"features shape {self.features.shape} != ({n}, {self.dim})")
-        if self.au_labels.shape != (n, self.n_units):
-            raise InputError(
-                f"au_labels shape {self.au_labels.shape} != ({n}, {self.n_units})")
+        if self.au_labels.ndim != 2 or len(self.au_labels) != n:
+            raise InputError(f"au_labels shape {self.au_labels.shape} "
+                             f"is not ({n}, n_units)")
         for name, labels in (("observed", self.observed_labels),
                              ("true", self.true_labels)):
             if labels.shape != (n,):
                 raise InputError(f"{name} labels shape {labels.shape}")
             if n and (labels.min() < 0 or labels.max() >= self.n_classes):
                 raise InputError(f"{name} labels out of range")
-        if not np.isin(self.au_labels, (0, 1)).all():
+        if not ((self.au_labels == 0) | (self.au_labels == 1)).all():
             raise InputError("au_labels must be 0/1 bits")
         if not np.isfinite(self.features).all():
             raise InputError("non-finite feature values")
@@ -266,7 +274,7 @@ def generate(n_classes: int, n_units: int, dim: int, n: int,
         raise ConfigError(f"seed must be >= 0, got {seed}")
     try:
         table = emotion_au_table(n_classes, n_units)
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        rng = np.random.default_rng(seed)
 
         for _ in range(100):
             cand = rng.standard_normal((n_classes, dim))
@@ -289,8 +297,7 @@ def generate(n_classes: int, n_units: int, dim: int, n: int,
             features[c::n_classes] += cand[c]
         flips = rng.random((n, n_units)) < au_noise
         au = np.where(flips, 1 - table[true], table[true]).astype(np.int64)
-        return Dataset(features, true.copy(), true, au,
-                       n_classes, n_units, dim, 0.0, seed)
+        return Dataset(features, true.copy(), true, au, n_classes, 0.0, seed)
     except FloatingPointError as exc:
         raise ConfigError(f"class_spread={class_spread} and within_noise="
                           f"{within_noise} overflow float64: {exc}") from None
@@ -314,7 +321,7 @@ def corrupt_labels(ds: Dataset, rate: float, seed: int) -> Dataset:
     k = int(round(rate * ds.n))
     if k == 0:
         return out
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = np.random.default_rng(seed)
     chosen = rng.choice(ds.n, size=k, replace=False)
     offsets = rng.integers(0, ds.n_classes - 1, size=k)
     true = out.true_labels[chosen]
@@ -621,8 +628,8 @@ def _cached(path) -> Dataset | None:
         if any(a.dtype != dtype or a.shape != shape for a, dtype, shape
                in zip(arrays, _SIDECAR_DTYPES, shapes)):
             return None
-        ds = Dataset(*arrays, n_classes, n_units, dim,
-                     header["corruption_rate"], header["seed"])
+        ds = Dataset(*arrays, n_classes, header["corruption_rate"],
+                     header["seed"])
         ds.validate()
         return ds
     except (OSError, ValueError):   # InputError is a ValueError
@@ -698,7 +705,7 @@ def _parse(path) -> Dataset:
         if str(exc).startswith(f"{path}: "):   # the reader names the file
             raise
         raise InputError(f"{path}, {exc}") from None
-    return Dataset(features, observed, true, au, n_classes, n_units, dim,
+    return Dataset(features, observed, true, au, n_classes,
                    header["corruption_rate"], header["seed"])
 
 
@@ -711,7 +718,7 @@ def batches(ds: Dataset, batch_size: int, epoch_seed: int) -> list[np.ndarray]:
     if not 1 <= batch_size <= ds.n:
         raise ConfigError(
             f"batch_size must lie in [1, {ds.n}], got {batch_size}")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(epoch_seed)))
+    rng = np.random.default_rng(epoch_seed)
     perm = rng.permutation(ds.n)
     return [perm[i:i + batch_size] for i in range(0, ds.n, batch_size)]
 
@@ -721,7 +728,7 @@ def train_test_split(ds: Dataset, test_fraction: float, seed: int
     """Stratified (by true label) deterministic split; both parts re-indexed."""
     if not 0.0 < test_fraction < 1.0:
         raise ConfigError(f"test_fraction must lie in (0, 1), got {test_fraction}")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = np.random.default_rng(seed)
     test_mask = np.zeros(ds.n, dtype=bool)
     for c in range(ds.n_classes):
         members = np.flatnonzero(ds.true_labels == c)
@@ -736,7 +743,7 @@ def train_test_split(ds: Dataset, test_fraction: float, seed: int
     def take(mask: np.ndarray) -> Dataset:
         sub = Dataset(ds.features[mask], ds.observed_labels[mask],
                       ds.true_labels[mask], ds.au_labels[mask],
-                      ds.n_classes, ds.n_units, ds.dim, 0.0, ds.seed)
+                      ds.n_classes, 0.0, ds.seed)
         sub.corruption_rate = sub.observed_noise_rate()
         return sub
 

@@ -184,8 +184,7 @@ def init_model(dataset: Dataset, config: TrainConfig) -> Model:
     """A fresh model for ``dataset``'s shapes, seeded with ``config.seed``;
     raises ConfigError when its weights or templates do not fit in memory
     (a header's class count, say, can be far larger than its labels need)."""
-    rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(config.seed)))
+    rng = np.random.default_rng(config.seed)
     c, m, d = dataset.n_classes, dataset.n_units, dataset.dim
     try:
         target = TargetBranch(d, config.hidden_dim, config.feat_dim, c,

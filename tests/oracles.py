@@ -170,7 +170,7 @@ def load_row_at_a_time(path):
         if str(exc).startswith(f"{path}: "):   # the reader names the file
             raise
         raise InputError(f"{path}, {exc}") from None
-    return data.Dataset(features, observed, true, au, n_classes, n_units, dim,
+    return data.Dataset(features, observed, true, au, n_classes,
                         header["corruption_rate"], header["seed"])
 
 

@@ -352,7 +352,7 @@ class TestStreamedFormat:
         cache = tmp_path / "ds.txt.cache"
         # save, load through the sidecar, then load by the parse
         for step, bound in ((lambda: data.save(ds, path), 0.5),
-                            (lambda: data.load(path), 2.0),
+                            (lambda: data.load(path), 1.45),
                             (lambda: cache.unlink() or data.load(path), 2.0)):
             tracemalloc.start()
             try:
@@ -736,7 +736,7 @@ class TestSidecar:
         bits = np.array(draw.draw(st.lists(st.integers(0, 1), min_size=n * m,
                                            max_size=n * m)),
                         dtype=np.int64).reshape(n, m)
-        ds = data.Dataset(features, observed, true, bits, c, m, d, rate, seed)
+        ds = data.Dataset(features, observed, true, bits, c, rate, seed)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "ds.txt"
             data.save(ds, path)
@@ -748,6 +748,55 @@ class TestSidecar:
             assert sorted(os.listdir(tmp)) == files   # load writes no file
             (Path(tmp) / "ds.txt.cache").unlink()
             assert _outcome(path) == hit
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(
+        shape=st.tuples(st.integers(1, 4), st.integers(1, 4),
+                        st.integers(1, 3), st.integers(1, 4)),
+        draw=st.data(),
+        rate=st.sampled_from([0.0, 0.5, 1.0]),
+        seed=st.integers(0, 2**70))
+    def test_validate_refuses_what_the_parse_refuses(self, shape, draw, rate,
+                                                     seed):
+        """``_cached`` returns a sidecar's arrays only when
+        ``Dataset.validate`` passes, so it must refuse exactly the
+        datasets whose text the parse refuses."""
+        c, m, d, n = shape
+        faulty = draw.draw(st.sampled_from(
+            [None, "features", "observed", "true", "bits"]))
+
+        def array(name, good, bad, size, dtype):
+            # only one array may hold a fault, one bad value in its places,
+            # so a rule that one side applies and the other misses shows
+            if name == faulty:
+                good = good | st.just(draw.draw(bad))
+            return np.array(draw.draw(st.lists(good, min_size=size,
+                                               max_size=size)), dtype=dtype)
+
+        wide = st.integers(-2**63, 2**63 - 1)
+        label = st.integers(0, c - 1)
+        bad_label = st.sampled_from([-1, c]) | wide
+        ds = data.Dataset(
+            array("features", st.floats(allow_nan=False, allow_infinity=False),
+                  st.sampled_from([np.nan, np.inf, -np.inf]), n * d,
+                  np.float64).reshape(n, d),
+            array("observed", label, bad_label, n, np.int64),
+            array("true", label, bad_label, n, np.int64),
+            array("bits", st.integers(0, 1), st.sampled_from([-1, 2]) | wide,
+                  n * m, np.int64).reshape(n, m),
+            c, rate, seed)
+        try:
+            ds.validate()
+            valid = True
+        except InputError:
+            valid = False
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ds.txt"
+            data.save(ds, path)
+            (Path(tmp) / "ds.txt.cache").unlink()
+            outcome = _outcome(path)
+        assert (outcome[0] is not InputError) == valid, outcome
 
     def test_one_byte_edits_give_the_parse(self, saved, parses):
         path, cache, blob, parsed = saved

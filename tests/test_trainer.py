@@ -974,10 +974,10 @@ class TestTrainChecksItsDataset:
     when ``train`` starts."""
 
     @pytest.mark.parametrize("damage,message", [
-        (lambda ds: replace(ds, dim=7), r"features shape \(90, 8\) != "
-         r"\(90, 7\)"),
-        (lambda ds: replace(ds, n_units=5), r"au_labels shape \(90, 6\) != "
-         r"\(90, 5\)"),
+        (lambda ds: replace(ds, features=ds.features[:, 0]),
+         r"features shape \(90,\) is not \(n, dim\)"),
+        (lambda ds: replace(ds, au_labels=ds.au_labels[1:]),
+         r"au_labels shape \(89, 6\) is not \(90, n_units\)"),
         (lambda ds: replace(ds, observed_labels=ds.observed_labels[1:]),
          r"observed labels shape \(89,\)"),
         (lambda ds: replace(ds, true_labels=ds.true_labels + 3),
